@@ -1,0 +1,177 @@
+"""Relation checks of the Fock-picture suites, and their report entries.
+
+The homogeneous (fockhom), Z-algebra (zbridge) and principal (fockprin)
+suites state every relation through the check kinds below, and run() is
+the one place that turns the outcome of a check into a report entry
+(relation_id, params, status, witness).  A check returns (ok, witness)
+or a bool.  States are swept in the order given and modes upward from
+lo, so a witness names the first failing cell in that order.
+
+Check kinds:
+  holds           a delta-function identity (DeltaRelation) on every state
+  fields_equal    two fields agree mode by mode; the witness carries the
+                  exact difference, read in the monomial basis
+  vanishes        a linear combination of fields vanishes mode by mode
+  degree_shift    [d_0, F] = DF: mode n moves the d_0 degree by n
+  coord_shift     [d_i, F(r)] = r_i F(r): a label coordinate moves by r_i
+  nonzero         a field has a nonzero mode on some state
+
+Families of entries built on them, one entry per parameter choice:
+  central         the d_A relation (1/m) D k_0(r) + sum_i r_i k_i(r) = 0
+  factorization   factorization of the fields through k_0
+  derivations     the d_0 and d_i eigenvalue relations of k_0..k_N
+  eta_covariance  F(b, w^p z) = eta_p(b) F(theta^p b, z)
+"""
+
+from __future__ import annotations
+
+from .distops import (ProductField, comb_add, comb_scale, comb_sub,
+                      field_space, witness_difference)
+
+
+def run(entries, rel_id, params, check, *args):
+    """Append the entry of one relation: check(*args) is (ok, witness)
+    or a bool."""
+    result = check(*args)
+    ok, witness = result if isinstance(result, tuple) else (result, None)
+    entries.append((rel_id, params, "pass" if ok else "fail", witness))
+
+
+def default_rvecs(N):
+    """Multidegrees 0 and +-e_i, i = 1..N."""
+    out = [(0,) * N]
+    for i in range(N):
+        for sgn in (1, -1):
+            out.append(tuple(sgn if j == i else 0 for j in range(N)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# check kinds
+# ---------------------------------------------------------------------------
+
+
+def holds(rel, states, W):
+    """rel.check_window(W, v) on every state v."""
+    for v in states:
+        ok, witness = rel.check_window(W, v)
+        if not ok:
+            return False, witness
+    return True, None
+
+
+def fields_equal(f, g, states, lo, scale=None):
+    """scale * f = g at every mode from lo up to the larger max_mode."""
+    space = field_space(f, g)
+    for v in states:
+        hi = max(f.max_mode(v), g.max_mode(v))
+        for n in range(lo, hi + 1):
+            a = f.mode_memo(n, v)
+            if scale is not None:
+                a = comb_scale(a, scale)
+            diff = comb_sub(a, g.mode_memo(n, v))
+            if diff:
+                return False, {"state": v, "mode": n,
+                               "difference": witness_difference(space, v, diff)}
+    return True, None
+
+
+def vanishes(terms, states, lo):
+    """sum_j c_j F_j = 0 at every mode from lo up to the largest
+    max_mode; terms are pairs (c_j, F_j), c_j a scalar or a function of
+    the mode n."""
+    for v in states:
+        hi = max(f.max_mode(v) for _c, f in terms)
+        for n in range(lo, hi + 1):
+            acc = {}
+            for c, f in terms:
+                acc = comb_add(acc, comb_scale(f.mode_memo(n, v),
+                                               c(n) if callable(c) else c))
+            if acc:
+                return False, {"state": v, "mode": n}
+    return True, None
+
+
+def degree_shift(space, f, states, lo):
+    """[d_0, F] = DF: mode n moves the d_0 degree by exactly n."""
+    for v in states:
+        dv = space.degree(v)
+        for n in range(lo, f.max_mode(v) + 1):
+            for s in f.mode_memo(n, v):
+                if space.degree(s) != dv + n:
+                    return False, {"state": v, "mode": n, "out": s}
+    return True, None
+
+
+def coord_shift(f, states, lo, coord, expected):
+    """[d_i, F(r)] = r_i F(r): the label coordinate moves by r_i."""
+    for v in states:
+        for n in range(lo, f.max_mode(v) + 1):
+            for s in f.mode_memo(n, v):
+                if s[0][coord] - v[0][coord] != expected:
+                    return False, {"state": v, "mode": n, "out": s}
+    return True, None
+
+
+def nonzero(f, states, lo):
+    """Some mode of f is nonzero on some state."""
+    return any(f.mode_memo(n, v)
+               for v in states for n in range(lo, f.max_mode(v) + 1))
+
+
+# ---------------------------------------------------------------------------
+# families
+# ---------------------------------------------------------------------------
+
+
+def _D(n):
+    """D = z d/dz multiplies mode n by n."""
+    return n
+
+
+def central(kf, m, rvec, states, lo):
+    """The d_A relation times m: n k_0(r)(n) + m sum_i r_i k_i(r)(n) = 0,
+    with kf(i, rvec) the field k_i (k_0 at i = 0).  Multiplying through
+    by m keeps integral coefficients integral."""
+    terms = [(_D, kf(0, rvec))]
+    terms += [(m * ri, kf(i, rvec)) for i, ri in enumerate(rvec, 1) if ri]
+    return vanishes(terms, states, lo)
+
+
+def factorization(entries, rel_id, head, f, g, fg, rvecs, states, lo,
+                  scale=None):
+    """f(r, z) g(s, z) = k fg(r+s, z) (scale = 1/k) for all r, s in
+    rvecs: one entry rel_id per (r, s), its params head plus r and s."""
+    for rvec in rvecs:
+        for svec in rvecs:
+            tot = tuple(a + b for a, b in zip(rvec, svec))
+            run(entries, rel_id, dict(head, r=list(rvec), s=list(svec)),
+                fields_equal, ProductField(f(rvec), g(svec)), fg(tot),
+                states, lo, scale)
+
+
+def derivations(entries, d0_id, di_id, mod, rvec, states, lo):
+    """[d_0, k_j(r)] = D k_j(r) (entry d0_id) and [d_i, k_j(r)] = r_i k_j(r)
+    (entry di_id) for j = 0..N, i = 1..N, with the fields mod.kf(j, r)."""
+    for j in range(mod.N + 1):
+        kj = mod.kf(j, rvec)
+        run(entries, d0_id, {"j": j, "r": list(rvec)},
+            degree_shift, mod.space, kj, states, lo)
+        for i in range(1, mod.N + 1):
+            run(entries, di_id, {"i": i, "j": j, "r": list(rvec)},
+                coord_shift, kj, states, lo, mod.delta_coord(i), rvec[i - 1])
+
+
+def eta_covariance(entries, rel_id, field, twist, roots, states, lo):
+    """F(b, w^p z) = eta_p(b) F(theta^p b, z), i.e. the combination
+    w^(pn) F(b)(n) - eta_p(b) F(theta^p b)(n) vanishes, for b in roots
+    and p = 0..m-1; field(b) is F(b) at multidegree 0."""
+    for beta in roots:
+        for p in range(twist.m):
+            def rotate(n, p=p):
+                return twist.root_of_unity(p * n)
+
+            terms = [(rotate, field(beta)),
+                     (-twist.eta(p, beta), field(twist.theta_root(p, beta)))]
+            run(entries, rel_id, {"beta": list(beta), "p": p},
+                vanishes, terms, states, lo)

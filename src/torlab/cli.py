@@ -9,15 +9,14 @@ errors (the message names the offending key).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
 from .autom import (affine_marks, diagram_automorphism,
                     identity_automorphism, untwisted_affine_cartan)
 from .config import ConfigError, RunConfig, permutation_order
-from .fockhom import HomogeneousModule, verify_33, verify_center_hom, \
-    verify_products_hom
+from .fockhom import HomogeneousModule, l1_ball, verify_33, \
+    verify_center_hom, verify_products_hom
 from .fockprin import (PrincipalModule, negation_theta, solve_prin_constants,
                        verify_52, verify_principal_relations)
 from .princiso import build_iso_context, n_table, verify_iso
@@ -229,14 +228,6 @@ def run_solve(cfg: RunConfig) -> int:
     return rep.exit_code()
 
 
-def _ball(n, radius):
-    out = []
-    for rv in itertools.product(range(-radius, radius + 1), repeat=n):
-        if sum(abs(v) for v in rv) <= radius:
-            out.append(rv)
-    return sorted(out)
-
-
 def _key_json(key):
     if key[0] == "g":
         return {"t": "g", "sym": jsonable(key[1]), "r0": key[2],
@@ -265,14 +256,14 @@ def run_gen(cfg: RunConfig) -> int:
             if tag in seen:
                 continue
             seen.add(tag)
-            for rv in _ball(cfg.n, B):
+            for rv in l1_ball(cfg.n, B):
                 basis.append(tor.loop_component(GElement({sym: Cyc.one()}),
                                                 r0, rv))
     for i in range(cfg.n + 1):
         for r0 in range(-W, W + 1):
             if r0 % tor.m:
                 continue
-            for rv in _ball(cfg.n, B):
+            for rv in l1_ball(cfg.n, B):
                 raw = TorElement({("k", i, r0, rv): Cyc.one()})
                 if tor.normalize_dA(raw) == raw:
                     basis.append(raw)

@@ -334,24 +334,6 @@ def field_space(*fields):
     return next((f.space for f in fields if f.space is not None), None)
 
 
-class GradedOperator:
-    """A pure map state -> finite combination with a declared degree shift."""
-
-    __slots__ = ("shift", "_fn", "_memo")
-
-    def __init__(self, shift, fn):
-        self.shift = shift
-        self._fn = fn
-        self._memo = {}
-
-    def __call__(self, state):
-        hit = self._memo.get(state)
-        if hit is None:
-            hit = self._fn(state)
-            self._memo[state] = hit
-        return hit
-
-
 class FieldFamily:
     """Mode family of a formal distribution.
 
@@ -387,19 +369,6 @@ class FieldFamily:
             for k, v in self.mode_memo(n, state).items():
                 _acc(out, k, v * c)
         return out
-
-    def operator(self, n) -> GradedOperator:
-        return GradedOperator(n, lambda state: self.mode(n, {state: RAT(1)}))
-
-
-class ZeroField(FieldFamily):
-    label = "0"
-
-    def mode_state(self, n, state):
-        return {}
-
-    def max_mode(self, state):
-        return 0
 
 
 class IdentityField(FieldFamily):
@@ -451,54 +420,6 @@ class SumField(FieldFamily):
 
     def max_mode(self, state):
         return max(p.max_mode(state) for p in self.parts)
-
-
-class DerivativeField(FieldFamily):
-    """D f for D = zeta d/dzeta: mode n scaled by n."""
-
-    def __init__(self, base):
-        super().__init__()
-        self.base = base
-        self.shift = base.shift
-        self.label = "D" + base.label
-
-    def mode_state(self, n, state):
-        if not n:
-            return {}
-        return comb_scale(self.base.mode_state(n, state), n)
-
-    def max_mode(self, state):
-        return self.base.max_mode(state)
-
-
-class ComposedField(FieldFamily):
-    """f(z) g(z) as a single field: mode n = sum_q f_(n-q) g_q.
-
-    cap_fn(state) must bound f.max_mode over every state that g can
-    produce from the input state; it makes the q-sum finite from below.
-    """
-
-    def __init__(self, f, g, cap_fn=None):
-        super().__init__()
-        self.f = f
-        self.g = g
-        self.cap_fn = cap_fn
-        if f.shift is not None and g.shift is not None:
-            self.shift = tuple(a + b for a, b in zip(f.shift, g.shift))
-        self.label = f.label + "*" + g.label
-
-    def max_mode(self, state):
-        cap = self.cap_fn(state) if self.cap_fn else self.f.max_mode(state)
-        return cap + self.g.max_mode(state)
-
-    def mode_state(self, n, state):
-        cap = self.cap_fn(state) if self.cap_fn else self.f.max_mode(state)
-        out = {}
-        for q in range(n - cap, self.g.max_mode(state) + 1):
-            mid = self.g.mode_memo(q, state)
-            if mid:
-                out = comb_add(out, self.f.mode(n - q, mid))
-        return out
 
 
 class ProductField(FieldFamily):

@@ -29,11 +29,11 @@ basis, and failing witnesses are converted back to the monomial basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
+from . import checks
 from .distops import (DeltaRelation, DeltaTerm, ExpField, FieldFamily,
-                      FockSpace, ProductField, TruncationWindow, comb_add,
-                      comb_scale, comb_sub, field_space, partitions,
-                      witness_difference)
+                      FockSpace, TruncationWindow, comb_add, partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
 from .scalar import Cyc
 
@@ -72,6 +72,10 @@ class HomogeneousModule:
             self._fields[key] = HeisTimesK0Field(self, dv, rvec,
                                                  label="k%d" % (i + 1))
         return self._fields[key]
+
+    def kf(self, i, rvec):
+        """k_i(r, z) with 1-based i, and k_0(r, z) at i = 0."""
+        return self.k0(rvec) if i == 0 else self.k(i - 1, rvec)
 
     def z(self, alpha, rvec):
         key = ("z", tuple(alpha), tuple(rvec))
@@ -222,32 +226,18 @@ class ZeroModeTimesField(FieldFamily):
 
 
 # ---------------------------------------------------------------------------
-# spec-facing wrappers
-# ---------------------------------------------------------------------------
-
-
-def heisenberg_act(mod: HomogeneousModule, vec, n, comb):
-    return mod.space.heisenberg_act(vec, n, comb)
-
-def vertex_X(mod: HomogeneousModule, rvec) -> VertexXField:
-    return mod.k0(rvec)
-
-
-def z_operator_hom(mod: HomogeneousModule, alpha, rvec) -> ZField:
-    return mod.z(alpha, rvec)
-
-
-# ---------------------------------------------------------------------------
 # window-state enumeration
 # ---------------------------------------------------------------------------
 
 
-def _l1_ball(dim, radius):
+def l1_ball(dim, radius):
+    """Integer vectors of length dim and L1-norm <= radius, in
+    lexicographic order."""
     if dim == 0:
         yield ()
         return
     for c in range(-radius, radius + 1):
-        for rest in _l1_ball(dim - 1, radius - abs(c)):
+        for rest in l1_ball(dim - 1, radius - abs(c)):
             yield (c,) + rest
 
 
@@ -268,7 +258,7 @@ def _mode_multisets(dirs, total):
 def window_states(space: FockSpace, window: TruncationWindow):
     """All states with label L1-norm <= support and degree >= -degree."""
     out = []
-    for label in _l1_ball(space.dim, window.support):
+    for label in l1_ball(space.dim, window.support):
         cap = (Fraction(window.degree, space.weight)
                - Fraction(space.pair(label, label), 2))
         if cap < 0:
@@ -282,26 +272,6 @@ def window_states(space: FockSpace, window: TruncationWindow):
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
-
-
-def _record(entries, rel, params, ok, witness=None):
-    entries.append((rel, params, "pass" if ok else "fail", witness))
-
-
-def _fields_equal(f, g, states, lo, hi, scale=None):
-    """Mode-by-mode equality of two fields over given states and modes."""
-    space = field_space(f, g)
-    for v in states:
-        for n in range(lo, hi + 1):
-            a = f.mode_memo(n, v)
-            if scale is not None:
-                a = comb_scale(a, scale)
-            b = g.mode_memo(n, v)
-            diff = comb_sub(a, b)
-            if diff:
-                return False, {"state": v, "mode": n,
-                               "difference": witness_difference(space, v, diff)}
-    return True, None
 
 
 def pair_relation(mod: HomogeneousModule, b1, b2, rvec, svec) -> DeltaRelation:
@@ -338,33 +308,18 @@ def verify_33(mod: HomogeneousModule, window: TruncationWindow,
     if root_pairs is None:
         root_pairs = [(a, b) for a in mod.rs.roots for b in mod.rs.roots]
     if rvecs is None:
-        rvecs = _default_rvecs(mod.N)
+        rvecs = checks.default_rvecs(mod.N)
     if states is None:
         states = window_states(mod.space, window)
-    W = window.modes
     for b1, b2 in root_pairs:
         for rvec in rvecs:
             for svec in rvecs:
-                rel = pair_relation(mod, b1, b2, rvec, svec)
-                ok = True
-                witness = None
-                for v in states:
-                    good, w = rel.check_window(W, v)
-                    if not good:
-                        ok, witness = False, w
-                        break
-                _record(entries, "zhom.pair",
-                        {"b1": list(b1), "b2": list(b2),
-                         "r": list(rvec), "s": list(svec)}, ok, witness)
+                checks.run(entries, "zhom.pair",
+                           {"b1": list(b1), "b2": list(b2),
+                            "r": list(rvec), "s": list(svec)},
+                           checks.holds, pair_relation(mod, b1, b2, rvec, svec),
+                           states, window.modes)
     return entries
-
-
-def _default_rvecs(N):
-    out = [(0,) * N]
-    for i in range(N):
-        for sgn in (1, -1):
-            out.append(tuple(sgn if j == i else 0 for j in range(N)))
-    return out
 
 
 def verify_center_hom(mod: HomogeneousModule, window: TruncationWindow,
@@ -374,33 +329,17 @@ def verify_center_hom(mod: HomogeneousModule, window: TruncationWindow,
     if entries is None:
         entries = []
     if rvecs is None:
-        rvecs = _default_rvecs(mod.N)
+        rvecs = checks.default_rvecs(mod.N)
     if states is None:
         states = window_states(mod.space, window)
     W = window.modes
     for rvec in rvecs:
-        k0 = mod.k0(rvec)
-        ok = True
-        witness = None
-        for v in states:
-            for n in range(-W, k0.max_mode(v) + 1):
-                acc = comb_scale(k0.mode_memo(n, v), n)
-                for i in range(mod.N):
-                    if rvec[i]:
-                        ki = mod.k(i, rvec)
-                        acc = comb_add(acc, comb_scale(ki.mode_memo(n, v), rvec[i]))
-                if acc:
-                    ok, witness = False, {"state": v, "mode": n}
-                    break
-            if not ok:
-                break
-        _record(entries, "zhom.center", {"r": list(rvec)}, ok, witness)
+        checks.run(entries, "zhom.center", {"r": list(rvec)},
+                   checks.central, mod.kf, 1, rvec, states, -W)
     # nontriviality: each k_i has a nonzero mode on some window state
-    for i in range(mod.N):
-        ki = mod.k(i, (0,) * mod.N)
-        hit = any(ki.mode_memo(n, v)
-                  for v in states for n in range(-W, ki.max_mode(v) + 1))
-        _record(entries, "zhom.k_nontrivial", {"i": i + 1}, hit)
+    for i in range(1, mod.N + 1):
+        checks.run(entries, "zhom.k_nontrivial", {"i": i},
+                   checks.nonzero, mod.kf(i, (0,) * mod.N), states, -W)
     return entries
 
 
@@ -411,28 +350,16 @@ def verify_products_hom(mod: HomogeneousModule, window: TruncationWindow,
     if entries is None:
         entries = []
     if rvecs is None:
-        rvecs = _default_rvecs(mod.N)
+        rvecs = checks.default_rvecs(mod.N)
     if states is None:
         states = window_states(mod.space, window)
     if alpha is None:
         alpha = mod.rs.roots[-1]
     W = window.modes
-    for rvec in rvecs:
-        for svec in rvecs:
-            tot = tuple(a + b for a, b in zip(rvec, svec))
-            zc = _compose(mod.z(alpha, rvec), mod.k0(svec), mod.space)
-            ok, witness = _fields_equal(zc, mod.z(alpha, tot), states, -W, W)
-            _record(entries, "zhom.prod_zk0",
-                    {"a": list(alpha), "r": list(rvec), "s": list(svec)}, ok, witness)
-            kc = _compose(mod.k0(rvec), mod.k(0, svec), mod.space)
-            ok, witness = _fields_equal(kc, mod.k(0, tot), states, -W, W)
-            _record(entries, "zhom.prod_k0k",
-                    {"i": 1, "r": list(rvec), "s": list(svec)}, ok, witness)
+    z = partial(mod.z, alpha)
+    k1 = partial(mod.kf, 1)
+    checks.factorization(entries, "zhom.prod_zk0", {"a": list(alpha)},
+                         z, mod.k0, z, rvecs, states, -W)
+    checks.factorization(entries, "zhom.prod_k0k", {"i": 1},
+                         mod.k0, k1, k1, rvecs, states, -W)
     return entries
-
-
-class _compose(ProductField):
-    """Same-variable product f(z) g(z) (kept for backward compatibility)."""
-
-    def __init__(self, f, g, space):
-        super().__init__(f, g)

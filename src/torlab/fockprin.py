@@ -22,17 +22,16 @@ removes the (beta_2)_0 delta-term from the quadratic relation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
+from . import checks
 from .distops import (DeltaRelation, ExpField, FieldFamily, FockSpace,
                       HeisenbergField, ProductField, ScaledField,
-                      TruncationWindow, comb_add, comb_scale, comb_sub,
-                      product_of_binomials)
+                      TruncationWindow, product_of_binomials)
 from .fockhom import window_states
 from .scalar import Cyc, cyc_root_of_unity
-from .zbridge import (DkModule, TwistData, _default_rvecs, _degree_shift_ok,
-                      _dcoord_shift_ok, _fields_equal, _record,
-                      _sweep_relation, z_pair_relation)
+from .zbridge import DkModule, TwistData, z_pair_relation
 
 try:
     from gmpy2 import mpq as RAT
@@ -188,6 +187,10 @@ class PrincipalModule:
     def kf(self, i, rvec) -> FieldFamily:
         return self.k0(rvec) if i == 0 else self.k(i, rvec)
 
+    def delta_coord(self, i) -> int:
+        """Label coordinate read by d_i (1-based i)."""
+        return i - 1
+
     def z(self, beta, rvec) -> FieldFamily:
         key = ("z", tuple(beta), tuple(rvec))
         if key not in self._fields:
@@ -195,15 +198,6 @@ class PrincipalModule:
             f.label = "Z%r%r" % (tuple(beta), tuple(rvec))
             self._fields[key] = f
         return self._fields[key]
-
-
-def z_operator_prin(mod: PrincipalModule, beta, rvec) -> FieldFamily:
-    return mod.z(beta, rvec)
-
-
-def prin_k_fields(mod: PrincipalModule, rvec):
-    """[k_0(r, z^m), k_1(r, z^m), ..., k_N(r, z^m)]."""
-    return [mod.kf(i, rvec) for i in range(mod.N + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,26 +248,12 @@ def verify_52(mod: PrincipalModule, window: TruncationWindow, rvecs=None,
     if entries is None:
         entries = []
     if rvecs is None:
-        rvecs = _default_rvecs(mod.N)
+        rvecs = checks.default_rvecs(mod.N)
     if states is None:
         states = window_states(mod.space, window)
-    W = window.modes
     for rvec in rvecs:
-        k0 = mod.k0(rvec)
-        ok, witness = True, None
-        for v in states:
-            for n in range(-W, k0.max_mode(v) + 1):
-                acc = comb_scale(k0.mode_memo(n, v), Fraction(n, mod.m))
-                for i, ri in enumerate(rvec):
-                    if ri:
-                        acc = comb_add(acc, comb_scale(
-                            mod.k(i + 1, rvec).mode_memo(n, v), ri))
-                if acc:
-                    ok, witness = False, {"state": v, "mode": n}
-                    break
-            if not ok:
-                break
-        _record(entries, "prin.52", {"r": list(rvec)}, ok, witness)
+        checks.run(entries, "prin.52", {"r": list(rvec)}, checks.central,
+                   mod.kf, mod.m, rvec, states, -window.modes)
     return entries
 
 
@@ -286,7 +266,7 @@ def verify_principal_relations(mod: PrincipalModule,
     if roots is None:
         roots = [tuple(b) for b in mod.rs.roots]
     if rvecs is None:
-        rvecs = _default_rvecs(mod.N)
+        rvecs = checks.default_rvecs(mod.N)
     states = window_states(mod.space, window)
     W = window.modes
     zero = mod.zero_r()
@@ -295,41 +275,25 @@ def verify_principal_relations(mod: PrincipalModule,
 
     # (1) Z(a, r, z) k_0(s, z^m) = Z(a, r+s, z)   (level k = 1)
     # (2) k_0(r, z^m) k_i(s, z^m) = k_i(r+s, z^m)
-    for rvec in rvecs:
-        for svec in rvecs:
-            tot = tuple(a + b for a, b in zip(rvec, svec))
-            prod = ProductField(mod.z(sample, rvec), mod.k0(svec))
-            ok, witness = _fields_equal(prod, mod.z(sample, tot), states, -W)
-            _record(entries, "prin.1",
-                    {"beta": list(sample), "r": list(rvec), "s": list(svec)},
-                    ok, witness)
-            for i in range(mod.N + 1):
-                prodk = ProductField(mod.k0(rvec), mod.kf(i, svec))
-                ok, witness = _fields_equal(prodk, mod.kf(i, tot), states, -W)
-                _record(entries, "prin.2",
-                        {"i": i, "r": list(rvec), "s": list(svec)},
-                        ok, witness)
+    z = partial(mod.z, sample)
+    checks.factorization(entries, "prin.1", {"beta": list(sample)},
+                         z, mod.k0, z, rvecs, states, -W)
+    for i in range(mod.N + 1):
+        ki = partial(mod.kf, i)
+        checks.factorization(entries, "prin.2", {"i": i},
+                             mod.k0, ki, ki, rvecs, states, -W)
 
     # (3) sum_i r_i k_i + (1/m) D k_0 = 0, which is exactly (5.2)
-    for e in verify_52(mod, window, rvecs, states):
-        entries.append(("prin.3", e[1], e[2], e[3]))
-
-    # (4) [d_0, Z] = DZ and (5) [d_0, k_i] = D k_i
     for rvec in rvecs:
-        ok, witness = _degree_shift_ok(mod.space, mod.z(sample, rvec),
-                                       states, -W)
-        _record(entries, "prin.4", {"beta": list(sample), "r": list(rvec)},
-                ok, witness)
-        for j in range(mod.N + 1):
-            kj = mod.kf(j, rvec)
-            ok, witness = _degree_shift_ok(mod.space, kj, states, -W)
-            _record(entries, "prin.5", {"j": j, "r": list(rvec)}, ok, witness)
-            # (6) [d_i, k_j(r)] = r_i k_j(r): label coordinate i-1 moves by r_i
-            for i in range(1, mod.N + 1):
-                ok, witness = _dcoord_shift_ok(kj, states, -W, i - 1,
-                                               rvec[i - 1])
-                _record(entries, "prin.6",
-                        {"i": i, "j": j, "r": list(rvec)}, ok, witness)
+        checks.run(entries, "prin.3", {"r": list(rvec)}, checks.central,
+                   mod.kf, mod.m, rvec, states, -W)
+
+    # (4) [d_0, Z] = DZ, (5) [d_0, k_j] = D k_j, (6) [d_i, k_j(r)] = r_i k_j(r)
+    for rvec in rvecs:
+        checks.run(entries, "prin.4", {"beta": list(sample), "r": list(rvec)},
+                   checks.degree_shift, mod.space, mod.z(sample, rvec),
+                   states, -W)
+        checks.derivations(entries, "prin.5", "prin.6", mod, rvec, states, -W)
 
     # (7) the quadratic relation with binomial prefactors
     pair_rvecs = [(zero, zero)]
@@ -338,52 +302,33 @@ def verify_principal_relations(mod: PrincipalModule,
     for b1 in roots:
         for b2 in roots:
             for rvec, svec in pair_rvecs:
-                rel = z_pair_relation(w, b1, b2, rvec, svec)
-                ok, witness = _sweep_relation(rel, W, states)
-                _record(entries, "prin.7",
-                        {"b1": list(b1), "b2": list(b2),
-                         "r": list(rvec), "s": list(svec)}, ok, witness)
+                checks.run(entries, "prin.7",
+                           {"b1": list(b1), "b2": list(b2),
+                            "r": list(rvec), "s": list(svec)},
+                           checks.holds, z_pair_relation(w, b1, b2, rvec, svec),
+                           states, W)
 
     # (8) is vacuous here: the zero-weight Cartan t_0 is trivial for the
     # configured principal types, so there is no alpha to bracket with
-    _record(entries, "prin.8", {"dim_h0": 0}, True)
+    checks.run(entries, "prin.8", {"dim_h0": 0}, lambda: True)
 
     # (9) eta-covariance: Z(b, r, w^p z) = eta Z(theta^p b, r, z), eta = 1
-    for beta in roots:
-        for p in range(mod.m):
-            f = mod.z(beta, zero)
-            g = mod.z(mod.twist.theta_root(p, beta), zero)
-            et = mod.twist.eta(p, beta)
-            ok, witness = True, None
-            for v in states:
-                for n in range(-W, f.max_mode(v) + 1):
-                    lhs = comb_scale(f.mode_memo(n, v),
-                                     mod.twist.root_of_unity(p * n))
-                    diff = comb_sub(lhs, comb_scale(g.mode_memo(n, v), et))
-                    if diff:
-                        ok, witness = False, {"state": v, "mode": n}
-                        break
-                if not ok:
-                    break
-            _record(entries, "prin.9", {"beta": list(beta), "p": p},
-                    ok, witness)
+    checks.eta_covariance(entries, "prin.9", lambda b: mod.z(b, zero),
+                          mod.twist, roots, states, -W)
 
     # (10) centrality of the k fields
     for rvec in rvecs[:3]:
         for j in range(mod.N + 1):
             central = DeltaRelation(mod.kf(j, rvec), mod.z(sample, zero),
                                     [], [])
-            ok, witness = _sweep_relation(central, W, states)
-            _record(entries, "prin.10", {"j": j, "r": list(rvec)},
-                    ok, witness)
+            checks.run(entries, "prin.10", {"j": j, "r": list(rvec)},
+                       checks.holds, central, states, W)
 
     # the center acts nontrivially at desk scale
+    rv = rvecs[1] if len(rvecs) > 1 else zero
     for j in range(mod.N + 1):
-        rv = rvecs[1] if len(rvecs) > 1 else zero
-        kj = mod.kf(j, rv)
-        hit = any(kj.mode_memo(n, v)
-                  for v in states for n in range(-W, kj.max_mode(v) + 1))
-        _record(entries, "prin.k_nontrivial", {"j": j}, hit)
+        checks.run(entries, "prin.k_nontrivial", {"j": j},
+                   checks.nonzero, mod.kf(j, rv), states, -W)
     return entries
 
 
@@ -448,7 +393,7 @@ def solve_prin_constants(mod: PrincipalModule, window: TruncationWindow):
 
     u = None
     for a in range(1, W + 1):
-        la = coef[a] if not isinstance(coef[a], Cyc) else coef[a]
+        la = coef[a]
         ra = rhs(a)
         if la:
             cand = ra * (la if isinstance(la, Cyc) else Cyc.rational(la)).inv()

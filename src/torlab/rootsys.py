@@ -276,11 +276,3 @@ class ChevalleyAlgebra:
 
     def from_vector(self, vec) -> GElement:
         return GElement({self.symbols[i]: c for i, c in enumerate(vec) if c})
-
-
-def chevalley_bracket(alg: ChevalleyAlgebra, u: GElement, v: GElement) -> GElement:
-    return alg.bracket(u, v)
-
-
-def invariant_form(alg: ChevalleyAlgebra, u: GElement, v: GElement) -> Cyc:
-    return alg.form(u, v)

@@ -407,17 +407,5 @@ def cyc_root_of_unity(M: int, p: int) -> Cyc:
     return Cyc(ordr, _power_row(ordr, pp))
 
 
-def cyc_add(a: Cyc, b: Cyc) -> Cyc:
-    return a + b
-
-
-def cyc_mul(a: Cyc, b: Cyc) -> Cyc:
-    return a * b
-
-
-def cyc_inv(a: Cyc) -> Cyc:
-    return a.inv()
-
-
 ZERO = _ZERO
 ONE = _ONE

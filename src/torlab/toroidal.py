@@ -202,14 +202,6 @@ def _form_basis(alg, s1, s2):
     return None
 
 
-def toroidal_bracket(tor: ToroidalAlgebra, a: TorElement, b: TorElement) -> TorElement:
-    return tor.bracket(a, b)
-
-
-def normalize_dA(tor: ToroidalAlgebra, el: TorElement) -> TorElement:
-    return tor.normalize_dA(el)
-
-
 def apply_loop_automorphism(aut: Automorphism, el: TorElement) -> TorElement:
     """Loop extension: scale by w^(-r0), apply aut to the Chevalley part."""
     out = TorElement()

@@ -14,11 +14,13 @@ verified coefficient-by-coefficient on truncation windows.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
+from . import checks
 from .distops import (DeltaRelation, DeltaTerm, FieldFamily, FockSpace,
-                      ProductField, ScaledField, SumField, TruncationWindow,
-                      comb_add, comb_scale, comb_sub, dressing_operator,
-                      field_space, HeisenbergField, witness_difference)
+                      HeisenbergField, IdentityField, ProductField,
+                      ScaledField, SumField, TruncationWindow, comb_scale,
+                      comb_sub, dressing_operator)
 from .fockhom import (HomogeneousModule, ZeroModeTimesField, _mode_multisets,
                       window_states)
 from .linalg import nullspace, rank
@@ -198,11 +200,8 @@ def homogeneous_Ck(mod: HomogeneousModule) -> CkModule:
     def beta_fn(vec, rvec):
         return mod.heis(vec, rvec)
 
-    def k_fn(i, rvec):
-        return mod.k0(rvec) if i == 0 else mod.k(i - 1, rvec)
-
     return CkModule(space, 1, TwistData(1), mod.rs, mod.lat, mod.alg,
-                    x_fn, beta_fn, k_fn, name="V(Gamma)")
+                    x_fn, beta_fn, mod.kf, name="V(Gamma)")
 
 
 # ---------------------------------------------------------------------------
@@ -473,70 +472,6 @@ def z_pair_relation(w: DkModule, b1, b2, rvec, svec) -> DeltaRelation:
 # ---------------------------------------------------------------------------
 
 
-def _record(entries, rel, params, ok, witness=None):
-    entries.append((rel, params, "pass" if ok else "fail", witness))
-
-
-def _fields_equal(f, g, states, lo, scale=None):
-    space = field_space(f, g)
-    for v in states:
-        hi = max(f.max_mode(v), g.max_mode(v))
-        for n in range(lo, hi + 1):
-            a = f.mode_memo(n, v)
-            if scale is not None:
-                a = comb_scale(a, scale)
-            diff = comb_sub(a, g.mode_memo(n, v))
-            if diff:
-                return False, {"state": v, "mode": n,
-                               "difference": witness_difference(space, v, diff)}
-    return True, None
-
-
-def _field_zero(f, states, lo):
-    for v in states:
-        for n in range(lo, f.max_mode(v) + 1):
-            if f.mode_memo(n, v):
-                return False, {"state": v, "mode": n}
-    return True, None
-
-
-def _degree_shift_ok(space, f, states, lo):
-    """[d_0, F] = DF: mode n moves the d_0 degree by exactly n."""
-    for v in states:
-        dv = space.degree(v)
-        for n in range(lo, f.max_mode(v) + 1):
-            for s in f.mode_memo(n, v):
-                if space.degree(s) != dv + n:
-                    return False, {"state": v, "mode": n, "out": s}
-    return True, None
-
-
-def _dcoord_shift_ok(f, states, lo, coord, expected):
-    """[d_i, F(r)] = r_i F(r): the label coordinate moves by r_i."""
-    for v in states:
-        for n in range(lo, f.max_mode(v) + 1):
-            for s in f.mode_memo(n, v):
-                if s[0][coord] - v[0][coord] != expected:
-                    return False, {"state": v, "mode": n, "out": s}
-    return True, None
-
-
-def _sweep_relation(rel, W, states):
-    for v in states:
-        ok, witness = rel.check_window(W, v)
-        if not ok:
-            return False, witness
-    return True, None
-
-
-def _default_rvecs(N):
-    out = [(0,) * N]
-    for i in range(N):
-        for sgn in (1, -1):
-            out.append(tuple(sgn if j == i else 0 for j in range(N)))
-    return out
-
-
 def check_Ck(mod: CkModule, window: TruncationWindow, roots=None,
              rvecs=None, states=None, entries=None):
     """The category conditions plus the generating relations, swept
@@ -548,7 +483,7 @@ def check_Ck(mod: CkModule, window: TruncationWindow, roots=None,
     if roots is None:
         roots = list(mod.rs.roots)
     if rvecs is None:
-        rvecs = _default_rvecs(mod.N)
+        rvecs = checks.default_rvecs(mod.N)
     if states is None:
         states = window_states(mod.space, window)
     W = window.modes
@@ -558,115 +493,83 @@ def check_Ck(mod: CkModule, window: TruncationWindow, roots=None,
     hvecs = [mod.root_vec(a) for a in mod.rs.simple_roots]
 
     # (1) k_0 at multidegree 0 acts as the scalar k
-    k00 = mod.kf(0, zero)
-    ok, witness = True, None
-    for v in states:
-        for n in range(-W, k00.max_mode(v) + 1):
-            got = k00.mode_memo(n, v)
-            want = {v: mod.k} if n == 0 else {}
-            diff = comb_sub(got, want)
-            if diff:
-                ok, witness = False, {"state": v, "mode": n}
-                break
-        if not ok:
-            break
-    _record(entries, "ck.k0_scalar", {}, ok, witness)
+    checks.run(entries, "ck.k0_scalar", {}, checks.vanishes,
+               [(1, mod.kf(0, zero)), (-mod.k, IdentityField())], states, -W)
 
     # (2) d_0-grading: bounded above, and every field moves it by its mode
     graded = [mod.x(sample, zero), mod.beta_field(hvecs[0], zero),
               mod.kf(0, rvecs[-1] if len(rvecs) > 1 else zero)]
     for f in graded:
-        ok, witness = _degree_shift_ok(mod.space, f, states, -W)
-        _record(entries, "ck.grading", {"field": f.label}, ok, witness)
+        checks.run(entries, "ck.grading", {"field": f.label},
+                   checks.degree_shift, mod.space, f, states, -W)
 
     # (3) factorization through k_0
-    for rvec in rvecs:
-        for svec in rvecs:
-            tot = tuple(a + b for a, b in zip(rvec, svec))
-            prod = ProductField(mod.x(sample, rvec), mod.kf(0, svec))
-            ok, witness = _fields_equal(prod, mod.x(sample, tot), states, -W,
-                                        scale=kinv)
-            _record(entries, "ck.factor_x",
-                    {"beta": list(sample), "r": list(rvec), "s": list(svec)},
-                    ok, witness)
-            prodk = ProductField(mod.kf(1, rvec), mod.kf(0, svec))
-            ok, witness = _fields_equal(prodk, mod.kf(1, tot), states, -W,
-                                        scale=kinv)
-            _record(entries, "ck.factor_k",
-                    {"i": 1, "r": list(rvec), "s": list(svec)}, ok, witness)
+    x = partial(mod.x, sample)
+    k0 = partial(mod.kf, 0)
+    k1 = partial(mod.kf, 1)
+    checks.factorization(entries, "ck.factor_x", {"beta": list(sample)},
+                         x, k0, x, rvecs, states, -W, kinv)
+    checks.factorization(entries, "ck.factor_k", {"i": 1},
+                         k1, k0, k1, rvecs, states, -W, kinv)
 
     # quadratic relations at multidegree zero (factorization reduces the
     # general case to this one)
     for b1 in roots:
         for b2 in roots:
-            rel = current_pair_relation(mod, b1, b2, zero, zero)
-            ok, witness = _sweep_relation(rel, W, states)
-            _record(entries, "ck.rel1", {"b1": list(b1), "b2": list(b2)},
-                    ok, witness)
+            checks.run(entries, "ck.rel1", {"b1": list(b1), "b2": list(b2)},
+                       checks.holds,
+                       current_pair_relation(mod, b1, b2, zero, zero),
+                       states, W)
     for h1 in hvecs:
         for h2 in hvecs:
-            rel = cartan_pair_relation(mod, h1, h2, zero, zero)
-            ok, witness = _sweep_relation(rel, W, states)
-            _record(entries, "ck.rel2", {"h1": list(h1), "h2": list(h2)},
-                    ok, witness)
-        rel = mixed_pair_relation(mod, h1, sample, zero, zero)
-        ok, witness = _sweep_relation(rel, W, states)
-        _record(entries, "ck.rel3", {"h1": list(h1), "b2": list(sample)},
-                ok, witness)
+            checks.run(entries, "ck.rel2", {"h1": list(h1), "h2": list(h2)},
+                       checks.holds,
+                       cartan_pair_relation(mod, h1, h2, zero, zero),
+                       states, W)
+        checks.run(entries, "ck.rel3", {"h1": list(h1), "b2": list(sample)},
+                   checks.holds,
+                   mixed_pair_relation(mod, h1, sample, zero, zero), states, W)
 
     # (4) central combination; (5)/(6) derivation eigenvalues; (8) centrality
     for rvec in rvecs:
-        k0 = mod.kf(0, rvec)
-        ok, witness = True, None
-        for v in states:
-            for n in range(-W, k0.max_mode(v) + 1):
-                acc = comb_scale(k0.mode_memo(n, v), Fraction(n, mod.m))
-                for i, ri in enumerate(rvec):
-                    if ri:
-                        acc = comb_add(acc, comb_scale(
-                            mod.kf(i + 1, rvec).mode_memo(n, v), ri))
-                if acc:
-                    ok, witness = False, {"state": v, "mode": n}
-                    break
-            if not ok:
-                break
-        _record(entries, "ck.rel4_central", {"r": list(rvec)}, ok, witness)
-        for j in range(mod.N + 1):
-            kj = mod.kf(j, rvec)
-            for i in range(1, mod.N + 1):
-                ok, witness = _dcoord_shift_ok(kj, states, -W,
-                                               mod.delta_coord(i),
-                                               rvec[i - 1])
-                _record(entries, "ck.rel5_di",
-                        {"i": i, "j": j, "r": list(rvec)}, ok, witness)
-            ok, witness = _degree_shift_ok(mod.space, kj, states, -W)
-            _record(entries, "ck.rel6_d0", {"j": j, "r": list(rvec)},
-                    ok, witness)
+        checks.run(entries, "ck.rel4_central", {"r": list(rvec)},
+                   checks.central, mod.kf, mod.m, rvec, states, -W)
+        checks.derivations(entries, "ck.rel6_d0", "ck.rel5_di", mod, rvec,
+                           states, -W)
         central = DeltaRelation(mod.kf(1, rvec), mod.x(sample, zero), [], [])
-        ok, witness = _sweep_relation(central, W, states)
-        _record(entries, "ck.rel8_central", {"j": 1, "r": list(rvec)},
-                ok, witness)
+        checks.run(entries, "ck.rel8_central", {"j": 1, "r": list(rvec)},
+                   checks.holds, central, states, W)
 
     # (7) eta-covariance of the root fields
-    for beta in roots:
-        for p in range(mod.m):
-            f = mod.x(beta, zero)
-            g = mod.x(mod.twist.theta_root(p, beta), zero)
-            et = mod.twist.eta(p, beta)
-            ok, witness = True, None
-            for v in states[: max(1, len(states) // 4)]:
-                for n in range(-W, f.max_mode(v) + 1):
-                    lhs = comb_scale(f.mode_memo(n, v),
-                                     mod.twist.root_of_unity(p * n))
-                    diff = comb_sub(lhs, comb_scale(g.mode_memo(n, v), et))
-                    if diff:
-                        ok, witness = False, {"state": v, "mode": n}
-                        break
-                if not ok:
-                    break
-            _record(entries, "ck.rel7_eta", {"beta": list(beta), "p": p},
-                    ok, witness)
+    checks.eta_covariance(entries, "ck.rel7_eta", lambda b: mod.x(b, zero),
+                          mod.twist, roots, states, -W)
     return entries
+
+
+def _omega_closed(fields, states, lo, cartan):
+    """No mode of the fields creates a Cartan mode.  The witness is the
+    last offending (state, mode) in sweep order."""
+    witness = None
+    for v in states:
+        for f in fields:
+            for n in range(lo, f.max_mode(v) + 1):
+                for s in f.mode_memo(n, v):
+                    if any(d in cartan for d, _ in s[1]):
+                        witness = {"state": v, "mode": n, "out": s}
+                        break
+    return witness is None, witness
+
+
+def _zero_mode_bracket(space, avec, z, ip, states, lo):
+    """[a(0), Z(n)] = ip Z(n) for the Cartan vector avec."""
+    for v in states:
+        comb = {v: Cyc.one()}
+        for n in range(lo, z.max_mode(v) + 1):
+            lhs = comb_sub(space.heisenberg_act(avec, 0, z.mode_memo(n, v)),
+                           z.mode(n, space.heisenberg_act(avec, 0, comb)))
+            if comb_sub(lhs, comb_scale(z.mode_memo(n, v), ip)):
+                return False, {"state": v, "mode": n}
+    return True, None
 
 
 def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
@@ -677,7 +580,7 @@ def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
     if roots is None:
         roots = list(w.rs.roots)
     if rvecs is None:
-        rvecs = _default_rvecs(w.N)
+        rvecs = checks.default_rvecs(w.N)
     states = w.omega_states
     W = window.modes
     zero = w.zero_r()
@@ -685,117 +588,64 @@ def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
     sample = roots[0]
 
     # closure: Z and k modes keep Omega inside Omega (no Cartan modes)
-    cartan = set(range(w.rs.rank))
-    ok, witness = True, None
-    for v in states:
-        for f in (w.z(sample, zero), w.kf(0, rvecs[-1] if len(rvecs) > 1 else zero)):
-            for n in range(-W, f.max_mode(v) + 1):
-                for s in f.mode_memo(n, v):
-                    if any(d in cartan for d, _ in s[1]):
-                        ok, witness = False, {"state": v, "mode": n, "out": s}
-                        break
-    _record(entries, "zk.omega_closed", {}, ok, witness)
+    closed = [w.z(sample, zero), w.kf(0, rvecs[-1] if len(rvecs) > 1 else zero)]
+    checks.run(entries, "zk.omega_closed", {}, _omega_closed, closed, states,
+               -W, set(range(w.rs.rank)))
 
     # (1) and (2): factorization through k_0
-    for rvec in rvecs:
-        for svec in rvecs:
-            tot = tuple(a + b for a, b in zip(rvec, svec))
-            prod = ProductField(w.z(sample, rvec), w.kf(0, svec))
-            ok, witness = _fields_equal(prod, w.z(sample, tot), states, -W,
-                                        scale=kinv)
-            _record(entries, "zk.1",
-                    {"beta": list(sample), "r": list(rvec), "s": list(svec)},
-                    ok, witness)
-            prodk = ProductField(w.kf(0, rvec), w.kf(1, svec))
-            ok, witness = _fields_equal(prodk, w.kf(1, tot), states, -W,
-                                        scale=kinv)
-            _record(entries, "zk.2",
-                    {"i": 1, "r": list(rvec), "s": list(svec)}, ok, witness)
+    z = partial(w.z, sample)
+    k0 = partial(w.kf, 0)
+    k1 = partial(w.kf, 1)
+    checks.factorization(entries, "zk.1", {"beta": list(sample)},
+                         z, k0, z, rvecs, states, -W, kinv)
+    checks.factorization(entries, "zk.2", {"i": 1},
+                         k0, k1, k1, rvecs, states, -W, kinv)
 
     # (3) central combination, (4)/(5) grading, (6) d_i eigenvalues
     for rvec in rvecs:
-        k0 = w.kf(0, rvec)
-        ok, witness = True, None
-        for v in states:
-            for n in range(-W, k0.max_mode(v) + 1):
-                acc = comb_scale(k0.mode_memo(n, v), Fraction(n, w.m))
-                for i, ri in enumerate(rvec):
-                    if ri:
-                        acc = comb_add(acc, comb_scale(
-                            w.kf(i + 1, rvec).mode_memo(n, v), ri))
-                if acc:
-                    ok, witness = False, {"state": v, "mode": n}
-                    break
-            if not ok:
-                break
-        _record(entries, "zk.3", {"r": list(rvec)}, ok, witness)
-        ok, witness = _degree_shift_ok(w.space, w.z(sample, rvec), states, -W)
-        _record(entries, "zk.4", {"beta": list(sample), "r": list(rvec)},
-                ok, witness)
-        for j in range(w.N + 1):
-            kj = w.kf(j, rvec)
-            ok, witness = _degree_shift_ok(w.space, kj, states, -W)
-            _record(entries, "zk.5", {"j": j, "r": list(rvec)}, ok, witness)
-            for i in range(1, w.N + 1):
-                ok, witness = _dcoord_shift_ok(kj, states, -W,
-                                               w.delta_coord(i), rvec[i - 1])
-                _record(entries, "zk.6", {"i": i, "j": j, "r": list(rvec)},
-                        ok, witness)
+        checks.run(entries, "zk.3", {"r": list(rvec)},
+                   checks.central, w.kf, w.m, rvec, states, -W)
+        checks.run(entries, "zk.4", {"beta": list(sample), "r": list(rvec)},
+                   checks.degree_shift, w.space, w.z(sample, rvec), states, -W)
+        checks.derivations(entries, "zk.5", "zk.6", w, rvec, states, -W)
 
     # (7) the quadratic relation with binomial prefactors
     for b1 in roots:
         for b2 in roots:
-            rel = z_pair_relation(w, b1, b2, zero, zero)
-            ok, witness = _sweep_relation(rel, W, states)
-            _record(entries, "zk.7", {"b1": list(b1), "b2": list(b2)},
-                    ok, witness)
+            checks.run(entries, "zk.7", {"b1": list(b1), "b2": list(b2)},
+                       checks.holds, z_pair_relation(w, b1, b2, zero, zero),
+                       states, W)
 
     # (8) zero-mode bracket with the Cartan
     for a in w.rs.simple_roots:
-        avec = w.root_vec(a)
-        z = w.z(sample, zero)
-        ip = Cyc.rational(w.rs.form(a, sample))
-        ok, witness = True, None
-        for v in states:
-            comb = {v: Cyc.one()}
-            for n in range(-W, z.max_mode(v) + 1):
-                lhs = comb_sub(
-                    w.space.heisenberg_act(avec, 0, z.mode_memo(n, v)),
-                    z.mode(n, w.space.heisenberg_act(avec, 0, comb)))
-                diff = comb_sub(lhs, comb_scale(z.mode_memo(n, v), ip))
-                if diff:
-                    ok, witness = False, {"state": v, "mode": n}
-                    break
-            if not ok:
-                break
-        _record(entries, "zk.8", {"a": list(a), "beta": list(sample)},
-                ok, witness)
+        checks.run(entries, "zk.8", {"a": list(a), "beta": list(sample)},
+                   _zero_mode_bracket, w.space, w.root_vec(a),
+                   w.z(sample, zero), Cyc.rational(w.rs.form(a, sample)),
+                   states, -W)
 
     # (9) eta-covariance
-    for beta in roots:
-        for p in range(w.m):
-            f = w.z(beta, zero)
-            g = w.z(w.twist.theta_root(p, beta), zero)
-            et = w.twist.eta(p, beta)
-            ok, witness = True, None
-            for v in states:
-                for n in range(-W, f.max_mode(v) + 1):
-                    lhs = comb_scale(f.mode_memo(n, v),
-                                     w.twist.root_of_unity(p * n))
-                    diff = comb_sub(lhs, comb_scale(g.mode_memo(n, v), et))
-                    if diff:
-                        ok, witness = False, {"state": v, "mode": n}
-                        break
-                if not ok:
-                    break
-            _record(entries, "zk.9", {"beta": list(beta), "p": p}, ok, witness)
+    checks.eta_covariance(entries, "zk.9", lambda b: w.z(b, zero), w.twist,
+                          roots, states, -W)
 
     # (10) centrality of the k fields
     for rvec in rvecs[:2]:
         central = DeltaRelation(w.kf(1, rvec), w.z(sample, zero), [], [])
-        ok, witness = _sweep_relation(central, W, states)
-        _record(entries, "zk.10", {"j": 1, "r": list(rvec)}, ok, witness)
+        checks.run(entries, "zk.10", {"j": 1, "r": list(rvec)},
+                   checks.holds, central, states, W)
     return entries
+
+
+def _verma_bracket(space, k, h, g, states, nmax):
+    """[h(i), g(-i)] = i k <h, g> Id on every state, i = 1..nmax."""
+    ip = space.pair(tuple(h), tuple(g))
+    for v in states:
+        comb = {v: Cyc.one()}
+        for i in range(1, nmax + 1):
+            ab = space.heisenberg_act(h, i, space.heisenberg_act(g, -i, comb))
+            ba = space.heisenberg_act(g, -i, space.heisenberg_act(h, i, comb))
+            if comb_sub(comb_sub(ab, ba), comb_scale(comb, i * k * ip)):
+                return False, {"state": v, "i": i}
+    return True, None
 
 
 def verma_bracket_check(verma: HeisenbergVerma, vecs, states, nmax,
@@ -803,25 +653,10 @@ def verma_bracket_check(verma: HeisenbergVerma, vecs, states, nmax,
     """[h(i), g(-i)] = i k <h, g> Id on every given state, exactly."""
     if entries is None:
         entries = []
-    space = verma.space
     for h in vecs:
         for g in vecs:
-            ip = space.pair(tuple(h), tuple(g))
-            ok, witness = True, None
-            for v in states:
-                comb = {v: Cyc.one()}
-                for i in range(1, nmax + 1):
-                    ab = space.heisenberg_act(h, i, space.heisenberg_act(g, -i, comb))
-                    ba = space.heisenberg_act(g, -i, space.heisenberg_act(h, i, comb))
-                    diff = comb_sub(ab, ba)
-                    want = comb_scale(comb, i * verma.k * ip)
-                    if comb_sub(diff, want):
-                        ok, witness = False, {"state": v, "i": i}
-                        break
-                if not ok:
-                    break
-            _record(entries, "verma.bracket", {"h": list(h), "g": list(g)},
-                    ok, witness)
+            checks.run(entries, "verma.bracket", {"h": list(h), "g": list(g)},
+                       _verma_bracket, verma.space, verma.k, h, g, states, nmax)
     return entries
 
 
@@ -864,30 +699,30 @@ def roundtrip_check(mod: CkModule, window: TruncationWindow, roots=None,
     if roots is None:
         roots = list(mod.rs.roots)
     if rvecs is None:
-        rvecs = _default_rvecs(mod.N)
+        rvecs = checks.default_rvecs(mod.N)
     states = window_states(mod.space, window)
     W = window.modes
     w = to_Zmodule(mod, window)
     back = from_Zmodule(w)
-    _record(entries, "bridge.omega_size", {"count": len(w.omega_states)},
-            len(w.omega_states) > 0)
+    count = len(w.omega_states)
+    checks.run(entries, "bridge.omega_size", {"count": count}, bool, count)
     for beta in roots:
         for rvec in rvecs:
-            ok, witness = _fields_equal(back.x(beta, rvec),
-                                        mod.x(beta, rvec), states, -W)
-            _record(entries, "bridge.roundtrip_x",
-                    {"beta": list(beta), "r": list(rvec)}, ok, witness)
+            checks.run(entries, "bridge.roundtrip_x",
+                       {"beta": list(beta), "r": list(rvec)},
+                       checks.fields_equal, back.x(beta, rvec),
+                       mod.x(beta, rvec), states, -W)
     for a in mod.rs.simple_roots:
         avec = mod.root_vec(a)
         for rvec in rvecs[:3]:
-            ok, witness = _fields_equal(back.beta_field(avec, rvec),
-                                        mod.beta_field(avec, rvec), states, -W)
-            _record(entries, "bridge.roundtrip_beta",
-                    {"a": list(a), "r": list(rvec)}, ok, witness)
+            checks.run(entries, "bridge.roundtrip_beta",
+                       {"a": list(a), "r": list(rvec)},
+                       checks.fields_equal, back.beta_field(avec, rvec),
+                       mod.beta_field(avec, rvec), states, -W)
     for rvec in rvecs[:3]:
-        ok, witness = _fields_equal(back.kf(0, rvec), mod.kf(0, rvec),
-                                    states, -W)
-        _record(entries, "bridge.roundtrip_k0", {"r": list(rvec)}, ok, witness)
-    _record(entries, "bridge.pairing_injective", {},
-            pairing_injective(mod, window))
+        checks.run(entries, "bridge.roundtrip_k0", {"r": list(rvec)},
+                   checks.fields_equal, back.kf(0, rvec), mod.kf(0, rvec),
+                   states, -W)
+    checks.run(entries, "bridge.pairing_injective", {},
+               pairing_injective, mod, window)
     return entries, w, back

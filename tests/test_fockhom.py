@@ -3,9 +3,9 @@ from fractions import Fraction
 
 from torlab.distops import (DeltaRelation, TruncationWindow, comb_eq,
                             comb_scale, comb_sub)
-from torlab.fockhom import (HomogeneousModule, _compose, pair_relation,
-                            verify_33, verify_center_hom, verify_products_hom,
-                            vertex_X, window_states, z_operator_hom)
+from torlab.fockhom import (HomogeneousModule, pair_relation, verify_33,
+                            verify_center_hom, verify_products_hom,
+                            window_states)
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
 
@@ -142,9 +142,3 @@ def test_pair_relation_small_window():
     assert len(entries) == 3 * 4
     bad = [e for e in entries if e[2] != "pass"]
     assert not bad, bad[:2]
-
-
-def test_wrappers():
-    mod = _a1()
-    assert vertex_X(mod, (1,)) is mod.k0((1,))
-    assert z_operator_hom(mod, mod.rs.roots[0], (0,)) is mod.z(mod.rs.roots[0], (0,))

@@ -6,7 +6,7 @@ from torlab.distops import TruncationWindow
 from torlab.fockhom import window_states
 from torlab.fockprin import (PrincipalModule, _sqrt_in_cyc, as_zmodule,
                              negation_theta, solve_prin_constants, verify_52,
-                             verify_principal_relations, z_operator_prin)
+                             verify_principal_relations)
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc, cyc_root_of_unity
 from torlab.zbridge import z_pair_relation
@@ -142,7 +142,7 @@ def test_z_operator_is_scalar_times_k0():
     mod = _mod()
     c = solve_prin_constants(mod, WIN)[0]
     mod.set_constants(c)
-    z = z_operator_prin(mod, (1,), (1,))
+    z = mod.z((1,), (1,))
     k0 = mod.k0((1,))
     for v in window_states(mod.space, WIN)[:20]:
         for n in range(-3, k0.max_mode(v) + 1):
