@@ -38,7 +38,7 @@ def build_parser():
     common.add_argument("--algebra", help="root system, e.g. A2 or D4")
     common.add_argument("--n", type=int, help="number of toroidal variables")
     common.add_argument("--theta", help="identity | diagram:<perm> | principal")
-    common.add_argument("--level", help="level k as a rational")
+    common.add_argument("--level", help="level k (only 1 is supported)")
     common.add_argument("--window", help="mode,degree,lattice bounds W,D,B")
     common.add_argument("--samples", type=int, help="random sample count")
     common.add_argument("--seed", type=int, help="PRNG seed (Mersenne Twister)")

@@ -13,6 +13,7 @@ import configparser
 import json
 import re
 from fractions import Fraction
+from math import lcm
 
 from .distops import TruncationWindow
 from .scalar import Cyc
@@ -20,23 +21,6 @@ from .scalar import Cyc
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
-
-
-_DEFAULTS = {
-    "algebra.kind": "A",
-    "algebra.rank": 1,
-    "toroidal.n": 1,
-    "toroidal.level": Fraction(1),
-    "automorphism.kind": "identity",
-    "automorphism.permutation": None,
-    "automorphism.s": None,
-    "window.modes": 2,
-    "window.degree": 2,
-    "window.lattice": 1,
-    "sampling.samples": 100,
-    "sampling.seed": 0,
-    "output.path": None,
-}
 
 
 class RunConfig:
@@ -157,8 +141,11 @@ class RunConfig:
             raise ConfigError("algebra.rank: E requires rank 6, 7 or 8")
         if self.n < 1:
             raise ConfigError("toroidal.n: must be >= 1, got %d" % self.n)
-        if not self.level:
-            raise ConfigError("toroidal.level: must be nonzero")
+        if self.level != 1:
+            # every suite builds its modules at level 1; a report must not
+            # claim a level its checks did not run at
+            raise ConfigError("toroidal.level: only level 1 is supported, "
+                              "got %s" % self.level)
         kind = self.automorphism.get("kind")
         if kind not in ("identity", "diagram", "principal"):
             raise ConfigError("automorphism.kind: %r is not one of "
@@ -252,14 +239,8 @@ def permutation_order(perm):
         while cur != start:
             cur = perm[cur]
             length += 1
-        order = order * length // _gcd(order, length)
+        order = lcm(order, length)
     return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _as_int(key, text):

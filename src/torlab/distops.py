@@ -21,10 +21,9 @@ from math import factorial as _factorial
 
 from .scalar import Cyc
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover
-    RAT = Fraction
+# The exact rational type.  Nothing here reads the name; it stays because
+# perfbench/worker.py stamps each benchmark run with it.
+RAT = Fraction
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class TruncationWindow:
 
 def binomial_coefficient(c, n: int):
     """Generalized binomial coefficient C(c, n) for exact rational c."""
-    out = RAT(1)
+    out = Fraction(1)
     for i in range(n):
         out *= (c - i)
         out /= i + 1
@@ -68,11 +67,11 @@ def binomial_factor(c, a, nmax: int):
     Nonnegative integer c terminates exactly (higher coefficients are 0).
     Coefficients stay plain Fractions unless a is irrational.
     """
-    c = RAT(c)
+    c = Fraction(c)
     if isinstance(a, Cyc) and a.is_rational():
         a = a.as_fraction()
     if not isinstance(a, Cyc):
-        a = RAT(a)
+        a = Fraction(a)
     out = []
     apow = a ** 0
     for n in range(nmax + 1):
@@ -96,7 +95,7 @@ def product_of_binomials(factors, nmax: int):
 
     Integral coefficients come back as int, so that relations with
     integer exponents keep their sweeps in integer arithmetic."""
-    out = [RAT(1)] + [0] * nmax
+    out = [1] + [0] * nmax
     for c, a in factors:
         out = series_mul(out, binomial_factor(c, a, nmax), nmax)
     return [_int_if_integral(x) for x in out]
@@ -163,7 +162,7 @@ class FockSpace:
         self.dim = len(gram)
         self.heis_dirs = list(heis_dirs)
         self.mode_scale = (mode_scale if isinstance(mode_scale, int)
-                           else RAT(mode_scale))
+                           else Fraction(mode_scale))
         self.weight = weight
         self.normalized = normalized
         self._dir_pairs = {}
@@ -319,7 +318,7 @@ def witness_difference(space, state, diff, cyc_keys=()):
         if space is not None and space.normalized:
             v = v * Fraction(space.z_factor(state[1]), space.z_factor(k[1]))
         if not isinstance(v, Cyc):
-            v = Cyc.rational(v) if k in cyc_keys else RAT(v)
+            v = Cyc.rational(v) if k in cyc_keys else Fraction(v)
         out.append((repr(k), repr(v)))
     return sorted(out)
 
@@ -382,7 +381,7 @@ class IdentityField(FieldFamily):
             self.shift = (0,) * dim
 
     def mode_state(self, n, state):
-        return {state: RAT(1)} if n == 0 else {}
+        return {state: 1} if n == 0 else {}
 
     def max_mode(self, state):
         return 0
@@ -392,7 +391,7 @@ class ScaledField(FieldFamily):
     def __init__(self, base, coeff):
         super().__init__()
         self.base = base
-        self.coeff = coeff if isinstance(coeff, Cyc) else RAT(coeff)
+        self.coeff = coeff if isinstance(coeff, Cyc) else Fraction(coeff)
         self.shift = base.shift
         self.label = base.label
         self.space = base.space
@@ -476,7 +475,7 @@ class HeisenbergField(FieldFamily):
         w = self.space.weight
         if n % w:
             return {}
-        return self.space.heisenberg_act(self.vec, n // w, {state: RAT(1)})
+        return self.space.heisenberg_act(self.vec, n // w, {state: 1})
 
 
 class ExpField(FieldFamily):
@@ -495,7 +494,7 @@ class ExpField(FieldFamily):
         super().__init__()
         self.space = space
         self.vec = tuple(vec)
-        self.c = c if type(c) is int else RAT(c)
+        self.c = c if type(c) is int else Fraction(c)
         self.sign = 1 if sign > 0 else -1
         self.shift = (0,) * space.dim
         self.label = label
@@ -513,7 +512,7 @@ class ExpField(FieldFamily):
         total = sign * n // w
         c = self.c
         if total == 0:
-            return {state: 1 if type(c) is int else RAT(1)}
+            return {state: 1}
         # t F_t = c sum_{j=1..t} a(sign j) F_{t-j}  (the modes commute)
         acc = {}
         for j in range(1, total + 1):
@@ -541,7 +540,7 @@ def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
         k = k.as_fraction()
     if not k:
         raise ValueError("dressing operators need a nonzero level k")
-    c = _int_if_integral(RAT(m) / RAT(k))
+    c = _int_if_integral(Fraction(m, k))
     name = label or ("E+" if sign > 0 else "E-")
     return ExpField(space, vec, (c if sign > 0 else -c), sign, label=name)
 
@@ -582,7 +581,7 @@ class DeltaRelation:
     def __init__(self, f, g, factors, rhs_terms):
         self.f = f
         self.g = g
-        self.factors = [(RAT(c), a if isinstance(a, Cyc) else RAT(a))
+        self.factors = [(Fraction(c), a if isinstance(a, Cyc) else Fraction(a))
                         for c, a in factors]
         self.rhs_terms = rhs_terms
         self.space = field_space(f, g)
@@ -623,18 +622,6 @@ class DeltaRelation:
                         out = comb_sub(out, comb_scale(self.g.mode(b - n, mid), coef[n]))
         return out
 
-    def rhs_coeff(self, a, b, state):
-        out = {}
-        for term in self.rhs_terms:
-            if a + b > term.field.max_mode(state):
-                continue
-            c = term.coeff * term.a ** a
-            if term.use_D:
-                c = c * a
-            if c:
-                out = comb_add(out, comb_scale(term.field.mode_memo(a + b, state), c))
-        return out
-
     def _delta_coeff(self, ti, term, a):
         key = (ti, a)
         hit = self._apow.get(key)
@@ -657,53 +644,27 @@ class DeltaRelation:
                 "difference": witness_difference(self.space, state, diff,
                                                  cyc_keys)}
 
+    def _delta_cells(self, a, s, state):
+        """(term, coefficient, image of the state) for each delta term
+        with a nonzero coefficient at z1^a z2^(s - a)."""
+        out = []
+        for ti, term in enumerate(self.rhs_terms):
+            if s <= term.field.max_mode(state):
+                c = self._delta_coeff(ti, term, a)
+                if c:
+                    out.append((term, c, term.field.mode_memo(s, state)))
+        return out
+
     def check_state(self, a, b, state):
         """(ok, witness) for the coefficient at z1^a z2^b on one state."""
-        diff = {}
-        nmax1 = self.g.max_mode(state) - b
-        if nmax1 >= 0:
-            coef = self._coefs(nmax1)
-            fmode = self.f.mode_memo
-            for n in range(nmax1 + 1):
-                cn = coef[n]
-                if cn:
-                    mid = self.g.mode_memo(b + n, state)
-                    an = a - n
-                    for w, cw in mid.items():
-                        res = fmode(an, w)
-                        if res:
-                            cc = cw if cn == 1 else cw * cn
-                            for k, v in res.items():
-                                _acc(diff, k, v * cc)
-        nmax2 = self.f.max_mode(state) - a
-        if nmax2 >= 0:
-            coef = self._coefs(nmax2)
-            gmode = self.g.mode_memo
-            for n in range(nmax2 + 1):
-                cn = coef[n]
-                if cn:
-                    mid = self.f.mode_memo(a + n, state)
-                    bn = b - n
-                    for w, cw in mid.items():
-                        res = gmode(bn, w)
-                        if res:
-                            cc = -cw if cn == 1 else -cw * cn
-                            for k, v in res.items():
-                                _acc(diff, k, v * cc)
-        s = a + b
-        rhs_keys = []
-        for ti, term in enumerate(self.rhs_terms):
-            if s > term.field.max_mode(state):
-                continue
-            c = self._delta_coeff(ti, term, a)
-            if c:
-                cell = term.field.mode_memo(s, state)
-                rhs_keys.append((term, cell))
-                for k, v in cell.items():
-                    _acc(diff, k, -(v * c))
+        diff = self.lhs_coeff(a, b, state)
+        cells = self._delta_cells(a, a + b, state)
+        for _term, c, cell in cells:
+            diff = comb_sub(diff, comb_scale(cell, c))
         if not diff:
             return True, None
-        return False, self._witness(state, a, b, diff, rhs_keys)
+        return False, self._witness(state, a, b, diff,
+                                    [(term, cell) for term, _c, cell in cells])
 
     def check_window(self, W, state):
         """Check every coefficient cell |a|, |b| <= W on one state.

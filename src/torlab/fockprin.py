@@ -33,11 +33,6 @@ from .fockhom import window_states
 from .scalar import Cyc, cyc_root_of_unity
 from .zbridge import DkModule, TwistData, z_pair_relation
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover
-    RAT = Fraction
-
 
 class PrinTwist(TwistData):
     """Principal automorphism data: order m and the root action theta."""
@@ -70,7 +65,7 @@ class PrinXField(FieldFamily):
         self.vec = tuple(vec)
         self.shift = self.vec
         self.label = label
-        self.em = ExpField(space, vec, RAT(1), -1)
+        self.em = ExpField(space, vec, 1, -1)
         self._base = {}
 
     def base(self, label):
@@ -104,8 +99,7 @@ class PrincipalModule:
         for i in range(N):
             gram[i][N + i] = 1
             gram[N + i][i] = 1
-        self.space = FockSpace(gram, range(N), mode_scale=Fraction(1),
-                               weight=m)
+        self.space = FockSpace(gram, range(N), mode_scale=1, weight=m)
         self.orbits = self._theta_orbits()
         self.constants = None
         if constants is not None:

@@ -9,23 +9,8 @@ lifts both operands into the lcm order.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational as _Rational
 from functools import lru_cache
 from math import gcd, lcm
-
-
-def _as_frac(q) -> Fraction:
-    """Normalize any exact rational to a Fraction with int internals.
-
-    Fraction(gmpy2.mpq) keeps mpz numerator/denominator inside, which
-    gmpy2's own C fast paths then refuse to read back; routing through
-    int() keeps every stored coefficient canonical.
-    """
-    if type(q) is Fraction:
-        return q
-    if isinstance(q, _Rational) and not isinstance(q, int):
-        return Fraction(int(q.numerator), int(q.denominator))
-    return Fraction(q)
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
@@ -101,13 +86,41 @@ def _power_row(M: int, p: int) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
+def _mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+@lru_cache(maxsize=None)
+def _trace_row(M: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_M^k) / phi(M) = mu(n) / phi(n), n = M / gcd(M, k), for each
+    power k of the basis."""
+    row = []
+    for k in range(_phi_deg(M)):
+        n = M // gcd(M, k)
+        row.append(Fraction(_mobius(n), _phi_deg(n)))
+    return tuple(row)
+
+
+def _mean_trace(a: "Cyc") -> Fraction:
+    """Tr(a) / [Q(zeta_M):Q], the same at every order a is lifted to."""
+    return sum(c * t for c, t in zip(a.coeffs, _trace_row(a.order)))
+
+
 class Cyc:
     """An element of Q(zeta_M), immutable and canonical."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        co = tuple(c if type(c) is Fraction else _as_frac(c) for c in coeffs)
+        co = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(co) != _phi_deg(order):
             raise ValueError("coefficient vector has wrong length")
         object.__setattr__(self, "order", order)
@@ -120,7 +133,7 @@ class Cyc:
 
     @staticmethod
     def rational(q) -> "Cyc":
-        return Cyc(1, (_as_frac(q),))
+        return Cyc(1, (Fraction(q),))
 
     @staticmethod
     def zero() -> "Cyc":
@@ -170,8 +183,8 @@ class Cyc:
     def _coerce(x):
         if isinstance(x, Cyc):
             return x
-        if isinstance(x, (int, Fraction)) or isinstance(x, _Rational):
-            return Cyc(1, (_as_frac(x),))
+        if isinstance(x, (int, Fraction)):
+            return Cyc(1, (Fraction(x),))
         return NotImplemented
 
     def _pair(self, other):
@@ -184,10 +197,10 @@ class Cyc:
         if isinstance(other, Cyc):
             if self.order == 1 and other.order == 1:
                 return _mk1(self.coeffs[0] + other.coeffs[0])
-        elif isinstance(other, (int, Fraction)) or isinstance(other, _Rational):
+        elif isinstance(other, (int, Fraction)):
             if self.order == 1:
                 return _mk1(self.coeffs[0] + other)
-            other = Cyc(1, (_as_frac(other),))
+            other = Cyc(1, (Fraction(other),))
         else:
             return NotImplemented
         a, b = self._pair(other)
@@ -202,10 +215,10 @@ class Cyc:
         if isinstance(other, Cyc):
             if self.order == 1 and other.order == 1:
                 return _mk1(self.coeffs[0] - other.coeffs[0])
-        elif isinstance(other, (int, Fraction)) or isinstance(other, _Rational):
+        elif isinstance(other, (int, Fraction)):
             if self.order == 1:
                 return _mk1(self.coeffs[0] - other)
-            other = Cyc(1, (_as_frac(other),))
+            other = Cyc(1, (Fraction(other),))
         else:
             return NotImplemented
         a, b = self._pair(other)
@@ -221,10 +234,10 @@ class Cyc:
         if isinstance(other, Cyc):
             if self.order == 1 and other.order == 1:
                 return _mk1(self.coeffs[0] * other.coeffs[0])
-        elif isinstance(other, (int, Fraction)) or isinstance(other, _Rational):
+        elif isinstance(other, (int, Fraction)):
             if self.order == 1:
                 return _mk1(self.coeffs[0] * other)
-            other = Cyc(1, (_as_frac(other),))
+            other = Cyc(1, (Fraction(other),))
         else:
             return NotImplemented
         a, b = self._pair(other)
@@ -326,9 +339,12 @@ class Cyc:
         return r if r is NotImplemented else not r
 
     def __hash__(self):
+        # equal values stored at different orders must hash alike, so an
+        # irrational value hashes by the mean traces of itself and its
+        # square, which do not depend on the order it is stored at
         if self.is_rational():
             return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        return hash((_mean_trace(self), _mean_trace(self * self)))
 
     def __repr__(self):
         if self.is_rational():
@@ -389,7 +405,7 @@ def _mk1(q) -> Cyc:
     """Order-1 constructor bypassing validation (hot-path helper)."""
     out = object.__new__(Cyc)
     _setattr(out, "order", 1)
-    _setattr(out, "coeffs", (q if type(q) is Fraction else _as_frac(q),))
+    _setattr(out, "coeffs", (q if type(q) is Fraction else Fraction(q),))
     return out
 
 

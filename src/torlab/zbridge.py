@@ -27,11 +27,6 @@ from .linalg import nullspace, rank
 from .rootsys import GElement
 from .scalar import Cyc, cyc_root_of_unity
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover
-    RAT = Fraction
-
 
 # ---------------------------------------------------------------------------
 # twist data (trivial for the untwisted bridge, overridable for m > 1)
@@ -170,7 +165,7 @@ class HeisenbergVerma:
     modes in the given directions with [h(i), g(-i)] = i k <h, g>."""
 
     def __init__(self, gram, dirs, k):
-        self.k = RAT(k)
+        self.k = Fraction(k)
         if not self.k:
             raise ValueError("the Verma module needs a nonzero level")
         self.space = FockSpace(gram, dirs, mode_scale=self.k, weight=1)
@@ -344,7 +339,7 @@ def from_Zmodule(w: DkModule, cartan_dirs=None) -> CkModule:
 
     def beta_fn(vec, rvec):
         h = HeisenbergField(space, vec, label="h%r" % (vec,))
-        return ProductField(h, k_fn(0, rvec), scale=RAT(1) / kval,
+        return ProductField(h, k_fn(0, rvec), scale=1 / kval,
                             label="b'%r%r" % (vec, rvec))
 
     return CkModule(space, w.k, w.twist, w.rs, w.lat, w.alg,
@@ -547,17 +542,14 @@ def check_Ck(mod: CkModule, window: TruncationWindow, roots=None,
 
 
 def _omega_closed(fields, states, lo, cartan):
-    """No mode of the fields creates a Cartan mode.  The witness is the
-    last offending (state, mode) in sweep order."""
-    witness = None
+    """No mode of the fields creates a Cartan mode."""
     for v in states:
         for f in fields:
             for n in range(lo, f.max_mode(v) + 1):
                 for s in f.mode_memo(n, v):
                     if any(d in cartan for d, _ in s[1]):
-                        witness = {"state": v, "mode": n, "out": s}
-                        break
-    return witness is None, witness
+                        return False, {"state": v, "mode": n, "out": s}
+    return True, None
 
 
 def _zero_mode_bracket(space, avec, z, ip, states, lo):

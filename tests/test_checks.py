@@ -14,8 +14,8 @@ first term's, and factorization divides by the level.
 
 import pytest
 
-from torlab.distops import (FieldFamily, ScaledField, TruncationWindow,
-                            comb_scale)
+from torlab.distops import (FieldFamily, HeisenbergField, ProductField,
+                            ScaledField, TruncationWindow, comb_scale)
 from torlab.fockhom import (HomogeneousModule, verify_33, verify_center_hom,
                             verify_products_hom, window_states)
 from torlab.fockprin import (PrincipalModule, negation_theta,
@@ -433,3 +433,17 @@ def test_factorization_scales_by_the_level():
     entries = check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
     factor = [e for e in entries if e[0].startswith("ck.factor_")]
     assert len(factor) == 18 and all(e[2] == "pass" for e in factor)
+
+
+def test_omega_closed_reports_the_first_offending_cell():
+    """A Z field times a Cartan field creates Cartan modes; the witness
+    is the first such cell in sweep order (states, then modes upward),
+    as for every other check."""
+    w, bad = _dk()
+    h = HeisenbergField(w.space, w.space.dir_vec(0))
+    bad._z_fn = lambda b, r: ProductField(h, w.z(b, r))
+    got = [e for e in verify_Zk_relations(bad, WIN)
+           if e[0] == "zk.omega_closed"]
+    assert got == [("zk.omega_closed", {}, "fail",
+                    {"state": ((0, -1, 0), ()), "mode": -2,
+                     "out": ((-1, -1, 0), ((0, 1),))})]

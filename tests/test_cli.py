@@ -177,3 +177,18 @@ def test_cli_error_exits(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_level_other_than_one_is_a_config_error(tmp_path, capsys):
+    """Every suite runs at level 1, so a report must not echo another."""
+    argv = ["verify", "zalg", "--algebra", "A1", "--window", "1,1,1"]
+    assert main(argv + ["--level", "2"]) == 2
+    assert "toroidal.level" in capsys.readouterr().err
+    ini = tmp_path / "level.ini"
+    ini.write_text("[toroidal]\nlevel = 1/2\n")
+    assert main(argv + ["--config", str(ini)]) == 2
+    assert "toroidal.level" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="toroidal.level"):
+        RunConfig.load(str(ini))
+    ini.write_text("[toroidal]\nlevel = 1\n")
+    assert RunConfig.load(str(ini)).resolved()["level"] == 1

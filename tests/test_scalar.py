@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torlab.scalar import Cyc, cyc_root_of_unity
 
@@ -90,3 +92,43 @@ def test_power_and_division():
 def test_json_roundtrip():
     a = cyc_root_of_unity(12, 5) + Cyc.rational(Fraction(-2, 3))
     assert Cyc.from_json(a.to_json()) == a
+
+
+def test_lifted_value_hashes_like_itself():
+    a = cyc_root_of_unity(3, 1)
+    b = a.lift(6)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+# a sum of c * zeta_M^p, with the root lifted by the factor s on request
+_TERMS = st.lists(st.tuples(st.integers(-3, 3),
+                            st.sampled_from((1, 2, 3, 4, 6, 8, 12)),
+                            st.integers(0, 23), st.integers(1, 2)),
+                  min_size=1, max_size=4)
+
+
+def _value(terms, lifted):
+    out = Cyc.zero()
+    for c, M, p, s in terms:
+        z = cyc_root_of_unity(M, p)
+        out = out + c * (z.lift(z.order * s) if lifted else z)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TERMS, _TERMS, st.fractions(max_denominator=9))
+def test_equal_values_hash_equal(t1, t2, q):
+    """a == b implies hash(a) == hash(b), whatever order each value is
+    stored at: over lifts, sums and products of roots of unity."""
+    a1, a2 = _value(t1, False), _value(t1, True)
+    b1, b2 = _value(t2, False), _value(t2, True)
+    for x, y in ((a1, a2), (a1 + b1, b2 + a2), (a1 * b1, b2 * a2),
+                 (a1 * a1 + q, q + a2 * a2)):
+        assert x == y
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
+    if a1 == b1:
+        assert hash(a1) == hash(b2)
+    rational = Cyc.rational(q)
+    assert hash(rational) == hash(q) == hash(rational.lift(12))
