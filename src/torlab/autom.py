@@ -39,9 +39,6 @@ class Automorphism:
             return identity_automorphism(self.alg)
         return self._powers[p]
 
-    def is_identity_map(self) -> bool:
-        return all(img == GElement({s: Cyc.one()}) for s, img in self.action.items())
-
     def root_permutation(self):
         """Map on roots, or None if some x_alpha is not sent to a root line."""
         if self._root_perm != ():
@@ -232,13 +229,3 @@ def affine_marks(cartan):
     cols = [[Cyc.rational(cartan[j][i]) for j in range(n)] for i in range(n)]
     comarks = linalg.int_nullvector(cols)
     return marks, comarks
-
-
-def extend_to_loops(aut: Automorphism):
-    """Action on loop-algebra elements: see toroidal.TorElement.apply_autom."""
-    from .toroidal import apply_loop_automorphism
-
-    def act(element):
-        return apply_loop_automorphism(aut, element)
-
-    return act

@@ -1,13 +1,17 @@
-"""Relation checks of the Fock-picture suites, and their report entries.
+"""Relation checks of every suite, and their report entries.
 
-The homogeneous (fockhom), Z-algebra (zbridge) and principal (fockprin)
-suites state every relation through the check kinds below, and run() is
-the one place that turns the outcome of a check into a report entry
-(relation_id, params, status, witness).  A check returns (ok, witness)
-or a bool.  States are swept in the order given and modes upward from
-lo, so a witness names the first failing cell in that order.
+Every suite of the package (toroidal, homogeneous, Z-algebra, principal,
+iso, solve-constants) states its relations through the check kinds
+below, and run() is the one place that turns the outcome of a check into
+a report entry (relation_id, params, status, witness).  A check returns
+(ok, witness) or a bool.  States are swept in the order given and modes
+upward from lo, so a witness names the first failing cell in that order.
 
 Check kinds:
+  equal           two algebra elements agree; the witness lists every
+                  term of their difference
+  none_of         a list of invariant violations is empty; the witness
+                  is the list
   holds           a delta-function identity (DeltaRelation) on every state
   fields_equal    two fields agree mode by mode; the witness carries the
                   exact difference, read in the monomial basis
@@ -49,6 +53,19 @@ def default_rvecs(N):
 # ---------------------------------------------------------------------------
 # check kinds
 # ---------------------------------------------------------------------------
+
+
+def equal(lhs, rhs):
+    """lhs = rhs for elements with a .terms dict (TorElement)."""
+    diff = lhs - rhs
+    if diff.is_zero():
+        return True, None
+    return False, {"difference": sorted(map(repr, diff.terms.items()))}
+
+
+def none_of(bad):
+    """No violation is listed in bad."""
+    return not bad, {"difference": list(bad)} if bad else None
 
 
 def holds(rel, states, W):

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from . import checks
 from .autom import (affine_marks, diagram_automorphism,
                     identity_automorphism, untwisted_affine_cartan)
 from .config import ConfigError, RunConfig, permutation_order
@@ -221,9 +222,10 @@ def run_solve(cfg: RunConfig) -> int:
         "solved_constants": [jsonable(c) for c in sols],
         "squares": [jsonable(c * c) for c in sols],
     })
-    rep = VerificationReport(cfg.resolved(), header)
-    rep.extend([("prin.constants_solved", {"count": len(sols)},
-                 "pass" if sols else "fail", None)])
+    entries = []
+    checks.run(entries, "prin.constants_solved", {"count": len(sols)}, bool,
+               sols)
+    rep = VerificationReport(cfg.resolved(), header).extend(entries)
     _emit(cfg, rep.dumps())
     return rep.exit_code()
 

@@ -30,6 +30,7 @@ from .distops import (DeltaRelation, ExpField, FieldFamily, FockSpace,
                       HeisenbergField, ProductField, ScaledField,
                       TruncationWindow, product_of_binomials)
 from .fockhom import window_states
+from .linalg import rank
 from .scalar import Cyc, cyc_root_of_unity
 from .zbridge import DkModule, TwistData, z_pair_relation
 
@@ -236,6 +237,15 @@ def as_zmodule(mod: PrincipalModule, states) -> PrinZModule:
 # ---------------------------------------------------------------------------
 
 
+def _fixed_cartan_dim(rs, twist):
+    """dim h_0 = rank - rank(T - I), T the matrix with columns
+    theta(alpha_i) in simple-root coordinates."""
+    cols = [twist.theta_root(1, a) for a in rs.simple_roots]
+    n = rs.rank
+    return n - rank([[cols[j][i] - (1 if i == j else 0) for j in range(n)]
+                     for i in range(n)])
+
+
 def verify_52(mod: PrincipalModule, window: TruncationWindow, rvecs=None,
               states=None, entries=None):
     """D k_0(r, z^m) = -m sum_i r_i k_i(r, z^m), coefficient-wise."""
@@ -302,9 +312,10 @@ def verify_principal_relations(mod: PrincipalModule,
                            checks.holds, z_pair_relation(w, b1, b2, rvec, svec),
                            states, W)
 
-    # (8) is vacuous here: the zero-weight Cartan t_0 is trivial for the
-    # configured principal types, so there is no alpha to bracket with
-    checks.run(entries, "prin.8", {"dim_h0": 0}, lambda: True)
+    # (8) brackets with the theta-fixed Cartan h_0, which the realization
+    # takes to be trivial (roots embed as 0): check that it is
+    dim_h0 = _fixed_cartan_dim(mod.rs, mod.twist)
+    checks.run(entries, "prin.8", {"dim_h0": dim_h0}, bool, dim_h0 == 0)
 
     # (9) eta-covariance: Z(b, r, w^p z) = eta Z(theta^p b, r, z), eta = 1
     checks.eta_covariance(entries, "prin.9", lambda b: mod.z(b, zero),

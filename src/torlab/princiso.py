@@ -27,12 +27,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import linalg
+from . import checks, linalg
 from .autom import (Automorphism, affine_marks, diagram_automorphism,
                     identity_automorphism)
 from .rootsys import ChevalleyAlgebra, GElement, build_root_system
 from .scalar import Cyc, cyc_root_of_unity
-from .toroidal import TorElement, ToroidalAlgebra, _record
+from .toroidal import TorElement, ToroidalAlgebra
 
 
 class _LoopOrder:
@@ -506,7 +506,8 @@ def check_phi_C(ctx: IsoContext, entries):
         ctx, ctx.dom.loop(ctx.H[0], 0, zeros))
     pair = ctx.lam * ctx.alg.form(ctx.E[0], ctx.F[0])
     rhs = TorElement({("k", 0, 0, zeros): pair * Fraction(1, ctx.K)})
-    _record(entries, "iso.phi_C", {"K": ctx.K, "m": ctx.m}, lhs, rhs)
+    checks.run(entries, "iso.phi_C", {"K": ctx.K, "m": ctx.m}, checks.equal,
+               lhs, rhs)
 
 
 def _random_domain_element(ctx, rng, rmax=2):
@@ -533,42 +534,36 @@ def verify_iso(ctx: IsoContext, samples: int = 1000, seed: int = 0):
     entries = []
     alg = ctx.alg
 
-    ok = ctx.marks[0] == 1
-    entries.append(("iso.marks", {"marks": tuple(ctx.marks),
-                                  "comarks": tuple(ctx.comarks)},
-                    "pass" if ok else "fail",
-                    None if ok else {"difference": ["a_0 = %d" % ctx.marks[0]]}))
+    bad = [] if ctx.marks[0] == 1 else ["a_0 = %d" % ctx.marks[0]]
+    checks.run(entries, "iso.marks", {"marks": tuple(ctx.marks),
+                                      "comarks": tuple(ctx.comarks)},
+               checks.none_of, bad)
 
     for j in range(1, ctx.ell + 1):
         for g, want, tag in ((ctx.E[j], 1, "E"), (ctx.F[j], -1, "F")):
-            idx = _line_of(ctx, g, 0)
-            got = ctx.N[idx]
-            entries.append(("iso.N_simple", {"node": j, "gen": tag},
-                            "pass" if got == want else "fail",
-                            None if got == want else
-                            {"difference": ["N = %d, expected %d" % (got, want)]}))
+            got = ctx.N[_line_of(ctx, g, 0)]
+            bad = [] if got == want else ["N = %d, expected %d" % (got, want)]
+            checks.run(entries, "iso.N_simple", {"node": j, "gen": tag},
+                       checks.none_of, bad)
 
     bad = []
     for i, li in enumerate(ctx.lines):
         for j, lj in enumerate(ctx.lines):
             if alg.form(li.g, lj.g) and ctx.N[i] + ctx.N[j] != 0:
-                bad.append((li.weight, lj.weight))
-    entries.append(("iso.N_opposite", {"pairs": len(ctx.lines) ** 2},
-                    "pass" if not bad else "fail",
-                    None if not bad else {"difference": list(map(repr, bad))}))
+                bad.append(repr((li.weight, lj.weight)))
+    checks.run(entries, "iso.N_opposite", {"pairs": len(ctx.lines) ** 2},
+               checks.none_of, bad)
 
     mK = ctx.m // ctx.K
     bad = [repr(ln) for i, ln in enumerate(ctx.lines)
            if (ctx.d[i] - ctx.N[i] - ln.cls * mK) % ctx.m]
-    entries.append(("iso.theta_fixed_images", {"lines": len(ctx.lines)},
-                    "pass" if not bad else "fail",
-                    None if not bad else {"difference": bad}))
+    checks.run(entries, "iso.theta_fixed_images", {"lines": len(ctx.lines)},
+               checks.none_of, bad)
 
     prod = ctx.alg.form(ctx.E[0], ctx.F[0]) * ctx.psi0sq
-    ok = prod == Cyc.rational(2)
-    entries.append(("iso.form_pairing", {"psi0sq": repr(ctx.psi0sq)},
-                    "pass" if ok else "fail",
-                    None if ok else {"difference": [repr(prod)]}))
+    bad = [] if prod == Cyc.rational(2) else [repr(prod)]
+    checks.run(entries, "iso.form_pairing", {"psi0sq": repr(ctx.psi0sq)},
+               checks.none_of, bad)
 
     check_phi_C(ctx, entries)
 
@@ -578,7 +573,8 @@ def verify_iso(ctx: IsoContext, samples: int = 1000, seed: int = 0):
         b, db = _random_domain_element(ctx, rng)
         lhs = phi(ctx, ctx.dom.bracket(a, b))
         rhs = ctx.cod.bracket(phi(ctx, a), phi(ctx, b))
-        _record(entries, "iso.hom", {"sample": t, "a": da, "b": db}, lhs, rhs)
+        checks.run(entries, "iso.hom", {"sample": t, "a": da, "b": db},
+                   checks.equal, lhs, rhs)
     return entries
 
 

@@ -96,10 +96,6 @@ class VerificationReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=1,
                           separators=(",", ": ")) + "\n"
 
-    def write(self, path: str):
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
     @staticmethod
     def parse(text: str) -> dict:
         obj = json.loads(text)

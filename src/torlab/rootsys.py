@@ -7,8 +7,6 @@ that basis is the Cartan matrix, so (alpha, alpha) = 2 for every root.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalar import Cyc
 
 
@@ -126,10 +124,6 @@ class Lattice:
         out = [0] * self.dim
         out[self.rs.rank + self.N + i] = 1
         return tuple(out)
-
-
-def build_cocycle(rs: RootSystem, N: int) -> Lattice:
-    return Lattice(rs, N)
 
 
 class GElement:
@@ -254,18 +248,22 @@ class ChevalleyAlgebra:
                             acc.pop(sym, None)
         return GElement(acc)
 
+    def form_basis(self, s1, s2) -> int:
+        """The invariant form on basis symbols: <x_a, x_-a> = -1,
+        <h_i, h_j> the Cartan matrix entry, every other pairing 0."""
+        if s1[0] == "x" and s2[0] == "x":
+            return 0 if any(x + y for x, y in zip(s1[1], s2[1])) else -1
+        if s1[0] == "h" and s2[0] == "h":
+            return self.rs.cartan[s1[1]][s2[1]]
+        return 0
+
     def form(self, u: GElement, v: GElement) -> Cyc:
-        rs = self.rs
         total = Cyc.zero()
         for s1, c1 in u.terms.items():
             for s2, c2 in v.terms.items():
-                if s1[0] == "x" and s2[0] == "x":
-                    if not any(x + y for x, y in zip(s1[1], s2[1])):
-                        total = total + c1 * c2 * Fraction(-1)
-                elif s1[0] == "h" and s2[0] == "h":
-                    g = rs.cartan[s1[1]][s2[1]]
-                    if g:
-                        total = total + c1 * c2 * g
+                g = self.form_basis(s1, s2)
+                if g:
+                    total = total + c1 * c2 * g
         return total
 
     def to_vector(self, u: GElement):

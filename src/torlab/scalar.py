@@ -421,7 +421,3 @@ def cyc_root_of_unity(M: int, p: int) -> Cyc:
     if ordr == 1:
         return _ONE
     return Cyc(ordr, _power_row(ordr, pp))
-
-
-ZERO = _ZERO
-ONE = _ONE

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import checks
 from .autom import Automorphism, eigenspace_decompose, eta
 from .rootsys import ChevalleyAlgebra, GElement
 from .scalar import Cyc, cyc_root_of_unity
@@ -150,7 +151,7 @@ class ToroidalAlgebra:
                     totv = tuple(x + y for x, y in zip(rv, sv))
                     for sym, sc in alg.bracket_basis(s1, s2).items():
                         _acc(out, ("g", sym, tot0, totv), sc * c)
-                    fv = _form_basis(alg, s1, s2)
+                    fv = alg.form_basis(s1, s2)
                     if fv:
                         f = self.form_scale * fv * c
                         if r0:
@@ -189,17 +190,6 @@ def _acc(out, key, val):
         out[key] = val
     else:
         out.pop(key, None)
-
-
-def _form_basis(alg, s1, s2):
-    if s1[0] == "x" and s2[0] == "x":
-        if not any(x + y for x, y in zip(s1[1], s2[1])):
-            return Cyc.rational(-1)
-        return None
-    if s1[0] == "h" and s2[0] == "h":
-        g = alg.rs.cartan[s1[1]][s2[1]]
-        return Cyc.rational(g) if g else None
-    return None
 
 
 def apply_loop_automorphism(aut: Automorphism, el: TorElement) -> TorElement:
@@ -262,6 +252,12 @@ def delta_specialize(coeffs: dict, m: int, window: int):
     return lhs, rhs
 
 
+# the fields of b1 and b2 bracketed in relations 1.5(1)-(3), in run order
+_PAIR_FIELDS = {"1.5(1)": (GElement.x, GElement.x),
+                "1.5(2)": (GElement.h, GElement.h),
+                "1.5(3)": (GElement.h, GElement.x)}
+
+
 class GeneratingRelationVerifier:
     """Coefficient-wise checks of the eight generating-function relations."""
 
@@ -277,104 +273,89 @@ class GeneratingRelationVerifier:
             beta = perm[beta]
         return beta
 
-    def check_pair_relation_1(self, b1, b2, rvec, svec, entries):
-        """[x_b1(r,z1), x_b2(s,z2)] against the delta-function expansion."""
+    def check_pair_relation(self, rel, b1, b2, rvec, svec, entries):
+        """Relation rel, one of 1.5(1)-(3), at every mode pair (i, j) of
+        the window: [x_b1(r, z1), x_b2(s, z2)], [h_b1(r, z1), h_b2(s, z2)]
+        or [h_b1(r, z1), x_b2(s, z2)] against its delta-function
+        expansion, a sum of one summand per p = 0..m-1."""
         tor, m, W = self.tor, self.m, self.window
-        alg = self.alg
-        rs = alg.rs
+        rs = self.alg.rs
+        left, right = _PAIR_FIELDS[rel]
         tot = tuple(x + y for x, y in zip(rvec, svec))
+        # (p, lead, kind): summand p is c = lead w^(-p i)/m times the root
+        # vector kind at t^(i+j), times the central term (kind "k"), or,
+        # for 1.5(1) at b1 = -b2, c <x_b2, x_-b2> (central term - h_b2)
+        terms = []
+        for p in range(m):
+            if rel == "1.5(1)":
+                tb1 = self._theta_root(b1, p)
+                summed = tuple(x + y for x, y in zip(tb1, b2))
+                et = eta(tor.aut, p, b1)
+                if summed in rs.root_set:
+                    terms.append((p, et * self.alg.eps_roots(tb1, b2),
+                                  GElement.x(summed)))
+                elif not any(summed):
+                    terms.append((p, et, "h"))
+                continue
+            # the twisted Cartan pairing <theta^p h_b1, h_b2>
+            pairing = self.alg.form(tor.aut.power(p).apply(GElement.h(b1)),
+                                    GElement.h(b2)) if p else \
+                Cyc.rational(rs.form(b1, b2))
+            if pairing:
+                terms.append((p, pairing,
+                              GElement.x(b2) if rel == "1.5(3)" else "k"))
         for i in range(-W, W + 1):
             for j in range(-W, W + 1):
-                lhs = tor.bracket(tor.x_field_mode(GElement.x(b1), rvec, i),
-                                  tor.x_field_mode(GElement.x(b2), svec, j))
+                lhs = tor.bracket(tor.x_field_mode(left(b1), rvec, i),
+                                  tor.x_field_mode(right(b2), svec, j))
                 rhs = TorElement()
-                for p in range(m):
-                    tb1 = self._theta_root(b1, p)
-                    summed = tuple(x + y for x, y in zip(tb1, b2))
-                    wpi = cyc_root_of_unity(m, -p * i)
-                    et = eta(tor.aut, p, b1)
-                    if summed in rs.root_set:
-                        epsv = alg.eps_roots(tb1, b2)
-                        coeff = et * epsv * wpi * Fraction(1, m)
-                        rhs = rhs + tor.x_field_mode(GElement.x(summed), tot, i + j).scale(coeff)
-                    elif not any(summed):
-                        fval = Cyc.rational(-1)  # <x_b2, x_-b2>
-                        c0 = et * wpi * Fraction(1, m)
-                        rhs = rhs - tor.x_field_mode(GElement.h(b2), tot, i + j).scale(fval * c0)
-                        for l, rl in enumerate(rvec):
-                            if rl:
-                                rhs = rhs + tor.k_field_mode(l + 1, tot, i + j).scale(fval * c0 * rl)
-                        rhs = rhs + tor.k_field_mode(0, tot, i + j).scale(
-                            fval * c0 * Fraction(i, m))
-                _record(entries, "1.5(1)", {"beta1": b1, "beta2": b2, "r": rvec,
-                                            "s": svec, "modes": (i, j)}, lhs, rhs)
-
-    def check_pair_relation_2(self, b1, b2, rvec, svec, entries):
-        tor, m, W = self.tor, self.m, self.window
-        tot = tuple(x + y for x, y in zip(rvec, svec))
-        for i in range(-W, W + 1):
-            for j in range(-W, W + 1):
-                lhs = tor.bracket(tor.x_field_mode(GElement.h(b1), rvec, i),
-                                  tor.x_field_mode(GElement.h(b2), svec, j))
-                rhs = TorElement()
-                for p in range(m):
-                    pairing = self.alg.form(self.tor.aut.power(p).apply(GElement.h(b1)),
-                                            GElement.h(b2)) if p else \
-                        Cyc.rational(self.alg.rs.form(b1, b2))
-                    if not pairing:
+                for p, lead, kind in terms:
+                    c = lead * cyc_root_of_unity(m, -p * i) * Fraction(1, m)
+                    if isinstance(kind, GElement):
+                        rhs = rhs + tor.x_field_mode(kind, tot, i + j).scale(c)
                         continue
-                    wpi = cyc_root_of_unity(m, -p * i)
-                    c0 = pairing * wpi * Fraction(1, m)
-                    for l, rl in enumerate(rvec):
-                        if rl:
-                            rhs = rhs + tor.k_field_mode(l + 1, tot, i + j).scale(c0 * rl)
-                    rhs = rhs + tor.k_field_mode(0, tot, i + j).scale(c0 * Fraction(i, m))
-                _record(entries, "1.5(2)", {"beta1": b1, "beta2": b2, "r": rvec,
-                                            "s": svec, "modes": (i, j)}, lhs, rhs)
+                    if kind == "h":
+                        c = Cyc.rational(-1) * c
+                        rhs = rhs - tor.x_field_mode(GElement.h(b2), tot,
+                                                     i + j).scale(c)
+                    rhs = self._plus_central(rhs, c, rvec, tot, i, i + j)
+                checks.run(entries, rel, {"beta1": b1, "beta2": b2, "r": rvec,
+                                          "s": svec, "modes": (i, j)},
+                           checks.equal, lhs, rhs)
 
-    def check_pair_relation_3(self, b1, b2, rvec, svec, entries):
-        tor, m, W = self.tor, self.m, self.window
-        tot = tuple(x + y for x, y in zip(rvec, svec))
-        for i in range(-W, W + 1):
-            for j in range(-W, W + 1):
-                lhs = tor.bracket(tor.x_field_mode(GElement.h(b1), rvec, i),
-                                  tor.x_field_mode(GElement.x(b2), svec, j))
-                rhs = TorElement()
-                for p in range(m):
-                    pairing = self.alg.form(self.tor.aut.power(p).apply(GElement.h(b1)),
-                                            GElement.h(b2)) if p else \
-                        Cyc.rational(self.alg.rs.form(b1, b2))
-                    if not pairing:
-                        continue
-                    coeff = pairing * cyc_root_of_unity(m, -p * i) * Fraction(1, m)
-                    rhs = rhs + tor.x_field_mode(GElement.x(b2), tot, i + j).scale(coeff)
-                _record(entries, "1.5(3)", {"beta1": b1, "beta2": b2, "r": rvec,
-                                            "s": svec, "modes": (i, j)}, lhs, rhs)
+    def _plus_central(self, el, c, rvec, tot, i, n):
+        """el + c (sum_l r_l k_l + (i/m) k_0) at t^n t^tot, the central
+        term of 1.5(1)-(2); at c = 1, tot = rvec and i = n it is the
+        left-hand side of 1.5(4)."""
+        tor = self.tor
+        for l, rl in enumerate(rvec):
+            if rl:
+                el = el + tor.k_field_mode(l + 1, tot, n).scale(c * rl)
+        return el + tor.k_field_mode(0, tot, n).scale(c * Fraction(i, self.m))
 
     def check_central_relations(self, rvec, entries):
         """(4): (1/m) Dk_0 + sum r_i k_i = 0; (5)/(6): derivation action;
         (8): centrality."""
         tor, m, W = self.tor, self.m, self.window
+        zero = TorElement()
+        sample = tor.x_field_mode(GElement.x(self.alg.rs.roots[0]), rvec, 1)
         for n in range(-W, W + 1):
             if n % m:
                 continue
-            el = tor.k_field_mode(0, rvec, n).scale(Fraction(n, m))
-            for i, ri in enumerate(rvec):
-                if ri:
-                    el = el + tor.k_field_mode(i + 1, rvec, n).scale(ri)
-            _record(entries, "1.5(4)", {"r": rvec, "mode": n}, el, TorElement())
+            checks.run(entries, "1.5(4)", {"r": rvec, "mode": n}, checks.equal,
+                       self._plus_central(zero, 1, rvec, rvec, n, n), zero)
             for j in range(tor.N + 1):
                 kj = tor.k_field_mode(j, rvec, n)
                 for i in range(1, tor.N + 1):
-                    lhs = tor.bracket(tor.deriv(i), kj)
-                    _record(entries, "1.5(5)", {"r": rvec, "mode": n, "i": i, "j": j},
-                            lhs, kj.scale(rvec[i - 1]))
-                lhs = tor.bracket(tor.deriv(0), kj)
-                _record(entries, "1.5(6)", {"r": rvec, "mode": n, "j": j},
-                        lhs, kj.scale(n))
-                sample = tor.x_field_mode(GElement.x(self.alg.rs.roots[0]), rvec, 1)
-                _record(entries, "1.5(8)", {"r": rvec, "mode": n, "j": j},
-                        tor.bracket(kj, sample), TorElement())
+                    checks.run(entries, "1.5(5)",
+                               {"r": rvec, "mode": n, "i": i, "j": j},
+                               checks.equal, tor.bracket(tor.deriv(i), kj),
+                               kj.scale(rvec[i - 1]))
+                checks.run(entries, "1.5(6)", {"r": rvec, "mode": n, "j": j},
+                           checks.equal, tor.bracket(tor.deriv(0), kj),
+                           kj.scale(n))
+                checks.run(entries, "1.5(8)", {"r": rvec, "mode": n, "j": j},
+                           checks.equal, tor.bracket(kj, sample), zero)
 
     def check_relation_7(self, beta, rvec, entries):
         tor, m, W = self.tor, self.m, self.window
@@ -384,8 +365,9 @@ class GeneratingRelationVerifier:
                     cyc_root_of_unity(m, p * n))
                 tb = self._theta_root(beta, p)
                 rhs = tor.x_field_mode(GElement.x(tb), rvec, n).scale(eta(tor.aut, p, beta))
-                _record(entries, "1.5(7)", {"beta": beta, "p": p, "r": rvec, "mode": n},
-                        lhs, rhs)
+                checks.run(entries, "1.5(7)",
+                           {"beta": beta, "p": p, "r": rvec, "mode": n},
+                           checks.equal, lhs, rhs)
 
     def run(self, rvec, svec, root_pairs=None):
         entries = []
@@ -394,9 +376,8 @@ class GeneratingRelationVerifier:
         if pairs is None:
             pairs = [(a, b) for a in rs.roots for b in rs.roots]
         for b1, b2 in pairs:
-            self.check_pair_relation_1(b1, b2, rvec, svec, entries)
-            self.check_pair_relation_2(b1, b2, rvec, svec, entries)
-            self.check_pair_relation_3(b1, b2, rvec, svec, entries)
+            for rel in _PAIR_FIELDS:
+                self.check_pair_relation(rel, b1, b2, rvec, svec, entries)
         for beta in rs.roots:
             self.check_relation_7(beta, rvec, entries)
         self.check_central_relations(rvec, entries)
@@ -435,12 +416,13 @@ def sample_bracket_axioms(tor: ToroidalAlgebra, samples: int, seed: int,
     zero = TorElement()
     for t in range(samples):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
-        _record(entries, "tor.antisym", {"sample": t},
-                tor.bracket(a, b) + tor.bracket(b, a), zero)
+        checks.run(entries, "tor.antisym", {"sample": t}, checks.equal,
+                   tor.bracket(a, b) + tor.bracket(b, a), zero)
         jac = tor.bracket(a, tor.bracket(b, c)) + \
             tor.bracket(b, tor.bracket(c, a)) + \
             tor.bracket(c, tor.bracket(a, b))
-        _record(entries, "tor.jacobi", {"sample": t}, jac, zero)
+        checks.run(entries, "tor.jacobi", {"sample": t}, checks.equal, jac,
+                   zero)
     for t in range(samples):
         r0 = rng.randint(-r0max, r0max)
         rv = tuple(rng.randint(-rimax, rimax) for _ in range(tor.N))
@@ -448,15 +430,6 @@ def sample_bracket_axioms(tor: ToroidalAlgebra, samples: int, seed: int,
         for i, ri in enumerate(rv):
             if ri:
                 rel = rel + TorElement({("k", i + 1, r0, rv): Cyc.rational(ri)})
-        _record(entries, "tor.dA_zero", {"sample": t, "r0": r0, "r": rv},
-                tor.normalize_dA(rel), zero)
+        checks.run(entries, "tor.dA_zero", {"sample": t, "r0": r0, "r": rv},
+                   checks.equal, tor.normalize_dA(rel), zero)
     return entries
-
-
-def _record(entries, rel, params, lhs, rhs):
-    diff = lhs - rhs
-    if diff.is_zero():
-        entries.append((rel, params, "pass", None))
-    else:
-        entries.append((rel, params, "fail",
-                        {"difference": sorted(map(repr, diff.terms.items()))}))

@@ -56,16 +56,13 @@ class TwistData:
 # ---------------------------------------------------------------------------
 
 
-class CkModule:
-    """A level-k current module presented through its field families.
-
-    x_fn(beta, rvec), beta_fn(vec, rvec) and k_fn(i, rvec) build the
-    root, Cartan and central fields; vec is a label-coordinate vector,
-    beta a root tuple.  heis_vecs(beta) embeds a root into coordinates.
-    """
+class _FieldModule:
+    """What CkModule and DkModule share: a level-k module on a Fock space
+    with its twist and root data, whose fields are built on demand by
+    the constructor hooks and cached per key."""
 
     def __init__(self, space: FockSpace, k, twist: TwistData, rs, lat, alg,
-                 x_fn, beta_fn, k_fn, name="Ck"):
+                 k_fn, name):
         self.space = space
         self.k = k if isinstance(k, Cyc) else Cyc.rational(k)
         self.twist = twist
@@ -74,32 +71,21 @@ class CkModule:
         self.lat = lat
         self.alg = alg
         self.N = lat.N
-        self._x_fn = x_fn
-        self._beta_fn = beta_fn
         self._k_fn = k_fn
         self.name = name
         self._cache = {}
 
+    def _field(self, build, *key):
+        """build(*key[1:]), cached under key."""
+        if key not in self._cache:
+            self._cache[key] = build(*key[1:])
+        return self._cache[key]
+
     def zero_r(self):
         return (0,) * self.N
 
-    def x(self, beta, rvec) -> FieldFamily:
-        key = ("x", tuple(beta), tuple(rvec))
-        if key not in self._cache:
-            self._cache[key] = self._x_fn(tuple(beta), tuple(rvec))
-        return self._cache[key]
-
-    def beta_field(self, vec, rvec) -> FieldFamily:
-        key = ("b", tuple(vec), tuple(rvec))
-        if key not in self._cache:
-            self._cache[key] = self._beta_fn(tuple(vec), tuple(rvec))
-        return self._cache[key]
-
     def kf(self, i, rvec) -> FieldFamily:
-        key = ("k", i, tuple(rvec))
-        if key not in self._cache:
-            self._cache[key] = self._k_fn(i, tuple(rvec))
-        return self._cache[key]
+        return self._field(self._k_fn, "k", i, tuple(rvec))
 
     def root_vec(self, beta):
         return self.lat.embed_root(beta)
@@ -114,50 +100,39 @@ class CkModule:
                              GElement.x(tuple(-c for c in beta)))
 
 
-class DkModule:
+class CkModule(_FieldModule):
+    """A level-k current module presented through its field families.
+
+    x_fn(beta, rvec), beta_fn(vec, rvec) and k_fn(i, rvec) build the
+    root, Cartan and central fields; vec is a label-coordinate vector,
+    beta a root tuple.  root_vec(beta) embeds a root into coordinates.
+    """
+
+    def __init__(self, space: FockSpace, k, twist: TwistData, rs, lat, alg,
+                 x_fn, beta_fn, k_fn, name="Ck"):
+        super().__init__(space, k, twist, rs, lat, alg, k_fn, name)
+        self._x_fn = x_fn
+        self._beta_fn = beta_fn
+
+    def x(self, beta, rvec) -> FieldFamily:
+        return self._field(self._x_fn, "x", tuple(beta), tuple(rvec))
+
+    def beta_field(self, vec, rvec) -> FieldFamily:
+        return self._field(self._beta_fn, "b", tuple(vec), tuple(rvec))
+
+
+class DkModule(_FieldModule):
     """A Z-algebra module: Z-fields and central fields on a state space,
     together with the window basis of the space they act on."""
 
     def __init__(self, space: FockSpace, k, twist: TwistData, rs, lat, alg,
                  z_fn, k_fn, omega_states, name="Dk"):
-        self.space = space
-        self.k = k if isinstance(k, Cyc) else Cyc.rational(k)
-        self.twist = twist
-        self.m = twist.m
-        self.rs = rs
-        self.lat = lat
-        self.alg = alg
-        self.N = lat.N
+        super().__init__(space, k, twist, rs, lat, alg, k_fn, name)
         self._z_fn = z_fn
-        self._k_fn = k_fn
         self.omega_states = list(omega_states)
-        self.name = name
-        self._cache = {}
-
-    def zero_r(self):
-        return (0,) * self.N
 
     def z(self, beta, rvec) -> FieldFamily:
-        key = ("z", tuple(beta), tuple(rvec))
-        if key not in self._cache:
-            self._cache[key] = self._z_fn(tuple(beta), tuple(rvec))
-        return self._cache[key]
-
-    def kf(self, i, rvec) -> FieldFamily:
-        key = ("k", i, tuple(rvec))
-        if key not in self._cache:
-            self._cache[key] = self._k_fn(i, tuple(rvec))
-        return self._cache[key]
-
-    def root_vec(self, beta):
-        return self.lat.embed_root(beta)
-
-    def delta_coord(self, i) -> int:
-        return self.rs.rank + (i - 1)
-
-    def form_xx(self, beta) -> Cyc:
-        return self.alg.form(GElement.x(tuple(beta)),
-                             GElement.x(tuple(-c for c in beta)))
+        return self._field(self._z_fn, "z", tuple(beta), tuple(rvec))
 
 
 class HeisenbergVerma:

@@ -1,19 +1,24 @@
 """Fault injection per check kind of torlab.checks.
 
 Each case corrupts one input of a suite (a cached field, a field hook of
-a module, or the twist) and requires the relation that should notice to
-fail, with exactly the witness written below.  The witnesses were
-produced by the per-suite verifiers that torlab.checks replaced, run on
-the same corruptions, so a change in how a shared kind sweeps states and
-modes, or builds its witness, shows up here.
+a module, the twist, the bracket or invariant form of a toroidal
+algebra, or the data of an iso context) and requires the relation that
+should notice to fail, with exactly the witness written below.  The
+witnesses were produced by the per-suite verifiers that torlab.checks
+replaced, run on the same corruptions, so a change in how a shared kind
+sweeps states and modes, or builds its witness, shows up here.
 
 The two tests at the end pin what the per-suite verifiers did not
 check: vanishes() reads every term up to its own top mode, not only the
 first term's, and factorization divides by the level.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from torlab.autom import diagram_automorphism, identity_automorphism
 from torlab.distops import (FieldFamily, HeisenbergField, ProductField,
                             ScaledField, TruncationWindow, comb_scale)
 from torlab.fockhom import (HomogeneousModule, verify_33, verify_center_hom,
@@ -21,8 +26,11 @@ from torlab.fockhom import (HomogeneousModule, verify_33, verify_center_hom,
 from torlab.fockprin import (PrincipalModule, negation_theta,
                              solve_prin_constants, verify_52,
                              verify_principal_relations)
-from torlab.rootsys import build_root_system
+from torlab.princiso import build_iso_context, verify_iso
+from torlab.rootsys import ChevalleyAlgebra, build_root_system
 from torlab.scalar import Cyc
+from torlab.toroidal import (GeneratingRelationVerifier, ToroidalAlgebra,
+                             sample_bracket_axioms)
 from torlab.zbridge import (CkModule, DkModule, TwistData, check_Ck,
                             homogeneous_Ck, roundtrip_check, to_Zmodule,
                             verify_Zk_relations)
@@ -258,6 +266,58 @@ def hom_trivial_k():
     return verify_center_hom(mod, WIN, rvecs=R)
 
 
+# -- equal: the toroidal relations -------------------------------------
+
+
+def tor_form_doubled():
+    """A2 with the diagram flip, the form doubled in the bracket only."""
+    alg = ChevalleyAlgebra(build_root_system("A", 2))
+    tor = ToroidalAlgebra(alg, diagram_automorphism(alg, [1, 0], 2), 1,
+                          form_scale=Cyc.rational(2))
+    return GeneratingRelationVerifier(tor, 1).run(
+        (1,), (0,), root_pairs=[((1, 0), (-1, 0))])
+
+
+def _a1_bad_h_bracket():
+    """A1 whose cached [h_1, x_a] is 4 x_a instead of 2 x_a; [x_a, h_1]
+    is left as it is."""
+    alg = ChevalleyAlgebra(build_root_system("A", 1))
+    alg._brackets[(("h", 0), ("x", (1,)))] = {("x", (1,)): Cyc.rational(4)}
+    return ToroidalAlgebra(alg, identity_automorphism(alg), 1)
+
+
+def tor_mixed():
+    return GeneratingRelationVerifier(_a1_bad_h_bracket(), 1).run(
+        (1,), (0,), root_pairs=[((1,), (1,))])
+
+
+def tor_axioms():
+    return sample_bracket_axioms(_a1_bad_h_bracket(), 12, 7)
+
+
+# -- none_of: the iso invariants ---------------------------------------
+
+
+def iso_bad_n():
+    ctx = build_iso_context("A", 1)
+    ctx.N[0] += 1
+    return verify_iso(ctx, samples=0)
+
+
+def iso_bad_marks():
+    ctx = build_iso_context("A", 1)
+    ctx.marks[0] = 2
+    return verify_iso(ctx, samples=0)
+
+
+def _pair(b1, b2, i, j):
+    return {"beta1": b1, "beta2": b2, "r": (1,), "s": (0,), "modes": (i, j)}
+
+
+def _difference(*terms):
+    return {"difference": list(terms)}
+
+
 CASES = {
     # name: (run, relation id, [(params, witness) of every failing entry])
     "hom_center": (hom_center, "zhom.center", [
@@ -389,6 +449,61 @@ CASES = {
     "hom_trivial_k": (hom_trivial_k, "zhom.k_nontrivial", [
         ({"i": 1}, None),
     ]),
+    "tor_pair_xx": (tor_form_doubled, "1.5(1)", [
+        (_pair((1, 0), (-1, 0), -1, -1),
+         _difference("(('k', 1, -2, (1,)), Cyc(-1/4))")),
+        (_pair((1, 0), (-1, 0), -1, 1),
+         _difference("(('k', 0, 0, (1,)), Cyc(1/4))")),
+        (_pair((1, 0), (-1, 0), 1, -1),
+         _difference("(('k', 0, 0, (1,)), Cyc(-1/4))")),
+        (_pair((1, 0), (-1, 0), 1, 1),
+         _difference("(('k', 1, 2, (1,)), Cyc(-1/4))")),
+    ]),
+    "tor_pair_hh": (tor_form_doubled, "1.5(2)", [
+        (_pair((1, 0), (-1, 0), -1, -1),
+         _difference("(('k', 1, -2, (1,)), Cyc(-3/4))")),
+        (_pair((1, 0), (-1, 0), -1, 1),
+         _difference("(('k', 0, 0, (1,)), Cyc(3/4))")),
+        (_pair((1, 0), (-1, 0), 1, -1),
+         _difference("(('k', 0, 0, (1,)), Cyc(-3/4))")),
+        (_pair((1, 0), (-1, 0), 1, 1),
+         _difference("(('k', 1, 2, (1,)), Cyc(-3/4))")),
+    ]),
+    "tor_pair_hx": (tor_mixed, "1.5(3)", [
+        (_pair((1,), (1,), -1, -1),
+         _difference("(('g', ('x', (1,)), -2, (1,)), Cyc(2))")),
+        (_pair((1,), (1,), -1, 0),
+         _difference("(('g', ('x', (1,)), -1, (1,)), Cyc(2))")),
+        (_pair((1,), (1,), -1, 1),
+         _difference("(('g', ('x', (1,)), 0, (1,)), Cyc(2))")),
+        (_pair((1,), (1,), 0, -1),
+         _difference("(('g', ('x', (1,)), -1, (1,)), Cyc(2))")),
+        (_pair((1,), (1,), 0, 0),
+         _difference("(('g', ('x', (1,)), 0, (1,)), Cyc(2))")),
+        (_pair((1,), (1,), 0, 1),
+         _difference("(('g', ('x', (1,)), 1, (1,)), Cyc(2))")),
+        (_pair((1,), (1,), 1, -1),
+         _difference("(('g', ('x', (1,)), 0, (1,)), Cyc(2))")),
+        (_pair((1,), (1,), 1, 0),
+         _difference("(('g', ('x', (1,)), 1, (1,)), Cyc(2))")),
+        (_pair((1,), (1,), 1, 1),
+         _difference("(('g', ('x', (1,)), 2, (1,)), Cyc(2))")),
+    ]),
+    "tor_jacobi": (tor_axioms, "tor.jacobi", [
+        ({"sample": 4}, _difference("(('g', ('x', (1,)), -2, (2,)), Cyc(8))")),
+    ]),
+    "iso_N_simple": (iso_bad_n, "iso.N_simple", [
+        ({"node": 1, "gen": "F"}, _difference("N = 0, expected -1")),
+    ]),
+    "iso_N_opposite": (iso_bad_n, "iso.N_opposite", [
+        ({"pairs": 4}, _difference("((-2,), (2,))", "((2,), (-2,))")),
+    ]),
+    "iso_theta_fixed": (iso_bad_n, "iso.theta_fixed_images", [
+        ({"lines": 2}, _difference("Line(cls=0, weight=(-2,))")),
+    ]),
+    "iso_marks": (iso_bad_marks, "iso.marks", [
+        ({"marks": (2, 1), "comarks": (1, 1)}, _difference("a_0 = 2")),
+    ]),
 }
 
 
@@ -447,3 +562,14 @@ def test_omega_closed_reports_the_first_offending_cell():
     assert got == [("zk.omega_closed", {}, "fail",
                     {"state": ((0, -1, 0), ()), "mode": -2,
                      "out": ((-1, -1, 0), ((0, 1),))})]
+
+
+def test_status_literals_are_written_by_checks_alone():
+    """"pass" and "fail" occur in the package only in checks.py, which
+    writes every entry, and in report.py, which reads them."""
+    src = Path(__file__).resolve().parent.parent / "src" / "torlab"
+    files = {path.name for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant)
+             and node.value in ("pass", "fail")}
+    assert files == {"checks.py", "report.py"}

@@ -101,6 +101,19 @@ def test_relations_pass_with_solved_constant():
     assert all(e[2] == "pass" for e in entries if e[0] == "prin.k_nontrivial")
 
 
+def test_prin8_needs_a_trivial_fixed_cartan():
+    """With theta the identity the fixed Cartan is all of h (dim 1 on
+    A1), so relation (8) cannot be left out; negation fixes nothing."""
+    win = TruncationWindow(2, 2, 1)
+    ident = PrincipalModule(build_root_system("A", 1), 1, 2, lambda b: b,
+                            constants={(1,): 1, (-1,): 1})
+    neg = _mod(constants=1)
+    got = [e for mod in (ident, neg)
+           for e in verify_principal_relations(mod, win) if e[0] == "prin.8"]
+    assert got == [("prin.8", {"dim_h0": 1}, "fail", None),
+                   ("prin.8", {"dim_h0": 0}, "pass", None)]
+
+
 def test_orbit_independence():
     """Keying the constant by the other orbit element changes nothing."""
     mod1 = _mod()

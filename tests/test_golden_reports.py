@@ -2,8 +2,9 @@
 
 Criterion 9 compares two runs of the same code; these sha256 values pin
 the reports themselves, so a refactor of the verifiers that changes any
-entry, status or witness fails here.  The last run fails on purpose
-(constant 1/4 instead of a square root of -1/16) and pins its witnesses.
+entry, status or witness fails here.  The principal-fail run fails on
+purpose (constant 1/4 instead of a square root of -1/16) and pins its
+witnesses.
 A deliberate change of report content updates the values below.
 """
 
@@ -27,11 +28,33 @@ RUNS = [
       "--constants", '{"1": {"order": 1, "coeffs": ["1/4"]}}',
       "--window", "4,3,1"], 1,
      "e7402249c38356144e02b1b99771497c5b24db99e4d9f320a07a146030297073"),
+    (["verify", "toroidal", "--algebra", "A1", "--n", "1", "--theta",
+      "identity", "--window", "2,2,1", "--samples", "25"], 0,
+     "90b41b0d446a252897ec2983c3d47b03fd5c5f01ca4e316d4402094c5bac5868"),
+    (["verify", "toroidal", "--algebra", "A2", "--n", "1", "--theta",
+      "diagram:1,0", "--window", "2,2,1", "--samples", "25"], 0,
+     "d77b82f6773990aa6b7153697ab74bd6d7fb2bcb701a57ec8bd939952851a25f"),
+    (["verify", "iso", "--algebra", "A3", "--theta", "diagram:2,1,0",
+      "--samples", "100"], 0,
+     "ba49786e4a66f0372add5c7ddb4965330739fcd1d96a54ee6bec3bd1ade80abf"),
+    (["solve-constants", "--algebra", "A1", "--window", "4,3,1"], 0,
+     "256ed3f78b96458ea4a99eaac1e1725184646e968f5ea0a64d80023d5b2e4e8f"),
+    (["gen", "--algebra", "A1", "--n", "1", "--window", "1,1,1"], 0,
+     "4c8c600b4e2e4e18d7518ac767a56f9f6ddf4a14682e28f4363ba8fc29e3dac8"),
 ]
 
 
+def _run_id(argv, code, _digest):
+    """The suite or command, the algebra unless it is A1, and -fail."""
+    name = argv[1] if argv[0] == "verify" else argv[0]
+    algebra = argv[argv.index("--algebra") + 1]
+    if algebra != "A1":
+        name += "-" + algebra
+    return name + ("-fail" if code else "")
+
+
 @pytest.mark.parametrize("argv, code, digest", RUNS,
-                         ids=[r[0][1] + ("-fail" if r[1] else "") for r in RUNS])
+                         ids=[_run_id(*r) for r in RUNS])
 def test_report_bytes(capsys, argv, code, digest):
     assert main(argv + ["--seed", "7"]) == code
     out = capsys.readouterr().out
