@@ -2,8 +2,17 @@
 
 A value is a residue modulo the M-th cyclotomic polynomial Phi_M with
 Fraction coefficients, so equality is literal identity of the canonical
-coefficient vector.  Rationals live at order 1; mixed-order arithmetic
-lifts both operands into the lcm order.  No floating point anywhere.
+coefficient vector.  Rationals live at order 1.  No floating point
+anywhere.
+
+A rational operand (an int, a Fraction or an order-1 Cyc) never lifts:
+against a value x at order M > 1 it scales every coefficient (x * q,
+x / q; q / x scales the inverse of x) or shifts the constant one (sum,
+difference).  The result is
+stored exactly as if the rational had been lifted to order M: at order M,
+a zero product as M's zero vector, and at M = 2, where Q(zeta_2) has
+degree 1, a product at order 1 but a sum at order 2.  Only operands at
+two different orders above 1 are lifted, into the lcm order.
 """
 
 from __future__ import annotations
@@ -193,14 +202,37 @@ class Cyc:
         m = lcm(self.order, other.order)
         return self.lift(m), other.lift(m)
 
+    def _scaled(self, q) -> "Cyc":
+        """self * q for a rational q, stored as the product with q lifted
+        to self's order is: at order 1 when self's degree is 1, as the
+        zero vector of self's order when q is 0."""
+        co = self.coeffs
+        if len(co) == 1:
+            return _mk1(co[0] * q)
+        if not q:
+            return Cyc(self.order, (Fraction(0),) * len(co))
+        return Cyc(self.order, tuple(c * q for c in co))
+
+    def _plus(self, q, sign=1) -> "Cyc":
+        """q + sign * self for a rational q, at self's order: q lifted is
+        (q, 0, ..., 0), so only the constant coefficient takes it."""
+        co = self.coeffs
+        if sign == 1:
+            return Cyc(self.order, (co[0] + q,) + co[1:])
+        return Cyc(self.order, (q - co[0],) + tuple(-c for c in co[1:]))
+
     def __add__(self, other):
         if isinstance(other, Cyc):
-            if self.order == 1 and other.order == 1:
-                return _mk1(self.coeffs[0] + other.coeffs[0])
+            if other.order == 1:
+                if self.order == 1:
+                    return _mk1(self.coeffs[0] + other.coeffs[0])
+                return self._plus(other.coeffs[0])
+            if self.order == 1:
+                return other._plus(self.coeffs[0])
         elif isinstance(other, (int, Fraction)):
             if self.order == 1:
                 return _mk1(self.coeffs[0] + other)
-            other = Cyc(1, (Fraction(other),))
+            return self._plus(other)
         else:
             return NotImplemented
         a, b = self._pair(other)
@@ -213,18 +245,24 @@ class Cyc:
 
     def __sub__(self, other):
         if isinstance(other, Cyc):
-            if self.order == 1 and other.order == 1:
-                return _mk1(self.coeffs[0] - other.coeffs[0])
+            if other.order == 1:
+                if self.order == 1:
+                    return _mk1(self.coeffs[0] - other.coeffs[0])
+                return self._plus(-other.coeffs[0])
+            if self.order == 1:
+                return other._plus(self.coeffs[0], -1)
         elif isinstance(other, (int, Fraction)):
             if self.order == 1:
                 return _mk1(self.coeffs[0] - other)
-            other = Cyc(1, (Fraction(other),))
+            return self._plus(-other)
         else:
             return NotImplemented
         a, b = self._pair(other)
         return Cyc(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
+        if self.order > 1 and isinstance(other, (int, Fraction)):
+            return self._plus(other, -1)
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -232,29 +270,27 @@ class Cyc:
 
     def __mul__(self, other):
         if isinstance(other, Cyc):
-            if self.order == 1 and other.order == 1:
-                return _mk1(self.coeffs[0] * other.coeffs[0])
+            if other.order == 1:
+                if self.order == 1:
+                    return _mk1(self.coeffs[0] * other.coeffs[0])
+                return self._scaled(other.coeffs[0])
+            if self.order == 1:
+                return other._scaled(self.coeffs[0])
         elif isinstance(other, (int, Fraction)):
             if self.order == 1:
                 return _mk1(self.coeffs[0] * other)
-            other = Cyc(1, (Fraction(other),))
+            return self._scaled(other)
         else:
             return NotImplemented
         a, b = self._pair(other)
         deg = len(a.coeffs)
         if deg == 1:
             return _mk1(a.coeffs[0] * b.coeffs[0])
-        # rational fast paths
+        # a rational value stored at a higher order
         if not any(a.coeffs[1:]):
-            q = a.coeffs[0]
-            if not q:
-                return Cyc(a.order, (Fraction(0),) * deg)
-            return Cyc(a.order, tuple(q * c for c in b.coeffs))
+            return b._scaled(a.coeffs[0])
         if not any(b.coeffs[1:]):
-            q = b.coeffs[0]
-            if not q:
-                return Cyc(a.order, (Fraction(0),) * deg)
-            return Cyc(a.order, tuple(q * c for c in a.coeffs))
+            return a._scaled(b.coeffs[0])
         raw = [Fraction(0)] * (2 * deg - 1)
         for i, x in enumerate(a.coeffs):
             if x:
@@ -301,13 +337,23 @@ class Cyc:
             s0, s1 = s1, s_new
 
     def __truediv__(self, other):
+        if self.order > 1:
+            q = _rational_value(other)
+            if q is not None:
+                if not q:
+                    raise ZeroDivisionError("inverse of zero cyclotomic value")
+                return self._scaled(1 / Fraction(q))
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.order == 1 and other.order > 1:
+            return other.inv()._scaled(self.coeffs[0])
         a, b = self._pair(other)
         return a * b.inv()
 
     def __rtruediv__(self, other):
+        if self.order > 1 and isinstance(other, (int, Fraction)):
+            return self.inv()._scaled(other)
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -328,6 +374,12 @@ class Cyc:
     # -- comparison / display ----------------------------------------
 
     def __eq__(self, other):
+        if self.order > 1:
+            q = _rational_value(other)
+            if q is not None:
+                return self.coeffs[0] == q and not any(self.coeffs[1:])
+        elif isinstance(other, Cyc) and other.order > 1:
+            return other.__eq__(self)
         other = Cyc._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -407,6 +459,15 @@ def _mk1(q) -> Cyc:
     _setattr(out, "order", 1)
     _setattr(out, "coeffs", (q if type(q) is Fraction else Fraction(q),))
     return out
+
+
+def _rational_value(x):
+    """x's value if x is an int, a Fraction or an order-1 Cyc, else None."""
+    if isinstance(x, Cyc):
+        return x.coeffs[0] if x.order == 1 else None
+    if isinstance(x, (int, Fraction)):
+        return x
+    return None
 
 
 def cyc_root_of_unity(M: int, p: int) -> Cyc:

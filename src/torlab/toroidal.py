@@ -284,7 +284,8 @@ class GeneratingRelationVerifier:
         tot = tuple(x + y for x, y in zip(rvec, svec))
         # (p, lead, kind): summand p is c = lead w^(-p i)/m times the root
         # vector kind at t^(i+j), times the central term (kind "k"), or,
-        # for 1.5(1) at b1 = -b2, c <x_b2, x_-b2> (central term - h_b2)
+        # for 1.5(1) at b1 = -b2, c <x_b2, x_-b2> (central term - h_b2);
+        # the central term carries the form scale, as in tor.bracket
         terms = []
         for p in range(m):
             if rel == "1.5(1)":
@@ -318,15 +319,16 @@ class GeneratingRelationVerifier:
                         c = Cyc.rational(-1) * c
                         rhs = rhs - tor.x_field_mode(GElement.h(b2), tot,
                                                      i + j).scale(c)
-                    rhs = self._plus_central(rhs, c, rvec, tot, i, i + j)
+                    rhs = self._plus_central(rhs, c * tor.form_scale, rvec,
+                                             tot, i, i + j)
                 checks.run(entries, rel, {"beta1": b1, "beta2": b2, "r": rvec,
                                           "s": svec, "modes": (i, j)},
                            checks.equal, lhs, rhs)
 
     def _plus_central(self, el, c, rvec, tot, i, n):
         """el + c (sum_l r_l k_l + (i/m) k_0) at t^n t^tot, the central
-        term of 1.5(1)-(2); at c = 1, tot = rvec and i = n it is the
-        left-hand side of 1.5(4)."""
+        term of 1.5(1)-(2) once c carries the form scale; at c = 1,
+        tot = rvec and i = n it is the left-hand side of 1.5(4)."""
         tor = self.tor
         for l, rl in enumerate(rvec):
             if rl:

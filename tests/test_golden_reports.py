@@ -2,13 +2,14 @@
 
 Criterion 9 compares two runs of the same code; these sha256 values pin
 the reports themselves, so a refactor of the verifiers that changes any
-entry, status or witness fails here.  The principal-fail run fails on
-purpose (constant 1/4 instead of a square root of -1/16) and pins its
-witnesses.
+entry, status or witness fails here.  The principal-fail runs fail on
+purpose (the constant 1/4, (1 + i)/4 or i/2 instead of a square root of
+-1/16) and pin their witnesses, at order 4 for the two order-4 constants.
 A deliberate change of report content updates the values below.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -28,6 +29,14 @@ RUNS = [
       "--constants", '{"1": {"order": 1, "coeffs": ["1/4"]}}',
       "--window", "4,3,1"], 1,
      "e7402249c38356144e02b1b99771497c5b24db99e4d9f320a07a146030297073"),
+    (["verify", "principal", "--algebra", "A1",
+      "--constants", '{"1": {"order": 4, "coeffs": ["1/4", "1/4"]}}',
+      "--window", "4,3,1"], 1,
+     "212a4151d93c19ea9e0cf22491e802810ad1064fbefa9ad830dc51d66aafddf5"),
+    (["verify", "principal", "--algebra", "A1",
+      "--constants", '{"1": {"order": 4, "coeffs": ["0", "1/2"]}}',
+      "--window", "4,3,1"], 1,
+     "b28bc873398a3c4caf7162c3ac6248a2a8a03ff9666c2c45d7fe4f3d62c7c85d"),
     (["verify", "toroidal", "--algebra", "A1", "--n", "1", "--theta",
       "identity", "--window", "2,2,1", "--samples", "25"], 0,
      "90b41b0d446a252897ec2983c3d47b03fd5c5f01ca4e316d4402094c5bac5868"),
@@ -45,11 +54,16 @@ RUNS = [
 
 
 def _run_id(argv, code, _digest):
-    """The suite or command, the algebra unless it is A1, and -fail."""
+    """The suite or command, the algebra unless it is A1, a given constant
+    unless it is rational, and -fail."""
     name = argv[1] if argv[0] == "verify" else argv[0]
     algebra = argv[argv.index("--algebra") + 1]
     if algebra != "A1":
         name += "-" + algebra
+    if "--constants" in argv:
+        for c in json.loads(argv[argv.index("--constants") + 1]).values():
+            if c["order"] != 1:
+                name += "-z%d:%s" % (c["order"], ",".join(c["coeffs"]))
     return name + ("-fail" if code else "")
 
 

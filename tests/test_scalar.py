@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torlab.scalar import Cyc, cyc_root_of_unity
+from torlab.scalar import Cyc, cyclotomic_poly, cyc_root_of_unity
 
 
 def test_i_squared():
@@ -132,3 +132,85 @@ def test_equal_values_hash_equal(t1, t2, q):
         assert hash(a1) == hash(b2)
     rational = Cyc.rational(q)
     assert hash(rational) == hash(q) == hash(rational.lift(12))
+
+
+# -- a rational operand against a value at a higher order ----------------
+
+
+def _deg(M):
+    return len(cyclotomic_poly(M)) - 1
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _values(draw):
+    """A value at one of the orders 2..12, coefficients often zero."""
+    M = draw(st.sampled_from((2, 3, 4, 5, 6, 8, 12)))
+    coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), _RATIONALS),
+                           min_size=_deg(M), max_size=_deg(M)))
+    return Cyc(M, coeffs)
+
+
+def _lifted(q, M):
+    """q at order M, written out: (q, 0, ..., 0)."""
+    return (Fraction(q),) + (Fraction(0),) * (_deg(M) - 1)
+
+
+def _by_hand(op, u, v, M):
+    """(order, coeffs) of u op v for coefficient vectors at order M: the
+    polynomial product reduced modulo Phi_M, stored at order 1 when
+    Q(zeta_M) has degree 1; sums and differences stay at order M."""
+    if op == "+":
+        return M, tuple(x + y for x, y in zip(u, v))
+    if op == "-":
+        return M, tuple(x - y for x, y in zip(u, v))
+    if op == "/":
+        return _by_hand("*", u, Cyc(M, v).inv().coeffs, M)
+    raw = [Fraction(0)] * (2 * len(u) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            raw[i + j] += x * y
+    phi, deg = cyclotomic_poly(M), _deg(M)
+    for k in range(len(raw) - 1, deg - 1, -1):
+        for j in range(deg + 1):
+            raw[k - deg + j] -= raw[k] * phi[j]
+    return (1 if deg == 1 else M), tuple(raw[:deg])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values(), st.one_of(st.integers(-3, 3), _RATIONALS,
+                            _RATIONALS.map(Cyc.rational)))
+@example(Cyc(2, (-1,)), 3)                 # a product at order 1, a sum at 2
+@example(Cyc(2, (Fraction(3, 2),)), 0)
+@example(Cyc(4, (1, -2)), Cyc.rational(0))  # the zero vector of order 4
+@example(Cyc(12, (0,) * 4), Fraction(2, 3))
+def test_rational_operand_matches_the_lifted_computation(x, q):
+    """x op q and q op x, for q an int, a Fraction or an order-1 Cyc, are
+    stored as lifting q to x's order by hand and computing there gives:
+    same order, same coefficients, all Fraction.  At order 2, where
+    Q(zeta_2) has degree 1, that puts a product at order 1 and leaves a
+    sum at order 2; a zero product is the zero vector of x's order."""
+    M = x.order
+    u, v = x.coeffs, _lifted(q if not isinstance(q, Cyc) else q.coeffs[0], M)
+    got = [(x + q, "+", u, v), (q + x, "+", v, u),
+           (x - q, "-", u, v), (q - x, "-", v, u),
+           (x * q, "*", u, v), (q * x, "*", v, u)]
+    if v[0]:
+        got.append((x / q, "/", u, v))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / q
+    if any(u):
+        got.append((q / x, "/", v, u))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            q / x
+    for r, op, a, b in got:
+        assert (r.order, r.coeffs) == _by_hand(op, a, b, M), op
+        assert all(type(c) is Fraction for c in r.coeffs)
+    for eq in (x == q, q == x):
+        assert eq is (u == v)
+    assert (x != q) is (q != x) is (u != v)
+

@@ -135,3 +135,17 @@ def test_generating_relations_small_window():
         entries = ver.run(rvec, svec, root_pairs=pairs)
         bad = [e for e in entries if e[2] != "pass"]
         assert not bad, bad[:3]
+
+
+def test_generating_relations_on_a_rescaled_form():
+    """1.5(1)-(8) hold when the bracket's invariant form is rescaled, by
+    a rational or by an irrational scalar: the central terms of 1.5(1)
+    and 1.5(2) carry the same scale as the bracket."""
+    alg = ChevalleyAlgebra(build_root_system("A", 2))
+    theta = diagram_automorphism(alg, [1, 0], 2)
+    for scale in (Cyc.rational(2), cyc_root_of_unity(3, 1)):
+        tor = ToroidalAlgebra(alg, theta, 1, form_scale=scale)
+        entries = GeneratingRelationVerifier(tor, 2).run((1,), (0,))
+        assert {e[0] for e in entries} == {"1.5(%d)" % i for i in range(1, 9)}
+        bad = [e for e in entries if e[2] != "pass"]
+        assert not bad, (scale, bad[:3])
