@@ -2,8 +2,8 @@
 
 The shared engine for every field-relation check: Fock states over a
 lattice, Heisenberg creation/annihilation, exponential dressing
-operators, generalized binomial factors, delta-function identities, and
-a generic checker for relations of the shape
+operators, generalized binomial factors, and a generic checker for
+relations of the shape
 
     prod (1 - a_p z1/z2)^(c_p) f(z1) g(z2) - (mirror) = sum delta-terms.
 
@@ -488,6 +488,11 @@ class ExpField(FieldFamily):
     An int c keeps the coefficients in int wherever the division by the
     mode index is exact (every E^- coefficient in a normalized space)
     and falls back to Fraction only where it is not.
+
+    The series never applies the mode vec(0), the only mode that reads
+    the lattice label, so it ignores the label: it is expanded once per
+    mode multiset, on the zero label, and every other label reads that
+    expansion with its own label put back on the output states.
     """
 
     def __init__(self, space: FockSpace, vec, c, sign: int, label="E"):
@@ -498,6 +503,7 @@ class ExpField(FieldFamily):
         self.sign = 1 if sign > 0 else -1
         self.shift = (0,) * space.dim
         self.label = label
+        self._zero = self.shift
 
     def max_mode(self, state):
         if self.sign < 0:
@@ -513,6 +519,10 @@ class ExpField(FieldFamily):
         c = self.c
         if total == 0:
             return {state: 1}
+        label, modes = state
+        if label != self._zero:
+            return {(label, k[1]): v for k, v in
+                    self.mode_memo(n, (self._zero, modes)).items()}
         # t F_t = c sum_{j=1..t} a(sign j) F_{t-j}  (the modes commute)
         acc = {}
         for j in range(1, total + 1):
@@ -550,9 +560,11 @@ def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
 # ---------------------------------------------------------------------------
 
 
-def field_product(f: FieldFamily, g: FieldFamily, a: int, b: int, comb):
-    """Coefficient at z1^a z2^b of f(z1) g(z2), applied to a combination."""
-    return f.mode(a, g.mode(b, comb))
+# Binomial tables of the delta relations, keyed by their factors tuple:
+# the relations of a sweep fall into a few classes of equal factors.  A
+# table is a pure function of its key and immutable, so sharing it across
+# relations and sweeps cannot change a result.
+_BINOMIAL_TABLES = {}
 
 
 @dataclass
@@ -585,7 +597,7 @@ class DeltaRelation:
                         for c, a in factors]
         self.rhs_terms = rhs_terms
         self.space = field_space(f, g)
-        self._coef = []
+        self._coef = ()
         self._apow = {}
 
     def cutoff(self, state):
@@ -598,8 +610,15 @@ class DeltaRelation:
         return max(caps)
 
     def _coefs(self, nmax):
+        """The factor product's coefficients to at least u^nmax, from the
+        one table kept per distinct factors tuple."""
         if nmax >= len(self._coef):
-            self._coef = product_of_binomials(self.factors, nmax + 8)
+            key = tuple(self.factors)
+            table = _BINOMIAL_TABLES.get(key, ())
+            if nmax >= len(table):
+                table = tuple(product_of_binomials(self.factors, nmax + 8))
+                _BINOMIAL_TABLES[key] = table
+            self._coef = table
         return self._coef
 
     def lhs_coeff(self, a, b, state):
@@ -739,9 +758,10 @@ class DeltaRelation:
                     if p >= a:
                         cn = coef[p - a]
                         if cn:
+                            cn = -cn
                             for k, v in items:
                                 prev = dget(k)
-                                vv = -v * cn
+                                vv = v * cn
                                 diff[k] = vv if prev is None else prev + vv
                 for ti, term, items in rhs_cells:
                     c = self._delta_coeff(ti, term, a)
@@ -757,65 +777,3 @@ class DeltaRelation:
                                 if self._delta_coeff(ti, term, a)]
                     return False, self._witness(state, a, S - a, bad, rhs_keys)
         return True, None
-
-
-# ---------------------------------------------------------------------------
-# delta-function identities (formal-calculus substitution rules)
-# ---------------------------------------------------------------------------
-
-
-def delta_mul(a: Cyc, f: dict, window: int, derivative: bool = False):
-    """Both sides of the substitution identity for delta(a z1/z2) * f.
-
-    f maps (i, j) -> Cyc with finite support (finite support satisfies
-    the one-sided condition trivially).  Returns (lhs, rhs) coefficient
-    maps over |modes| <= window; with derivative=True the identity is the
-    D-delta version, whose right side carries the extra substituted
-    z2-derivative term.
-    """
-    if not isinstance(a, Cyc):
-        a = Cyc.rational(a)
-    if not f:
-        return {}, {}
-    if not a:
-        raise ValueError("delta substitution needs a nonzero scale")
-    ainv = a.inv()
-    # collapsed univariate g_t = sum_j a^j f[t-j, j]   (f at (z1, a z1))
-    g = {}
-    g2 = {}  # D_2 f at (z1, a z1): extra factor j
-    for (i, j), c in f.items():
-        t = i + j
-        val = c * a ** j
-        prev = g.get(t)
-        g[t] = val if prev is None else prev + val
-        if j:
-            prev = g2.get(t)
-            v2 = val * j
-            g2[t] = v2 if prev is None else prev + v2
-    lhs = {}
-    rhs = {}
-    for A in range(-window, window + 1):
-        for B in range(-window, window + 1):
-            # product with the full delta / D-delta series
-            tot = Cyc.zero()
-            for (i, j), c in f.items():
-                k = A - i
-                if B - j != -k:
-                    continue
-                w = a ** k if k >= 0 else ainv ** (-k)
-                if derivative:
-                    w = w * k
-                tot = tot + c * w
-            if tot:
-                lhs[(A, B)] = tot
-            # substituted side: the ratio delta(a z1/z2) contributes a^(-B)
-            # against the pure-z1 function f(z1, a z1)
-            t = A + B
-            w = ainv ** B if B >= 0 else a ** (-B)
-            if derivative:
-                val = g.get(t, Cyc.zero()) * w * (-B) + g2.get(t, Cyc.zero()) * w
-            else:
-                val = g.get(t, Cyc.zero()) * w
-            if val:
-                rhs[(A, B)] = val
-    return lhs, rhs

@@ -38,7 +38,16 @@ from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
 from .scalar import Cyc
 
 
-class HomogeneousModule:
+class KFields:
+    """The one dispatch over the central fields of a module with the
+    constructors k0(rvec) (k_0) and k(i, rvec) (k_i, 1-based i)."""
+
+    def kf(self, i, rvec):
+        """k_i(r, z), with k_0(r, z) at i = 0."""
+        return self.k0(rvec) if i == 0 else self.k(i, rvec)
+
+
+class HomogeneousModule(KFields):
     """The Fock module V(Gamma) with its field dictionary.
 
     normalized picks the basis of the states (see the module docstring);
@@ -66,16 +75,14 @@ class HomogeneousModule:
         return self._fields[key]
 
     def k(self, i, rvec):
+        """k_i(r, z) = delta_i(z) X(delta_r, z), 1-based i."""
         key = ("k", i, tuple(rvec))
         if key not in self._fields:
-            dv = self.lat.delta(tuple(1 if j == i else 0 for j in range(self.N)))
+            dv = self.lat.delta(tuple(1 if j == i else 0
+                                      for j in range(1, self.N + 1)))
             self._fields[key] = HeisTimesK0Field(self, dv, rvec,
-                                                 label="k%d" % (i + 1))
+                                                 label="k%d" % i)
         return self._fields[key]
-
-    def kf(self, i, rvec):
-        """k_i(r, z) with 1-based i, and k_0(r, z) at i = 0."""
-        return self.k0(rvec) if i == 0 else self.k(i - 1, rvec)
 
     def z(self, alpha, rvec):
         key = ("z", tuple(alpha), tuple(rvec))
@@ -174,6 +181,7 @@ class ZField(FieldFamily):
         self.label = "Z" + repr(self.alpha) + repr(tuple(rvec))
         self._half = int(mod.space.pair(self.avec, self.avec)) // 2
         self._zexp = {}
+        self._max = {}
         self._sign = {}
         self._shifted = {}
 
@@ -186,7 +194,12 @@ class ZField(FieldFamily):
         return hit
 
     def max_mode(self, state):
-        return self.zexp(state[0]) + self.x.max_mode(state)
+        # both terms read the label only
+        label = state[0]
+        hit = self._max.get(label)
+        if hit is None:
+            hit = self._max[label] = self.zexp(label) + self.x.max_mode(state)
+        return hit
 
     def mode_state(self, n, state):
         label = state[0]

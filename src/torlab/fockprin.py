@@ -29,7 +29,7 @@ from . import checks
 from .distops import (DeltaRelation, ExpField, FieldFamily, FockSpace,
                       HeisenbergField, ProductField, ScaledField,
                       TruncationWindow, product_of_binomials)
-from .fockhom import window_states
+from .fockhom import KFields, window_states
 from .linalg import rank
 from .scalar import Cyc, cyc_root_of_unity
 from .zbridge import DkModule, TwistData, z_pair_relation
@@ -87,7 +87,7 @@ class PrinXField(FieldFamily):
         return self.em.mode_memo(n - e, shifted)
 
 
-class PrincipalModule:
+class PrincipalModule(KFields):
     """V(Gamma) with the principal k-fields and scalar Z-operators."""
 
     def __init__(self, rs, N: int, m: int, theta_fn, constants=None):
@@ -178,9 +178,6 @@ class PrincipalModule:
             self._fields[key] = ProductField(h, self.k0(rvec),
                                              label="k%d%r" % (i, tuple(rvec)))
         return self._fields[key]
-
-    def kf(self, i, rvec) -> FieldFamily:
-        return self.k0(rvec) if i == 0 else self.k(i, rvec)
 
     def delta_coord(self, i) -> int:
         """Label coordinate read by d_i (1-based i)."""

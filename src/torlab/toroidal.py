@@ -221,37 +221,6 @@ def project_theta_fixed(tor: ToroidalAlgebra, el: TorElement) -> TorElement:
     return tor.normalize_dA(acc.scale(Fraction(1, m)))
 
 
-def delta_specialize(coeffs: dict, m: int, window: int):
-    """Both coefficient maps of f(z) delta(z^m) = sum_p f(w^p) delta(w^-p z).
-
-    coeffs maps exponent -> Cyc for the finite series f.  Returns
-    (lhs, rhs) maps over |mode| <= window; callers assert equality.
-    The specialization carries a 1/m prefactor (each residue class is
-    counted m times by the sum over p); the same prefactor shows up in
-    the delta expansion of the loop-field brackets.
-    """
-    minv = Fraction(1, m)
-    lhs = {}
-    rhs = {}
-    for n in range(-window, window + 1):
-        tot = Cyc.zero()
-        for a, c in coeffs.items():
-            if (n - a) % m == 0:
-                tot = tot + c
-        if tot:
-            lhs[n] = tot
-        tot2 = Cyc.zero()
-        for p in range(m):
-            fw = Cyc.zero()
-            for a, c in coeffs.items():
-                fw = fw + c * cyc_root_of_unity(m, p * a)
-            tot2 = tot2 + fw * cyc_root_of_unity(m, -p * n)
-        tot2 = tot2 * minv
-        if tot2:
-            rhs[n] = tot2
-    return lhs, rhs
-
-
 # the fields of b1 and b2 bracketed in relations 1.5(1)-(3), in run order
 _PAIR_FIELDS = {"1.5(1)": (GElement.x, GElement.x),
                 "1.5(2)": (GElement.h, GElement.h),

@@ -135,20 +135,6 @@ class DkModule(_FieldModule):
         return self._field(self._z_fn, "z", tuple(beta), tuple(rvec))
 
 
-class HeisenbergVerma:
-    """Level-k Fock model of the graded Heisenberg algebra: creation
-    modes in the given directions with [h(i), g(-i)] = i k <h, g>."""
-
-    def __init__(self, gram, dirs, k):
-        self.k = Fraction(k)
-        if not self.k:
-            raise ValueError("the Verma module needs a nonzero level")
-        self.space = FockSpace(gram, dirs, mode_scale=self.k, weight=1)
-
-    def vacuum(self):
-        return self.space.vacuum()
-
-
 # ---------------------------------------------------------------------------
 # the concrete untwisted instance: the homogeneous Fock module
 # ---------------------------------------------------------------------------
@@ -599,31 +585,6 @@ def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
         central = DeltaRelation(w.kf(1, rvec), w.z(sample, zero), [], [])
         checks.run(entries, "zk.10", {"j": 1, "r": list(rvec)},
                    checks.holds, central, states, W)
-    return entries
-
-
-def _verma_bracket(space, k, h, g, states, nmax):
-    """[h(i), g(-i)] = i k <h, g> Id on every state, i = 1..nmax."""
-    ip = space.pair(tuple(h), tuple(g))
-    for v in states:
-        comb = {v: Cyc.one()}
-        for i in range(1, nmax + 1):
-            ab = space.heisenberg_act(h, i, space.heisenberg_act(g, -i, comb))
-            ba = space.heisenberg_act(g, -i, space.heisenberg_act(h, i, comb))
-            if comb_sub(comb_sub(ab, ba), comb_scale(comb, i * k * ip)):
-                return False, {"state": v, "i": i}
-    return True, None
-
-
-def verma_bracket_check(verma: HeisenbergVerma, vecs, states, nmax,
-                        entries=None):
-    """[h(i), g(-i)] = i k <h, g> Id on every given state, exactly."""
-    if entries is None:
-        entries = []
-    for h in vecs:
-        for g in vecs:
-            checks.run(entries, "verma.bracket", {"h": list(h), "g": list(g)},
-                       _verma_bracket, verma.space, verma.k, h, g, states, nmax)
     return entries
 
 

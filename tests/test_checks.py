@@ -125,7 +125,7 @@ def _negated_at(base, rvec):
 
 def hom_center():
     mod = _hom()
-    mod._fields[("k", 0, (1,))] = ScaledField(mod.k(0, (1,)), 2)
+    mod._fields[("k", 1, (1,))] = ScaledField(mod.k(1, (1,)), 2)
     return verify_center_hom(mod, WIN, rvecs=R)
 
 
@@ -143,9 +143,9 @@ def zk_central():
 
 def hom_center_late():
     mod = _hom()
-    k1 = mod.k(0, (1,))
+    k1 = mod.k(1, (1,))
     last = _last_hit(k1, window_states(mod.space, WIN))
-    mod._fields[("k", 0, (1,))] = _FaultOn(k1, last)
+    mod._fields[("k", 1, (1,))] = _FaultOn(k1, last)
     return verify_center_hom(mod, WIN, rvecs=R)
 
 
@@ -262,7 +262,7 @@ def ck_coord():
 
 def hom_trivial_k():
     mod = _hom()
-    mod._fields[("k", 0, (0,))] = ScaledField(mod.k(0, (0,)), 0)
+    mod._fields[("k", 1, (0,))] = ScaledField(mod.k(1, (0,)), 0)
     return verify_center_hom(mod, WIN, rvecs=R)
 
 
@@ -544,8 +544,8 @@ class _ExtraTopMode(FieldFamily):
 def test_vanishes_reaches_every_term_top_mode():
     """A k_1 mode above every mode of k_0 still enters the d_A check."""
     mod = _hom()
-    k1 = mod.k(0, (1,))
-    mod._fields[("k", 0, (1,))] = _ExtraTopMode(k1)
+    k1 = mod.k(1, (1,))
+    mod._fields[("k", 1, (1,))] = _ExtraTopMode(k1)
     entries = verify_center_hom(mod, WIN, rvecs=[(1,)])
     first = window_states(mod.space, WIN)[0]
     assert entries[0] == ("zhom.center", {"r": [1]}, "fail",

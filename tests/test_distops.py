@@ -4,9 +4,8 @@ from fractions import Fraction
 from torlab.distops import (DeltaRelation, DeltaTerm, ExpField, FockSpace,
                             HeisenbergField, IdentityField, TruncationWindow,
                             binomial_coefficient, binomial_factor, comb_eq,
-                            comb_sub, delta_mul, dressing_operator,
-                            field_product, partitions, product_of_binomials,
-                            series_mul)
+                            comb_sub, dressing_operator, partitions,
+                            product_of_binomials, series_mul)
 from torlab.scalar import Cyc, cyc_root_of_unity
 
 
@@ -159,30 +158,6 @@ def test_heisenberg_two_point_relation():
                 for b in range(-2, 3):
                     ok, witness = rel.check_state(a, b, v)
                     assert ok, witness
-
-
-def test_field_product_is_composition():
-    space = _rank2_space()
-    h = HeisenbergField(space, (1, 0))
-    g = HeisenbergField(space, (0, 1))
-    v = _random_state(space, random.Random(1))
-    comb = {v: Cyc.one()}
-    assert field_product(h, g, -1, -2, comb) == h.mode(-1, g.mode(-2, comb))
-
-
-def test_delta_substitution_identities():
-    rng = random.Random(1234)
-    for M, p in [(1, 0), (4, 1), (6, 5)]:
-        a = cyc_root_of_unity(M, p) if M > 1 else Cyc.one()
-        for _ in range(6):
-            f = {}
-            for _ in range(rng.randint(1, 5)):
-                key = (rng.randint(-3, 3), rng.randint(-3, 3))
-                f[key] = Cyc.rational(rng.randint(-4, 4))
-            f = {k: v for k, v in f.items() if v}
-            for derivative in (False, True):
-                lhs, rhs = delta_mul(a, f, 8, derivative=derivative)
-                assert lhs == rhs, (M, p, f, derivative)
 
 
 def test_weighted_modes():

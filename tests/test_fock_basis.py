@@ -1,6 +1,7 @@
 """The normalized basis b_lambda = p_lambda / z_lambda of the homogeneous
-Fock space against the monomial basis p_lambda, and fault injection into
-the homogeneous pair relation.
+Fock space against the monomial basis p_lambda, the exponential series
+and binomial tables that the homogeneous sweeps share, and fault
+injection into the homogeneous pair relation.
 
 z_lambda = prod_(d,j) j^m m! over the distinct modes (d, j) of
 multiplicity m.  An operator with monomial matrix element M(out, in)
@@ -13,8 +14,9 @@ from math import factorial
 
 import pytest
 
-from torlab.distops import (DeltaRelation, DeltaTerm, TruncationWindow,
-                            dressing_operator)
+from torlab.distops import (DeltaRelation, DeltaTerm, ExpField,
+                            TruncationWindow, comb_add, comb_eq, comb_scale,
+                            dressing_operator, product_of_binomials)
 from torlab.fockhom import HomogeneousModule, pair_relation, window_states
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
@@ -35,7 +37,7 @@ def _fields(mod):
     out = {}
     for r in RVECS:
         out["k0%r" % (r,)] = mod.k0(r)
-        out["k1%r" % (r,)] = mod.k(0, r)
+        out["k1%r" % (r,)] = mod.k(1, r)
         for a in mod.rs.roots:
             out["Z%r%r" % (a, r)] = mod.z(a, r)
         for a in mod.rs.simple_roots:
@@ -73,6 +75,72 @@ def test_normalized_basis_matches_monomial(rank):
                         assert type(c) is int, (name, v, n, k, c)
                     cells += 1
     assert cells > 1000
+
+
+def _exp_oracle(space, vec, c, sign, state, n):
+    """Mode n of exp(c sum_(j>0) vec(sign j) z^(sign j) / j) applied to
+    the labelled state itself: t F_t = c sum_(j=1..t) vec(sign j) F_(t-j)."""
+    if sign * n < 0:
+        return {}
+    series = [{state: 1}]
+    for t in range(1, sign * n + 1):
+        acc = {}
+        for j in range(1, t + 1):
+            acc = comb_add(acc, space.heisenberg_act(vec, sign * j,
+                                                     series[t - j]))
+        series.append(comb_scale(acc, Fraction(c) / t))
+    return series[sign * n]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_exp_series_shared_across_labels(rank, normalized):
+    """The E^+- series is expanded on the zero label and read by every
+    other label; it matches the expansion on the labelled state."""
+    assert "mode_memo" not in ExpField.__dict__
+    mod = HomogeneousModule(build_root_system("A", rank), 1,
+                            normalized=normalized)
+    space = mod.space
+    states = window_states(space, WIN)
+    assert len({v[0] for v in states}) > 1
+    vecs = [mod.lat.delta((1,)),
+            tuple(-x for x in mod.lat.embed_root(mod.rs.roots[0])),
+            tuple(a + b for a, b in zip(mod.lat.embed_root(mod.rs.roots[-1]),
+                                        mod.lat.delta((-1,))))]
+    cells = 0
+    for vec in vecs:
+        for sign in (1, -1):
+            for c in (1, -1, Fraction(1, 2)):
+                em = ExpField(space, vec, c, sign)
+                for v in states:
+                    for n in range(-WIN.modes, WIN.modes + 1):
+                        got = em.mode_memo(n, v)
+                        want = _exp_oracle(space, vec, c, sign, v, n)
+                        assert comb_eq(got, want), (vec, sign, c, v, n)
+                        assert all(k[0] == v[0] for k in got)
+                        cells += len(got)
+    assert cells > 100
+
+
+def test_binomial_table_shared_by_equal_factors():
+    mod = HomogeneousModule(build_root_system("A", 2), 1)
+    roots = mod.rs.roots
+    pairs = [(a, b) for a in roots for b in roots if mod.rs.form(a, b) == -1]
+    rel1 = pair_relation(mod, pairs[0][0], pairs[0][1], (0,), (0,))
+    rel2 = pair_relation(mod, pairs[1][0], pairs[1][1], (1,), (-1,))
+    other = pair_relation(mod, roots[0], roots[0], (0,), (0,))
+    assert rel1 is not rel2 and rel1.factors == rel2.factors
+    table = rel1._coefs(5)
+    assert rel2._coefs(5) is table
+    assert list(table) == product_of_binomials(rel1.factors, len(table) - 1)
+    # grown on demand, and the growth is shared too
+    longer = rel2._coefs(len(table) + 3)
+    assert len(longer) > len(table) + 3
+    assert rel1._coefs(len(table) + 3) is longer
+    assert list(longer) == product_of_binomials(rel1.factors,
+                                               len(longer) - 1)
+    assert other.factors != rel1.factors
+    assert other._coefs(5) is not table
 
 
 # Witnesses that the monomial-basis implementation (the one before the

@@ -60,7 +60,7 @@ def test_field_modes_shift_degree():
     mod = _a2()
     states = window_states(mod.space, TruncationWindow(2, 2, 1))
     rng = random.Random(7)
-    fields = [mod.k0((1,)), mod.k(0, (-1,)), mod.z(mod.rs.roots[0], (1,)),
+    fields = [mod.k0((1,)), mod.k(1, (-1,)), mod.z(mod.rs.roots[0], (1,)),
               mod.heis(mod.lat.embed_root(mod.rs.roots[2]), (0,))]
     for f in fields:
         for _ in range(30):
@@ -105,7 +105,7 @@ def test_zero_mode_bracket_with_z():
 def test_k_fields_central():
     mod = _a1()
     states = window_states(mod.space, TruncationWindow(2, 2, 1))
-    k = mod.k(0, (1,))
+    k = mod.k(1, (1,))
     z = mod.z(mod.rs.roots[0], (-1,))
     rel = DeltaRelation(k, z, [], [])
     for v in states[:25]:

@@ -6,7 +6,7 @@ from torlab.rootsys import ChevalleyAlgebra, GElement, build_root_system
 from torlab.scalar import Cyc, cyc_root_of_unity
 from torlab.toroidal import (GeneratingRelationVerifier, TorElement,
                              ToroidalAlgebra, apply_loop_automorphism,
-                             delta_specialize, project_theta_fixed)
+                             project_theta_fixed)
 
 
 def _a1_untwisted():
@@ -105,24 +105,6 @@ def test_theta_fixed_closure():
         br = tor.bracket(a, b)
         assert tor.normalize_dA(apply_loop_automorphism(tor.aut, br)) == br
         assert project_theta_fixed(tor, br) == br
-
-
-def test_delta_specialize():
-    one = {0: Cyc.one()}
-    lhs, rhs = delta_specialize(one, 1, 6)
-    assert lhs == rhs
-    f = {1: Cyc.one()}
-    lhs, rhs = delta_specialize(f, 2, 8)
-    assert lhs == rhs
-    assert all(n % 2 == 1 for n in lhs)
-    fm = {2: Cyc.one()}
-    lhs, rhs = delta_specialize(fm, 2, 8)
-    assert lhs == rhs
-    rng = random.Random(3)
-    for m in (2, 3):
-        f = {rng.randint(-4, 4): Cyc.rational(rng.randint(-3, 3)) for _ in range(4)}
-        lhs, rhs = delta_specialize(f, m, 8)
-        assert lhs == rhs
 
 
 def test_generating_relations_small_window():

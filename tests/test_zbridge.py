@@ -8,10 +8,9 @@ from torlab.distops import (DeltaRelation, IdentityField, ScaledField,
 from torlab.fockhom import HomogeneousModule, window_states
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
-from torlab.zbridge import (CkModule, HeisenbergVerma, TwistData, check_Ck,
-                            from_Zmodule, homogeneous_Ck, omega_basis,
-                            roundtrip_check, to_Zmodule, verify_Zk_relations,
-                            verma_bracket_check)
+from torlab.zbridge import (CkModule, TwistData, check_Ck, from_Zmodule,
+                            homogeneous_Ck, omega_basis, roundtrip_check,
+                            to_Zmodule, verify_Zk_relations)
 
 
 def _v(rs_type="A", rank=1):
@@ -36,18 +35,6 @@ def test_omega_basis_structure():
             for i in (1, 2):
                 assert not space.heisenberg_act(space.dir_vec(d), i,
                                                 {s: Cyc.one()})
-
-
-def test_verma_bracket():
-    verma = HeisenbergVerma([[2, 1], [1, 0]], [0, 1], Fraction(3, 2))
-    states = [verma.vacuum(), ((0, 0), ((0, 2),)), ((0, 0), ((1, 1), (1, 1)))]
-    entries = verma_bracket_check(verma, [(1, 0), (0, 1), (1, -1)], states, 3)
-    assert entries and all(e[2] == "pass" for e in entries)
-
-
-def test_verma_zero_level_rejected():
-    with pytest.raises(ValueError):
-        HeisenbergVerma([[2]], [0], 0)
 
 
 def test_dressed_Z_reduces_to_lattice_operator_on_omega():
