@@ -16,6 +16,8 @@ Check kinds:
   fields_equal    two fields agree mode by mode; the witness carries the
                   exact difference, read in the monomial basis
   vanishes        a linear combination of fields vanishes mode by mode
+  no_out          no mode of the fields takes a state to an offending
+                  output state; the witness is the first such output
   degree_shift    [d_0, F] = DF: mode n moves the d_0 degree by n
   coord_shift     [d_i, F(r)] = r_i F(r): a label coordinate moves by r_i
   nonzero         a field has a nonzero mode on some state
@@ -109,25 +111,29 @@ def vanishes(terms, states, lo):
     return True, None
 
 
+def no_out(fields, states, lo, bad):
+    """No mode n >= lo of a field takes a state v to an output state s
+    with bad(v, n, s).  Sweeps states, then fields, then modes upward;
+    the witness is the first offending {state, mode, out}."""
+    for v in states:
+        for f in fields:
+            for n in range(lo, f.max_mode(v) + 1):
+                for s in f.mode_memo(n, v):
+                    if bad(v, n, s):
+                        return False, {"state": v, "mode": n, "out": s}
+    return True, None
+
+
 def degree_shift(space, f, states, lo):
     """[d_0, F] = DF: mode n moves the d_0 degree by exactly n."""
-    for v in states:
-        dv = space.degree(v)
-        for n in range(lo, f.max_mode(v) + 1):
-            for s in f.mode_memo(n, v):
-                if space.degree(s) != dv + n:
-                    return False, {"state": v, "mode": n, "out": s}
-    return True, None
+    return no_out([f], states, lo, lambda v, n, s:
+                  space.degree(s) != space.degree(v) + n)
 
 
 def coord_shift(f, states, lo, coord, expected):
     """[d_i, F(r)] = r_i F(r): the label coordinate moves by r_i."""
-    for v in states:
-        for n in range(lo, f.max_mode(v) + 1):
-            for s in f.mode_memo(n, v):
-                if s[0][coord] - v[0][coord] != expected:
-                    return False, {"state": v, "mode": n, "out": s}
-    return True, None
+    return no_out([f], states, lo, lambda v, n, s:
+                  s[0][coord] - v[0][coord] != expected)
 
 
 def nonzero(f, states, lo):

@@ -78,10 +78,13 @@ def _build_toroidal(cfg: RunConfig) -> ToroidalAlgebra:
     return ToroidalAlgebra(alg, aut, cfg.n)
 
 
-def _principal_order(cfg: RunConfig) -> int:
+def _principal_module(cfg: RunConfig):
+    """The principal module of the configured algebra, without constants,
+    and the order m of its principal automorphism."""
     rs = build_root_system(cfg.kind, cfg.rank)
     marks, _ = affine_marks(untwisted_affine_cartan(rs))
-    return sum(marks)
+    m = sum(marks)
+    return PrincipalModule(rs, cfg.n, m, negation_theta), m
 
 
 def _header(cfg: RunConfig, m: int, extra=None) -> dict:
@@ -133,9 +136,7 @@ def suite_roundtrip(cfg: RunConfig):
 
 
 def suite_principal(cfg: RunConfig):
-    m = _principal_order(cfg)
-    rs = build_root_system(cfg.kind, cfg.rank)
-    mod = PrincipalModule(rs, cfg.n, m, negation_theta)
+    mod, m = _principal_module(cfg)
     extra = {"theta_order": m}
     if cfg.solve_constants:
         sols = solve_prin_constants(mod, cfg.window)
@@ -212,9 +213,7 @@ def run_verify(cfg: RunConfig, suite: str) -> int:
 
 
 def run_solve(cfg: RunConfig) -> int:
-    m = _principal_order(cfg)
-    rs = build_root_system(cfg.kind, cfg.rank)
-    mod = PrincipalModule(rs, cfg.n, m, negation_theta)
+    mod, m = _principal_module(cfg)
     sols = sorted(solve_prin_constants(mod, cfg.window), key=repr)
     header = _header(cfg, m, {
         "suite": "solve-constants",

@@ -39,11 +39,45 @@ from .scalar import Cyc
 
 
 class KFields:
-    """The one dispatch over the central fields of a module with the
-    constructors k0(rvec) (k_0) and k(i, rvec) (k_i, 1-based i)."""
+    """What both Fock modules share: the field cache, the vacuum and the
+    central fields k_0(r, z^w) = X(delta_r, z^w) and
+    k_i(r, z^w) = delta_i(z^w) X(delta_r, z^w), w the weight of the
+    space (1 here, m in the principal picture).  A module supplies the
+    space, N and delta(rvec), the label vector delta_r."""
+
+    def __init__(self, space: FockSpace, N: int):
+        self.space = space
+        self.N = N
+        self._fields = {}
+
+    def _cached(self, key, build):
+        """The field cached under key, built by build() on first use."""
+        hit = self._fields.get(key)
+        if hit is None:
+            hit = self._fields[key] = build()
+        return hit
+
+    def vacuum(self, label=None):
+        return self.space.vacuum(label)
+
+    def zero_r(self):
+        return (0,) * self.N
+
+    def k0(self, rvec):
+        """k_0(r, z^w) = X(delta_r, z^w)."""
+        rvec = tuple(rvec)
+        return self._cached(("k0", rvec), lambda: VertexXField(
+            self.space, self.delta(rvec), "k0%r" % (rvec,)))
+
+    def k(self, i, rvec):
+        """k_i(r, z^w) = delta_i(z^w) X(delta_r, z^w), 1-based i."""
+        rvec = tuple(rvec)
+        unit = tuple(1 if j == i else 0 for j in range(1, self.N + 1))
+        return self._cached(("k", i, rvec), lambda: HeisTimesXField(
+            self.space, self.delta(unit), self.k0(rvec), "k%d%r" % (i, rvec)))
 
     def kf(self, i, rvec):
-        """k_i(r, z), with k_0(r, z) at i = 0."""
+        """k_i(r, z^w), with k_0(r, z^w) at i = 0."""
         return self.k0(rvec) if i == 0 else self.k(i, rvec)
 
 
@@ -55,68 +89,46 @@ class HomogeneousModule(KFields):
 
     def __init__(self, rs: RootSystem, N: int, normalized=True):
         self.rs = rs
-        self.N = N
         self.lat = Lattice(rs, N)
         self.alg = ChevalleyAlgebra(rs, self.lat)
         heis = list(range(rs.rank + N))
-        self.space = FockSpace(self.lat.gram, heis, mode_scale=1, weight=1,
-                               normalized=normalized)
-        self._fields = {}
+        super().__init__(FockSpace(self.lat.gram, heis, mode_scale=1,
+                                   weight=1, normalized=normalized), N)
 
-    def vacuum(self, label=None):
-        return self.space.vacuum(label)
-
-    # cached field constructors -------------------------------------------
-
-    def k0(self, rvec):
-        key = ("k0", tuple(rvec))
-        if key not in self._fields:
-            self._fields[key] = VertexXField(self, rvec)
-        return self._fields[key]
-
-    def k(self, i, rvec):
-        """k_i(r, z) = delta_i(z) X(delta_r, z), 1-based i."""
-        key = ("k", i, tuple(rvec))
-        if key not in self._fields:
-            dv = self.lat.delta(tuple(1 if j == i else 0
-                                      for j in range(1, self.N + 1)))
-            self._fields[key] = HeisTimesK0Field(self, dv, rvec,
-                                                 label="k%d" % i)
-        return self._fields[key]
+    def delta(self, rvec):
+        return self.lat.delta(rvec)
 
     def z(self, alpha, rvec):
-        key = ("z", tuple(alpha), tuple(rvec))
-        if key not in self._fields:
-            self._fields[key] = ZField(self, alpha, rvec)
-        return self._fields[key]
+        return self._cached(("z", tuple(alpha), tuple(rvec)),
+                            lambda: ZField(self, alpha, rvec))
 
     def heis(self, vec, rvec):
         """beta(r, z) = beta(z) k_0(r, z) for beta in the Cartan span."""
-        key = ("b", tuple(vec), tuple(rvec))
-        if key not in self._fields:
-            self._fields[key] = HeisTimesK0Field(self, vec, rvec, label="beta")
-        return self._fields[key]
+        rvec = tuple(rvec)
+        return self._cached(("b", tuple(vec), rvec), lambda: HeisTimesXField(
+            self.space, vec, self.k0(rvec), "beta%r" % (rvec,)))
 
 
 class VertexXField(FieldFamily):
-    """X(delta_r, z): shifts the label by delta_r, multiplies the
-    z-exponent -(delta_r, label), and dresses with the E^- series."""
+    """X(delta, z^w), w the weight of the space: shifts the label by
+    delta, multiplies the z-exponent -w(delta, label), and dresses with
+    E^-(delta, z^w).  E^+ is the identity because delta pairs to zero
+    with every mode the space carries."""
 
-    def __init__(self, mod: HomogeneousModule, rvec):
+    def __init__(self, space: FockSpace, vec, label):
         super().__init__()
-        self.mod = mod
-        self.space = mod.space
-        self.vec = mod.lat.delta(rvec)
+        self.space = space
+        self.vec = tuple(vec)
         self.shift = self.vec
-        self.label = "k0" + repr(tuple(rvec))
-        self.em = ExpField(mod.space, self.vec, 1, -1)
+        self.label = label
+        self.em = ExpField(space, self.vec, 1, -1)
         self._base = {}
         self._shifted = {}
 
     def base(self, label):
         hit = self._base.get(label)
         if hit is None:
-            hit = -int(self.mod.space.pair(self.vec, label))
+            hit = -self.space.weight * int(self.space.pair(self.vec, label))
             self._base[label] = hit
         return hit
 
@@ -134,33 +146,35 @@ class VertexXField(FieldFamily):
         return self.em.mode_memo(n - e, (new, state[1]))
 
 
-class HeisTimesK0Field(FieldFamily):
-    """vec(z) X(delta_r, z): the k_i fields (vec = delta_i) and the
-    dressed Cartan fields beta(r, z) (level 1)."""
+class HeisTimesXField(FieldFamily):
+    """vec(z^w) x(z), x a VertexXField: the k_i fields (vec = delta_i),
+    the dressed Cartan fields beta(r, z) (level 1) and the delta term
+    sum_i r_i k_i of the pair relation (vec = delta_r)."""
 
-    def __init__(self, mod: HomogeneousModule, vec, rvec, label="k"):
+    def __init__(self, space: FockSpace, vec, x, label):
         super().__init__()
-        self.mod = mod
-        self.space = mod.space
+        self.space = space
         self.vec = tuple(vec)
-        self.x = mod.k0(rvec)
-        self.shift = self.x.shift
-        self.label = label + repr(tuple(rvec))
+        self.x = x
+        self.shift = x.shift
+        self.label = label
 
     def _pmax(self, state):
         # X creates only delta-direction modes, which pair to zero with
-        # any Cartan vector, so annihilation is bounded by the input state
-        return self.mod.space.annihilatable(state, self.vec)
+        # vec, so annihilation is bounded by the input state
+        return self.space.annihilatable(state, self.vec)
 
     def max_mode(self, state):
-        return self._pmax(state) + self.x.max_mode(state)
+        return self.space.weight * self._pmax(state) + self.x.max_mode(state)
 
     def mode_state(self, n, state):
-        space = self.mod.space
+        space = self.space
+        w = space.weight
         out = {}
-        xmax = self.x.max_mode(state)
-        for p in range(n - xmax, self._pmax(state) + 1):
-            mid = self.x.mode_memo(n - p, state)
+        # vec(p) pairs with the X mode n - w p, which is at most x.max_mode
+        pmin = -((self.x.max_mode(state) - n) // w)
+        for p in range(pmin, self._pmax(state) + 1):
+            mid = self.x.mode_memo(n - w * p, state)
             if mid:
                 out = comb_add(out, space.heisenberg_act(self.vec, p, mid))
         return out
@@ -306,8 +320,8 @@ def pair_relation(mod: HomogeneousModule, b1, b2, rvec, svec) -> DeltaRelation:
                              ZeroModeTimesField(space, b2vec, mod.k0(tot))))
         if any(rvec):
             # sum_i r_i k_i(r+s, z) packaged as (delta_r)(z) X(delta_{r+s}, z)
-            rhs.append(DeltaTerm(fxx, Cyc.one(),
-                                 HeisTimesK0Field(mod, mod.lat.delta(rvec), tot, "rk")))
+            rhs.append(DeltaTerm(fxx, Cyc.one(), HeisTimesXField(
+                space, mod.delta(rvec), mod.k0(tot), "rk%r" % (tot,))))
         rhs.append(DeltaTerm(fxx, Cyc.one(), mod.k0(tot), use_D=True))
     return DeltaRelation(f, g, [(Fraction(ip), Cyc.one())], rhs)
 

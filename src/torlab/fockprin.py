@@ -11,9 +11,12 @@ principal automorphism theta), and
     k_i(r, z^m)      = delta_i(z^m) X(delta_r, z^m)
     Z(beta, r, z)    = C_j k_0(r, z^m)   (beta in the theta-orbit of beta_j)
 
-at level k = 1.  The vacuum-space constants C_j are configuration
-inputs; solve_prin_constants recovers them from the quadratic relation
-when a single orbit carries the whole root system.  Root vectors are
+at level k = 1.  The X and k fields are those of the homogeneous
+picture (fockhom.KFields) on a space of weight m; this module adds the
+orbit constants C_j, the Z fields built on them and the constant solver.
+The vacuum-space constants C_j are configuration inputs;
+solve_prin_constants recovers them from the quadratic relation when a
+single orbit carries the whole root system.  Root vectors are
 renormalized so [x_beta, x_{-beta}] = -2/<beta, beta> and every eta
 scalar is 1, and the theta-fixed zero-weight Cartan acts by 0, which
 removes the (beta_2)_0 delta-term from the quadratic relation.
@@ -26,8 +29,7 @@ from functools import partial
 from math import isqrt
 
 from . import checks
-from .distops import (DeltaRelation, ExpField, FieldFamily, FockSpace,
-                      HeisenbergField, ProductField, ScaledField,
+from .distops import (DeltaRelation, FockSpace, ScaledField,
                       TruncationWindow, product_of_binomials)
 from .fockhom import KFields, window_states
 from .linalg import rank
@@ -54,45 +56,11 @@ def negation_theta(beta):
     return tuple(-c for c in beta)
 
 
-class PrinXField(FieldFamily):
-    """X(delta_r, z^m): shifts the label by delta_r, multiplies the
-    z-exponent -m(delta_r, label), and dresses with E^-(delta_r, z^m).
-    E^+ is the identity because the delta-directions pair to zero with
-    every mode the space carries."""
-
-    def __init__(self, space: FockSpace, vec, label="k0"):
-        super().__init__()
-        self.space = space
-        self.vec = tuple(vec)
-        self.shift = self.vec
-        self.label = label
-        self.em = ExpField(space, vec, 1, -1)
-        self._base = {}
-
-    def base(self, label):
-        hit = self._base.get(label)
-        if hit is None:
-            hit = -self.space.weight * int(self.space.pair(self.vec, label))
-            self._base[label] = hit
-        return hit
-
-    def max_mode(self, state):
-        return self.base(state[0])
-
-    def mode_state(self, n, state):
-        e = self.base(state[0])
-        if n > e:
-            return {}
-        shifted = self.space.shift_label(state, self.vec)
-        return self.em.mode_memo(n - e, shifted)
-
-
 class PrincipalModule(KFields):
     """V(Gamma) with the principal k-fields and scalar Z-operators."""
 
     def __init__(self, rs, N: int, m: int, theta_fn, constants=None):
         self.rs = rs
-        self.N = N
         self.m = m
         self.twist = PrinTwist(m, theta_fn)
         dim = 2 * N
@@ -100,12 +68,11 @@ class PrincipalModule(KFields):
         for i in range(N):
             gram[i][N + i] = 1
             gram[N + i][i] = 1
-        self.space = FockSpace(gram, range(N), mode_scale=1, weight=m)
+        super().__init__(FockSpace(gram, range(N), mode_scale=1, weight=m), N)
         self.orbits = self._theta_orbits()
         self.constants = None
         if constants is not None:
             self.set_constants(constants)
-        self._fields = {}
 
     def _theta_orbits(self):
         seen = set()
@@ -154,42 +121,17 @@ class PrincipalModule(KFields):
     def delta(self, rvec):
         return tuple(rvec) + (0,) * self.N
 
-    def zero_r(self):
-        return (0,) * self.N
-
-    def vacuum(self, label=None):
-        return self.space.vacuum(label)
-
-    # cached field constructors -------------------------------------------
-
-    def k0(self, rvec) -> PrinXField:
-        key = ("k0", tuple(rvec))
-        if key not in self._fields:
-            self._fields[key] = PrinXField(self.space, self.delta(rvec),
-                                           label="k0%r" % (tuple(rvec),))
-        return self._fields[key]
-
-    def k(self, i, rvec) -> FieldFamily:
-        """k_i(r, z^m) = delta_i(z^m) X(delta_r, z^m), 1-based i."""
-        key = ("k", i, tuple(rvec))
-        if key not in self._fields:
-            h = HeisenbergField(self.space, self.space.dir_vec(i - 1),
-                                label="d%d" % i)
-            self._fields[key] = ProductField(h, self.k0(rvec),
-                                             label="k%d%r" % (i, tuple(rvec)))
-        return self._fields[key]
-
     def delta_coord(self, i) -> int:
         """Label coordinate read by d_i (1-based i)."""
         return i - 1
 
-    def z(self, beta, rvec) -> FieldFamily:
-        key = ("z", tuple(beta), tuple(rvec))
-        if key not in self._fields:
+    def z(self, beta, rvec) -> ScaledField:
+        def build():
             f = ScaledField(self.k0(rvec), self.constant(beta))
             f.label = "Z%r%r" % (tuple(beta), tuple(rvec))
-            self._fields[key] = f
-        return self._fields[key]
+            return f
+
+        return self._cached(("z", tuple(beta), tuple(rvec)), build)
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,6 @@ def solve(mat, rhs):
     return x
 
 
-def in_span(vectors, target) -> bool:
-    if not vectors:
-        return all(not as_cyc(t) for t in target)
-    cols = [[as_cyc(v[i]) for v in vectors] for i in range(len(target))]
-    return solve(cols, target) is not None
-
-
 def express_in_span(vectors, target):
     """Coefficients c with sum c_i vectors_i = target, or None."""
     if not vectors:

@@ -103,15 +103,11 @@ class IsoContext:
         self._coords = {}
 
 
-def _vec_of(alg, g):
-    return alg.to_vector(g)
-
-
 def _ratio(alg, u, v):
     """Scalar c with u = c v, or None."""
     if v.is_zero():
         return None
-    coeffs = linalg.express_in_span([_vec_of(alg, v)], _vec_of(alg, u))
+    coeffs = linalg.express_in_span([alg.to_vector(v)], alg.to_vector(u))
     return None if coeffs is None else coeffs[0]
 
 
@@ -134,7 +130,7 @@ def _restricted_matrix(alg, basis, op):
     """Rows of the operator op (GElement endo) in the given basis."""
     cols = []
     for v in basis:
-        img = _vec_of(alg, op(alg.from_vector(v)))
+        img = alg.to_vector(op(alg.from_vector(v)))
         c = linalg.express_in_span(basis, img)
         if c is None:
             raise ValueError("operator does not preserve the subspace")
@@ -243,7 +239,7 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
     hams = H[1:]
     class_bases = []
     for cls in range(K):
-        vs = [_vec_of(alg, _class_project(alg, pi, GElement({s: Cyc.one()}), cls))
+        vs = [alg.to_vector(_class_project(alg, pi, GElement({s: Cyc.one()}), cls))
               for s in alg.symbols]
         class_bases.append(_subspace_basis(vs))
     zero_spaces = [None] * K
@@ -265,7 +261,7 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
         for g in gens:
             mat = []
             for v in basis:
-                mat.append(_vec_of(alg, alg.bracket(g, alg.from_vector(v))))
+                mat.append(alg.to_vector(alg.bracket(g, alg.from_vector(v))))
             for i in range(len(mat[0])):
                 rows.append([mat[j][i] for j in range(len(basis))])
         ker = linalg.nullspace(rows)
@@ -423,7 +419,7 @@ def _build_probes(ctx, zero_spaces):
             if f and ctx.N[i] + ctx.N[j] != 0:
                 raise ValueError("form-paired lines with N(u) + N(v) != 0")
             chosen = ctx.probes[cls]
-            vec = _vec_of(alg, b)
+            vec = alg.to_vector(b)
             if linalg.express_in_span([p.vec for p in chosen], vec) is not None:
                 continue
             chosen.append(Probe(cls, b, vec, ctx.N[i] + ctx.N[j],
@@ -451,7 +447,7 @@ def _decompose(ctx, cls, g):
     hit = ctx._coords.get(key)
     if hit is None:
         vectors, _ = ctx.cols[cls]
-        hit = linalg.express_in_span(vectors, _vec_of(ctx.alg, g))
+        hit = linalg.express_in_span(vectors, ctx.alg.to_vector(g))
         ctx._coords[key] = hit if hit is not None else False
     if hit is False or hit is None:
         raise ValueError("element is not in the pi-twisted subalgebra")
@@ -483,12 +479,9 @@ def phi(ctx: IsoContext, el: TorElement) -> TorElement:
         for c, info in zip(coords, infos):
             if not c:
                 continue
-            if info[0] == "line":
-                out = out + cod.loop(info[1].scale(c), base + info[2], rv)
-            else:
-                out = out + cod.loop(info[1].scale(c), base + info[2], rv)
-                if info[3]:
-                    out = out + TorElement({("k", 0, base, rv): c * info[3]})
+            out = out + cod.loop(info[1].scale(c), base + info[2], rv)
+            if info[0] == "probe" and info[3]:
+                out = out + TorElement({("k", 0, base, rv): c * info[3]})
     return cod.normalize_dA(out)
 
 

@@ -260,6 +260,14 @@ def ck_coord():
     return check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
 
 
+def prin_coord():
+    """Every k field built at the opposite multidegree."""
+    mod = _prin()
+    kf = mod.kf
+    mod.kf = lambda i, r: kf(i, tuple(-c for c in r))
+    return verify_principal_relations(mod, PWIN, rvecs=R)
+
+
 def hom_trivial_k():
     mod = _hom()
     mod._fields[("k", 1, (0,))] = ScaledField(mod.k(1, (0,)), 0)
@@ -456,6 +464,18 @@ CASES = {
         ({"i": 1, "j": 1, "r": [-1]},
          {"state": ((-1, 0, 0), ()), "mode": -2,
           "out": ((-1, 1, 0), ((1, 2),))}),
+    ]),
+    "prin_coord": (prin_coord, "prin.6", [
+        ({"i": 1, "j": 0, "r": [1]},
+         {"state": ((-1, 0), ()), "mode": -4,
+          "out": ((-2, 0), ((0, 1), (0, 1)))}),
+        ({"i": 1, "j": 1, "r": [1]},
+         {"state": ((-1, 0), ()), "mode": -4, "out": ((-2, 0), ((0, 2),))}),
+        ({"i": 1, "j": 0, "r": [-1]},
+         {"state": ((-1, 0), ()), "mode": -4,
+          "out": ((0, 0), ((0, 1), (0, 1)))}),
+        ({"i": 1, "j": 1, "r": [-1]},
+         {"state": ((-1, 0), ()), "mode": -4, "out": ((0, 0), ((0, 2),))}),
     ]),
     "hom_trivial_k": (hom_trivial_k, "zhom.k_nontrivial", [
         ({"i": 1}, None),

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
-from torlab.distops import (DeltaRelation, TruncationWindow, comb_eq,
-                            comb_scale, comb_sub)
+import pytest
+
+from torlab.checks import default_rvecs, fields_equal, nonzero
+from torlab.distops import (DeltaRelation, HeisenbergField, ProductField,
+                            TruncationWindow, comb_eq, comb_scale, comb_sub)
 from torlab.fockhom import (HomogeneousModule, pair_relation, verify_33,
                             verify_center_hom, verify_products_hom,
                             window_states)
+from torlab.fockprin import PrincipalModule, negation_theta
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
 
@@ -142,3 +146,38 @@ def test_pair_relation_small_window():
     assert len(entries) == 3 * 4
     bad = [e for e in entries if e[2] != "pass"]
     assert not bad, bad[:2]
+
+
+def _vec_x_cases(name):
+    """(module, window, [(vec, field(rvec))]): k_1 on every module, and
+    beta(r) for each simple root on the homogeneous ones."""
+    if name == "prin-A1":
+        mod = PrincipalModule(build_root_system("A", 1), 1, 2, negation_theta)
+        return mod, TruncationWindow(4, 3, 1), [
+            (mod.delta((1,)), lambda r: mod.k(1, r))]
+    mod = _a1() if name == "hom-A1" else _a2()
+    fields = [(mod.delta((1,)), lambda r: mod.k(1, r))]
+    for a in mod.rs.simple_roots:
+        vec = mod.lat.embed_root(a)
+        fields.append((vec, lambda r, vec=vec: mod.heis(vec, r)))
+    return mod, TruncationWindow(2, 2, 1), fields
+
+
+@pytest.mark.parametrize("name", ["hom-A1", "hom-A2", "prin-A1"])
+def test_vec_times_x_is_the_product_field(name):
+    """The shared vec(z^w) X(delta_r, z^w) field equals the generic
+    ProductField(HeisenbergField(vec), k_0(r)) at every mode from -4W
+    up, on every window state; the principal module runs the weight-m
+    path."""
+    mod, win, fields = _vec_x_cases(name)
+    states = window_states(mod.space, win)
+    lo = -4 * win.modes
+    for vec, field in fields:
+        for rvec in default_rvecs(mod.N):
+            got = field(rvec)
+            want = ProductField(HeisenbergField(mod.space, vec), mod.k0(rvec))
+            assert nonzero(got, states, lo), (vec, rvec)
+            assert [got.max_mode(v) for v in states] == \
+                [want.max_mode(v) for v in states]
+            assert fields_equal(got, want, states, lo) == (True, None), \
+                (vec, rvec)

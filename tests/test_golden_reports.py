@@ -50,16 +50,25 @@ RUNS = [
      "256ed3f78b96458ea4a99eaac1e1725184646e968f5ea0a64d80023d5b2e4e8f"),
     (["gen", "--algebra", "A1", "--n", "1", "--window", "1,1,1"], 0,
      "4c8c600b4e2e4e18d7518ac767a56f9f6ddf4a14682e28f4363ba8fc29e3dac8"),
+    (["verify", "homogeneous", "--algebra", "A1", "--n", "2",
+      "--window", "2,2,1"], 0,
+     "64e722e8844fa79667bcd19820cc2c26c785fa431d4a9775107d87b1518f618f"),
+    (["verify", "principal", "--algebra", "A1", "--n", "2",
+      "--solve-constants", "--window", "4,3,1"], 0,
+     "1c43849e56fb034ad5c78527f43b467a826a902f1d619e268ca2cb3490077c25"),
 ]
 
 
 def _run_id(argv, code, _digest):
-    """The suite or command, the algebra unless it is A1, a given constant
-    unless it is rational, and -fail."""
+    """The suite or command, the algebra unless it is A1, the number of
+    variables unless it is 1, a given constant unless it is rational, and
+    -fail."""
     name = argv[1] if argv[0] == "verify" else argv[0]
     algebra = argv[argv.index("--algebra") + 1]
     if algebra != "A1":
         name += "-" + algebra
+    if "--n" in argv and argv[argv.index("--n") + 1] != "1":
+        name += "-n" + argv[argv.index("--n") + 1]
     if "--constants" in argv:
         for c in json.loads(argv[argv.index("--constants") + 1]).values():
             if c["order"] != 1:
