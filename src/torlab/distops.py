@@ -298,10 +298,6 @@ def comb_sub(a, b):
     return comb_add(a, comb_scale(b, -1))
 
 
-def comb_eq(a, b):
-    return not comb_sub(a, b)
-
-
 def witness_difference(space, state, diff, cyc_keys=()):
     """The "difference" of a failing witness: sorted (repr(key),
     repr(coefficient)) pairs of the nonzero coefficients in diff, the
@@ -339,6 +335,14 @@ class FieldFamily:
     Subclasses implement mode_state(n, state) and max_mode(state); modes
     above max_mode annihilate the state.  Results are memoized, which is
     what makes the bivariate sweeps affordable.
+
+    Composite fields also keep their mode caps per state.  Two rules keep
+    both kinds of cache exact: a cap or an image is a pure function of
+    the state, because a field is not changed once built; and a composite
+    that sums several images merges each finished image into its output
+    in turn, with the grouping comb_add gives: where a sum cancels
+    decides the order of its keys and the order a Cyc value is stored
+    at, and so the bytes of a witness.
     """
 
     label = "field"
@@ -388,16 +392,19 @@ class IdentityField(FieldFamily):
 
 
 class ScaledField(FieldFamily):
+    """coeff times a field; an int coeff stays an int, so an integer
+    field scaled by it stays in int arithmetic."""
+
     def __init__(self, base, coeff):
         super().__init__()
         self.base = base
-        self.coeff = coeff if isinstance(coeff, Cyc) else Fraction(coeff)
+        self.coeff = coeff if isinstance(coeff, (int, Cyc)) else Fraction(coeff)
         self.shift = base.shift
         self.label = base.label
         self.space = base.space
 
     def mode_state(self, n, state):
-        return comb_scale(self.base.mode_state(n, state), self.coeff)
+        return comb_scale(self.base.mode_memo(n, state), self.coeff)
 
     def max_mode(self, state):
         return self.base.max_mode(state)
@@ -414,7 +421,8 @@ class SumField(FieldFamily):
     def mode_state(self, n, state):
         out = {}
         for p in self.parts:
-            out = comb_add(out, p.mode_memo(n, state))
+            for k, v in p.mode_memo(n, state).items():
+                _acc(out, k, v)
         return out
 
     def max_mode(self, state):
@@ -429,6 +437,12 @@ class ProductField(FieldFamily):
     input.  That holds whenever g only removes modes or creates modes
     pairing to zero with f's annihilation directions, which is true for
     every dressing/vertex field combined here.
+
+    Both caps are kept per state, which is exact because a cap is a pure
+    function of the state and neither factor changes once built.
+    mode_state merges the finished image f.mode(n - q, .) of each q into
+    its output in turn, as comb_add would; fusing f.mode's inner sum into
+    the output would regroup the sum and could move a witness's bytes.
     """
 
     def __init__(self, f, g, scale=None, label=None):
@@ -439,20 +453,29 @@ class ProductField(FieldFamily):
         self.space = field_space(f, g)
         self.shift = tuple(a + b for a, b in zip(f.shift, g.shift))
         self.label = label or (f.label + "*" + g.label)
+        self._cap_memo = {}
 
-    def _fcap(self, state):
-        mid = (tuple(a + b for a, b in zip(state[0], self.g.shift)), state[1])
-        return self.f.max_mode(mid)
+    def _caps(self, state):
+        """(f's max_mode on the g-shifted state, g's max_mode)."""
+        hit = self._cap_memo.get(state)
+        if hit is None:
+            mid = (tuple(a + b for a, b in zip(state[0], self.g.shift)), state[1])
+            hit = (self.f.max_mode(mid), self.g.max_mode(state))
+            self._cap_memo[state] = hit
+        return hit
 
     def max_mode(self, state):
-        return self._fcap(state) + self.g.max_mode(state)
+        fcap, gcap = self._caps(state)
+        return fcap + gcap
 
     def mode_state(self, n, state):
+        fcap, gcap = self._caps(state)
         out = {}
-        for q in range(n - self._fcap(state), self.g.max_mode(state) + 1):
+        for q in range(n - fcap, gcap + 1):
             mid = self.g.mode_memo(q, state)
             if mid:
-                out = comb_add(out, self.f.mode(n - q, mid))
+                for k, v in self.f.mode(n - q, mid).items():
+                    _acc(out, k, v)
         if self.scale is not None:
             out = comb_scale(out, self.scale)
         return out
@@ -621,26 +644,6 @@ class DeltaRelation:
             self._coef = table
         return self._coef
 
-    def lhs_coeff(self, a, b, state):
-        nmax1 = max(self.g.max_mode(state) - b, -1)
-        out = {}
-        if nmax1 >= 0:
-            coef = self._coefs(nmax1)
-            for n in range(nmax1 + 1):
-                if coef[n]:
-                    mid = self.g.mode_memo(b + n, state)
-                    if mid:
-                        out = comb_add(out, comb_scale(self.f.mode(a - n, mid), coef[n]))
-        nmax2 = max(self.f.max_mode(state) - a, -1)
-        if nmax2 >= 0:
-            coef = self._coefs(nmax2)
-            for n in range(nmax2 + 1):
-                if coef[n]:
-                    mid = self.f.mode_memo(a + n, state)
-                    if mid:
-                        out = comb_sub(out, comb_scale(self.g.mode(b - n, mid), coef[n]))
-        return out
-
     def _delta_coeff(self, ti, term, a):
         key = (ti, a)
         hit = self._apow.get(key)
@@ -663,34 +666,13 @@ class DeltaRelation:
                 "difference": witness_difference(self.space, state, diff,
                                                  cyc_keys)}
 
-    def _delta_cells(self, a, s, state):
-        """(term, coefficient, image of the state) for each delta term
-        with a nonzero coefficient at z1^a z2^(s - a)."""
-        out = []
-        for ti, term in enumerate(self.rhs_terms):
-            if s <= term.field.max_mode(state):
-                c = self._delta_coeff(ti, term, a)
-                if c:
-                    out.append((term, c, term.field.mode_memo(s, state)))
-        return out
-
-    def check_state(self, a, b, state):
-        """(ok, witness) for the coefficient at z1^a z2^b on one state."""
-        diff = self.lhs_coeff(a, b, state)
-        cells = self._delta_cells(a, a + b, state)
-        for _term, c, cell in cells:
-            diff = comb_sub(diff, comb_scale(cell, c))
-        if not diff:
-            return True, None
-        return False, self._witness(state, a, b, diff,
-                                    [(term, cell) for term, _c, cell in cells])
-
     def check_window(self, W, state):
         """Check every coefficient cell |a|, |b| <= W on one state.
 
-        Equivalent to check_state over the grid, but the cell products
-        f_p(g_q(v)) on each anti-diagonal p + q = a + b are merged once
-        and reused across the cells that share them.
+        Each cell is the coefficient at z1^a z2^b of the left-hand side
+        minus the delta terms; the cell products f_p(g_q(v)) on each
+        anti-diagonal p + q = a + b are merged once and reused across the
+        cells that share them.
         """
         cut = min(2 * W, self.cutoff(state))
         gmax = self.g.max_mode(state)

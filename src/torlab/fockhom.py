@@ -33,7 +33,7 @@ from functools import partial
 
 from . import checks
 from .distops import (DeltaRelation, DeltaTerm, ExpField, FieldFamily,
-                      FockSpace, TruncationWindow, comb_add, partitions)
+                      FockSpace, TruncationWindow, _acc, partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
 from .scalar import Cyc
 
@@ -176,7 +176,8 @@ class HeisTimesXField(FieldFamily):
         for p in range(pmin, self._pmax(state) + 1):
             mid = self.x.mode_memo(n - w * p, state)
             if mid:
-                out = comb_add(out, space.heisenberg_act(self.vec, p, mid))
+                for k, v in space.heisenberg_act(self.vec, p, mid).items():
+                    _acc(out, k, v)
         return out
 
 

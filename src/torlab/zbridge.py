@@ -235,12 +235,17 @@ class RestrictedField(FieldFamily):
         self.shift = base.shift
         self.space = base.space
         self.label = label or ("1x" + base.label)
+        self._splits = {}
 
     def _split(self, state):
-        label, modes = state
-        mk = tuple(mo for mo in modes if mo[0] in self.cartan)
-        w = tuple(mo for mo in modes if mo[0] not in self.cartan)
-        return mk, (label, w)
+        """(Cartan modes, the W state of the rest), kept per state."""
+        hit = self._splits.get(state)
+        if hit is None:
+            label, modes = state
+            mk = tuple(mo for mo in modes if mo[0] in self.cartan)
+            w = tuple(mo for mo in modes if mo[0] not in self.cartan)
+            hit = self._splits[state] = (mk, (label, w))
+        return hit
 
     def max_mode(self, state):
         return self.base.max_mode(self._split(state)[1])

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
 
+from field_oracle import check_state, comb_eq, ref_max_mode, ref_mode
 from torlab.distops import (DeltaRelation, DeltaTerm, ExpField, FockSpace,
                             HeisenbergField, IdentityField, TruncationWindow,
-                            binomial_coefficient, binomial_factor, comb_eq,
-                            comb_sub, dressing_operator, partitions,
+                            binomial_coefficient, binomial_factor, comb_sub,
+                            dressing_operator, partitions,
                             product_of_binomials, series_mul)
+from torlab.fockhom import HomogeneousModule, window_states
+from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc, cyc_root_of_unity
+from torlab.zbridge import _sum_r_k, from_Zmodule, homogeneous_Ck, to_Zmodule
 
 
 def test_truncation_window():
@@ -156,7 +160,7 @@ def test_heisenberg_two_point_relation():
             v = _random_state(space, rng)
             for a in range(-2, 3):
                 for b in range(-2, 3):
-                    ok, witness = rel.check_state(a, b, v)
+                    ok, witness = check_state(rel, a, b, v)
                     assert ok, witness
 
 
@@ -171,3 +175,43 @@ def test_weighted_modes():
     em = ExpField(space, (1, 0), Fraction(1), -1)
     assert em.mode_state(-2, vac) == {}
     assert comb_eq(em.mode_state(-3, vac), {space.add_mode(vac, 0, 1): Cyc.one()})
+
+
+def _composite_fields(win):
+    """The x, x', b' and k fields of A1 at N = 2 and of its roundtrip
+    through the Z-algebra, and the two-part SumField r_1 k_1 + r_2 k_2."""
+    V = homogeneous_Ck(HomogeneousModule(build_root_system("A", 1), 2))
+    back = from_Zmodule(to_Zmodule(V, win))
+    zero, e1 = (0, 0), (1, 0)
+    hvec = V.root_vec(V.rs.simple_roots[0])
+    fields = []
+    for beta in (V.rs.roots[0], V.rs.roots[-1]):
+        fields += [V.x(beta, zero), V.x(beta, e1), back.x(beta, zero),
+                   back.x(beta, e1)]
+    fields += [back.beta_field(hvec, zero), back.beta_field(hvec, e1),
+               V.kf(1, e1), back.kf(0, e1), back.kf(1, zero), back.kf(2, e1)]
+    rk = _sum_r_k(back, (1, -1), zero)
+    assert len(rk.parts) == 2
+    return V.space, fields + [rk]
+
+
+def test_composite_caches_match_uncached_oracle():
+    """Per-state caps and in-place merges of the composite fields agree
+    with a recomputation that keeps no per-field cache and sums with
+    comb_add, on two fresh builds whose window states are visited in
+    opposite orders."""
+    win = TruncationWindow(2, 2, 1)
+    lo = -2 * win.modes
+    for visit in (list, lambda states: states[::-1]):
+        space, fields = _composite_fields(win)
+        seen = {}
+        cells = 0
+        for v in visit(window_states(space, win)):
+            for f in fields:
+                hi = f.max_mode(v)
+                assert hi == ref_max_mode(f, v), (f.label, v)
+                for n in range(lo, hi + 1):
+                    got = f.mode_memo(n, v)
+                    assert comb_eq(got, ref_mode(f, n, v, seen)), (f.label, v, n)
+                    cells += len(got)
+        assert cells > 10000

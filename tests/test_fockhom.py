@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from field_oracle import check_state, comb_eq
 from torlab.checks import default_rvecs, fields_equal, nonzero
 from torlab.distops import (DeltaRelation, HeisenbergField, ProductField,
-                            TruncationWindow, comb_eq, comb_scale, comb_sub)
-from torlab.fockhom import (HomogeneousModule, pair_relation, verify_33,
-                            verify_center_hom, verify_products_hom,
-                            window_states)
+                            TruncationWindow, comb_scale, comb_sub)
+from torlab.fockhom import (HeisTimesXField, HomogeneousModule,
+                            pair_relation, verify_33, verify_center_hom,
+                            verify_products_hom, window_states)
 from torlab.fockprin import PrincipalModule, negation_theta
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
@@ -115,7 +116,7 @@ def test_k_fields_central():
     for v in states[:25]:
         for a in range(-2, 3):
             for b in range(-2, 3):
-                ok, w = rel.check_state(a, b, v)
+                ok, w = check_state(rel, a, b, v)
                 assert ok, w
 
 
@@ -181,3 +182,20 @@ def test_vec_times_x_is_the_product_field(name):
                 [want.max_mode(v) for v in states]
             assert fields_equal(got, want, states, lo) == (True, None), \
                 (vec, rvec)
+
+
+def test_vec_times_x_reads_the_weight():
+    """On the principal A1 module (m = 2) the vector (0, 1) pairs with the
+    mode direction, and k_0(0) is the identity, so vec(z^m) k_0(0, z^m)
+    is the Heisenberg field itself: same max_mode on every window state
+    (which carries the weight m) and same modes."""
+    mod = PrincipalModule(build_root_system("A", 1), 1, 2, negation_theta)
+    states = window_states(mod.space, TruncationWindow(4, 3, 1))
+    got = HeisTimesXField(mod.space, (0, 1), mod.k0((0,)), "h*k0")
+    want = HeisenbergField(mod.space, (0, 1))
+    assert [got.max_mode(v) for v in states] == \
+        [want.max_mode(v) for v in states]
+    assert any(want.max_mode(v) > 0 for v in states)
+    for v in states:
+        for n in range(-16, 17):
+            assert comb_eq(got.mode_memo(n, v), want.mode_memo(n, v)), (v, n)

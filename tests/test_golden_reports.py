@@ -56,6 +56,11 @@ RUNS = [
     (["verify", "principal", "--algebra", "A1", "--n", "2",
       "--solve-constants", "--window", "4,3,1"], 0,
      "1c43849e56fb034ad5c78527f43b467a826a902f1d619e268ca2cb3490077c25"),
+    (["verify", "roundtrip", "--algebra", "A1", "--n", "2",
+      "--window", "1,1,1"], 0,
+     "1310903fb209ef17e6ce8d61c95f7ec5c84848729372d537d18e6683370b8a82"),
+    (["verify", "roundtrip", "--algebra", "A2", "--window", "1,1,1"], 0,
+     "68abfed4a322fc355ede3677152062c894f8b7365e834d03f3d6e03ed2334845"),
 ]
 
 
