@@ -135,14 +135,25 @@ def suite_roundtrip(cfg: RunConfig):
     return entries, _header(cfg, 1)
 
 
+def _solve(mod, cfg: RunConfig):
+    """The solved constants, sorted, and the prin.constants_solved entry:
+    it fails when the solver finds no constant."""
+    sols = sorted(solve_prin_constants(mod, cfg.window), key=repr)
+    entries = []
+    checks.run(entries, "prin.constants_solved", {"count": len(sols)}, bool,
+               sols)
+    return sols, entries
+
+
 def suite_principal(cfg: RunConfig):
     mod, m = _principal_module(cfg)
     extra = {"theta_order": m}
     if cfg.solve_constants:
-        sols = solve_prin_constants(mod, cfg.window)
-        sols = sorted(sols, key=repr)
-        mod.set_constants(sols[0])
+        sols, solved = _solve(mod, cfg)
         extra["solved_constants"] = [jsonable(c) for c in sols]
+        if not sols:
+            return solved, _header(cfg, m, extra)
+        mod.set_constants(sols[0])
         extra["constant_used"] = jsonable(sols[0])
         extra["constant_squared"] = jsonable(sols[0] * sols[0])
     elif cfg.constants is not None:
@@ -214,16 +225,13 @@ def run_verify(cfg: RunConfig, suite: str) -> int:
 
 def run_solve(cfg: RunConfig) -> int:
     mod, m = _principal_module(cfg)
-    sols = sorted(solve_prin_constants(mod, cfg.window), key=repr)
+    sols, entries = _solve(mod, cfg)
     header = _header(cfg, m, {
         "suite": "solve-constants",
         "theta_order": m,
         "solved_constants": [jsonable(c) for c in sols],
         "squares": [jsonable(c * c) for c in sols],
     })
-    entries = []
-    checks.run(entries, "prin.constants_solved", {"count": len(sols)}, bool,
-               sols)
     rep = VerificationReport(cfg.resolved(), header).extend(entries)
     _emit(cfg, rep.dumps())
     return rep.exit_code()

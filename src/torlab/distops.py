@@ -68,8 +68,7 @@ def binomial_factor(c, a, nmax: int):
     Coefficients stay plain Fractions unless a is irrational.
     """
     c = Fraction(c)
-    if isinstance(a, Cyc) and a.is_rational():
-        a = a.as_fraction()
+    a = _native(a)
     if not isinstance(a, Cyc):
         a = Fraction(a)
     out = []
@@ -101,10 +100,16 @@ def product_of_binomials(factors, nmax: int):
     return [_int_if_integral(x) for x in out]
 
 
+def _native(x):
+    """x as an int or Fraction when it is a rational Cyc, which is stored
+    at order 1; else x."""
+    return x.coeffs[0] if isinstance(x, Cyc) and x.order == 1 else x
+
+
 def _int_if_integral(x):
     """x as an int when it is an integral rational (an int, a rational
     with denominator 1 or a rational Cyc of that kind), else x."""
-    q = x.as_fraction() if isinstance(x, Cyc) and x.is_rational() else x
+    q = _native(x)
     if not isinstance(q, Cyc) and q.denominator == 1:
         return int(q.numerator)
     return x
@@ -287,8 +292,7 @@ def comb_add(a, b):
 def comb_scale(a, c):
     if not c:
         return {}
-    if isinstance(c, Cyc) and c.is_rational():
-        c = c.as_fraction()
+    c = _native(c)
     if c == 1:
         return dict(a)
     return {k: v * c for k, v in a.items()}
@@ -298,24 +302,22 @@ def comb_sub(a, b):
     return comb_add(a, comb_scale(b, -1))
 
 
-def witness_difference(space, state, diff, cyc_keys=()):
+def witness_difference(space, state, diff):
     """The "difference" of a failing witness: sorted (repr(key),
     repr(coefficient)) pairs of the nonzero coefficients in diff, the
     image of one input state.
 
     Coefficients are read in the monomial basis whatever basis the space
     uses (the coefficient of out in the image of state is multiplied by
-    z_state / z_out), and written as the exact rational type (the Cyc
-    type for keys in cyc_keys, which a cyclotomic term reached), so a
-    witness reads the same however the sweep kept its scalars.
+    z_state / z_out), and written by value as the repr of a Cyc, such as
+    Cyc(1/2) or Cyc(1/4*z4^1), so a witness reads the same whether the
+    sweep kept its scalars as int, Fraction or Cyc.
     """
     out = []
     for k, v in diff.items():
         if space is not None and space.normalized:
             v = v * Fraction(space.z_factor(state[1]), space.z_factor(k[1]))
-        if not isinstance(v, Cyc):
-            v = Cyc.rational(v) if k in cyc_keys else Fraction(v)
-        out.append((repr(k), repr(v)))
+        out.append((repr(k), repr(Cyc._coerce(v))))
     return sorted(out)
 
 
@@ -341,8 +343,7 @@ class FieldFamily:
     the state, because a field is not changed once built; and a composite
     that sums several images merges each finished image into its output
     in turn, with the grouping comb_add gives: where a sum cancels
-    decides the order of its keys and the order a Cyc value is stored
-    at, and so the bytes of a witness.
+    decides the order of its keys.
     """
 
     label = "field"
@@ -568,9 +569,8 @@ class ExpField(FieldFamily):
 
 def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
     """E^sign(beta, z) of the category bridge: exponent coefficient m/k
-    with creation at negative and annihilation at positive powers."""
-    if isinstance(k, Cyc):
-        k = k.as_fraction()
+    with creation at negative and annihilation at positive powers; k is
+    an exact rational."""
     if not k:
         raise ValueError("dressing operators need a nonzero level k")
     c = _int_if_integral(Fraction(m, k))
@@ -654,17 +654,6 @@ class DeltaRelation:
             hit = _int_if_integral(hit)
             self._apow[key] = hit
         return hit
-
-    def _witness(self, state, a, b, diff, rhs_keys):
-        """Witness of a failing cell; rhs_keys lists, per delta term that
-        reached the cell, the keys it touched."""
-        cyc_keys = set()
-        for term, keys in rhs_keys:
-            if isinstance(term.coeff, Cyc) or isinstance(term.a, Cyc):
-                cyc_keys.update(keys)
-        return {"state": state, "modes": (a, b),
-                "difference": witness_difference(self.space, state, diff,
-                                                 cyc_keys)}
 
     def check_window(self, W, state):
         """Check every coefficient cell |a|, |b| <= W on one state.
@@ -754,8 +743,7 @@ class DeltaRelation:
                             diff[k] = vv if prev is None else prev + vv
                 if any(diff.values()):
                     bad = {k: v for k, v in diff.items() if v}
-                    rhs_keys = [(term, [k for k, _ in items])
-                                for ti, term, items in rhs_cells
-                                if self._delta_coeff(ti, term, a)]
-                    return False, self._witness(state, a, S - a, bad, rhs_keys)
+                    return False, {"state": state, "modes": (a, S - a),
+                                   "difference": witness_difference(
+                                       self.space, state, bad)}
         return True, None

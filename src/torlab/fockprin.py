@@ -282,16 +282,17 @@ def verify_principal_relations(mod: PrincipalModule,
 
 
 def _sqrt_in_cyc(u: Cyc):
-    """Both square roots of u in a cyclotomic field, for rational u."""
+    """Both square roots of u in a cyclotomic field, for rational u; none
+    ([]) when u is irrational or |u| is not the square of a rational."""
     if not u.is_rational():
-        raise ValueError("no solution in Q(zeta_M)")
+        return []
     q = u.as_fraction()
     if not q:
         return [Cyc.zero()]
     num, den = abs(q.numerator), q.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
-        raise ValueError("no solution in Q(zeta_M)")
+        return []
     root = Cyc.rational(Fraction(rn, rd))
     if q < 0:
         root = root * cyc_root_of_unity(4, 1)
@@ -305,6 +306,8 @@ def solve_prin_constants(mod: PrincipalModule, window: TruncationWindow):
     are scalar series supported on the anti-diagonal, and matching the
     coefficients pins u.  Returns every C in Q(zeta_M) with C^2 = u;
     each returned value must (and does) pass the verification suite.
+    Returns [] when the window constraints are inconsistent or u has no
+    square root in Q(zeta_M): a finding, not an input error.
     """
     if len(mod.orbits) != 1:
         raise NotImplementedError(
@@ -340,13 +343,13 @@ def solve_prin_constants(mod: PrincipalModule, window: TruncationWindow):
         la = coef[a]
         ra = rhs(a)
         if la:
-            cand = ra * (la if isinstance(la, Cyc) else Cyc.rational(la)).inv()
+            cand = ra / la
             if u is None:
                 u = cand
             elif u != cand:
-                raise ValueError("the window constraints are inconsistent")
+                return []
         elif ra:
-            raise ValueError("the window constraints are inconsistent")
+            return []
     if u is None:
         raise ValueError("the window does not constrain the constant")
     return _sqrt_in_cyc(u)

@@ -1,13 +1,17 @@
 """Deterministic JSON verification reports.
 
-A report carries the tool version, the fully resolved configuration, a
-header of suite-specific facts (solved constants, exponent tables, the
-central-relation conventions in play), and a sorted list of entries
-{relation_id, params, status, witness}.  Identical configuration and seed
-produce byte-identical serialized reports: all values are converted to a
-canonical JSON form (fractions as "p/q" strings, cyclotomic scalars as
-{"order", "coeffs"} objects, tuples as lists) and entries are sorted by
-(relation_id, canonical params).
+A report carries its schema number, the tool version, the fully resolved
+configuration, a header of suite-specific facts (solved constants,
+exponent tables, the central-relation conventions in play), a summary
+counting the entries by status, and a sorted list of entries
+{relation_id, params, status, witness} with status "pass" or "fail".
+Identical configuration and seed produce byte-identical serialized
+reports: all values are converted to a canonical JSON form (fractions as
+"p/q" strings, cyclotomic scalars as {"order", "coeffs"} objects at the
+value's minimal order, tuples as lists) and entries are sorted by
+(relation_id, canonical params).  Scalars therefore render by value,
+whichever computation produced them; so do witness coefficients, which
+are written as the repr of a Cyc.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from fractions import Fraction
 from . import __version__
 from .scalar import Cyc
 
-SCHEMA_VERSION = 1
-STATUSES = ("pass", "fail", "window-clipped")
+SCHEMA_VERSION = 2
+STATUSES = ("pass", "fail")
 
 
 def jsonable(x):

@@ -1,18 +1,21 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
 A value is a residue modulo the M-th cyclotomic polynomial Phi_M with
-Fraction coefficients, so equality is literal identity of the canonical
-coefficient vector.  Rationals live at order 1.  No floating point
-anywhere.
+Fraction coefficients, stored at its minimal order: the smallest M with
+the value in Q(zeta_M).  Rationals live at order 1, and no order
+M = 2 mod 4 survives, since Q(zeta_M) = Q(zeta_{M/2}) there.  Storage is
+a function of the value, so equality is identity of (order, coefficient
+vector), and repr, to_json and hash depend on the value alone.  No
+floating point anywhere.
 
-A rational operand (an int, a Fraction or an order-1 Cyc) never lifts:
-against a value x at order M > 1 it scales every coefficient (x * q,
-x / q; q / x scales the inverse of x) or shifts the constant one (sum,
-difference).  The result is
-stored exactly as if the rational had been lifted to order M: at order M,
-a zero product as M's zero vector, and at M = 2, where Q(zeta_2) has
-degree 1, a product at order 1 but a sum at order 2.  Only operands at
-two different orders above 1 are lifted, into the lcm order.
+Only a result that can leave the field of its operands is reduced to its
+minimal order: a sum, difference or product of two values at orders
+above 1, a lift, and a value built by the constructor or read by
+from_json.  A rational operand (an int, a Fraction or an order-1 Cyc)
+never lifts: against a value x at order M > 1 it scales every
+coefficient (x * q, x / q; q / x scales the inverse of x) or shifts the
+constant one (sum, difference), and the result keeps x's minimal order,
+or is 0 at order 1 when it scales by 0.
 """
 
 from __future__ import annotations
@@ -95,36 +98,91 @@ def _power_row(M: int, p: int) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
-def _mobius(n: int) -> int:
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
-
-
 @lru_cache(maxsize=None)
-def _trace_row(M: int) -> tuple[Fraction, ...]:
-    """Tr(zeta_M^k) / phi(M) = mu(n) / phi(n), n = M / gcd(M, k), for each
-    power k of the basis."""
-    row = []
-    for k in range(_phi_deg(M)):
-        n = M // gcd(M, k)
-        row.append(Fraction(_mobius(n), _phi_deg(n)))
-    return tuple(row)
+def _descents(M: int):
+    """(d, lift, left) for each maximal proper subfield Q(zeta_d), d > 1,
+    of Q(zeta_M): lift holds the columns of the embedding of Q(zeta_d)
+    into Q(zeta_M), left the rows of a left inverse of it, both as sparse
+    (index, coefficient) pairs.  d is M/p for a prime p dividing M, halved
+    where M/p = 2 mod 4.  Order 1 is left out: a rational is seen at once
+    as a vector with no coefficient beyond the constant one."""
+    out = []
+    for p in range(2, M + 1):
+        if M % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        d = M // p
+        if d % 4 == 2:
+            d //= 2
+        if d == 1:
+            continue
+        cols = [_power_row(M, k * (M // d)) for k in range(_phi_deg(d))]
+        lift = tuple(tuple((i, c) for i, c in enumerate(col) if c)
+                     for col in cols)
+        out.append((d, lift, _left_inverse(cols, _phi_deg(M))))
+    return tuple(out)
 
 
-def _mean_trace(a: "Cyc") -> Fraction:
-    """Tr(a) / [Q(zeta_M):Q], the same at every order a is lifted to."""
-    return sum(c * t for c, t in zip(a.coeffs, _trace_row(a.order)))
+def _left_inverse(cols, n):
+    """Sparse rows of a left inverse of the n-row matrix with these
+    linearly independent columns.  Gauss-Jordan on the transpose, beside
+    the identity, picks one pivot coordinate per column; the inverse
+    reads the vector at the pivots only."""
+    k = len(cols)
+    a = [list(col) + [Fraction(int(i == j)) for j in range(k)]
+         for i, col in enumerate(cols)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(k):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        if len(pivots) == k:
+            break
+    return tuple(tuple((pivots[j], a[j][n + col]) for j in range(k)
+                       if a[j][n + col])
+                 for col in range(k))
+
+
+def _canon(order, co) -> "Cyc":
+    """The value with coefficient vector co at order, stored at its
+    minimal order: descend into a maximal subfield while the value lies
+    in it, which the left inverse of the lift tests."""
+    co = tuple(co)
+    if not any(co[1:]):
+        return _mk1(co[0])
+    for d, lift, left in _descents(order):
+        sub = [sum(c * co[i] for i, c in row) for row in left]
+        back = [0] * len(co)
+        for col, y in zip(lift, sub):
+            if y:
+                for i, c in col:
+                    back[i] += c * y
+        if tuple(back) == co:
+            return _canon(d, sub)
+    return _new(order, co)
+
+
+def _substitute(co, N: int, e: int):
+    """The coefficient vector at order N of sum_k co[k] zeta_N^(e k)."""
+    out = [Fraction(0)] * _phi_deg(N)
+    for k, c in enumerate(co):
+        if c:
+            for i, r in enumerate(_power_row(N, e * k % N)):
+                if r:
+                    out[i] += c * r
+    return tuple(out)
 
 
 class Cyc:
-    """An element of Q(zeta_M), immutable and canonical."""
+    """An element of Q(zeta_M), immutable and stored at its minimal order."""
 
     __slots__ = ("order", "coeffs")
 
@@ -132,8 +190,9 @@ class Cyc:
         co = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(co) != _phi_deg(order):
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", co)
+        v = _canon(order, co)
+        object.__setattr__(self, "order", v.order)
+        object.__setattr__(self, "coeffs", v.coeffs)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
@@ -142,7 +201,7 @@ class Cyc:
 
     @staticmethod
     def rational(q) -> "Cyc":
-        return Cyc(1, (Fraction(q),))
+        return _mk1(q)
 
     @staticmethod
     def zero() -> "Cyc":
@@ -154,21 +213,17 @@ class Cyc:
 
     # -- structure ----------------------------------------------------
 
-    def lift(self, order: int) -> "Cyc":
-        """Re-embed into Q(zeta_order); self.order must divide order."""
-        if order == self.order:
-            return self
+    def _at(self, order: int):
+        """The coefficient vector of self re-embedded into Q(zeta_order);
+        self.order must divide order."""
         if order % self.order:
             raise ValueError("target order not a multiple")
-        step = order // self.order
-        deg = _phi_deg(order)
-        out = [Fraction(0)] * deg
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = _power_row(order, k * step)
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return Cyc(order, out)
+        return _substitute(self.coeffs, order, order // self.order)
+
+    def lift(self, order: int) -> "Cyc":
+        """The value re-embedded into Q(zeta_order), order a multiple of
+        self.order; stored, like every value, at its minimal order."""
+        return _canon(order, self._at(order))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -177,12 +232,10 @@ class Cyc:
         return any(self.coeffs)
 
     def is_rational(self) -> bool:
-        if self.order == 1:
-            return True
-        return not any(self.coeffs[1:])
+        return self.order == 1
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational():
+        if self.order != 1:
             raise ValueError("not a rational value: %r" % (self,))
         return self.coeffs[0]
 
@@ -193,33 +246,30 @@ class Cyc:
         if isinstance(x, Cyc):
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyc(1, (Fraction(x),))
+            return _mk1(x)
         return NotImplemented
 
     def _pair(self, other):
+        """(order, u, v): the coefficient vectors of self and other at the
+        lcm of their orders."""
         if self.order == other.order:
-            return self, other
+            return self.order, self.coeffs, other.coeffs
         m = lcm(self.order, other.order)
-        return self.lift(m), other.lift(m)
+        return m, self._at(m), other._at(m)
 
     def _scaled(self, q) -> "Cyc":
-        """self * q for a rational q, stored as the product with q lifted
-        to self's order is: at order 1 when self's degree is 1, as the
-        zero vector of self's order when q is 0."""
-        co = self.coeffs
-        if len(co) == 1:
-            return _mk1(co[0] * q)
+        """self * q for a rational q and self at an order above 1."""
         if not q:
-            return Cyc(self.order, (Fraction(0),) * len(co))
-        return Cyc(self.order, tuple(c * q for c in co))
+            return _ZERO
+        return _new(self.order, tuple(c * q for c in self.coeffs))
 
     def _plus(self, q, sign=1) -> "Cyc":
-        """q + sign * self for a rational q, at self's order: q lifted is
-        (q, 0, ..., 0), so only the constant coefficient takes it."""
+        """q + sign * self for a rational q and self at an order above 1:
+        only the constant coefficient takes q."""
         co = self.coeffs
         if sign == 1:
-            return Cyc(self.order, (co[0] + q,) + co[1:])
-        return Cyc(self.order, (q - co[0],) + tuple(-c for c in co[1:]))
+            return _new(self.order, (co[0] + q,) + co[1:])
+        return _new(self.order, (q - co[0],) + tuple(-c for c in co[1:]))
 
     def __add__(self, other):
         if isinstance(other, Cyc):
@@ -235,13 +285,13 @@ class Cyc:
             return self._plus(other)
         else:
             return NotImplemented
-        a, b = self._pair(other)
-        return Cyc(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        M, u, v = self._pair(other)
+        return _canon(M, [x + y for x, y in zip(u, v)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, tuple(-c for c in self.coeffs))
+        return _new(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         if isinstance(other, Cyc):
@@ -257,16 +307,15 @@ class Cyc:
             return self._plus(-other)
         else:
             return NotImplemented
-        a, b = self._pair(other)
-        return Cyc(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        M, u, v = self._pair(other)
+        return _canon(M, [x - y for x, y in zip(u, v)])
 
     def __rsub__(self, other):
-        if self.order > 1 and isinstance(other, (int, Fraction)):
-            return self._plus(other, -1)
-        other = Cyc._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other.__sub__(self)
+        if self.order == 1:
+            return _mk1(other - self.coeffs[0])
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, Cyc):
@@ -282,82 +331,56 @@ class Cyc:
             return self._scaled(other)
         else:
             return NotImplemented
-        a, b = self._pair(other)
-        deg = len(a.coeffs)
-        if deg == 1:
-            return _mk1(a.coeffs[0] * b.coeffs[0])
-        # a rational value stored at a higher order
-        if not any(a.coeffs[1:]):
-            return b._scaled(a.coeffs[0])
-        if not any(b.coeffs[1:]):
-            return a._scaled(b.coeffs[0])
+        M, u, v = self._pair(other)
+        deg = len(u)
         raw = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a.coeffs):
+        for i, x in enumerate(u):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(v):
                     if y:
                         raw[i + j] += x * y
-        out = list(raw[:deg])
-        rows = _reduction_rows(a.order)
+        out = raw[:deg]
+        rows = _reduction_rows(M)
         for j in range(deg, 2 * deg - 1):
             c = raw[j]
             if c:
                 row = rows[j - deg]
                 for i in range(deg):
                     out[i] += c * row[i]
-        return Cyc(a.order, out)
+        return _canon(M, out)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Cyc":
+        """1 / self: the product of the other Galois conjugates of self
+        over the norm, which is rational.  A conjugate keeps self's
+        minimal order, and so does the inverse."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        if self.is_rational():
-            return Cyc(self.order, (1 / self.coeffs[0],) + (Fraction(0),) * (len(self.coeffs) - 1))
-        # extended Euclid in Q[x] against Phi_M
-        mod = [Fraction(c) for c in cyclotomic_poly(self.order)]
-        a = list(self.coeffs)
-        while a and not a[-1]:
-            a.pop()
-        r0, r1 = mod, a
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                c = 1 / r1[0]
-                deg = len(self.coeffs)
-                out = [Fraction(0)] * deg
-                for i, v in enumerate(s1):
-                    out[i % deg] += c * v  # s1 has degree < deg already
-                return Cyc(self.order, out)
-            q, rem = _poly_divmod_frac(r0, r1)
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
+        M = self.order
+        if M == 1:
+            return _mk1(1 / self.coeffs[0])
+        conj = _ONE
+        for a in range(2, M):
+            if gcd(a, M) == 1:
+                conj = conj * _new(M, _substitute(self.coeffs, M, a))
+        return conj * (1 / (self * conj).coeffs[0])
 
     def __truediv__(self, other):
-        if self.order > 1:
-            q = _rational_value(other)
-            if q is not None:
-                if not q:
-                    raise ZeroDivisionError("inverse of zero cyclotomic value")
-                return self._scaled(1 / Fraction(q))
-        other = Cyc._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, Cyc):
+            if other.order > 1:
+                return self * other.inv()
+            other = other.coeffs[0]
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if self.order == 1 and other.order > 1:
-            return other.inv()._scaled(self.coeffs[0])
-        a, b = self._pair(other)
-        return a * b.inv()
+        if not other:
+            raise ZeroDivisionError("inverse of zero cyclotomic value")
+        return self * (1 / Fraction(other))
 
     def __rtruediv__(self, other):
-        if self.order > 1 and isinstance(other, (int, Fraction)):
-            return self.inv()._scaled(other)
-        other = Cyc._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other / self
+        return self.inv() * other
 
     def __pow__(self, n: int):
         if n < 0:
@@ -374,32 +397,19 @@ class Cyc:
     # -- comparison / display ----------------------------------------
 
     def __eq__(self, other):
-        if self.order > 1:
-            q = _rational_value(other)
-            if q is not None:
-                return self.coeffs[0] == q and not any(self.coeffs[1:])
-        elif isinstance(other, Cyc) and other.order > 1:
-            return other.__eq__(self)
-        other = Cyc._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
+        if isinstance(other, Cyc):
+            return self.order == other.order and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.order == 1 and self.coeffs[0] == other
+        return NotImplemented
 
     def __hash__(self):
-        # equal values stored at different orders must hash alike, so an
-        # irrational value hashes by the mean traces of itself and its
-        # square, which do not depend on the order it is stored at
-        if self.is_rational():
+        if self.order == 1:
             return hash(self.coeffs[0])
-        return hash((_mean_trace(self), _mean_trace(self * self)))
+        return hash((self.order, self.coeffs))
 
     def __repr__(self):
-        if self.is_rational():
+        if self.order == 1:
             return "Cyc(%s)" % self.coeffs[0]
         terms = []
         for k, c in enumerate(self.coeffs):
@@ -417,40 +427,16 @@ class Cyc:
         return Cyc(obj["order"], tuple(Fraction(s) for s in obj["coeffs"]))
 
 
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    inv_lead = 1 / den[-1]
-    for k in range(len(num) - dd - 1, -1, -1):
-        c = num[k + dd] * inv_lead
-        q[k] = c
-        if c:
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
-    return q, num[:dd]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-_ZERO = Cyc(1, (Fraction(0),))
-_ONE = Cyc(1, (Fraction(1),))
-
 _setattr = object.__setattr__
+
+
+def _new(order: int, co: tuple) -> Cyc:
+    """A Cyc from a Fraction vector already at its minimal order, with no
+    validation and no reduction (hot-path helper)."""
+    out = object.__new__(Cyc)
+    _setattr(out, "order", order)
+    _setattr(out, "coeffs", co)
+    return out
 
 
 def _mk1(q) -> Cyc:
@@ -461,24 +447,13 @@ def _mk1(q) -> Cyc:
     return out
 
 
-def _rational_value(x):
-    """x's value if x is an int, a Fraction or an order-1 Cyc, else None."""
-    if isinstance(x, Cyc):
-        return x.coeffs[0] if x.order == 1 else None
-    if isinstance(x, (int, Fraction)):
-        return x
-    return None
+_ZERO = _mk1(0)
+_ONE = _mk1(1)
 
 
 def cyc_root_of_unity(M: int, p: int) -> Cyc:
-    """zeta_M^p in canonical form; its multiplicative order is M/gcd(M,p)."""
+    """zeta_M^p; its multiplicative order is M/gcd(M,p)."""
     if M < 1:
         raise ValueError("order must be positive")
-    p %= M
-    d = gcd(M, p) if p else M
-    ordr = M // d
-    # store at the minimal order so rationals stay order-1
-    pp = p // d
-    if ordr == 1:
-        return _ONE
-    return Cyc(ordr, _power_row(ordr, pp))
+    d = gcd(M, p % M)
+    return Cyc(M // d, _power_row(M // d, p % M // d))

@@ -19,8 +19,8 @@ from functools import partial
 from . import checks
 from .distops import (DeltaRelation, DeltaTerm, FieldFamily, FockSpace,
                       HeisenbergField, IdentityField, ProductField,
-                      ScaledField, SumField, TruncationWindow, comb_scale,
-                      comb_sub, dressing_operator)
+                      ScaledField, SumField, TruncationWindow, _acc,
+                      comb_scale, comb_sub, dressing_operator)
 from .fockhom import (HomogeneousModule, ZeroModeTimesField, _mode_multisets,
                       window_states)
 from .linalg import nullspace, rank
@@ -254,9 +254,8 @@ class RestrictedField(FieldFamily):
         mk, wstate = self._split(state)
         out = {}
         for (label, modes), c in self.base.mode_memo(n, wstate).items():
-            merged = (label, tuple(sorted(modes + mk)))
-            out[merged] = out.get(merged, Cyc.zero()) + c
-        return {k: v for k, v in out.items() if v}
+            _acc(out, (label, tuple(sorted(modes + mk))), c)
+        return out
 
 
 def to_Zmodule(mod: CkModule, window: TruncationWindow) -> DkModule:

@@ -10,7 +10,7 @@ cache and with comb_add sums.
 """
 
 from torlab.distops import (ProductField, ScaledField, SumField, comb_add,
-                            comb_scale, comb_sub)
+                            comb_scale, comb_sub, witness_difference)
 from torlab.fockhom import HeisTimesXField
 from torlab.zbridge import RestrictedField
 
@@ -47,27 +47,26 @@ def lhs_coeff(rel, a, b, state):
 
 
 def delta_cells(rel, a, s, state):
-    """(term, coefficient, image of the state) for each delta term of rel
-    with a nonzero coefficient at z1^a z2^(s - a)."""
+    """(coefficient, image of the state) for each delta term of rel with
+    a nonzero coefficient at z1^a z2^(s - a)."""
     out = []
     for ti, term in enumerate(rel.rhs_terms):
         if s <= term.field.max_mode(state):
             c = rel._delta_coeff(ti, term, a)
             if c:
-                out.append((term, c, term.field.mode_memo(s, state)))
+                out.append((c, term.field.mode_memo(s, state)))
     return out
 
 
 def check_state(rel, a, b, state):
     """(ok, witness) for the coefficient at z1^a z2^b of rel on one state."""
     diff = lhs_coeff(rel, a, b, state)
-    cells = delta_cells(rel, a, a + b, state)
-    for _term, c, cell in cells:
+    for c, cell in delta_cells(rel, a, a + b, state):
         diff = comb_sub(diff, comb_scale(cell, c))
     if not diff:
         return True, None
-    return False, rel._witness(state, a, b, diff,
-                               [(term, cell) for term, _c, cell in cells])
+    return False, {"state": state, "modes": (a, b),
+                   "difference": witness_difference(rel.space, state, diff)}
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Each case corrupts one input of a suite (a cached field, a field hook of
 a module, the twist, the bracket or invariant form of a toroidal
 algebra, or the data of an iso context) and requires the relation that
 should notice to fail, with exactly the witness written below.  The
-witnesses were produced by the per-suite verifiers that torlab.checks
-replaced, run on the same corruptions, so a change in how a shared kind
-sweeps states and modes, or builds its witness, shows up here.
+witnesses were first produced by the per-suite verifiers that
+torlab.checks replaced, run on the same corruptions, so a change in how a
+shared kind sweeps states and modes, or builds its witness, shows up
+here.  Witness coefficients are written by value, as the repr of a Cyc.
 
 The two tests at the end pin what the per-suite verifiers did not
 check: vanishes() reads every term up to its own top mode, not only the
@@ -246,6 +247,17 @@ def hom_pair_late():
     return verify_33(mod, WIN, root_pairs=[(a, na)], rvecs=[(0,)])
 
 
+def hom_eps():
+    """The lattice cocycle with eps(alpha_1, alpha_1) = 1 instead of
+    (-1)^((alpha_1, alpha_1)/2) = -1: Z(alpha) loses its sign on labels
+    with an odd alpha_1 coordinate."""
+    mod = _hom()
+    mod.lat._parity[0][0] = 0
+    a = tuple(mod.rs.roots[-1])
+    na = tuple(-c for c in a)
+    return verify_33(mod, WIN, root_pairs=[(a, na)], rvecs=[(0,)])
+
+
 def prin_degree():
     mod = _prin()
     b = tuple(mod.rs.roots[0])
@@ -295,6 +307,22 @@ def tor_central_doubled():
     tor = _CentralDoubled(alg, diagram_automorphism(alg, [1, 0], 2), 1)
     return GeneratingRelationVerifier(tor, 1).run(
         (1,), (0,), root_pairs=[((1, 0), (-1, 0))])
+
+
+class _KZeroDoubled(ToroidalAlgebra):
+    """A toroidal algebra whose d_A normal form rewrites k_0 at r0 != 0
+    as -(2m/r0) sum_i r_i k_i instead of -(m/r0) sum_i r_i k_i."""
+
+    def normalize_dA(self, el):
+        return super().normalize_dA(TorElement(
+            {key: c * 2 if key[:2] == ("k", 0) and key[2] else c
+             for key, c in el.terms.items()}))
+
+
+def tor_dA():
+    alg = ChevalleyAlgebra(build_root_system("A", 1))
+    tor = _KZeroDoubled(alg, identity_automorphism(alg), 1)
+    return sample_bracket_axioms(tor, 3, 7)
 
 
 def _a1_bad_h_bracket():
@@ -375,39 +403,39 @@ CASES = {
     "hom_prod": (hom_prod, "zhom.prod_zk0", [
         ({"a": [1], "r": [0], "s": [1]},
          {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
-             ("((0, 1, 0), ((1, 1), (1, 1), (1, 1)))", "Fraction(-1, 3)"),
-             ("((0, 1, 0), ((1, 1), (1, 2)))", "Fraction(-1, 1)"),
-             ("((0, 1, 0), ((1, 3),))", "Fraction(-2, 3)")]}),
+             ("((0, 1, 0), ((1, 1), (1, 1), (1, 1)))", "Cyc(-1/3)"),
+             ("((0, 1, 0), ((1, 1), (1, 2)))", "Cyc(-1)"),
+             ("((0, 1, 0), ((1, 3),))", "Cyc(-2/3)")]}),
         ({"a": [1], "r": [1], "s": [1]},
          {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
-             ("((0, 2, 0), ((1, 1), (1, 1), (1, 1)))", "Fraction(8, 3)"),
-             ("((0, 2, 0), ((1, 1), (1, 2)))", "Fraction(4, 1)"),
-             ("((0, 2, 0), ((1, 3),))", "Fraction(4, 3)")]}),
+             ("((0, 2, 0), ((1, 1), (1, 1), (1, 1)))", "Cyc(8/3)"),
+             ("((0, 2, 0), ((1, 1), (1, 2)))", "Cyc(4)"),
+             ("((0, 2, 0), ((1, 3),))", "Cyc(4/3)")]}),
         ({"a": [1], "r": [1], "s": [-1]},
          {"state": ((-1, 0, 0), ()), "mode": 1, "difference": [
-             ("((0, 0, 0), ())", "Fraction(2, 1)")]}),
+             ("((0, 0, 0), ())", "Cyc(2)")]}),
     ]),
     "ck_factor": (ck_factor, "ck.factor_x", [
         ({"beta": [-1], "r": [0], "s": [1]},
          {"state": ((-1, 0, 0), ((0, 1),)), "mode": -2, "difference": [
-             ("((-2, 1, 0), ())", "Fraction(-4, 1)")]}),
+             ("((-2, 1, 0), ())", "Cyc(-4)")]}),
         ({"beta": [-1], "r": [1], "s": [1]},
          {"state": ((-1, 0, 0), ((0, 1),)), "mode": -2, "difference": [
-             ("((-2, 2, 0), ())", "Fraction(4, 1)")]}),
+             ("((-2, 2, 0), ())", "Cyc(4)")]}),
         ({"beta": [-1], "r": [1], "s": [-1]},
          {"state": ((-1, 0, 0), ((0, 1),)), "mode": -2, "difference": [
-             ("((-2, 0, 0), ())", "Fraction(4, 1)")]}),
+             ("((-2, 0, 0), ())", "Cyc(4)")]}),
     ]),
     "zk_factor": (zk_factor, "zk.1", [
         ({"beta": [-1], "r": [0], "s": [1]},
          {"state": ((0, -1, 0), ()), "mode": -2, "difference": [
-             ("((-1, 0, 0), ((1, 1),))", "Fraction(2, 1)")]}),
+             ("((-1, 0, 0), ((1, 1),))", "Cyc(2)")]}),
         ({"beta": [-1], "r": [1], "s": [1]},
          {"state": ((0, -1, 0), ()), "mode": -2, "difference": [
-             ("((-1, 1, 0), ((1, 1),))", "Fraction(-4, 1)")]}),
+             ("((-1, 1, 0), ((1, 1),))", "Cyc(-4)")]}),
         ({"beta": [-1], "r": [1], "s": [-1]},
          {"state": ((0, -1, 0), ()), "mode": -1, "difference": [
-             ("((-1, -1, 0), ())", "Fraction(-2, 1)")]}),
+             ("((-1, -1, 0), ())", "Cyc(-2)")]}),
     ]),
     "prin_factor": (prin_factor, "prin.1", [
         ({"beta": [-1], "r": [0], "s": [1]},
@@ -436,15 +464,20 @@ CASES = {
     "hom_prod_late": (hom_prod_late, "zhom.prod_zk0", [
         ({"a": [1], "r": [0], "s": [1]},
          {"state": ((0, 1, 0), ((0, 1), (0, 1))), "mode": -2, "difference": [
-             ("((1, 2, 0), ((0, 1), (0, 1), (1, 1)))", "Fraction(2, 1)")]}),
+             ("((1, 2, 0), ((0, 1), (0, 1), (1, 1)))", "Cyc(2)")]}),
         ({"a": [1], "r": [1], "s": [1]},
          {"state": ((0, 0, 0), ((0, 1), (0, 1))), "mode": -2, "difference": [
-             ("((1, 2, 0), ((0, 1), (0, 1), (1, 1)))", "Fraction(-2, 1)")]}),
+             ("((1, 2, 0), ((0, 1), (0, 1), (1, 1)))", "Cyc(-2)")]}),
     ]),
     "hom_pair_late": (hom_pair_late, "zhom.pair", [
         ({"b1": [1], "b2": [-1], "r": [0], "s": [0]},
          {"state": ((0, 0, 0), ((0, 1),)), "modes": (-2, 2), "difference": [
              ("((0, 0, 0), ((0, 1),))", "Cyc(-4)")]}),
+    ]),
+    "hom_eps": (hom_eps, "zhom.pair", [
+        ({"b1": [1], "b2": [-1], "r": [0], "s": [0]},
+         {"state": ((-1, 0, 0), ()), "modes": (-2, 2), "difference": [
+             ("((-1, 0, 0), ())", "Cyc(-8)")]}),
     ]),
     "prin_degree": (prin_degree, "prin.4", [
         ({"beta": [-1], "r": [1]},
@@ -522,6 +555,14 @@ CASES = {
     ]),
     "tor_jacobi": (tor_axioms, "tor.jacobi", [
         ({"sample": 4}, _difference("(('g', ('x', (1,)), -2, (2,)), Cyc(8))")),
+    ]),
+    "tor_dA": (tor_dA, "tor.dA_zero", [
+        ({"sample": 0, "r0": -1, "r": (1,)},
+         _difference("(('k', 1, -1, (1,)), Cyc(-1))")),
+        ({"sample": 1, "r0": -2, "r": (2,)},
+         _difference("(('k', 1, -2, (2,)), Cyc(-2))")),
+        ({"sample": 2, "r0": -3, "r": (2,)},
+         _difference("(('k', 1, -3, (2,)), Cyc(-2))")),
     ]),
     "iso_N_simple": (iso_bad_n, "iso.N_simple", [
         ({"node": 1, "gen": "F"}, _difference("N = 0, expected -1")),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from torlab import cli
 from torlab.cli import main
 from torlab.config import (ConfigError, RunConfig, parse_algebra,
                            parse_theta, parse_window, permutation_order)
@@ -76,8 +77,7 @@ def test_report_sorting_and_roundtrip():
     obj = rep.to_json()
     ids = [(e["relation_id"], json.dumps(e["params"])) for e in obj["entries"]]
     assert ids == sorted(ids)
-    assert obj["summary"] == {"pass": 2, "fail": 1, "window-clipped": 0,
-                              "total": 3}
+    assert obj["summary"] == {"pass": 2, "fail": 1, "total": 3}
     assert rep.exit_code() == 1
     # schema round-trips unchanged through parse/serialize
     parsed = VerificationReport.parse(rep.dumps())
@@ -123,8 +123,8 @@ def test_cli_principal_solver(tmp_path):
     code, rep = _run(["verify", "principal", "--algebra", "A1",
                       "--solve-constants", "--window", "4,3,1"], tmp_path)
     assert code == 0 and rep["summary"]["fail"] == 0
-    assert rep["header"]["constant_squared"] == {"order": 4,
-                                                 "coeffs": ["-1/16", "0"]}
+    assert rep["header"]["constant_squared"] == {"order": 1,
+                                                 "coeffs": ["-1/16"]}
     assert len(rep["header"]["solved_constants"]) == 2
 
 
@@ -150,8 +150,24 @@ def test_cli_solve_constants_command(tmp_path):
     code, rep = _run(["solve-constants", "--algebra", "A1",
                       "--window", "4,3,1"], tmp_path)
     assert code == 0
-    assert rep["header"]["squares"] == [{"order": 4, "coeffs": ["-1/16", "0"]},
-                                        {"order": 4, "coeffs": ["-1/16", "0"]}]
+    assert rep["header"]["squares"] == [{"order": 1, "coeffs": ["-1/16"]},
+                                        {"order": 1, "coeffs": ["-1/16"]}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-constants", "--algebra", "A1", "--window", "4,3,1"],
+    ["verify", "principal", "--algebra", "A1", "--solve-constants",
+     "--window", "4,3,1"],
+])
+def test_solver_finding_no_constant_exits_1(tmp_path, monkeypatch, argv):
+    """No constant in Q(zeta_M) is a finding, not a config error: exit 1
+    with one failing prin.constants_solved entry."""
+    monkeypatch.setattr(cli, "solve_prin_constants", lambda mod, window: [])
+    code, rep = _run(argv, tmp_path)
+    assert code == 1
+    assert rep["entries"] == [{"relation_id": "prin.constants_solved",
+                               "params": {"count": 0}, "status": "fail"}]
+    assert rep["header"]["solved_constants"] == []
 
 
 def test_cli_gen_stable(tmp_path):

@@ -17,50 +17,50 @@ from torlab.cli import main
 
 RUNS = [
     (["verify", "homogeneous", "--algebra", "A1", "--window", "2,2,1"], 0,
-     "322300bffc7f8a3848a265ac735c72aa43b9805e47ce417546cfbc8a4cb014ff"),
+     "c565458524ad2e88111c46752ed5461a9618c09c55c75b95f5b80583d58d0a36"),
     (["verify", "zalg", "--algebra", "A1", "--window", "2,2,1"], 0,
-     "70ed9cade7795985a7d32bda4d7b4bdab4f0696c209bc1fbfec463baaa14c03e"),
+     "9e0120984e6f4957a16677b6699646e66ee4bbcfe7b17720ce4473d97b8a02d5"),
     (["verify", "roundtrip", "--algebra", "A1", "--window", "2,2,1"], 0,
-     "eb1bc3521ce2c2be91c79c2f40b0af080dd0b92e900972709e5c5353e9db2150"),
+     "15461f925a8bb7de121630485997da98c74592b0e43707b1f1610843ae1d0afa"),
     (["verify", "principal", "--algebra", "A1", "--solve-constants",
       "--window", "4,3,1"], 0,
-     "33c371f3654781abf1927092391d236a444ef5eed385d565b08a8694ded002bd"),
+     "e28472f4cc784c9538158dc5e1f1c1e280b90d6b64579b4c06673f9496c382fb"),
     (["verify", "principal", "--algebra", "A1",
       "--constants", '{"1": {"order": 1, "coeffs": ["1/4"]}}',
       "--window", "4,3,1"], 1,
-     "e7402249c38356144e02b1b99771497c5b24db99e4d9f320a07a146030297073"),
+     "6ff00dd4562b4859d538b8cdfda626063901ed78d9462ff4a56c26d1f78c4e4f"),
     (["verify", "principal", "--algebra", "A1",
       "--constants", '{"1": {"order": 4, "coeffs": ["1/4", "1/4"]}}',
       "--window", "4,3,1"], 1,
-     "212a4151d93c19ea9e0cf22491e802810ad1064fbefa9ad830dc51d66aafddf5"),
+     "0a9ea578428df0199526d98fda3657eb1e2b2332fa57095cbeba78c8d8cfe724"),
     (["verify", "principal", "--algebra", "A1",
       "--constants", '{"1": {"order": 4, "coeffs": ["0", "1/2"]}}',
       "--window", "4,3,1"], 1,
-     "b28bc873398a3c4caf7162c3ac6248a2a8a03ff9666c2c45d7fe4f3d62c7c85d"),
+     "c3d83c7da25e6e3137e7127c7ec6f9e338b1a8aff3798aec9afdd63fdffecb0b"),
     (["verify", "toroidal", "--algebra", "A1", "--n", "1", "--theta",
       "identity", "--window", "2,2,1", "--samples", "25"], 0,
-     "90b41b0d446a252897ec2983c3d47b03fd5c5f01ca4e316d4402094c5bac5868"),
+     "d2bdf3504f324e4730433af3b86af4a30c71f05267965e956ae24a5462d5ee72"),
     (["verify", "toroidal", "--algebra", "A2", "--n", "1", "--theta",
       "diagram:1,0", "--window", "2,2,1", "--samples", "25"], 0,
-     "d77b82f6773990aa6b7153697ab74bd6d7fb2bcb701a57ec8bd939952851a25f"),
+     "3717ab497d206c591cb94cd98ac0a073959ff5963c416476680dec1c32175575"),
     (["verify", "iso", "--algebra", "A3", "--theta", "diagram:2,1,0",
       "--samples", "100"], 0,
-     "ba49786e4a66f0372add5c7ddb4965330739fcd1d96a54ee6bec3bd1ade80abf"),
+     "29937457def58d49ac1a11353565afaf4ab182332fcea80819c7c4795977b2e6"),
     (["solve-constants", "--algebra", "A1", "--window", "4,3,1"], 0,
-     "256ed3f78b96458ea4a99eaac1e1725184646e968f5ea0a64d80023d5b2e4e8f"),
+     "861cfc348b5345347858d41fca5cb99b90baab9465ad7c82d6b6976c194ebf0a"),
     (["gen", "--algebra", "A1", "--n", "1", "--window", "1,1,1"], 0,
      "4c8c600b4e2e4e18d7518ac767a56f9f6ddf4a14682e28f4363ba8fc29e3dac8"),
     (["verify", "homogeneous", "--algebra", "A1", "--n", "2",
       "--window", "2,2,1"], 0,
-     "64e722e8844fa79667bcd19820cc2c26c785fa431d4a9775107d87b1518f618f"),
+     "49f26223c8c2bf5f4a3c688f6edb9889e3ef582b385af741d18cc49600e36e7f"),
     (["verify", "principal", "--algebra", "A1", "--n", "2",
       "--solve-constants", "--window", "4,3,1"], 0,
-     "1c43849e56fb034ad5c78527f43b467a826a902f1d619e268ca2cb3490077c25"),
+     "524b16f48d347579777880a3049f658f5395adbf3f17fbaf1a66471978c8af5e"),
     (["verify", "roundtrip", "--algebra", "A1", "--n", "2",
       "--window", "1,1,1"], 0,
-     "1310903fb209ef17e6ce8d61c95f7ec5c84848729372d537d18e6683370b8a82"),
+     "aab604cd8053bae2de996fb24c3ab5dd7e6714906a1398e9f5dc42bf8b3600cf"),
     (["verify", "roundtrip", "--algebra", "A2", "--window", "1,1,1"], 0,
-     "68abfed4a322fc355ede3677152062c894f8b7365e834d03f3d6e03ed2334845"),
+     "5bc093429f12df7d7afbd1597449fb16c479c702cd4c3699bcbbb258968a797c"),
 ]
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -101,7 +102,26 @@ def test_lifted_value_hashes_like_itself():
     assert len({a, b}) == 1
 
 
-# a sum of c * zeta_M^p, with the root lifted by the factor s on request
+def _deg(M):
+    return len(cyclotomic_poly(M)) - 1
+
+
+def _reduce(raw, M):
+    """The coefficient vector of the polynomial raw modulo Phi_M."""
+    phi, deg = cyclotomic_poly(M), _deg(M)
+    raw = [Fraction(c) for c in raw] + [Fraction(0)] * deg
+    for k in range(len(raw) - 1, deg - 1, -1):
+        for j in range(deg + 1):
+            raw[k - deg + j] -= raw[k] * phi[j]
+    return tuple(raw[:deg])
+
+
+def _power(M, k):
+    """zeta_M^k at order M, written out by hand."""
+    return _reduce([0] * k + [1], M)
+
+
+# a sum of c * zeta_M^p, the root written at the order M * s on request
 _TERMS = st.lists(st.tuples(st.integers(-3, 3),
                             st.sampled_from((1, 2, 3, 4, 6, 8, 12)),
                             st.integers(0, 23), st.integers(1, 2)),
@@ -111,34 +131,51 @@ _TERMS = st.lists(st.tuples(st.integers(-3, 3),
 def _value(terms, lifted):
     out = Cyc.zero()
     for c, M, p, s in terms:
-        z = cyc_root_of_unity(M, p)
-        out = out + c * (z.lift(z.order * s) if lifted else z)
+        if lifted:
+            z = Cyc(M * s, _power(M * s, p * s))
+        else:
+            z = cyc_root_of_unity(M, p)
+        out = out + c * z
     return out
+
+
+def _stored(x):
+    return (repr(x), x.to_json(), (x.order, x.coeffs))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_TERMS, _TERMS, st.fractions(max_denominator=9))
+@example([(1, 12, 1, 1)], [(1, 3, 1, 2)], Fraction(1, 4))
 def test_equal_values_hash_equal(t1, t2, q):
-    """a == b implies hash(a) == hash(b), whatever order each value is
-    stored at: over lifts, sums and products of roots of unity."""
+    """a == b implies equal hash, repr, to_json and (order, coeffs),
+    whatever computation reached each value: over roots of unity built
+    at a higher order than their own, sums and products across orders
+    (their lcm), and from_json at a higher order."""
     a1, a2 = _value(t1, False), _value(t1, True)
     b1, b2 = _value(t2, False), _value(t2, True)
-    for x, y in ((a1, a2), (a1 + b1, b2 + a2), (a1 * b1, b2 * a2),
-                 (a1 * a1 + q, q + a2 * a2)):
+    pairs = [(a1, a2), (a1 + b1, b2 + a2), (a1 * b1, b2 * a2),
+             (a1 * a1 + q, q + a2 * a2)]
+    if a1 == b1:
+        pairs.append((a1, b2))
+    rational = Cyc.rational(q)
+    pairs += [(rational, Cyc(12, (q, 0, 0, 0))),
+              (rational, Cyc.from_json({"order": 4,
+                                        "coeffs": [str(q), "0"]})),
+              (Cyc.rational(Fraction(1, 4)),
+               Cyc.from_json({"order": 4, "coeffs": ["1/4", "0"]})),
+              # zeta_12^4 = zeta_3 through order 12; Q(zeta_6) = Q(zeta_3)
+              (cyc_root_of_unity(3, 1), cyc_root_of_unity(12, 1) ** 4),
+              (1 + cyc_root_of_unity(3, 1), cyc_root_of_unity(6, 1))]
+    for x, y in pairs:
         assert x == y
         assert hash(x) == hash(y)
         assert len({x, y}) == 1
-    if a1 == b1:
-        assert hash(a1) == hash(b2)
-    rational = Cyc.rational(q)
-    assert hash(rational) == hash(q) == hash(rational.lift(12))
+        assert _stored(x) == _stored(y)
+    assert hash(rational) == hash(q)
+    assert rational.to_json() == {"order": 1, "coeffs": [str(q)]}
 
 
 # -- a rational operand against a value at a higher order ----------------
-
-
-def _deg(M):
-    return len(cyclotomic_poly(M)) - 1
 
 
 _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -146,7 +183,7 @@ _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 @st.composite
 def _values(draw):
-    """A value at one of the orders 2..12, coefficients often zero."""
+    """A value built at one of the orders 2..12, coefficients often zero."""
     M = draw(st.sampled_from((2, 3, 4, 5, 6, 8, 12)))
     coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), _RATIONALS),
                            min_size=_deg(M), max_size=_deg(M)))
@@ -159,39 +196,57 @@ def _lifted(q, M):
 
 
 def _by_hand(op, u, v, M):
-    """(order, coeffs) of u op v for coefficient vectors at order M: the
-    polynomial product reduced modulo Phi_M, stored at order 1 when
-    Q(zeta_M) has degree 1; sums and differences stay at order M."""
+    """u op v for coefficient vectors at order M: the polynomial sum,
+    difference or product reduced modulo Phi_M."""
     if op == "+":
-        return M, tuple(x + y for x, y in zip(u, v))
+        return tuple(x + y for x, y in zip(u, v))
     if op == "-":
-        return M, tuple(x - y for x, y in zip(u, v))
+        return tuple(x - y for x, y in zip(u, v))
     if op == "/":
-        return _by_hand("*", u, Cyc(M, v).inv().coeffs, M)
+        return _by_hand("*", u, _at(Cyc(M, v).inv(), M), M)
     raw = [Fraction(0)] * (2 * len(u) - 1)
     for i, x in enumerate(u):
         for j, y in enumerate(v):
             raw[i + j] += x * y
-    phi, deg = cyclotomic_poly(M), _deg(M)
-    for k in range(len(raw) - 1, deg - 1, -1):
-        for j in range(deg + 1):
-            raw[k - deg + j] -= raw[k] * phi[j]
-    return (1 if deg == 1 else M), tuple(raw[:deg])
+    return _reduce(raw, M)
+
+
+def _at(r, M):
+    """r's coefficient vector at order M, a multiple of r.order, by hand."""
+    raw = [0] * M
+    for k, c in enumerate(r.coeffs):
+        raw[k * (M // r.order)] += c
+    return _reduce(raw, M)
+
+
+def _galois(co, a, M):
+    """The image of the vector co at order M under zeta_M -> zeta_M^a."""
+    raw = [Fraction(0)] * (a * M)
+    for k, c in enumerate(co):
+        raw[a * k] += c
+    return _reduce(raw, M)
+
+
+def _minimal_order(co, M):
+    """The least d | M with the value co at order M in Q(zeta_d): fixed by
+    every zeta_M -> zeta_M^a with a = 1 mod d."""
+    for d in range(1, M + 1):
+        units = [a for a in range(1, M + 1) if gcd(a, M) == 1 and a % d == 1 % d]
+        if M % d == 0 and all(_galois(co, a, M) == co for a in units):
+            return d
 
 
 @settings(max_examples=300, deadline=None)
 @given(_values(), st.one_of(st.integers(-3, 3), _RATIONALS,
                             _RATIONALS.map(Cyc.rational)))
-@example(Cyc(2, (-1,)), 3)                 # a product at order 1, a sum at 2
+@example(Cyc(2, (-1,)), 3)                 # order 2 is stored at order 1
 @example(Cyc(2, (Fraction(3, 2),)), 0)
-@example(Cyc(4, (1, -2)), Cyc.rational(0))  # the zero vector of order 4
+@example(Cyc(4, (1, -2)), Cyc.rational(0))  # a zero product is 0 at order 1
 @example(Cyc(12, (0,) * 4), Fraction(2, 3))
 def test_rational_operand_matches_the_lifted_computation(x, q):
-    """x op q and q op x, for q an int, a Fraction or an order-1 Cyc, are
-    stored as lifting q to x's order by hand and computing there gives:
-    same order, same coefficients, all Fraction.  At order 2, where
-    Q(zeta_2) has degree 1, that puts a product at order 1 and leaves a
-    sum at order 2; a zero product is the zero vector of x's order."""
+    """x op q and q op x, for q an int, a Fraction or an order-1 Cyc, equal
+    the computation with q lifted to x's order by hand, as a value, and
+    are stored at their minimal order with Fraction coefficients."""
     M = x.order
     u, v = x.coeffs, _lifted(q if not isinstance(q, Cyc) else q.coeffs[0], M)
     got = [(x + q, "+", u, v), (q + x, "+", v, u),
@@ -208,9 +263,10 @@ def test_rational_operand_matches_the_lifted_computation(x, q):
         with pytest.raises(ZeroDivisionError):
             q / x
     for r, op, a, b in got:
-        assert (r.order, r.coeffs) == _by_hand(op, a, b, M), op
+        want = _by_hand(op, a, b, M)
+        assert _at(r, M) == want, op
+        assert r.order == _minimal_order(want, M), op
         assert all(type(c) is Fraction for c in r.coeffs)
     for eq in (x == q, q == x):
         assert eq is (u == v)
     assert (x != q) is (q != x) is (u != v)
-
