@@ -6,6 +6,9 @@ below, and run() is the one place that turns the outcome of a check into
 a report entry (relation_id, params, status, witness).  A check returns
 (ok, witness) or a bool.  States are swept in the order given and modes
 upward from lo, so a witness names the first failing cell in that order.
+The sweeps take (label, modes) states, convert each one to its id in
+the fields' FockSpace once, and write the states of a witness back as
+tuples.
 
 Check kinds:
   equal           two algebra elements agree; the witness lists every
@@ -31,8 +34,15 @@ Families of entries built on them, one entry per parameter choice:
 
 from __future__ import annotations
 
-from .distops import (ProductField, comb_add, comb_scale, comb_sub,
-                      field_space, witness_difference)
+from .distops import (FockSpace, ProductField, comb_add, comb_scale,
+                      comb_sub, field_space, witness_difference)
+
+
+def _space(*fields):
+    """The FockSpace whose ids the fields act on.  Fields that know none
+    (IdentityField and its multiples) never read a state and map each id
+    to itself, so any interning of the states serves: a fresh one."""
+    return field_space(*fields) or FockSpace([], [])
 
 
 def run(entries, rel_id, params, check, *args):
@@ -81,14 +91,15 @@ def holds(rel, states, W):
 
 def fields_equal(f, g, states, lo, scale=None):
     """scale * f = g at every mode from lo up to the larger max_mode."""
-    space = field_space(f, g)
+    space = _space(f, g)
     for v in states:
-        hi = max(f.max_mode(v), g.max_mode(v))
+        sid = space.sid(v)
+        hi = max(f.max_mode(sid), g.max_mode(sid))
         for n in range(lo, hi + 1):
-            a = f.mode_memo(n, v)
+            a = f.mode_memo(n, sid)
             if scale is not None:
                 a = comb_scale(a, scale)
-            diff = comb_sub(a, g.mode_memo(n, v))
+            diff = comb_sub(a, g.mode_memo(n, sid))
             if diff:
                 return False, {"state": v, "mode": n,
                                "difference": witness_difference(space, v, diff)}
@@ -99,12 +110,14 @@ def vanishes(terms, states, lo):
     """sum_j c_j F_j = 0 at every mode from lo up to the largest
     max_mode; terms are pairs (c_j, F_j), c_j a scalar or a function of
     the mode n."""
+    space = _space(*(f for _c, f in terms))
     for v in states:
-        hi = max(f.max_mode(v) for _c, f in terms)
+        sid = space.sid(v)
+        hi = max(f.max_mode(sid) for _c, f in terms)
         for n in range(lo, hi + 1):
             acc = {}
             for c, f in terms:
-                acc = comb_add(acc, comb_scale(f.mode_memo(n, v),
+                acc = comb_add(acc, comb_scale(f.mode_memo(n, sid),
                                                c(n) if callable(c) else c))
             if acc:
                 return False, {"state": v, "mode": n}
@@ -113,12 +126,16 @@ def vanishes(terms, states, lo):
 
 def no_out(fields, states, lo, bad):
     """No mode n >= lo of a field takes a state v to an output state s
-    with bad(v, n, s).  Sweeps states, then fields, then modes upward;
-    the witness is the first offending {state, mode, out}."""
+    with bad(v, n, s), v and s (label, modes) tuples.  Sweeps states,
+    then fields, then modes upward, and each image in its key order; the
+    witness is the first offending {state, mode, out}."""
+    space = _space(*fields)
     for v in states:
+        sid = space.sid(v)
         for f in fields:
-            for n in range(lo, f.max_mode(v) + 1):
-                for s in f.mode_memo(n, v):
+            for n in range(lo, f.max_mode(sid) + 1):
+                for s in f.mode_memo(n, sid):
+                    s = space.state_of(s)
                     if bad(v, n, s):
                         return False, {"state": v, "mode": n, "out": s}
     return True, None
@@ -138,8 +155,9 @@ def coord_shift(f, states, lo, coord, expected):
 
 def nonzero(f, states, lo):
     """Some mode of f is nonzero on some state."""
-    return any(f.mode_memo(n, v)
-               for v in states for n in range(lo, f.max_mode(v) + 1))
+    sids = map(_space(f).sid, states)
+    return any(f.mode_memo(n, sid)
+               for sid in sids for n in range(lo, f.max_mode(sid) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Loads a RunConfig (INI file plus flag overrides, flags win), runs the
 requested verification suite, and writes a deterministic JSON report.
 Exit codes: 0 all entries pass, 1 verification failures, 2 configuration
-errors (the message names the offending key).
+errors (the message names the offending key), 3 internal errors (any
+other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import checks
 from .autom import (affine_marks, diagram_automorphism,
@@ -318,6 +320,9 @@ def main(argv=None) -> int:
     except (NotImplementedError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 def entry_point():

@@ -43,9 +43,6 @@ class TruncationWindow:
         if self.modes < 0 or self.degree < 0 or self.support < 0:
             raise ValueError("window bounds must be nonnegative")
 
-    def as_tuple(self):
-        return (self.modes, self.degree, self.support)
-
 
 # ---------------------------------------------------------------------------
 # scalar series helpers
@@ -141,6 +138,14 @@ def partitions(n: int):
 # ---------------------------------------------------------------------------
 
 
+# A state id is sid = (lid << 32) | mid: lid indexes the space's label
+# table (lid 0 is the zero label) and mid its mode-multiset table (mid 0
+# is the empty multiset), so a state on the zero label has sid == mid.
+MODE_BITS = 32
+MODE_MASK = (1 << MODE_BITS) - 1
+LABEL_BITS = ~MODE_MASK
+
+
 class FockSpace:
     """States are (label, modes): a lattice label gamma and a multiset of
     creation modes (direction index, n > 0), stored sorted.
@@ -159,6 +164,23 @@ class FockSpace:
                  level-1 vertex operators have integer matrix elements.
                  The change of basis is diagonal: a combination vanishes
                  in one basis exactly when it vanishes in the other.
+
+    Inside the fields every state is an int id, sid = (lid << 32) | mid,
+    which hashes without walking a nested tuple.  The space interns each
+    label as a lid and each mode multiset as a mid the first time it
+    meets them; sid(state) and state_of(sid) convert at the boundaries
+    (window states in, witnesses out).  Ids are never compared or sorted,
+    so the order in which they are handed out cannot reach a result.
+    What the fields do to a state is read from cached transitions:
+
+      created(mid, d, j)   -> (mid', multiplicity of (d, j) in mid')
+      removable(mid)       -> ((d, j, count, mid'), ...) per distinct mode
+      joined(mid, mid2)    -> mid of the union of two multisets
+      shifted(sid, vec)    -> sid with vec added to its label
+      label_pair(vec, lid) -> (vec, label)
+      annihilatable(sid, vec)
+
+    Images are dicts {sid: coefficient}.
     """
 
     def __init__(self, gram, heis_dirs, mode_scale=1, weight=1,
@@ -171,6 +193,115 @@ class FockSpace:
         self.weight = weight
         self.normalized = normalized
         self._dir_pairs = {}
+        self._labels = [(0,) * self.dim]
+        self._lids = {self._labels[0]: 0}
+        self._modes = [()]
+        self._mids = {(): 0}
+        self._created = {}    # (d, j) -> {mid: (mid', multiplicity)}
+        self._removable = {}  # mid -> ((d, j, count, mid'), ...)
+        self._joined = {}     # mid2 -> {mid: mid of the union}
+        self._shifted = {}    # vec -> {lid: lid'}
+        self._label_pairs = {}  # vec -> {lid: (vec, label)}
+        self._annihilatable = {}  # vec -> {mid: bound}
+
+    # -- state ids ---------------------------------------------------------
+
+    def lid(self, label):
+        hit = self._lids.get(label)
+        if hit is None:
+            hit = self._lids[label] = len(self._labels)
+            self._labels.append(label)
+        return hit
+
+    def mid(self, modes):
+        hit = self._mids.get(modes)
+        if hit is None:
+            hit = self._mids[modes] = len(self._modes)
+            self._modes.append(modes)
+        return hit
+
+    def sid(self, state):
+        label, modes = state
+        return (self.lid(tuple(label)) << MODE_BITS) | self.mid(tuple(modes))
+
+    def state_of(self, sid):
+        return (self._labels[sid >> MODE_BITS], self._modes[sid & MODE_MASK])
+
+    def label_of(self, lid):
+        return self._labels[lid]
+
+    def modes_of(self, mid):
+        return self._modes[mid]
+
+    # -- transitions -------------------------------------------------------
+
+    def created(self, mid, d, j):
+        """(mid', m): mid with the mode (d, j) added, m its multiplicity
+        there."""
+        table = _row(self._created, (d, j))
+        hit = table.get(mid)
+        if hit is None:
+            modes = tuple(sorted(self._modes[mid] + ((d, j),)))
+            hit = table[mid] = (self.mid(modes), modes.count((d, j)))
+        return hit
+
+    def removable(self, mid):
+        """(d, j, count, mid') for each distinct mode (d, j) of mid, in
+        sorted order: count its multiplicity, mid' mid with one copy
+        removed."""
+        hit = self._removable.get(mid)
+        if hit is None:
+            modes = self._modes[mid]
+            out = []
+            for i, mode in enumerate(modes):
+                if i and modes[i - 1] == mode:
+                    continue
+                rest = modes[:i] + modes[i + 1:]
+                out.append(mode + (modes.count(mode), self.mid(rest)))
+            hit = self._removable[mid] = tuple(out)
+        return hit
+
+    def joined(self, mid, mid2):
+        """mid of the union of the multisets mid and mid2."""
+        if not mid2:
+            return mid
+        table = _row(self._joined, mid2)
+        hit = table.get(mid)
+        if hit is None:
+            hit = table[mid] = self.mid(
+                tuple(sorted(self._modes[mid] + self._modes[mid2])))
+        return hit
+
+    def shifted(self, sid, vec):
+        """sid with vec added to its label."""
+        table = _row(self._shifted, vec)
+        lid = sid >> MODE_BITS
+        hit = table.get(lid)
+        if hit is None:
+            hit = table[lid] = self.lid(
+                tuple(a + b for a, b in zip(self._labels[lid], vec)))
+        return (hit << MODE_BITS) | (sid & MODE_MASK)
+
+    def label_pair(self, vec, lid):
+        """(vec, label) of the label lid."""
+        table = _row(self._label_pairs, vec)
+        hit = table.get(lid)
+        if hit is None:
+            hit = table[lid] = self.pair(vec, self._labels[lid])
+        return hit
+
+    def annihilatable(self, sid, vec) -> int:
+        """Upper bound on the total annihilation index vec-modes can eat."""
+        vec = tuple(vec)
+        table = _row(self._annihilatable, vec)
+        mid = sid & MODE_MASK
+        hit = table.get(mid)
+        if hit is None:
+            dp = self.dir_pairs(vec)
+            hit = table[mid] = sum(n for d, n in self._modes[mid] if dp[d])
+        return hit
+
+    # -- tuple states --------------------------------------------------------
 
     def vacuum(self, label=None):
         if label is None:
@@ -206,22 +337,6 @@ class FockSpace:
         tot = sum(n for _, n in modes)
         return -self.weight * (Fraction(self.pair(label, label), 2) + tot)
 
-    def support_norm(self, state) -> int:
-        return sum(abs(c) for c in state[0])
-
-    def shift_label(self, state, shift):
-        label, modes = state
-        return (tuple(a + b for a, b in zip(label, shift)), modes)
-
-    def add_mode(self, state, dir_idx, n):
-        label, modes = state
-        return (label, tuple(sorted(modes + ((dir_idx, n),))))
-
-    def annihilatable(self, state, vec) -> int:
-        """Upper bound on the total annihilation index vec-modes can eat."""
-        dp = self.dir_pairs(tuple(vec))
-        return sum(n for d, n in state[1] if dp[d])
-
     def z_factor(self, modes) -> int:
         """z_lambda = prod j^m m! over the distinct modes (d, j) of
         multiplicity m."""
@@ -234,43 +349,52 @@ class FockSpace:
     # -- Heisenberg action -------------------------------------------------
 
     def heisenberg_act(self, vec, n: int, comb):
-        """Apply the mode vec(n): create for n<0, read gamma for n=0,
-        differentiate with the contraction factor for n>0."""
+        """Apply the mode vec(n) to comb, a dict {sid: coefficient}: create
+        for n<0, read gamma for n=0, differentiate with the contraction
+        factor for n>0."""
+        vec = tuple(vec)
         out = {}
         if n == 0:
-            dp = self.dir_pairs(tuple(vec))
-            for state, c in comb.items():
-                p = sum(dp[i] * li for i, li in enumerate(state[0]) if li)
+            for sid, c in comb.items():
+                p = self.label_pair(vec, sid >> MODE_BITS)
                 if p:
-                    _acc(out, state, c * p)
+                    _acc(out, sid, c * p)
             return out
         if n < 0:
-            for state, c in comb.items():
+            created = self.created
+            for sid, c in comb.items():
+                hi = sid & LABEL_BITS
+                mid = sid & MODE_MASK
                 for d in self.heis_dirs:
                     vd = vec[d]
                     if vd:
+                        new, mult = created(mid, d, -n)
                         if self.normalized:
-                            vd *= -n * (state[1].count((d, -n)) + 1)
-                        _acc(out, self.add_mode(state, d, -n), c * vd)
+                            vd *= -n * mult
+                        _acc(out, hi | new, c * vd)
             return out
-        dp = self.dir_pairs(tuple(vec))
-        for state, c in comb.items():
-            label, modes = state
-            seen = set()
-            for i, (d, j) in enumerate(modes):
-                if j != n or (d, j) in seen:
+        dp = self.dir_pairs(vec)
+        for sid, c in comb.items():
+            hi = sid & LABEL_BITS
+            for d, j, count, new in self.removable(sid & MODE_MASK):
+                if j != n:
                     continue
-                seen.add((d, j))
                 p = dp[d]
                 if not p:
                     continue
                 factor = self.mode_scale * p
                 if not self.normalized:
-                    factor *= modes.count((d, j)) * n
-                reduced = list(modes)
-                reduced.pop(i)
-                _acc(out, (label, tuple(reduced)), c * factor)
+                    factor *= count * n
+                _acc(out, hi | new, c * factor)
         return out
+
+
+def _row(tables, key):
+    """The dict kept under key in tables, made on first use."""
+    row = tables.get(key)
+    if row is None:
+        row = tables[key] = {}
+    return row
 
 
 def _acc(out, key, val):
@@ -305,7 +429,8 @@ def comb_sub(a, b):
 def witness_difference(space, state, diff):
     """The "difference" of a failing witness: sorted (repr(key),
     repr(coefficient)) pairs of the nonzero coefficients in diff, the
-    image of one input state.
+    image {sid: coefficient} of one input state, each key written as
+    its (label, modes) tuple.
 
     Coefficients are read in the monomial basis whatever basis the space
     uses (the coefficient of out in the image of state is multiplied by
@@ -315,7 +440,8 @@ def witness_difference(space, state, diff):
     """
     out = []
     for k, v in diff.items():
-        if space is not None and space.normalized:
+        k = space.state_of(k)
+        if space.normalized:
             v = v * Fraction(space.z_factor(state[1]), space.z_factor(k[1]))
         out.append((repr(k), repr(Cyc._coerce(v))))
     return sorted(out)
@@ -334,9 +460,12 @@ def field_space(*fields):
 class FieldFamily:
     """Mode family of a formal distribution.
 
-    Subclasses implement mode_state(n, state) and max_mode(state); modes
-    above max_mode annihilate the state.  Results are memoized, which is
-    what makes the bivariate sweeps affordable.
+    Subclasses implement mode_state(n, sid) and max_mode(sid) on state
+    ids of their FockSpace; modes above max_mode annihilate the state.
+    Results are memoized, which is what makes the bivariate sweeps
+    affordable: mode_memo keeps one row per sid, its max_mode and its
+    images indexed by n.  A mode above max_mode is answered with an
+    empty image and stores nothing.
 
     Composite fields also keep their mode caps per state.  Two rules keep
     both kinds of cache exact: a cap or an image is a pure function of
@@ -353,24 +482,28 @@ class FieldFamily:
     def __init__(self):
         self._memo = {}
 
-    def mode_state(self, n, state):
+    def mode_state(self, n, sid):
         raise NotImplementedError
 
-    def max_mode(self, state):
+    def max_mode(self, sid):
         raise NotImplementedError
 
-    def mode_memo(self, n, state):
-        key = (n, state)
-        hit = self._memo.get(key)
+    def mode_memo(self, n, sid):
+        row = self._memo.get(sid)
+        if row is None:
+            row = self._memo[sid] = (self.max_mode(sid), {})
+        if n > row[0]:
+            return {}
+        images = row[1]
+        hit = images.get(n)
         if hit is None:
-            hit = {} if n > self.max_mode(state) else self.mode_state(n, state)
-            self._memo[key] = hit
+            hit = images[n] = self.mode_state(n, sid)
         return hit
 
     def mode(self, n, comb):
         out = {}
-        for state, c in comb.items():
-            for k, v in self.mode_memo(n, state).items():
+        for sid, c in comb.items():
+            for k, v in self.mode_memo(n, sid).items():
                 _acc(out, k, v * c)
         return out
 
@@ -385,10 +518,10 @@ class IdentityField(FieldFamily):
         if dim is not None:
             self.shift = (0,) * dim
 
-    def mode_state(self, n, state):
-        return {state: 1} if n == 0 else {}
+    def mode_state(self, n, sid):
+        return {sid: 1} if n == 0 else {}
 
-    def max_mode(self, state):
+    def max_mode(self, sid):
         return 0
 
 
@@ -404,11 +537,11 @@ class ScaledField(FieldFamily):
         self.label = base.label
         self.space = base.space
 
-    def mode_state(self, n, state):
-        return comb_scale(self.base.mode_memo(n, state), self.coeff)
+    def mode_state(self, n, sid):
+        return comb_scale(self.base.mode_memo(n, sid), self.coeff)
 
-    def max_mode(self, state):
-        return self.base.max_mode(state)
+    def max_mode(self, sid):
+        return self.base.max_mode(sid)
 
 
 class SumField(FieldFamily):
@@ -419,15 +552,15 @@ class SumField(FieldFamily):
         self.space = field_space(*self.parts)
         self.label = "+".join(p.label for p in self.parts)
 
-    def mode_state(self, n, state):
+    def mode_state(self, n, sid):
         out = {}
         for p in self.parts:
-            for k, v in p.mode_memo(n, state).items():
+            for k, v in p.mode_memo(n, sid).items():
                 _acc(out, k, v)
         return out
 
-    def max_mode(self, state):
-        return max(p.max_mode(state) for p in self.parts)
+    def max_mode(self, sid):
+        return max(p.max_mode(sid) for p in self.parts)
 
 
 class ProductField(FieldFamily):
@@ -456,24 +589,24 @@ class ProductField(FieldFamily):
         self.label = label or (f.label + "*" + g.label)
         self._cap_memo = {}
 
-    def _caps(self, state):
+    def _caps(self, sid):
         """(f's max_mode on the g-shifted state, g's max_mode)."""
-        hit = self._cap_memo.get(state)
+        hit = self._cap_memo.get(sid)
         if hit is None:
-            mid = (tuple(a + b for a, b in zip(state[0], self.g.shift)), state[1])
-            hit = (self.f.max_mode(mid), self.g.max_mode(state))
-            self._cap_memo[state] = hit
+            shifted = self.space.shifted(sid, self.g.shift)
+            hit = (self.f.max_mode(shifted), self.g.max_mode(sid))
+            self._cap_memo[sid] = hit
         return hit
 
-    def max_mode(self, state):
-        fcap, gcap = self._caps(state)
+    def max_mode(self, sid):
+        fcap, gcap = self._caps(sid)
         return fcap + gcap
 
-    def mode_state(self, n, state):
-        fcap, gcap = self._caps(state)
+    def mode_state(self, n, sid):
+        fcap, gcap = self._caps(sid)
         out = {}
         for q in range(n - fcap, gcap + 1):
-            mid = self.g.mode_memo(q, state)
+            mid = self.g.mode_memo(q, sid)
             if mid:
                 for k, v in self.f.mode(n - q, mid).items():
                     _acc(out, k, v)
@@ -492,14 +625,14 @@ class HeisenbergField(FieldFamily):
         self.shift = (0,) * space.dim
         self.label = label
 
-    def max_mode(self, state):
-        return self.space.weight * self.space.annihilatable(state, self.vec)
+    def max_mode(self, sid):
+        return self.space.weight * self.space.annihilatable(sid, self.vec)
 
-    def mode_state(self, n, state):
+    def mode_state(self, n, sid):
         w = self.space.weight
         if n % w:
             return {}
-        return self.space.heisenberg_act(self.vec, n // w, {state: 1})
+        return self.space.heisenberg_act(self.vec, n // w, {sid: 1})
 
 
 class ExpField(FieldFamily):
@@ -515,8 +648,9 @@ class ExpField(FieldFamily):
 
     The series never applies the mode vec(0), the only mode that reads
     the lattice label, so it ignores the label: it is expanded once per
-    mode multiset, on the zero label, and every other label reads that
-    expansion with its own label put back on the output states.
+    mode multiset mid, on the zero label (where sid == mid), and every
+    other label reads that expansion with its own label put back on the
+    output states.
     """
 
     def __init__(self, space: FockSpace, vec, c, sign: int, label="E"):
@@ -527,14 +661,13 @@ class ExpField(FieldFamily):
         self.sign = 1 if sign > 0 else -1
         self.shift = (0,) * space.dim
         self.label = label
-        self._zero = self.shift
 
-    def max_mode(self, state):
+    def max_mode(self, sid):
         if self.sign < 0:
             return 0
-        return self.space.weight * self.space.annihilatable(state, self.vec)
+        return self.space.weight * self.space.annihilatable(sid, self.vec)
 
-    def mode_state(self, n, state):
+    def mode_state(self, n, sid):
         w = self.space.weight
         sign = self.sign
         if n % w or sign * n < 0:
@@ -542,15 +675,15 @@ class ExpField(FieldFamily):
         total = sign * n // w
         c = self.c
         if total == 0:
-            return {state: 1}
-        label, modes = state
-        if label != self._zero:
-            return {(label, k[1]): v for k, v in
-                    self.mode_memo(n, (self._zero, modes)).items()}
+            return {sid: 1}
+        if sid > MODE_MASK:
+            hi = sid & LABEL_BITS
+            return {hi | k: v for k, v in
+                    self.mode_memo(n, sid & MODE_MASK).items()}
         # t F_t = c sum_{j=1..t} a(sign j) F_{t-j}  (the modes commute)
         acc = {}
         for j in range(1, total + 1):
-            prev = self.mode_memo(sign * (total - j) * w, state)
+            prev = self.mode_memo(sign * (total - j) * w, sid)
             if prev:
                 for k, v in self.space.heisenberg_act(self.vec, sign * j, prev).items():
                     _acc(acc, k, v)
@@ -623,13 +756,13 @@ class DeltaRelation:
         self._coef = ()
         self._apow = {}
 
-    def cutoff(self, state):
+    def cutoff(self, sid):
         """Bound C with: every coefficient at z1^a z2^b with a + b > C is
         zero on this state, on both sides.  Needs .shift on both fields."""
-        caps = [t.field.max_mode(state) for t in self.rhs_terms]
+        caps = [t.field.max_mode(sid) for t in self.rhs_terms]
         for first, second in ((self.f, self.g), (self.g, self.f)):
-            mid = (tuple(x + y for x, y in zip(state[0], second.shift)), state[1])
-            caps.append(first.max_mode(mid) + second.max_mode(state))
+            shifted = self.space.shifted(sid, second.shift)
+            caps.append(first.max_mode(shifted) + second.max_mode(sid))
         return max(caps)
 
     def _coefs(self, nmax):
@@ -656,16 +789,19 @@ class DeltaRelation:
         return hit
 
     def check_window(self, W, state):
-        """Check every coefficient cell |a|, |b| <= W on one state.
+        """Check every coefficient cell |a|, |b| <= W on one (label, modes)
+        state.
 
         Each cell is the coefficient at z1^a z2^b of the left-hand side
         minus the delta terms; the cell products f_p(g_q(v)) on each
         anti-diagonal p + q = a + b are merged once and reused across the
-        cells that share them.
+        cells that share them.  The sweep runs on state ids; a witness
+        names its state and output states as tuples.
         """
-        cut = min(2 * W, self.cutoff(state))
-        gmax = self.g.max_mode(state)
-        fmax = self.f.max_mode(state)
+        sid = self.space.sid(state)
+        cut = min(2 * W, self.cutoff(sid))
+        gmax = self.g.max_mode(sid)
+        fmax = self.f.max_mode(sid)
         fmode = self.f.mode_memo
         gmode = self.g.mode_memo
         for S in range(-2 * W, cut + 1):
@@ -675,7 +811,7 @@ class DeltaRelation:
             coef = self._coefs(max(amax - p1lo, fmax - amin, 0))
             cells1 = []
             for p in range(p1lo, amax + 1):
-                mid = gmode(S - p, state)
+                mid = gmode(S - p, sid)
                 if not mid:
                     continue
                 acc = {}
@@ -691,7 +827,7 @@ class DeltaRelation:
                     cells1.append((p, items))
             cells2 = []
             for p in range(amin, fmax + 1):
-                mid = fmode(p, state)
+                mid = fmode(p, sid)
                 if not mid:
                     continue
                 acc = {}
@@ -707,8 +843,8 @@ class DeltaRelation:
                     cells2.append((p, items))
             rhs_cells = []
             for ti, term in enumerate(self.rhs_terms):
-                if S <= term.field.max_mode(state):
-                    cell = term.field.mode_memo(S, state)
+                if S <= term.field.max_mode(sid):
+                    cell = term.field.mode_memo(S, sid)
                     if cell:
                         rhs_cells.append((ti, term, tuple(cell.items())))
             if not (cells1 or cells2 or rhs_cells):

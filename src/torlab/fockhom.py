@@ -24,6 +24,16 @@ FockSpace, normalized=True).  In this basis every matrix element of the
 fields above is an integer, so the sweeps run in int arithmetic; the
 change of basis is diagonal, so pass/fail is the same as in the monomial
 basis, and failing witnesses are converted back to the monomial basis.
+
+State ids: the fields act on the FockSpace's int ids
+sid = (lid << 32) | mid (label id, mode-multiset id), and window_states
+hands out (label, modes) tuples that the sweeps convert once.  The
+dressing E^-(delta_r) ignores the label, so its images are kept once per
+mid, on the zero label, whose sid is the mid itself.  X(delta_r) and
+Z(alpha, r) both read that zero-label image and write their final label,
+lambda + delta_r and lambda + delta_r + alpha, as the high bits of each
+output id, with exponent and label shift read from per-label caches: no
+relabelled copy of E^- is stored on the way.
 """
 
 from __future__ import annotations
@@ -32,8 +42,9 @@ from fractions import Fraction
 from functools import partial
 
 from . import checks
-from .distops import (DeltaRelation, DeltaTerm, ExpField, FieldFamily,
-                      FockSpace, TruncationWindow, _acc, partitions)
+from .distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
+                      ExpField, FieldFamily, FockSpace, TruncationWindow,
+                      _acc, partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
 from .scalar import Cyc
 
@@ -123,27 +134,25 @@ class VertexXField(FieldFamily):
         self.label = label
         self.em = ExpField(space, self.vec, 1, -1)
         self._base = {}
-        self._shifted = {}
 
-    def base(self, label):
-        hit = self._base.get(label)
+    def base(self, lid):
+        """(z-exponent -w(delta, label), label bits of label + delta) of
+        the label lid."""
+        hit = self._base.get(lid)
         if hit is None:
-            hit = -self.space.weight * int(self.space.pair(self.vec, label))
-            self._base[label] = hit
+            space = self.space
+            hit = self._base[lid] = (
+                -space.weight * int(space.label_pair(self.vec, lid)),
+                space.shifted(lid << MODE_BITS, self.vec))
         return hit
 
-    def max_mode(self, state):
-        return self.base(state[0])
+    def max_mode(self, sid):
+        return self.base(sid >> MODE_BITS)[0]
 
-    def mode_state(self, n, state):
-        label = state[0]
-        e = self.base(label)
-        if n > e:
-            return {}
-        new = self._shifted.get(label)
-        if new is None:
-            new = self._shifted[label] = tuple(a + b for a, b in zip(label, self.vec))
-        return self.em.mode_memo(n - e, (new, state[1]))
+    def mode_state(self, n, sid):
+        e, hi = self.base(sid >> MODE_BITS)
+        return {hi | k: v for k, v in
+                self.em.mode_memo(n - e, sid & MODE_MASK).items()}
 
 
 class HeisTimesXField(FieldFamily):
@@ -159,22 +168,22 @@ class HeisTimesXField(FieldFamily):
         self.shift = x.shift
         self.label = label
 
-    def _pmax(self, state):
+    def _pmax(self, sid):
         # X creates only delta-direction modes, which pair to zero with
         # vec, so annihilation is bounded by the input state
-        return self.space.annihilatable(state, self.vec)
+        return self.space.annihilatable(sid, self.vec)
 
-    def max_mode(self, state):
-        return self.space.weight * self._pmax(state) + self.x.max_mode(state)
+    def max_mode(self, sid):
+        return self.space.weight * self._pmax(sid) + self.x.max_mode(sid)
 
-    def mode_state(self, n, state):
+    def mode_state(self, n, sid):
         space = self.space
         w = space.weight
         out = {}
         # vec(p) pairs with the X mode n - w p, which is at most x.max_mode
-        pmin = -((self.x.max_mode(state) - n) // w)
-        for p in range(pmin, self._pmax(state) + 1):
-            mid = self.x.mode_memo(n - w * p, state)
+        pmin = -((self.x.max_mode(sid) - n) // w)
+        for p in range(pmin, self._pmax(sid) + 1):
+            mid = self.x.mode_memo(n - w * p, sid)
             if mid:
                 for k, v in space.heisenberg_act(self.vec, p, mid).items():
                     _acc(out, k, v)
@@ -183,7 +192,11 @@ class HeisTimesXField(FieldFamily):
 
 class ZField(FieldFamily):
     """Z(alpha, r, z) = Z(alpha, 0, z) k_0(r, z); the alpha-part is a pure
-    lattice operator, so each input state meets exactly one split."""
+    lattice operator, so each input state meets exactly one split.
+
+    Mode n reads the zero-label E^-(delta_r) image of k_0 = X(delta_r) at
+    n minus both z-exponents, and writes the output label
+    lambda + delta_r + alpha and the cocycle sign in one pass."""
 
     def __init__(self, mod: HomogeneousModule, alpha, rvec):
         super().__init__()
@@ -195,44 +208,33 @@ class ZField(FieldFamily):
         self.shift = tuple(a + b for a, b in zip(self.avec, self.x.shift))
         self.label = "Z" + repr(self.alpha) + repr(tuple(rvec))
         self._half = int(mod.space.pair(self.avec, self.avec)) // 2
-        self._zexp = {}
-        self._max = {}
-        self._sign = {}
-        self._shifted = {}
+        self._labels = {}
 
-    def zexp(self, label):
-        # z-exponent of the lattice part, reading the post-shift label
-        hit = self._zexp.get(label)
+    def _label(self, lid):
+        """(z-exponent of both parts, label bits of the output label,
+        cocycle sign) of the label lid."""
+        hit = self._labels.get(lid)
         if hit is None:
-            hit = -int(self.mod.space.pair(self.avec, label)) - self._half
-            self._zexp[label] = hit
+            space = self.space
+            # the lattice part reads the post-shift label, and
+            # (alpha, delta_r) = 0 makes that shift invisible
+            zexp = -int(space.label_pair(self.avec, lid)) - self._half
+            hit = self._labels[lid] = (
+                zexp + self.x.base(lid)[0],
+                space.shifted(lid << MODE_BITS, self.shift),
+                self.mod.lat.eps(self.avec, space.label_of(lid)))
         return hit
 
-    def max_mode(self, state):
-        # both terms read the label only
-        label = state[0]
-        hit = self._max.get(label)
-        if hit is None:
-            hit = self._max[label] = self.zexp(label) + self.x.max_mode(state)
-        return hit
+    def max_mode(self, sid):
+        # both parts read the label only
+        return self._label(sid >> MODE_BITS)[0]
 
-    def mode_state(self, n, state):
-        label = state[0]
-        e = self.zexp(label)  # (alpha, delta_r) = 0: label shift is invisible
-        mid = self.x.mode_memo(n - e, state)
-        if not mid:
-            return {}
-        sign = self._sign.get(label)
-        if sign is None:
-            sign = self._sign[label] = self.mod.lat.eps(self.avec, label)
-        shifted = self._shifted
-        out = {}
-        for (lab, modes), c in mid.items():
-            new = shifted.get(lab)
-            if new is None:
-                new = shifted[lab] = tuple(a + b for a, b in zip(lab, self.avec))
-            out[(new, modes)] = c if sign > 0 else -c
-        return out
+    def mode_state(self, n, sid):
+        e, hi, sign = self._label(sid >> MODE_BITS)
+        image = self.x.em.mode_memo(n - e, sid & MODE_MASK)
+        if sign > 0:
+            return {hi | k: c for k, c in image.items()}
+        return {hi | k: -c for k, c in image.items()}
 
 
 class ZeroModeTimesField(FieldFamily):
@@ -246,11 +248,11 @@ class ZeroModeTimesField(FieldFamily):
         self.shift = base.shift
         self.label = "h0*" + base.label
 
-    def max_mode(self, state):
-        return self.base.max_mode(state)
+    def max_mode(self, sid):
+        return self.base.max_mode(sid)
 
-    def mode_state(self, n, state):
-        return self.space.heisenberg_act(self.vec, 0, self.base.mode_memo(n, state))
+    def mode_state(self, n, sid):
+        return self.space.heisenberg_act(self.vec, 0, self.base.mode_memo(n, sid))
 
 
 # ---------------------------------------------------------------------------

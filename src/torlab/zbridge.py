@@ -17,10 +17,10 @@ from fractions import Fraction
 from functools import partial
 
 from . import checks
-from .distops import (DeltaRelation, DeltaTerm, FieldFamily, FockSpace,
-                      HeisenbergField, IdentityField, ProductField,
-                      ScaledField, SumField, TruncationWindow, _acc,
-                      comb_scale, comb_sub, dressing_operator)
+from .distops import (LABEL_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
+                      FieldFamily, FockSpace, HeisenbergField, IdentityField,
+                      ProductField, ScaledField, SumField, TruncationWindow,
+                      _acc, comb_scale, comb_sub, dressing_operator)
 from .fockhom import (HomogeneousModule, ZeroModeTimesField, _mode_multisets,
                       window_states)
 from .linalg import nullspace, rank
@@ -197,10 +197,11 @@ def omega_basis(mod: CkModule, window: TruncationWindow):
         rows_per_state = []
         for s in basis:
             images = {}
+            comb = {space.sid(s): Cyc.one()}
             for d in dirs:
                 vec = space.dir_vec(d)
                 for i in range(1, t + 1):
-                    out = space.heisenberg_act(vec, i, {s: Cyc.one()})
+                    out = space.heisenberg_act(vec, i, comb)
                     for w, c in out.items():
                         images[(d, i, w)] = images.get((d, i, w), Cyc.zero()) + c
             rows_per_state.append(images)
@@ -226,7 +227,9 @@ def omega_basis(mod: CkModule, window: TruncationWindow):
 
 class RestrictedField(FieldFamily):
     """1 (x) F on M(k) (x) W realized inside the same Fock space: F acts
-    on the label and the non-Cartan modes, the Cartan modes ride along."""
+    on the label and the non-Cartan modes, the Cartan modes ride along.
+    The split of a mode multiset is kept per mid, and the Cartan modes
+    go back on each output through the space's join transition."""
 
     def __init__(self, base, cartan_dirs, label=None):
         super().__init__()
@@ -237,24 +240,28 @@ class RestrictedField(FieldFamily):
         self.label = label or ("1x" + base.label)
         self._splits = {}
 
-    def _split(self, state):
-        """(Cartan modes, the W state of the rest), kept per state."""
-        hit = self._splits.get(state)
+    def _split(self, sid):
+        """(mid of the Cartan modes, sid of the W state of the rest),
+        the first kept per mid."""
+        mid = sid & MODE_MASK
+        hit = self._splits.get(mid)
         if hit is None:
-            label, modes = state
-            mk = tuple(mo for mo in modes if mo[0] in self.cartan)
-            w = tuple(mo for mo in modes if mo[0] not in self.cartan)
-            hit = self._splits[state] = (mk, (label, w))
-        return hit
+            space = self.space
+            modes = space.modes_of(mid)
+            hit = self._splits[mid] = (
+                space.mid(tuple(mo for mo in modes if mo[0] in self.cartan)),
+                space.mid(tuple(mo for mo in modes if mo[0] not in self.cartan)))
+        return hit[0], (sid & LABEL_BITS) | hit[1]
 
-    def max_mode(self, state):
-        return self.base.max_mode(self._split(state)[1])
+    def max_mode(self, sid):
+        return self.base.max_mode(self._split(sid)[1])
 
-    def mode_state(self, n, state):
-        mk, wstate = self._split(state)
+    def mode_state(self, n, sid):
+        mk, wsid = self._split(sid)
+        joined = self.space.joined
         out = {}
-        for (label, modes), c in self.base.mode_memo(n, wstate).items():
-            _acc(out, (label, tuple(sorted(modes + mk))), c)
+        for k, c in self.base.mode_memo(n, wsid).items():
+            _acc(out, (k & LABEL_BITS) | joined(k & MODE_MASK, mk), c)
         return out
 
 
@@ -509,11 +516,12 @@ def check_Ck(mod: CkModule, window: TruncationWindow, roots=None,
 def _zero_mode_bracket(space, avec, z, ip, states, lo):
     """[a(0), Z(n)] = ip Z(n) for the Cartan vector avec."""
     for v in states:
-        comb = {v: Cyc.one()}
-        for n in range(lo, z.max_mode(v) + 1):
-            lhs = comb_sub(space.heisenberg_act(avec, 0, z.mode_memo(n, v)),
+        sid = space.sid(v)
+        comb = {sid: Cyc.one()}
+        for n in range(lo, z.max_mode(sid) + 1):
+            lhs = comb_sub(space.heisenberg_act(avec, 0, z.mode_memo(n, sid)),
                            z.mode(n, space.heisenberg_act(avec, 0, comb)))
-            if comb_sub(lhs, comb_scale(z.mode_memo(n, v), ip)):
+            if comb_sub(lhs, comb_scale(z.mode_memo(n, sid), ip)):
                 return False, {"state": v, "mode": n}
     return True, None
 
@@ -597,7 +605,7 @@ def pairing_injective(mod: CkModule, window: TruncationWindow,
         for t in range(degree_cap + 1):
             for mk in _mode_multisets(tuple(dirs), t):
                 # apply the creation modes of mk to the omega state
-                comb = {s: Cyc.one()}
+                comb = {space.sid(s): Cyc.one()}
                 for d, part in mk:
                     comb = space.heisenberg_act(space.dir_vec(d), -part, comb)
                 vec = {}

@@ -7,16 +7,59 @@ compared.  The composite-field oracle, ref_max_mode and ref_mode,
 recomputes the caps and images of ProductField, SumField, ScaledField,
 RestrictedField and HeisTimesXField from their parts with no per-field
 cache and with comb_add sums.
+
+Both oracles, like the tests, name states as (label, modes) tuples; the
+fields and FockSpace.heisenberg_act work on the space's state ids, and
+Tuples converts at that boundary.
 """
 
-from torlab.distops import (ProductField, ScaledField, SumField, comb_add,
-                            comb_scale, comb_sub, witness_difference)
+from torlab.distops import (FockSpace, ProductField, ScaledField, SumField,
+                            comb_add, comb_scale, comb_sub,
+                            witness_difference)
 from torlab.fockhom import HeisTimesXField
 from torlab.zbridge import RestrictedField
 
 
 def comb_eq(a, b):
     return not comb_sub(a, b)
+
+
+class Tuples:
+    """A field or a FockSpace seen with (label, modes) states: each state
+    is converted to its id in the space on the way in, and each key of
+    an image back to its tuple on the way out.  space is needed only for
+    a field that knows none (IdentityField)."""
+
+    def __init__(self, obj, space=None):
+        self.obj = obj
+        self.space = space or (obj if isinstance(obj, FockSpace) else obj.space)
+
+    def state(self, sid):
+        return self.space.state_of(sid)
+
+    def ids(self, comb):
+        return {self.space.sid(k): c for k, c in comb.items()}
+
+    def states(self, image):
+        return {self.space.state_of(k): c for k, c in image.items()}
+
+    def max_mode(self, state):
+        return self.obj.max_mode(self.space.sid(state))
+
+    def mode_memo(self, n, state):
+        return self.states(self.obj.mode_memo(n, self.space.sid(state)))
+
+    def mode_state(self, n, state):
+        return self.states(self.obj.mode_state(n, self.space.sid(state)))
+
+    def mode(self, n, comb):
+        return self.states(self.obj.mode(n, self.ids(comb)))
+
+    def heisenberg_act(self, vec, n, comb):
+        return self.states(self.obj.heisenberg_act(vec, n, self.ids(comb)))
+
+    def annihilatable(self, state, vec):
+        return self.obj.annihilatable(self.space.sid(state), vec)
 
 
 # ---------------------------------------------------------------------------
@@ -26,23 +69,24 @@ def comb_eq(a, b):
 
 def lhs_coeff(rel, a, b, state):
     """Coefficient at z1^a z2^b of the left-hand side of rel on state."""
-    nmax1 = max(rel.g.max_mode(state) - b, -1)
+    f, g = Tuples(rel.f, rel.space), Tuples(rel.g, rel.space)
+    nmax1 = max(g.max_mode(state) - b, -1)
     out = {}
     if nmax1 >= 0:
         coef = rel._coefs(nmax1)
         for n in range(nmax1 + 1):
             if coef[n]:
-                mid = rel.g.mode_memo(b + n, state)
+                mid = g.mode_memo(b + n, state)
                 if mid:
-                    out = comb_add(out, comb_scale(rel.f.mode(a - n, mid), coef[n]))
-    nmax2 = max(rel.f.max_mode(state) - a, -1)
+                    out = comb_add(out, comb_scale(f.mode(a - n, mid), coef[n]))
+    nmax2 = max(f.max_mode(state) - a, -1)
     if nmax2 >= 0:
         coef = rel._coefs(nmax2)
         for n in range(nmax2 + 1):
             if coef[n]:
-                mid = rel.f.mode_memo(a + n, state)
+                mid = f.mode_memo(a + n, state)
                 if mid:
-                    out = comb_sub(out, comb_scale(rel.g.mode(b - n, mid), coef[n]))
+                    out = comb_sub(out, comb_scale(g.mode(b - n, mid), coef[n]))
     return out
 
 
@@ -51,10 +95,11 @@ def delta_cells(rel, a, s, state):
     a nonzero coefficient at z1^a z2^(s - a)."""
     out = []
     for ti, term in enumerate(rel.rhs_terms):
-        if s <= term.field.max_mode(state):
+        field = Tuples(term.field, rel.space)
+        if s <= field.max_mode(state):
             c = rel._delta_coeff(ti, term, a)
             if c:
-                out.append((c, term.field.mode_memo(s, state)))
+                out.append((c, field.mode_memo(s, state)))
     return out
 
 
@@ -66,7 +111,8 @@ def check_state(rel, a, b, state):
     if not diff:
         return True, None
     return False, {"state": state, "modes": (a, b),
-                   "difference": witness_difference(rel.space, state, diff)}
+                   "difference": witness_difference(
+                       rel.space, state, Tuples(rel.space).ids(diff))}
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +143,10 @@ def ref_max_mode(field, state):
     if isinstance(field, RestrictedField):
         return ref_max_mode(field.base, _restricted(field, state)[1])
     if isinstance(field, HeisTimesXField):
-        return (field.space.weight * field.space.annihilatable(state, field.vec)
+        space = Tuples(field.space)
+        return (field.space.weight * space.annihilatable(state, field.vec)
                 + ref_max_mode(field.x, state))
-    return field.max_mode(state)
+    return Tuples(field).max_mode(state)
 
 
 def ref_mode(field, n, state, seen):
@@ -129,13 +176,13 @@ def ref_mode(field, n, state, seen):
         for (label, modes), c in ref_mode(field.base, n, wstate, seen).items():
             out = comb_add(out, {(label, tuple(sorted(modes + mk))): c})
     elif isinstance(field, HeisTimesXField):
-        space = field.space
-        w = space.weight
+        space = Tuples(field.space)
+        w = field.space.weight
         xmax = ref_max_mode(field.x, state)
         for p in range(-((xmax - n) // w), space.annihilatable(state, field.vec) + 1):
             out = comb_add(out, space.heisenberg_act(
                 field.vec, p, ref_mode(field.x, n - w * p, state, seen)))
     else:
-        out = field.mode_memo(n, state)
+        out = Tuples(field).mode_memo(n, state)
     seen[key] = out
     return out

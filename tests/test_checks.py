@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from field_oracle import Tuples
 from torlab.autom import diagram_automorphism, identity_automorphism
 from torlab.distops import (FieldFamily, HeisenbergField, ProductField,
                             ScaledField, TruncationWindow, comb_scale)
@@ -86,11 +87,12 @@ class _FaultOn(FieldFamily):
 
     def mode_state(self, n, v):
         out = self.base.mode_memo(n, v)
-        return comb_scale(out, -1) if v == self.state else out
+        return comb_scale(out, -1) if Tuples(self).state(v) == self.state else out
 
 
 def _last_hit(f, states):
     """The last state on which some window mode of f is nonzero."""
+    f = Tuples(f)
     return [v for v in states
             if any(f.mode_memo(n, v)
                    for n in range(-WIN.modes, f.max_mode(v) + 1))][-1]
@@ -219,6 +221,13 @@ def zk_factor():
     return verify_Zk_relations(bad, WIN, rvecs=R)
 
 
+def hom_prod_k0k():
+    """k_1 at multidegree 1 scaled by 2."""
+    mod = _hom()
+    mod._fields[("k", 1, (1,))] = ScaledField(mod.k(1, (1,)), 2)
+    return verify_products_hom(mod, WIN, rvecs=R)
+
+
 def prin_factor():
     mod = _prin()
     b = tuple(mod.rs.roots[0])
@@ -231,6 +240,29 @@ def bridge_level():
     v, bad = _ck(k=2)
     entries, _w, _back = roundtrip_check(bad, WIN, roots=[tuple(v.rs.roots[0])],
                                          rvecs=R[:2])
+    return entries
+
+
+def bridge_beta():
+    """The Cartan field beta(r) at multidegree 1 scaled by -1 in the
+    original module only: the rebuilt one builds its own."""
+    v, bad = _ck()
+    bad._beta_fn = _negated_at(v._beta_fn, (1,))
+    entries, _w, _back = roundtrip_check(bad, WIN, roots=[tuple(v.rs.roots[0])],
+                                         rvecs=R)
+    return entries
+
+
+def bridge_k0():
+    """k_0 at multidegree 1 negated on one state with a Cartan mode: the
+    rebuilt k_0 applies k_0 to the state without its Cartan modes, so
+    only the original sees the fault."""
+    v, bad = _ck()
+    state = ((0, 0, 0), ((0, 1),))
+    bad._k_fn = lambda i, r: (_FaultOn(v.kf(i, r), state)
+                              if i == 0 and r == (1,) else v.kf(i, r))
+    entries, _w, _back = roundtrip_check(bad, WIN, roots=[tuple(v.rs.roots[0])],
+                                         rvecs=R)
     return entries
 
 
@@ -415,6 +447,19 @@ CASES = {
          {"state": ((-1, 0, 0), ()), "mode": 1, "difference": [
              ("((0, 0, 0), ())", "Cyc(2)")]}),
     ]),
+    "hom_prod_k0k": (hom_prod_k0k, "zhom.prod_k0k", [
+        ({"i": 1, "r": [1], "s": [0]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 1, 0), ((1, 1), (1, 1)))", "Cyc(-1)"),
+             ("((-1, 1, 0), ((1, 2),))", "Cyc(-1)")]}),
+        ({"i": 1, "r": [1], "s": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 2, 0), ((1, 1), (1, 1)))", "Cyc(2)"),
+             ("((-1, 2, 0), ((1, 2),))", "Cyc(1)")]}),
+        ({"i": 1, "r": [-1], "s": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 0, 0), ((1, 2),))", "Cyc(1)")]}),
+    ]),
     "ck_factor": (ck_factor, "ck.factor_x", [
         ({"beta": [-1], "r": [0], "s": [1]},
          {"state": ((-1, 0, 0), ((0, 1),)), "mode": -2, "difference": [
@@ -457,6 +502,20 @@ CASES = {
         ({"beta": [-1], "r": [1]},
          {"state": ((-1, 0, 0), ((0, 1),)), "mode": -2, "difference": [
              ("((-2, 1, 0), ())", "Cyc(1)")]}),
+    ]),
+    "bridge_beta": (bridge_beta, "bridge.roundtrip_beta", [
+        ({"a": [1], "r": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 1, 0), ((0, 1), (1, 1)))", "Cyc(2)"),
+             ("((-1, 1, 0), ((0, 2),))", "Cyc(2)"),
+             ("((-1, 1, 0), ((1, 1), (1, 1)))", "Cyc(-2)"),
+             ("((-1, 1, 0), ((1, 2),))", "Cyc(-2)")]}),
+    ]),
+    "bridge_k0": (bridge_k0, "bridge.roundtrip_k0", [
+        ({"r": [1]},
+         {"state": ((0, 0, 0), ((0, 1),)), "mode": -2, "difference": [
+             ("((0, 1, 0), ((0, 1), (1, 1), (1, 1)))", "Cyc(1)"),
+             ("((0, 1, 0), ((0, 1), (1, 2)))", "Cyc(1)")]}),
     ]),
     "hom_center_late": (hom_center_late, "zhom.center", [
         ({"r": [1]}, {"state": ((1, 0, 0), ((0, 1),)), "mode": -2}),
@@ -610,7 +669,8 @@ def test_vanishes_reaches_every_term_top_mode():
     entries = verify_center_hom(mod, WIN, rvecs=[(1,)])
     first = window_states(mod.space, WIN)[0]
     assert entries[0] == ("zhom.center", {"r": [1]}, "fail",
-                          {"state": first, "mode": k1.max_mode(first) + 1})
+                          {"state": first,
+                           "mode": Tuples(k1).max_mode(first) + 1})
 
 
 def test_factorization_scales_by_the_level():

@@ -195,6 +195,20 @@ def test_cli_error_exits(tmp_path):
         main(["frobnicate"])
 
 
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    """An exception that is neither a config error nor a finding is a bug:
+    exit 3 with the traceback on stderr, and no report."""
+    def broken(cfg):
+        raise KeyError("no such field")
+
+    monkeypatch.setitem(cli._SUITES, "zalg", broken)
+    code, rep = _run(["verify", "zalg", "--algebra", "A1",
+                      "--window", "1,1,1"], tmp_path)
+    assert code == 3 and rep is None
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError: 'no such field'" in err
+
+
 def test_level_other_than_one_is_a_config_error(tmp_path, capsys):
     """Every suite runs at level 1, so a report must not echo another."""
     argv = ["verify", "zalg", "--algebra", "A1", "--window", "1,1,1"]

@@ -1,21 +1,24 @@
 import random
 from fractions import Fraction
 
-from field_oracle import check_state, comb_eq, ref_max_mode, ref_mode
-from torlab.distops import (DeltaRelation, DeltaTerm, ExpField, FockSpace,
-                            HeisenbergField, IdentityField, TruncationWindow,
+from field_oracle import Tuples, check_state, comb_eq, ref_max_mode, ref_mode
+from torlab.distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
+                            ExpField, FockSpace, HeisenbergField,
+                            IdentityField, TruncationWindow,
                             binomial_coefficient, binomial_factor, comb_sub,
                             dressing_operator, partitions,
                             product_of_binomials, series_mul)
 from torlab.fockhom import HomogeneousModule, window_states
+from torlab.fockprin import PrincipalModule, negation_theta
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc, cyc_root_of_unity
-from torlab.zbridge import _sum_r_k, from_Zmodule, homogeneous_Ck, to_Zmodule
+from torlab.zbridge import (_sum_r_k, from_Zmodule, homogeneous_Ck,
+                            roundtrip_check, to_Zmodule)
 
 
 def test_truncation_window():
     w = TruncationWindow(3, 3, 2)
-    assert w.as_tuple() == (3, 3, 2)
+    assert (w.modes, w.degree, w.support) == (3, 3, 2)
 
 
 def test_binomial_coefficient_values():
@@ -63,14 +66,15 @@ def test_heisenberg_commutation():
     space = _rank2_space(scale=Fraction(3))
     rng = random.Random(20260825)
     vecs = [(1, 0), (0, 1), (1, -2)]
+    act = Tuples(space).heisenberg_act
     for _ in range(40):
         v = _random_state(space, rng)
         comb = {v: Cyc.one()}
         n = rng.randint(1, 3)
         for u in vecs:
             for w in vecs:
-                ab = space.heisenberg_act(u, n, space.heisenberg_act(w, -n, comb))
-                ba = space.heisenberg_act(w, -n, space.heisenberg_act(u, n, comb))
+                ab = act(u, n, act(w, -n, comb))
+                ba = act(w, -n, act(u, n, comb))
                 diff = comb_sub(ab, ba)
                 expect = {v: Cyc.rational(n * Fraction(3) * space.pair(u, w))}
                 assert comb_eq(diff, {k: c for k, c in expect.items() if c})
@@ -84,7 +88,7 @@ def test_degree_grading():
     spacew = _rank2_space(weight=2)
     assert spacew.degree(v) == -6
     # heisenberg_act(n) shifts degree by n * weight
-    out = spacew.heisenberg_act((1, 0), -2, {v: Cyc.one()})
+    out = Tuples(spacew).heisenberg_act((1, 0), -2, {v: Cyc.one()})
     assert all(spacew.degree(s) == spacew.degree(v) - 4 for s in out)
 
 
@@ -92,29 +96,29 @@ def test_exp_field_low_modes():
     space = _rank2_space()
     vac = space.vacuum()
     c = Fraction(2)
-    em = ExpField(space, (1, 0), -c, -1)
+    em = Tuples(ExpField(space, (1, 0), -c, -1))
     # mode 0 is the identity
     assert comb_eq(em.mode_state(0, vac), {vac: Cyc.one()})
     # mode -1: -c * a(-1)
     got = em.mode_state(-1, vac)
-    assert comb_eq(got, {space.add_mode(vac, 0, 1): Cyc.rational(-c)})
+    assert comb_eq(got, {((0, 0), ((0, 1),)): Cyc.rational(-c)})
     # mode -2: -c/2 * a(-2) + c^2/2 * a(-1)^2
     got = em.mode_state(-2, vac)
-    s1 = space.add_mode(vac, 0, 2)
-    s2 = space.add_mode(space.add_mode(vac, 0, 1), 0, 1)
+    s1 = ((0, 0), ((0, 2),))
+    s2 = ((0, 0), ((0, 1), (0, 1)))
     assert comb_eq(got, {s1: Cyc.rational(-c / 2), s2: Cyc.rational(c * c / 2)})
     # annihilation side is the identity on the vacuum
-    ep = ExpField(space, (1, 0), c, 1)
+    ep = Tuples(ExpField(space, (1, 0), c, 1))
     assert ep.max_mode(vac) == 0
     assert comb_eq(ep.mode_state(0, vac), {vac: Cyc.one()})
 
 
 def test_dressing_operator_wrapper():
     space = _rank2_space()
-    em = dressing_operator(space, -1, (1, 0), 2, m=4)
+    em = Tuples(dressing_operator(space, -1, (1, 0), 2, m=4))
     vac = space.vacuum()
     got = em.mode_state(-1, vac)
-    assert comb_eq(got, {space.add_mode(vac, 0, 1): Cyc.rational(Fraction(-2))})
+    assert comb_eq(got, {((0, 0), ((0, 1),)): Cyc.rational(Fraction(-2))})
 
 
 def test_exponential_exchange_identity():
@@ -126,8 +130,8 @@ def test_exponential_exchange_identity():
         for bvec, gvec in [((1, 0), (1, 0)), ((1, 0), (0, 1)), ((1, -1), (2, 1))]:
             cp = Fraction(1, 2)
             cm = Fraction(-3, 2)
-            ep = ExpField(space, bvec, cp, 1)
-            em = ExpField(space, gvec, cm, -1)
+            ep = Tuples(ExpField(space, bvec, cp, 1))
+            em = Tuples(ExpField(space, gvec, cm, -1))
             c = -cp * cm * scale * space.pair(bvec, gvec)
             for _ in range(6):
                 v = _random_state(space, rng)
@@ -167,14 +171,14 @@ def test_heisenberg_two_point_relation():
 def test_weighted_modes():
     # principal-style fields: exponents are multiples of the weight
     space = _rank2_space(weight=3)
-    h = HeisenbergField(space, (1, 0))
+    h = Tuples(HeisenbergField(space, (1, 0)))
     vac = space.vacuum()
     assert h.mode_state(-1, vac) == {}
     got = h.mode_state(-3, vac)
-    assert comb_eq(got, {space.add_mode(vac, 0, 1): Cyc.one()})
-    em = ExpField(space, (1, 0), Fraction(1), -1)
+    assert comb_eq(got, {((0, 0), ((0, 1),)): Cyc.one()})
+    em = Tuples(ExpField(space, (1, 0), Fraction(1), -1))
     assert em.mode_state(-2, vac) == {}
-    assert comb_eq(em.mode_state(-3, vac), {space.add_mode(vac, 0, 1): Cyc.one()})
+    assert comb_eq(em.mode_state(-3, vac), {((0, 0), ((0, 1),)): Cyc.one()})
 
 
 def _composite_fields(win):
@@ -208,10 +212,64 @@ def test_composite_caches_match_uncached_oracle():
         cells = 0
         for v in visit(window_states(space, win)):
             for f in fields:
-                hi = f.max_mode(v)
+                hi = Tuples(f).max_mode(v)
                 assert hi == ref_max_mode(f, v), (f.label, v)
                 for n in range(lo, hi + 1):
-                    got = f.mode_memo(n, v)
+                    got = Tuples(f).mode_memo(n, v)
                     assert comb_eq(got, ref_mode(f, n, v, seen)), (f.label, v, n)
                     cells += len(got)
         assert cells > 10000
+
+
+def _id_spaces():
+    """(space, window states) of homogeneous A1 and A2 at (2,2,1), of
+    principal A1 with m = 2 at (6,4,1), and of the A1 space after a
+    roundtrip through the Z-algebra has interned its own states first."""
+    win = TruncationWindow(2, 2, 1)
+    out = []
+    for rank in (1, 2):
+        space = HomogeneousModule(build_root_system("A", rank), 1).space
+        out.append((space, window_states(space, win)))
+    prin = PrincipalModule(build_root_system("A", 1), 1, 2, negation_theta)
+    out.append((prin.space, window_states(prin.space, TruncationWindow(6, 4, 1))))
+    ck = homogeneous_Ck(HomogeneousModule(build_root_system("A", 1), 1))
+    roundtrip_check(ck, win)
+    out.append((ck.space, window_states(ck.space, win)))
+    return out
+
+
+def test_state_ids_round_trip_and_transitions():
+    """sid and state_of invert each other on every window state, distinct
+    states get distinct ids, and the add-mode, remove-mode, join and
+    label-shift transitions agree with the same operations on tuples."""
+    for space, states in _id_spaces():
+        sids = [space.sid(v) for v in states]
+        assert len(set(sids)) == len(states)
+        vecs = [space.dir_vec(i) for i in range(space.dim)]
+        vecs += [tuple(-c for c in vec) for vec in vecs]
+        vecs.append(tuple(range(1, space.dim + 1)))
+        for v, sid in zip(states, sids):
+            label, modes = v
+            assert space.state_of(sid) == v
+            mid = sid & MODE_MASK
+            assert space.modes_of(mid) == modes
+            for d in space.heis_dirs:
+                for j in (1, 2, 3):
+                    new = tuple(sorted(modes + ((d, j),)))
+                    got, mult = space.created(mid, d, j)
+                    assert (space.modes_of(got), mult) == (new, new.count((d, j)))
+            want = [(d, j, modes.count((d, j)),
+                     modes[:i] + modes[i + 1:])
+                    for i, (d, j) in enumerate(modes)
+                    if not i or modes[i - 1] != (d, j)]
+            got = [(d, j, count, space.modes_of(rest))
+                   for d, j, count, rest in space.removable(mid)]
+            assert got == want
+            for other in states[:5]:
+                joined = space.joined(mid, space.sid(other) & MODE_MASK)
+                assert space.modes_of(joined) == tuple(sorted(modes + other[1]))
+            for vec in vecs:
+                shifted = tuple(a + b for a, b in zip(label, vec))
+                assert space.state_of(space.shifted(sid, vec)) == (shifted, modes)
+                assert space.label_pair(vec, sid >> MODE_BITS) == \
+                    space.pair(vec, label)

@@ -14,7 +14,7 @@ from math import factorial
 
 import pytest
 
-from field_oracle import check_state, comb_eq
+from field_oracle import Tuples, check_state, comb_eq
 from torlab.distops import (DeltaRelation, DeltaTerm, ExpField,
                             TruncationWindow, comb_add, comb_scale,
                             dressing_operator, product_of_binomials)
@@ -62,7 +62,7 @@ def test_normalized_basis_matches_monomial(rank):
     fn, fm = _fields(norm), _fields(mono)
     cells = 0
     for name, f in fn.items():
-        g = fm[name]
+        f, g = Tuples(f), Tuples(fm[name])
         for v in states:
             assert f.max_mode(v) == g.max_mode(v)
             for n in range(-WIN.modes, f.max_mode(v) + 1):
@@ -87,8 +87,8 @@ def _exp_oracle(space, vec, c, sign, state, n):
     for t in range(1, sign * n + 1):
         acc = {}
         for j in range(1, t + 1):
-            acc = comb_add(acc, space.heisenberg_act(vec, sign * j,
-                                                     series[t - j]))
+            acc = comb_add(acc, Tuples(space).heisenberg_act(vec, sign * j,
+                                                             series[t - j]))
         series.append(comb_scale(acc, Fraction(c) / t))
     return series[sign * n]
 
@@ -112,7 +112,7 @@ def test_exp_series_shared_across_labels(rank, normalized):
     for vec in vecs:
         for sign in (1, -1):
             for c in (1, -1, Fraction(1, 2)):
-                em = ExpField(space, vec, c, sign)
+                em = Tuples(ExpField(space, vec, c, sign))
                 for v in states:
                     for n in range(-WIN.modes, WIN.modes + 1):
                         got = em.mode_memo(n, v)

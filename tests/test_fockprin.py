@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from field_oracle import Tuples
 from torlab.distops import TruncationWindow
 from torlab.fockhom import window_states
 from torlab.fockprin import (PrincipalModule, _sqrt_in_cyc, as_zmodule,
@@ -61,7 +62,7 @@ def test_sqrt_rejects_nonsquares():
 
 def test_k0_zero_is_identity():
     mod = _mod()
-    k0 = mod.k0((0,))
+    k0 = Tuples(mod.k0((0,)))
     for v in window_states(mod.space, WIN)[:20]:
         assert k0.mode_memo(0, v) == {v: 1} or k0.mode_memo(0, v) == {v: Fraction(1)}
         for n in (-2, -1, 1, 2):
@@ -70,18 +71,18 @@ def test_k0_zero_is_identity():
 
 def test_X_vacuum_action():
     mod = _mod()
-    out = mod.k0((1,)).mode_memo(0, mod.vacuum())
+    out = Tuples(mod.k0((1,))).mode_memo(0, mod.vacuum())
     assert out == {((1, 0), ()): 1} or out == {((1, 0), ()): Fraction(1)}
 
 
 def test_k_fields_supported_on_multiples_of_m():
     mod = _mod()
     states = window_states(mod.space, WIN)
-    for f in (mod.k0((1,)), mod.k(1, (1,))):
+    for f in (Tuples(mod.k0((1,))), Tuples(mod.k(1, (1,)))):
         for v in states[:30]:
             for n in range(-4, f.max_mode(v) + 1):
                 if n % mod.m and f.mode_memo(n, v):
-                    raise AssertionError((f.label, v, n))
+                    raise AssertionError((f.obj.label, v, n))
 
 
 def test_verify_52():
@@ -154,8 +155,8 @@ def test_z_operator_is_scalar_times_k0():
     mod = _mod()
     c = solve_prin_constants(mod, WIN)[0]
     mod.set_constants(c)
-    z = mod.z((1,), (1,))
-    k0 = mod.k0((1,))
+    z = Tuples(mod.z((1,), (1,)))
+    k0 = Tuples(mod.k0((1,)))
     for v in window_states(mod.space, WIN)[:20]:
         for n in range(-3, k0.max_mode(v) + 1):
             lhs = z.mode_memo(n, v)

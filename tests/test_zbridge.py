@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from field_oracle import lhs_coeff
+from field_oracle import Tuples, lhs_coeff
 from torlab.distops import (DeltaRelation, IdentityField, ScaledField,
                             TruncationWindow, comb_add, comb_scale, comb_sub,
                             dressing_operator)
@@ -30,11 +30,11 @@ def test_omega_basis_structure():
     # delta-direction modes are allowed in the vacuum space
     assert any(s[1] for s in omega)
     # and it is the exact kernel: every positive Cartan mode kills it
-    space = V.space
+    space = Tuples(V.space)
     for s in omega:
         for d in cartan:
             for i in (1, 2):
-                assert not space.heisenberg_act(space.dir_vec(d), i,
+                assert not space.heisenberg_act(V.space.dir_vec(d), i,
                                                 {s: Cyc.one()})
 
 
@@ -45,8 +45,8 @@ def test_dressed_Z_reduces_to_lattice_operator_on_omega():
     W = to_Zmodule(V, WIN)
     b = mod.rs.roots[-1]
     for rvec in [(0,), (1,)]:
-        zd = W.z(b, rvec)
-        zl = mod.z(b, rvec)
+        zd = Tuples(W.z(b, rvec))
+        zl = Tuples(mod.z(b, rvec))
         for v in W.omega_states:
             for n in range(-2, max(zd.max_mode(v), zl.max_mode(v)) + 1):
                 assert not comb_sub(zd.mode_memo(n, v), zl.mode_memo(n, v))
@@ -55,11 +55,11 @@ def test_dressed_Z_reduces_to_lattice_operator_on_omega():
 def test_Z_commutes_with_nonzero_heisenberg_modes():
     V = _v()
     W = to_Zmodule(V, WIN)
-    space = V.space
+    space = Tuples(V.space)
     b = V.rs.roots[0]
-    z = W.z(b, (0,))
+    z = Tuples(W.z(b, (0,)))
     avec = V.root_vec(V.rs.simple_roots[0])
-    states = window_states(space, WIN)
+    states = window_states(V.space, WIN)
     for v in states[:25]:
         comb = {v: Cyc.one()}
         for i in (-2, -1, 1, 2):
@@ -81,12 +81,12 @@ def test_dressed_commutator_identity():
     ip = V.rs.form(b1, b2)
     rel = DeltaRelation(W.z(b1, rvec), W.z(b2, svec),
                         [(Fraction(ip), Cyc.one())], [])
-    x1 = V.x(b1, rvec)
-    x2 = V.x(b2, svec)
-    em1 = dressing_operator(space, -1, V.root_vec(b1), 1)
-    em2 = dressing_operator(space, -1, V.root_vec(b2), 1)
-    ep1 = dressing_operator(space, 1, V.root_vec(b1), 1)
-    ep2 = dressing_operator(space, 1, V.root_vec(b2), 1)
+    x1 = Tuples(V.x(b1, rvec))
+    x2 = Tuples(V.x(b2, svec))
+    em1 = Tuples(dressing_operator(space, -1, V.root_vec(b1), 1))
+    em2 = Tuples(dressing_operator(space, -1, V.root_vec(b2), 1))
+    ep1 = Tuples(dressing_operator(space, 1, V.root_vec(b1), 1))
+    ep2 = Tuples(dressing_operator(space, 1, V.root_vec(b2), 1))
 
     def cmax(field, comb):
         return max((field.max_mode(s) for s in comb), default=-10)
