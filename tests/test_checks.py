@@ -87,7 +87,9 @@ class _FaultOn(FieldFamily):
 
     def mode_state(self, n, v):
         out = self.base.mode_memo(n, v)
-        return comb_scale(out, -1) if Tuples(self).state(v) == self.state else out
+        if Tuples(self).state(v) == self.state:
+            return comb_scale(out, -1)
+        return out
 
 
 def _last_hit(f, states):
