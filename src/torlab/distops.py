@@ -14,10 +14,12 @@ bounded above on every state and all coefficient sums are finite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial as _factorial
+from math import prod
 
 from .scalar import Cyc
 
@@ -154,16 +156,15 @@ class FockSpace:
     heis_dirs:   coordinate indices that carry Heisenberg modes
     mode_scale:  level factor in the contraction [a(n), b(-n)] = n*scale*(a,b)
     weight:      zeta-exponent carried per unit mode (m for principal fields)
-    normalized:  which vector a state names.  False (the default): the
-                 monomial p_lambda = prod a_d(-j) e^gamma over its modes.
-                 True: b_lambda = p_lambda / z_lambda with
-                 z_lambda = prod_(d,j) j^m m! over the distinct modes (d, j)
-                 of multiplicity m (Macdonald, Symmetric Functions and Hall
-                 Polynomials, I.4).  There a(-n) acts with the integer
-                 factor n*(m_n + 1) and a(n) with scale*(vec, e_d), so
-                 level-1 vertex operators have integer matrix elements.
-                 The change of basis is diagonal: a combination vanishes
-                 in one basis exactly when it vanishes in the other.
+
+    A state names b_lambda e^gamma, b_lambda = p_lambda / z_lambda for the
+    monomial p_lambda = prod a_d(-j) over its modes and z_lambda =
+    prod_(d,j) j^m m! over its distinct modes (d, j) of multiplicity m
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.4).  a_d(-j)
+    adds (d, j) with the factor j m, m its new multiplicity, and vec(j)
+    takes one (d, j) out with scale*(vec, e_d): level-1 vertex operators
+    have integer matrix elements.  The change of basis is diagonal, so a
+    combination vanishes in both bases or in neither.
 
     Inside the fields every state is an int id, sid = (lid << 32) | mid,
     which hashes without walking a nested tuple.  The space interns each
@@ -176,6 +177,8 @@ class FockSpace:
       created(mid, d, j)   -> (mid', multiplicity of (d, j) in mid')
       removable(mid)       -> ((d, j, count, mid'), ...) per distinct mode
       joined(mid, mid2)    -> mid of the union of two multisets
+      removed(mid, mid2)   -> mid of the difference, None unless mid2 in mid
+      z(mid)               -> z_lambda
       shifted(sid, vec)    -> sid with vec added to its label
       label_pair(vec, lid) -> (vec, label)
       annihilatable(sid, vec)
@@ -183,15 +186,13 @@ class FockSpace:
     Images are dicts {sid: coefficient}.
     """
 
-    def __init__(self, gram, heis_dirs, mode_scale=1, weight=1,
-                 normalized=False):
+    def __init__(self, gram, heis_dirs, mode_scale=1, weight=1):
         self.gram = [list(row) for row in gram]
         self.dim = len(gram)
-        self.heis_dirs = list(heis_dirs)
+        self.heis_dirs = sorted(heis_dirs)
         self.mode_scale = (mode_scale if isinstance(mode_scale, int)
                            else Fraction(mode_scale))
         self.weight = weight
-        self.normalized = normalized
         self._dir_pairs = {}
         self._labels = [(0,) * self.dim]
         self._lids = {self._labels[0]: 0}
@@ -200,6 +201,8 @@ class FockSpace:
         self._created = {}    # (d, j) -> {mid: (mid', multiplicity)}
         self._removable = {}  # mid -> ((d, j, count, mid'), ...)
         self._joined = {}     # mid2 -> {mid: mid of the union}
+        self._removed = {}    # mid2 -> {mid: mid of the difference or None}
+        self._z = {}          # mid -> z_lambda
         self._shifted = {}    # vec -> {lid: lid'}
         self._label_pairs = {}  # vec -> {lid: (vec, label)}
         self._annihilatable = {}  # vec -> {mid: bound}
@@ -272,6 +275,25 @@ class FockSpace:
                 tuple(sorted(self._modes[mid] + self._modes[mid2])))
         return hit
 
+    def removed(self, mid, mid2):
+        """mid of the multiset mid less the multiset mid2, or None when
+        mid2 is not contained in mid."""
+        table = _row(self._removed, mid2)
+        if mid not in table:
+            have, take = Counter(self._modes[mid]), Counter(self._modes[mid2])
+            table[mid] = None if take - have else self.mid(
+                tuple(sorted((have - take).elements())))
+        return table[mid]
+
+    def z(self, mid) -> int:
+        """z_lambda of the multiset mid."""
+        hit = self._z.get(mid)
+        if hit is None:
+            hit = self._z[mid] = prod(
+                j ** m * _factorial(m)
+                for (_d, j), m in Counter(self._modes[mid]).items())
+        return hit
+
     def shifted(self, sid, vec):
         """sid with vec added to its label."""
         table = _row(self._shifted, vec)
@@ -337,21 +359,12 @@ class FockSpace:
         tot = sum(n for _, n in modes)
         return -self.weight * (Fraction(self.pair(label, label), 2) + tot)
 
-    def z_factor(self, modes) -> int:
-        """z_lambda = prod j^m m! over the distinct modes (d, j) of
-        multiplicity m."""
-        z = 1
-        for mode in set(modes):
-            m = modes.count(mode)
-            z *= mode[1] ** m * _factorial(m)
-        return z
-
     # -- Heisenberg action -------------------------------------------------
 
     def heisenberg_act(self, vec, n: int, comb):
         """Apply the mode vec(n) to comb, a dict {sid: coefficient}: create
-        for n<0, read gamma for n=0, differentiate with the contraction
-        factor for n>0."""
+        for n<0, read gamma for n=0, remove a mode for n>0, with the
+        factors of the basis b_lambda."""
         vec = tuple(vec)
         out = {}
         if n == 0:
@@ -369,23 +382,14 @@ class FockSpace:
                     vd = vec[d]
                     if vd:
                         new, mult = created(mid, d, -n)
-                        if self.normalized:
-                            vd *= -n * mult
-                        _acc(out, hi | new, c * vd)
+                        _acc(out, hi | new, c * (vd * -n * mult))
             return out
         dp = self.dir_pairs(vec)
         for sid, c in comb.items():
             hi = sid & LABEL_BITS
-            for d, j, count, new in self.removable(sid & MODE_MASK):
-                if j != n:
-                    continue
-                p = dp[d]
-                if not p:
-                    continue
-                factor = self.mode_scale * p
-                if not self.normalized:
-                    factor *= count * n
-                _acc(out, hi | new, c * factor)
+            for d, j, _count, new in self.removable(sid & MODE_MASK):
+                if j == n and dp[d]:
+                    _acc(out, hi | new, c * (self.mode_scale * dp[d]))
         return out
 
 
@@ -432,18 +436,17 @@ def witness_difference(space, state, diff):
     image {sid: coefficient} of one input state, each key written as
     its (label, modes) tuple.
 
-    Coefficients are read in the monomial basis whatever basis the space
-    uses (the coefficient of out in the image of state is multiplied by
-    z_state / z_out), and written by value as the repr of a Cyc, such as
-    Cyc(1/2) or Cyc(1/4*z4^1), so a witness reads the same whether the
+    Coefficients are read in the monomial basis p_lambda = z_lambda
+    b_lambda (the coefficient of out in the image of state is multiplied
+    by z_state / z_out), and written by value as the repr of a Cyc, such
+    as Cyc(1/2) or Cyc(1/4*z4^1), so a witness reads the same whether the
     sweep kept its scalars as int, Fraction or Cyc.
     """
+    zin = space.z(space.mid(tuple(state[1])))
     out = []
     for k, v in diff.items():
-        k = space.state_of(k)
-        if space.normalized:
-            v = v * Fraction(space.z_factor(state[1]), space.z_factor(k[1]))
-        out.append((repr(k), repr(Cyc._coerce(v))))
+        v = v * Fraction(zin, space.z(k & MODE_MASK))
+        out.append((repr(space.state_of(k)), repr(Cyc._coerce(v))))
     return sorted(out)
 
 
@@ -638,19 +641,37 @@ class HeisenbergField(FieldFamily):
 class ExpField(FieldFamily):
     """exp(c * sum_(j>0) vec(sign*j) z^(sign*weight*j) / j) on a FockSpace.
 
-    sign=-1 is a pure creation series (modes at nonpositive exponents);
-    sign=+1 is pure annihilation (modes bounded by what the state can
-    absorb in pairable directions).
+    sign=-1 creates (modes at nonpositive exponents), sign=+1 annihilates
+    (modes bounded by what the state can absorb in pairable directions).
+    Mode sign*weight*t is F_t, of total mode index t, in closed form:
 
-    An int c keeps the coefficients in int wherever the division by the
-    mode index is exact (every E^- coefficient in a normalized space)
-    and falls back to Fraction only where it is not.
+      E^-_t b_lambda = sum_(|mu|=t) c^l(mu) prod_d vec_d^l(mu_d)
+                       z_(lambda u mu) / (z_lambda z_mu) b_(lambda u mu),
+      E^+_t b_nu = sum_(kappa in nu, |kappa|=t) c^l(kappa)
+                   prod_d s_d^l(kappa_d) / z_kappa b_(nu - kappa),
 
-    The series never applies the mode vec(0), the only mode that reads
-    the lattice label, so it ignores the label: it is expanded once per
-    mode multiset mid, on the zero label (where sid == mid), and every
-    other label reads that expansion with its own label put back on the
-    output states.
+    mu, kappa mode multisets, l(mu_d) the number of modes of mu in the
+    direction d, s_d = mode_scale*(vec, e_d).  The modes commute, so the
+    series factors.  E^-: per direction, exp(x sum_j a_d(-j) z^j / j) =
+    sum_mu x^l(mu) p_mu z^|mu| / z_mu (Macdonald, I.2.14 and I.4), and
+    p_mu b_lambda = p_(lambda u mu) / z_lambda; the ratio of z's is
+    prod_(d,j) C(m + m', m') over the multiplicities in lambda and mu, an
+    integer.  E^+: vec(j) = sum_d s_d R_(d,j), R_(d,j) the removal of one
+    (d, j), so the series is prod_(d,j) exp(c s_d R_(d,j) / j), whose
+    term R_(d,j)^k (1/j)^k / k! takes out k copies; prod j^k k! = z_kappa.
+
+    Keys come in the order in which the recursion
+    t F_t = c sum_(j=1..t) vec(sign j) F_(t-j) first makes them, the
+    order checks.no_out reads: terms(t) lists the multisets in that
+    order, E^- joins each onto the input and E^+ takes out each one the
+    input holds (first appearances restricted to a subset keep their
+    order).  No sum cancels, as the terms of a key share their sign.  An
+    int c keeps every integral coefficient in int.
+
+    The series never applies vec(0), the only mode that reads the label,
+    so it is expanded once per mode multiset mid, on the zero label
+    (where sid == mid), and every other label reads that expansion with
+    its own label put back on the output states.
     """
 
     def __init__(self, space: FockSpace, vec, c, sign: int, label="E"):
@@ -661,11 +682,37 @@ class ExpField(FieldFamily):
         self.sign = 1 if sign > 0 else -1
         self.shift = (0,) * space.dim
         self.label = label
+        self._factors = self.vec if self.sign < 0 else [
+            space.mode_scale * p for p in space.dir_pairs(self.vec)]
+        self._dirs = [d for d in space.heis_dirs if self._factors[d]]
+        self._terms = {0: [(0, 1)]}
 
     def max_mode(self, sid):
         if self.sign < 0:
             return 0
         return self.space.weight * self.space.annihilatable(sid, self.vec)
+
+    def terms(self, t):
+        """(mu, w) per multiset mu of total index t, in the recursion's
+        order (j upward, then the multisets of t - j, then the
+        directions): w = c^l(mu) prod_d vec_d^l(mu_d) for E^- and
+        c^l(mu) prod_d s_d^l(mu_d) / z_mu for E^+."""
+        hit = self._terms.get(t)
+        if hit is None:
+            space = self.space
+            seen = {}
+            for j in range(1, t + 1):
+                for mu, _w in self.terms(t - j):
+                    for d in self._dirs:
+                        seen.setdefault(space.created(mu, d, j)[0])
+            hit = self._terms[t] = []
+            for mu in seen:
+                w = prod((self.c * self._factors[d]
+                          for d, _j in space.modes_of(mu)), start=self.c ** 0)
+                if self.sign > 0:
+                    w = _int_if_integral(Fraction(w, space.z(mu)))
+                hit.append((mu, w))
+        return hit
 
     def mode_state(self, n, sid):
         w = self.space.weight
@@ -673,30 +720,24 @@ class ExpField(FieldFamily):
         if n % w or sign * n < 0:
             return {}
         total = sign * n // w
-        c = self.c
         if total == 0:
             return {sid: 1}
         if sid > MODE_MASK:
             hi = sid & LABEL_BITS
             return {hi | k: v for k, v in
                     self.mode_memo(n, sid & MODE_MASK).items()}
-        # t F_t = c sum_{j=1..t} a(sign j) F_{t-j}  (the modes commute)
-        acc = {}
-        for j in range(1, total + 1):
-            prev = self.mode_memo(sign * (total - j) * w, sid)
-            if prev:
-                for k, v in self.space.heisenberg_act(self.vec, sign * j, prev).items():
-                    _acc(acc, k, v)
-        if type(c) is not int:
-            return comb_scale(acc, c / total)
+        space = self.space
         out = {}
-        for k, v in acc.items():
-            v *= c
-            if type(v) is int:
-                q, r = divmod(v, total)
-                out[k] = Fraction(v, total) if r else q
-            else:
-                out[k] = v * Fraction(1, total)
+        if sign < 0:
+            z, zin = space.z, space.z(sid)
+            for mu, wt in self.terms(total):
+                k = space.joined(sid, mu)
+                out[k] = wt * (z(k) // (zin * z(mu)))
+            return out
+        for kappa, wt in self.terms(total):
+            k = space.removed(sid, kappa)
+            if k is not None:
+                out[k] = wt
         return out
 
 
@@ -714,6 +755,28 @@ def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
 # ---------------------------------------------------------------------------
 # bivariate products and the generic delta-relation checker
 # ---------------------------------------------------------------------------
+
+
+def _products(sid, outer, inner, modes):
+    """(p, nonzero (key, coefficient) pairs) of the image of sid under
+    outer(n_outer) inner(n_inner), per (p, n_outer, n_inner) in modes."""
+    cells = []
+    for p, n_outer, n_inner in modes:
+        mid = inner(n_inner, sid)
+        if not mid:
+            continue
+        acc = {}
+        for w, cw in mid.items():
+            res = outer(n_outer, w)
+            if res:
+                for k, v in res.items():
+                    prev = acc.get(k)
+                    vv = v * cw
+                    acc[k] = vv if prev is None else prev + vv
+        items = tuple((k, v) for k, v in acc.items() if v)
+        if items:
+            cells.append((p, items))
+    return cells
 
 
 # Binomial tables of the delta relations, keyed by their factors tuple:
@@ -809,38 +872,10 @@ class DeltaRelation:
             amax = min(W, S + W)
             p1lo = S - gmax
             coef = self._coefs(max(amax - p1lo, fmax - amin, 0))
-            cells1 = []
-            for p in range(p1lo, amax + 1):
-                mid = gmode(S - p, sid)
-                if not mid:
-                    continue
-                acc = {}
-                for w, cw in mid.items():
-                    res = fmode(p, w)
-                    if res:
-                        for k, v in res.items():
-                            prev = acc.get(k)
-                            vv = v * cw
-                            acc[k] = vv if prev is None else prev + vv
-                items = tuple((k, v) for k, v in acc.items() if v)
-                if items:
-                    cells1.append((p, items))
-            cells2 = []
-            for p in range(amin, fmax + 1):
-                mid = fmode(p, sid)
-                if not mid:
-                    continue
-                acc = {}
-                for w, cw in mid.items():
-                    res = gmode(S - p, w)
-                    if res:
-                        for k, v in res.items():
-                            prev = acc.get(k)
-                            vv = v * cw
-                            acc[k] = vv if prev is None else prev + vv
-                items = tuple((k, v) for k, v in acc.items() if v)
-                if items:
-                    cells2.append((p, items))
+            cells1 = _products(sid, fmode, gmode, [
+                (p, p, S - p) for p in range(p1lo, amax + 1)])
+            cells2 = _products(sid, gmode, fmode, [
+                (p, S - p, p) for p in range(amin, fmax + 1)])
             rhs_cells = []
             for ti, term in enumerate(self.rhs_terms):
                 if S <= term.field.max_mode(sid):

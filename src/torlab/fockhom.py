@@ -20,10 +20,10 @@ bounded above and makes [d_0, F] = DF exact.
 Basis: a state (label, modes) names b_lambda = p_lambda / z_lambda, the
 monomial p_lambda in the creation modes divided by
 z_lambda = prod_(d,j) j^m m! per mode (d, j) of multiplicity m (see
-FockSpace, normalized=True).  In this basis every matrix element of the
-fields above is an integer, so the sweeps run in int arithmetic; the
-change of basis is diagonal, so pass/fail is the same as in the monomial
-basis, and failing witnesses are converted back to the monomial basis.
+FockSpace).  In this basis every matrix element of the fields above is
+an integer, so the sweeps run in int arithmetic; the change of basis is
+diagonal, so pass/fail is the same as in the monomial basis, and failing
+witnesses are converted back to the monomial basis.
 
 State ids: the fields act on the FockSpace's int ids
 sid = (lid << 32) | mid (label id, mode-multiset id), and window_states
@@ -93,18 +93,15 @@ class KFields:
 
 
 class HomogeneousModule(KFields):
-    """The Fock module V(Gamma) with its field dictionary.
+    """The Fock module V(Gamma) with its field dictionary."""
 
-    normalized picks the basis of the states (see the module docstring);
-    normalized=False gives the monomial basis, for comparisons."""
-
-    def __init__(self, rs: RootSystem, N: int, normalized=True):
+    def __init__(self, rs: RootSystem, N: int):
         self.rs = rs
         self.lat = Lattice(rs, N)
         self.alg = ChevalleyAlgebra(rs, self.lat)
         heis = list(range(rs.rank + N))
         super().__init__(FockSpace(self.lat.gram, heis, mode_scale=1,
-                                   weight=1, normalized=normalized), N)
+                                   weight=1), N)
 
     def delta(self, rvec):
         return self.lat.delta(rvec)

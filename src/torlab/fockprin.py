@@ -12,8 +12,10 @@ principal automorphism theta), and
     Z(beta, r, z)    = C_j k_0(r, z^m)   (beta in the theta-orbit of beta_j)
 
 at level k = 1.  The X and k fields are those of the homogeneous
-picture (fockhom.KFields) on a space of weight m; this module adds the
-orbit constants C_j, the Z fields built on them and the constant solver.
+picture (fockhom.KFields) on a space of weight m, in the same basis
+b_lambda = p_lambda / z_lambda (see FockSpace), where k_0, k_i and E^-
+have integer matrix elements; this module adds the orbit constants C_j,
+the Z fields built on them and the constant solver.
 The vacuum-space constants C_j are configuration inputs;
 solve_prin_constants recovers them from the quadratic relation when a
 single orbit carries the whole root system.  Root vectors are

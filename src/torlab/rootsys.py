@@ -120,11 +120,6 @@ class Lattice:
     def delta(self, rvec):
         return (0,) * self.rs.rank + tuple(rvec) + (0,) * self.N
 
-    def dvec(self, i):
-        out = [0] * self.dim
-        out[self.rs.rank + self.N + i] = 1
-        return tuple(out)
-
 
 class GElement:
     """Finite Cyc-linear combination of Chevalley basis symbols.

@@ -208,19 +208,6 @@ def apply_loop_automorphism(aut: Automorphism, el: TorElement) -> TorElement:
     return out
 
 
-def project_theta_fixed(tor: ToroidalAlgebra, el: TorElement) -> TorElement:
-    """Average of the loop automorphism orbit (a theta-fixed element)."""
-    m = tor.m
-    if m == 1:
-        return el
-    acc = TorElement()
-    cur = el
-    for _ in range(m):
-        acc = acc + cur
-        cur = apply_loop_automorphism(tor.aut, cur)
-    return tor.normalize_dA(acc.scale(Fraction(1, m)))
-
-
 # the fields of b1 and b2 bracketed in relations 1.5(1)-(3), in run order
 _PAIR_FIELDS = {"1.5(1)": (GElement.x, GElement.x),
                 "1.5(2)": (GElement.h, GElement.h),

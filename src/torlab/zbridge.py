@@ -191,28 +191,17 @@ def omega_basis(mod: CkModule, window: TruncationWindow):
         if t == 0:
             kernel.extend(basis)
             continue
-        # rows: images under every h_d(i), i = 1..t, stacked
-        cols = []
-        targets = {}
-        rows_per_state = []
-        for s in basis:
-            images = {}
+        # rows: images under every h_d(i), i = 1..t, stacked, one row per
+        # (d, i, output state) in order of first appearance
+        rows = {}
+        for j, s in enumerate(basis):
             comb = {space.sid(s): Cyc.one()}
             for d in dirs:
-                vec = space.dir_vec(d)
                 for i in range(1, t + 1):
-                    out = space.heisenberg_act(vec, i, comb)
+                    out = space.heisenberg_act(space.dir_vec(d), i, comb)
                     for w, c in out.items():
-                        images[(d, i, w)] = images.get((d, i, w), Cyc.zero()) + c
-            rows_per_state.append(images)
-            for key in images:
-                if key not in targets:
-                    targets[key] = len(targets)
-        mat = [[Cyc.zero()] * len(basis) for _ in range(len(targets))]
-        for j, images in enumerate(rows_per_state):
-            for key, c in images.items():
-                mat[targets[key]][j] = c
-        for vec in nullspace(mat):
+                        rows.setdefault((d, i, w), [0] * len(basis))[j] = c
+        for vec in nullspace(list(rows.values())):
             support = [basis[j] for j, c in enumerate(vec) if c]
             if len(support) != 1:
                 pure = False
@@ -599,7 +588,7 @@ def pairing_injective(mod: CkModule, window: TruncationWindow,
     omega, _ = omega_basis(mod, TruncationWindow(window.modes, degree_cap,
                                                  window.support))
     small = [s for s in omega if sum(n for _, n in s[1]) <= degree_cap]
-    columns = []
+    images = []
     index = {}
     for s in small:
         for t in range(degree_cap + 1):
@@ -608,17 +597,11 @@ def pairing_injective(mod: CkModule, window: TruncationWindow,
                 comb = {space.sid(s): Cyc.one()}
                 for d, part in mk:
                     comb = space.heisenberg_act(space.dir_vec(d), -part, comb)
-                vec = {}
-                for st, c in comb.items():
-                    if st not in index:
-                        index[st] = len(index)
-                    vec[index[st]] = c
-                columns.append(vec)
-    mat = [[Cyc.zero()] * len(columns) for _ in range(len(index))]
-    for j, vec in enumerate(columns):
-        for i, c in vec.items():
-            mat[i][j] = c
-    return rank(mat) == len(columns)
+                images.append({index.setdefault(st, len(index)): c
+                               for st, c in comb.items()})
+    # injective: the images, one row each, have full row rank
+    return rank([[image.get(i, 0) for i in range(len(index))]
+                 for image in images]) == len(images)
 
 
 def roundtrip_check(mod: CkModule, window: TruncationWindow, roots=None,

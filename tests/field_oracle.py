@@ -8,10 +8,21 @@ recomputes the caps and images of ProductField, SumField, ScaledField,
 RestrictedField and HeisTimesXField from their parts with no per-field
 cache and with comb_add sums.
 
-Both oracles, like the tests, name states as (label, modes) tuples; the
-fields and FockSpace.heisenberg_act work on the space's state ids, and
-Tuples converts at that boundary.
+The Fock oracle is the Heisenberg action in the monomial basis p_lambda,
+monomial_act, and the exponential series by its recursion, exp_series;
+Monomial reads a field's images in that basis.  An operator with the
+monomial matrix element M(out, in) has the matrix element
+M(out, in) * z_out / z_in in the basis b_lambda = p_lambda / z_lambda
+that FockSpace uses.
+
+All three oracles, like the tests, name states as (label, modes) tuples;
+the fields and FockSpace.heisenberg_act work on the space's state ids,
+and Tuples converts at that boundary.
 """
+
+from collections import Counter
+from fractions import Fraction
+from math import factorial
 
 from torlab.distops import (FockSpace, ProductField, ScaledField, SumField,
                             comb_add, comb_scale, comb_sub,
@@ -60,6 +71,82 @@ class Tuples:
 
     def annihilatable(self, state, vec):
         return self.obj.annihilatable(self.space.sid(state), vec)
+
+
+def z_factor(modes):
+    """z_lambda = prod j^m m! over the distinct modes (d, j) of
+    multiplicity m."""
+    z = 1
+    for (_d, j), m in Counter(modes).items():
+        z *= j ** m * factorial(m)
+    return z
+
+
+class Monomial(Tuples):
+    """Tuples in the monomial basis p_lambda = z_lambda b_lambda: the
+    coefficient of out in the image of state is multiplied by
+    z_state / z_out."""
+
+    def _monomial(self, state, image):
+        zin = z_factor(state[1])
+        return {k: c * Fraction(zin, z_factor(k[1])) for k, c in image.items()}
+
+    def mode_memo(self, n, state):
+        return self._monomial(state, super().mode_memo(n, state))
+
+    def mode_state(self, n, state):
+        return self._monomial(state, super().mode_state(n, state))
+
+
+# ---------------------------------------------------------------------------
+# Fock operators: the monomial action and the exponential recursion
+# ---------------------------------------------------------------------------
+
+
+def monomial_act(space, vec, n, comb):
+    """vec(n) on comb, a dict {(label, modes): coefficient} in the monomial
+    basis: vec(-j) appends the mode (d, j) with the factor vec_d,
+    vec(0) reads the label, and vec(j) takes out one copy of a mode
+    (d, j) of multiplicity m with the factor scale*(vec, e_d)*j*m."""
+    dp = space.dir_pairs(tuple(vec))
+    out = {}
+    for (label, modes), c in comb.items():
+        if n == 0:
+            terms = [((label, modes), space.pair(vec, label))]
+        elif n < 0:
+            terms = [((label, tuple(sorted(modes + ((d, -n),)))), vec[d])
+                     for d in space.heis_dirs]
+        else:
+            terms = []
+            for d, j in sorted(set(modes)):
+                if j == n:
+                    rest = list(modes)
+                    rest.remove((d, j))
+                    terms.append(((label, tuple(rest)), space.mode_scale
+                                  * dp[d] * n * modes.count((d, j))))
+        for k, f in terms:
+            if f:
+                out = comb_add(out, {k: c * f})
+    return out
+
+
+def exp_series(space, vec, c, sign, state, n, act=None):
+    """Mode n of exp(c sum_(j>0) vec(sign j) z^(sign weight j) / j) on the
+    (label, modes) state, by the recursion
+    t F_t = c sum_(j=1..t) vec(sign j) F_(t-j).  act(vec, j, comb) is the
+    Heisenberg action, FockSpace.heisenberg_act on tuple states unless
+    given."""
+    act = act or Tuples(space).heisenberg_act
+    w = space.weight
+    if n % w or sign * n < 0:
+        return {}
+    series = [{state: 1}]
+    for t in range(1, sign * n // w + 1):
+        acc = {}
+        for j in range(1, t + 1):
+            acc = comb_add(acc, act(vec, sign * j, series[t - j]))
+        series.append(comb_scale(acc, Fraction(c) / t))
+    return series[-1]
 
 
 # ---------------------------------------------------------------------------

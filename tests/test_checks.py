@@ -22,7 +22,8 @@ import pytest
 from field_oracle import Tuples
 from torlab.autom import diagram_automorphism, identity_automorphism
 from torlab.distops import (FieldFamily, HeisenbergField, ProductField,
-                            ScaledField, TruncationWindow, comb_scale)
+                            ScaledField, TruncationWindow, comb_scale,
+                            dressing_operator)
 from torlab.fockhom import (HomogeneousModule, verify_33, verify_center_hom,
                             verify_products_hom, window_states)
 from torlab.fockprin import (PrincipalModule, negation_theta,
@@ -144,6 +145,25 @@ def zk_central():
     w, bad = _dk()
     bad._k_fn = _k1_doubled(w.kf)
     return verify_Zk_relations(bad, WIN, rvecs=R)
+
+
+def ck_dressing():
+    """The root fields of V(Gamma) dressed with E^+ at level 2 (exponent
+    1/2) instead of level 1; E^- and the level of the module are left as
+    they are."""
+    mod = _hom()
+    v = homogeneous_Ck(mod)
+
+    def x_fn(beta, rvec):
+        neg = tuple(-c for c in mod.lat.embed_root(beta))
+        em = dressing_operator(mod.space, -1, neg, 1)
+        ep = dressing_operator(mod.space, 1, neg, 2)
+        return ProductField(em, ProductField(mod.z(beta, rvec), ep),
+                            label="x%r%r" % (beta, rvec))
+
+    bad = CkModule(v.space, 1, TwistData(1), v.rs, v.lat, v.alg, x_fn,
+                   v._beta_fn, v._k_fn, name="faulty")
+    return check_Ck(bad, WIN, rvecs=R)
 
 
 def hom_center_late():
@@ -518,6 +538,34 @@ CASES = {
          {"state": ((0, 0, 0), ((0, 1),)), "mode": -2, "difference": [
              ("((0, 1, 0), ((0, 1), (1, 1), (1, 1)))", "Cyc(1)"),
              ("((0, 1, 0), ((0, 1), (1, 2)))", "Cyc(1)")]}),
+    ]),
+    "ck_dressing": (ck_dressing, "ck.rel1", [
+        ({"b1": [-1], "b2": [-1]},
+         {"state": ((0, -1, 0), ((0, 1),)), "modes": (-2, -1), "difference": [
+             ("((-2, -1, 0), ())", "Cyc(-1)")]}),
+        ({"b1": [-1], "b2": [1]},
+         {"state": ((-1, 0, 0), ()), "modes": (-2, -2), "difference": [
+             ("((-1, 0, 0), ((0, 1), (0, 1), (0, 1), (0, 1)))", "Cyc(1/24)"),
+             ("((-1, 0, 0), ((0, 1), (0, 1), (0, 2)))", "Cyc(1/4)"),
+             ("((-1, 0, 0), ((0, 1), (0, 3)))", "Cyc(1/3)"),
+             ("((-1, 0, 0), ((0, 2), (0, 2)))", "Cyc(1/8)"),
+             ("((-1, 0, 0), ((0, 4),))", "Cyc(-3/4)")]}),
+        ({"b1": [1], "b2": [-1]},
+         {"state": ((-1, 0, 0), ()), "modes": (-2, -2), "difference": [
+             ("((-1, 0, 0), ((0, 1), (0, 1), (0, 1), (0, 1)))", "Cyc(-1/24)"),
+             ("((-1, 0, 0), ((0, 1), (0, 1), (0, 2)))", "Cyc(-1/4)"),
+             ("((-1, 0, 0), ((0, 1), (0, 3)))", "Cyc(-1/3)"),
+             ("((-1, 0, 0), ((0, 2), (0, 2)))", "Cyc(-1/8)"),
+             ("((-1, 0, 0), ((0, 4),))", "Cyc(3/4)")]}),
+        ({"b1": [1], "b2": [1]},
+         {"state": ((-1, 0, 0), ()), "modes": (-2, -1), "difference": [
+             ("((1, 0, 0), ((0, 1), (0, 1), (0, 1)))", "Cyc(-1/3)"),
+             ("((1, 0, 0), ((0, 3),))", "Cyc(1/3)")]}),
+    ]),
+    "ck_dressing_mixed": (ck_dressing, "ck.rel3", [
+        ({"h1": [1, 0, 0], "b2": [-1]},
+         {"state": ((-1, 0, 0), ()), "modes": (-2, -2), "difference": [
+             ("((-2, 0, 0), ((0, 1),))", "Cyc(1)")]}),
     ]),
     "hom_center_late": (hom_center_late, "zhom.center", [
         ({"r": [1]}, {"state": ((1, 0, 0), ((0, 1),)), "mode": -2}),

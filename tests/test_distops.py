@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
-from field_oracle import Tuples, check_state, comb_eq, ref_max_mode, ref_mode
+from field_oracle import (Monomial, Tuples, check_state, comb_eq, ref_max_mode,
+                          ref_mode, z_factor)
 from torlab.distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                             ExpField, FockSpace, HeisenbergField,
                             IdentityField, TruncationWindow,
@@ -96,7 +98,7 @@ def test_exp_field_low_modes():
     space = _rank2_space()
     vac = space.vacuum()
     c = Fraction(2)
-    em = Tuples(ExpField(space, (1, 0), -c, -1))
+    em = Monomial(ExpField(space, (1, 0), -c, -1))
     # mode 0 is the identity
     assert comb_eq(em.mode_state(0, vac), {vac: Cyc.one()})
     # mode -1: -c * a(-1)
@@ -108,7 +110,7 @@ def test_exp_field_low_modes():
     s2 = ((0, 0), ((0, 1), (0, 1)))
     assert comb_eq(got, {s1: Cyc.rational(-c / 2), s2: Cyc.rational(c * c / 2)})
     # annihilation side is the identity on the vacuum
-    ep = Tuples(ExpField(space, (1, 0), c, 1))
+    ep = Monomial(ExpField(space, (1, 0), c, 1))
     assert ep.max_mode(vac) == 0
     assert comb_eq(ep.mode_state(0, vac), {vac: Cyc.one()})
 
@@ -240,8 +242,9 @@ def _id_spaces():
 
 def test_state_ids_round_trip_and_transitions():
     """sid and state_of invert each other on every window state, distinct
-    states get distinct ids, and the add-mode, remove-mode, join and
-    label-shift transitions agree with the same operations on tuples."""
+    states get distinct ids, and the add-mode, remove-mode, join,
+    multiset-difference, z and label-shift transitions agree with the
+    same operations on tuples."""
     for space, states in _id_spaces():
         sids = [space.sid(v) for v in states]
         assert len(set(sids)) == len(states)
@@ -265,9 +268,14 @@ def test_state_ids_round_trip_and_transitions():
             got = [(d, j, count, space.modes_of(rest))
                    for d, j, count, rest in space.removable(mid)]
             assert got == want
+            assert space.z(mid) == z_factor(modes)
             for other in states[:5]:
-                joined = space.joined(mid, space.sid(other) & MODE_MASK)
+                omid = space.sid(other) & MODE_MASK
+                joined = space.joined(mid, omid)
                 assert space.modes_of(joined) == tuple(sorted(modes + other[1]))
+                assert space.removed(joined, omid) == mid
+                inside = not Counter(other[1]) - Counter(modes)
+                assert (space.removed(mid, omid) is not None) == inside
             for vec in vecs:
                 shifted = tuple(a + b for a, b in zip(label, vec))
                 assert space.state_of(space.shifted(sid, vec)) == (shifted, modes)

@@ -1,44 +1,69 @@
-"""The normalized basis b_lambda = p_lambda / z_lambda of the homogeneous
-Fock space against the monomial basis p_lambda, the exponential series
-and binomial tables that the homogeneous sweeps share, and fault
-injection into the homogeneous pair relation.
+"""The basis b_lambda = p_lambda / z_lambda of the Fock spaces against
+the monomial basis p_lambda, the closed-form exponential series against
+their recursion, the binomial tables that the homogeneous sweeps share,
+and fault injection into the homogeneous pair relation.
 
 z_lambda = prod_(d,j) j^m m! over the distinct modes (d, j) of
 multiplicity m.  An operator with monomial matrix element M(out, in)
-has the normalized matrix element M(out, in) * z_out / z_in.
+has the matrix element M(out, in) * z_out / z_in in the basis b_lambda.
 """
 
-from collections import Counter
 from fractions import Fraction
-from math import factorial
+from functools import partial
 
 import pytest
 
-from field_oracle import Tuples, check_state, comb_eq
+from field_oracle import (Tuples, check_state, comb_eq, exp_series,
+                          monomial_act, z_factor)
 from torlab.distops import (DeltaRelation, DeltaTerm, ExpField,
-                            TruncationWindow, comb_add, comb_scale,
-                            dressing_operator, product_of_binomials)
+                            TruncationWindow, dressing_operator,
+                            product_of_binomials)
 from torlab.fockhom import HomogeneousModule, pair_relation, window_states
+from torlab.fockprin import PrincipalModule, negation_theta
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
 
 WIN = TruncationWindow(2, 2, 1)
+PWIN = TruncationWindow(6, 6, 1)
 RVECS = [(0,), (1,), (-1,)]
 
 
-def _z(modes):
-    z = 1
-    for (_d, j), m in Counter(modes).items():
-        z *= j ** m * factorial(m)
-    return z
+def _homogeneous(rank):
+    """A_rank at N = 1: its window and the vectors the series tests
+    dress with, among them a root with two directions in A2."""
+    mod = HomogeneousModule(build_root_system("A", rank), 1)
+    vecs = [mod.lat.delta((1,)),
+            tuple(-x for x in mod.lat.embed_root(mod.rs.roots[0])),
+            tuple(a + b for a, b in zip(mod.lat.embed_root(mod.rs.roots[-1]),
+                                        mod.lat.delta((-1,))))]
+    if rank > 1:
+        vecs.append(mod.lat.embed_root(mod.rs.highest_root()))
+    return mod, WIN, vecs
+
+
+def _principal():
+    """A1 at N = 1 in the principal picture, m = 2: the delta_1 modes sit
+    at even exponents, and (delta_1 + d_1) both creates and absorbs them."""
+    mod = PrincipalModule(build_root_system("A", 1), 1, 2, negation_theta)
+    return mod, PWIN, [mod.delta((1,)), (1, 1), (-2, 1)]
+
+
+SPACES = {"1": partial(_homogeneous, 1), "2": partial(_homogeneous, 2),
+          "prin": _principal}
 
 
 def _fields(mod):
-    """Every homogeneous field family of the window, by a readable name."""
+    """The field families of the window by a readable name: k_0, k_1 and
+    the E^- of k_0 in both pictures, and in the homogeneous one also Z,
+    beta and the E^-/E^+ dressings of the root fields."""
     out = {}
     for r in RVECS:
         out["k0%r" % (r,)] = mod.k0(r)
         out["k1%r" % (r,)] = mod.k(1, r)
+        out["E-%r" % (r,)] = mod.k0(r).em
+    if isinstance(mod, PrincipalModule):
+        return out
+    for r in RVECS:
         for a in mod.rs.roots:
             out["Z%r%r" % (a, r)] = mod.z(a, r)
         for a in mod.rs.simple_roots:
@@ -51,76 +76,94 @@ def _fields(mod):
     return out
 
 
-@pytest.mark.parametrize("rank", [1, 2])
-def test_normalized_basis_matches_monomial(rank):
-    rs = build_root_system("A", rank)
-    norm = HomogeneousModule(rs, 1)
-    mono = HomogeneousModule(rs, 1, normalized=False)
-    assert norm.space.normalized and not mono.space.normalized
-    states = window_states(norm.space, WIN)
-    assert states == window_states(mono.space, WIN)
-    fn, fm = _fields(norm), _fields(mono)
+def _matches_monomial(got, want, v):
+    """got, an image of v in the basis b_lambda, is want, the image in
+    the monomial basis, times z_out / z_in, with the same keys."""
+    assert set(got) == set(want)
+    for k, c in got.items():
+        assert c == want[k] * Fraction(z_factor(k[1]), z_factor(v[1])), k
+    return len(got)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_normalized_basis_matches_monomial(name):
+    """The two leaves, vec(n) and E^+-, against the monomial action and
+    the recursion on it; every field but E^+ has int matrix elements."""
+    mod, win, vecs = SPACES[name]()
+    space = mod.space
+    act = Tuples(space).heisenberg_act
+    mono = partial(monomial_act, space)
+    states = window_states(space, win)
+    W = win.modes
     cells = 0
-    for name, f in fn.items():
-        f, g = Tuples(f), Tuples(fm[name])
+    for vec in vecs:
         for v in states:
-            assert f.max_mode(v) == g.max_mode(v)
-            for n in range(-WIN.modes, f.max_mode(v) + 1):
-                got = f.mode_memo(n, v)
-                want = g.mode_memo(n, v)
-                assert set(got) == set(want), (name, v, n)
-                for k, c in got.items():
-                    assert c * Fraction(_z(v[1]), _z(k[1])) == want[k], \
-                        (name, v, n, k)
-                    if not name.startswith("E+"):
-                        assert type(c) is int, (name, v, n, k, c)
+            for n in range(-W, W + 1):
+                got = act(vec, n, {v: 1})
+                cells += _matches_monomial(got, mono(vec, n, {v: 1}), v)
+                assert all(type(c) is int for c in got.values())
+        for sign in (1, -1):
+            for c in (1, -2, Fraction(1, 2)):
+                em = Tuples(ExpField(space, vec, c, sign))
+                for v in states:
+                    for n in range(-W, W + 1):
+                        got = em.mode_memo(n, v)
+                        want = exp_series(space, vec, c, sign, v, n, act=mono)
+                        cells += _matches_monomial(got, want, v)
+                        if type(c) is int and sign < 0:
+                            assert all(type(x) is int for x in got.values())
+    for fname, f in _fields(mod).items():
+        f = Tuples(f)
+        for v in states:
+            for n in range(-W, f.max_mode(v) + 1):
+                for k, c in f.mode_memo(n, v).items():
+                    if not fname.startswith("E+"):
+                        assert type(c) is int, (fname, v, n, k, c)
                     cells += 1
     assert cells > 1000
 
 
-def _exp_oracle(space, vec, c, sign, state, n):
-    """Mode n of exp(c sum_(j>0) vec(sign j) z^(sign j) / j) applied to
-    the labelled state itself: t F_t = c sum_(j=1..t) vec(sign j) F_(t-j)."""
-    if sign * n < 0:
-        return {}
-    series = [{state: 1}]
-    for t in range(1, sign * n + 1):
-        acc = {}
-        for j in range(1, t + 1):
-            acc = comb_add(acc, Tuples(space).heisenberg_act(vec, sign * j,
-                                                             series[t - j]))
-        series.append(comb_scale(acc, Fraction(c) / t))
-    return series[sign * n]
-
-
-@pytest.mark.parametrize("rank", [1, 2])
-@pytest.mark.parametrize("normalized", [True, False])
-def test_exp_series_shared_across_labels(rank, normalized):
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_exp_series_shared_across_labels(name):
     """The E^+- series is expanded on the zero label and read by every
-    other label; it matches the expansion on the labelled state."""
+    other label; it matches the recursion on the labelled state, key
+    order included."""
     assert "mode_memo" not in ExpField.__dict__
-    mod = HomogeneousModule(build_root_system("A", rank), 1,
-                            normalized=normalized)
+    mod, win, vecs = SPACES[name]()
     space = mod.space
-    states = window_states(space, WIN)
+    states = window_states(space, win)
     assert len({v[0] for v in states}) > 1
-    vecs = [mod.lat.delta((1,)),
-            tuple(-x for x in mod.lat.embed_root(mod.rs.roots[0])),
-            tuple(a + b for a, b in zip(mod.lat.embed_root(mod.rs.roots[-1]),
-                                        mod.lat.delta((-1,))))]
+    W = win.modes
     cells = 0
     for vec in vecs:
         for sign in (1, -1):
-            for c in (1, -1, Fraction(1, 2)):
+            for c in (1, -1, 2, Fraction(1, 2), Fraction(-3, 2)):
                 em = Tuples(ExpField(space, vec, c, sign))
                 for v in states:
-                    for n in range(-WIN.modes, WIN.modes + 1):
+                    for n in range(-W, W + 1):
                         got = em.mode_memo(n, v)
-                        want = _exp_oracle(space, vec, c, sign, v, n)
+                        want = exp_series(space, vec, c, sign, v, n)
                         assert comb_eq(got, want), (vec, sign, c, v, n)
+                        assert list(got) == list(want), (vec, sign, c, v, n)
                         assert all(k[0] == v[0] for k in got)
                         cells += len(got)
     assert cells > 100
+
+
+def test_exp_series_is_closed_form(monkeypatch):
+    """A mode of E^+- on the zero label calls no Heisenberg action and
+    reads no other mode of the series."""
+    mod, win, vecs = SPACES["2"]()
+    space = mod.space
+    monkeypatch.setattr(space, "heisenberg_act", None)
+    for vec in vecs:
+        for sign in (1, -1):
+            em = ExpField(space, vec, 2, sign)
+            for v in window_states(space, win):
+                mid = space.mid(v[1])
+                n = max(em.max_mode(mid), 0) if sign > 0 else -win.modes
+                em.mode_memo(n, mid)
+                assert list(em._memo[mid][1]) == [n]
 
 
 def test_binomial_table_shared_by_equal_factors():

@@ -6,13 +6,20 @@ entry, status or witness fails here.  The principal-fail runs fail on
 purpose (the constant 1/4, (1 + i)/4 or i/2 instead of a square root of
 -1/16) and pin their witnesses, at order 4 for the two order-4 constants.
 A deliberate change of report content updates the values below.
+
+The same runs back the fault-coverage ratchet: every relation id they
+report has a fault case in test_checks.CASES or a reason in UNCOVERED.
+Each run is made once per pytest run and its report kept for both tests.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
+from test_checks import CASES
 from torlab.cli import main
 
 RUNS = [
@@ -81,9 +88,74 @@ def _run_id(argv, code, _digest):
     return name + ("-fail" if code else "")
 
 
+_OUTPUTS = {}
+
+
+def _run(argv):
+    """(exit code, stdout) of the CLI on argv with seed 7, run once."""
+    key = tuple(argv)
+    if key not in _OUTPUTS:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv + ["--seed", "7"])
+        _OUTPUTS[key] = (code, out.getvalue())
+    return _OUTPUTS[key]
+
+
 @pytest.mark.parametrize("argv, code, digest", RUNS,
                          ids=[_run_id(*r) for r in RUNS])
-def test_report_bytes(capsys, argv, code, digest):
-    assert main(argv + ["--seed", "7"]) == code
-    out = capsys.readouterr().out
+def test_report_bytes(argv, code, digest):
+    got, out = _run(argv)
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Relation ids of the runs above with no case in test_checks.CASES, and
+# why.  The list only shrinks: a new id needs a case or a line here, and
+# an id that gains a case must leave it.
+UNCOVERED = {
+    "1.5(4)": "no fault case yet",
+    "1.5(5)": "no fault case yet",
+    "1.5(6)": "no fault case yet",
+    "1.5(7)": "no fault case yet",
+    "1.5(8)": "no fault case yet",
+    "bridge.omega_size": "a count: fails only on an empty Omega basis",
+    "bridge.pairing_injective": "no fault case yet",
+    "ck.factor_k": "no fault case yet",
+    "ck.grading": "no fault case yet",
+    "ck.k0_scalar": "no fault case yet",
+    "ck.rel2": "no fault case yet",
+    "ck.rel6_d0": "no fault case yet",
+    "ck.rel8_central": "no fault case yet",
+    "iso.form_pairing": "no fault case yet",
+    "iso.hom": "no fault case yet",
+    "iso.phi_C": "no fault case yet",
+    "prin.10": "no fault case yet",
+    "prin.2": "no fault case yet",
+    "prin.5": "no fault case yet",
+    "prin.7": "fails with pinned witnesses in the principal -fail runs above",
+    "prin.8": "made to fail by test_fockprin.py::"
+              "test_prin8_needs_a_trivial_fixed_cartan",
+    "prin.constants_solved": "made to fail by test_cli.py::"
+                             "test_solver_finding_no_constant_exits_1",
+    "prin.k_nontrivial": "no fault case yet",
+    "tor.antisym": "no fault case yet",
+    "zk.10": "no fault case yet",
+    "zk.2": "no fault case yet",
+    "zk.4": "no fault case yet",
+    "zk.5": "no fault case yet",
+    "zk.6": "no fault case yet",
+    "zk.7": "no fault case yet",
+    "zk.8": "no fault case yet",
+    "zk.omega_closed": "made to fail by test_checks.py::"
+                       "test_omega_closed_reports_the_first_offending_cell",
+}
+
+
+def test_every_relation_id_has_a_fault_case_or_a_reason():
+    ids = set()
+    for argv, _code, _digest in RUNS:
+        report = json.loads(_run(argv)[1])
+        ids |= {e["relation_id"] for e in report.get("entries", [])}
+    covered = {rel for _case, rel, _want in CASES.values()}
+    assert ids - covered == set(UNCOVERED)
