@@ -140,6 +140,10 @@ def suite_roundtrip(cfg: RunConfig):
 def _solve(mod, cfg: RunConfig):
     """The solved constants, sorted, and the prin.constants_solved entry:
     it fails when the solver finds no constant."""
+    if len(mod.orbits) != 1:
+        raise ConfigError("algebra: the constant solver needs a single "
+                          "theta-orbit, and %s%d has %d"
+                          % (cfg.kind, cfg.rank, len(mod.orbits)))
     sols = sorted(solve_prin_constants(mod, cfg.window), key=repr)
     entries = []
     checks.run(entries, "prin.constants_solved", {"count": len(sols)}, bool,

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .distops import TruncationWindow
+from .rootsys import cartan_matrix
 from .scalar import Cyc
 
 
@@ -155,6 +156,10 @@ class RunConfig:
             if not perm or sorted(perm) != list(range(self.rank)):
                 raise ConfigError("automorphism.permutation: expected a "
                                   "permutation of 0..%d" % (self.rank - 1))
+            a, n = cartan_matrix(self.kind, self.rank), range(self.rank)
+            if any(a[perm[i]][perm[j]] != a[i][j] for i in n for j in n):
+                raise ConfigError("automorphism.permutation: %r is not a "
+                                  "symmetry of the Dynkin diagram" % (perm,))
         if kind == "principal":
             s = self.automorphism.get("s")
             if s is not None and any(v != 1 for v in s):

@@ -1,4 +1,5 @@
-"""Homogeneous Fock-space realization (untwisted, level 1).
+"""Homogeneous Fock-space realization (untwisted, level 1), and the one
+builder of the quadratic Z-relation.
 
 V(Gamma) = S(h^-) (x) C[Gamma] over the extended lattice Gamma: states
 are a lattice label together with creation modes in the root and delta
@@ -34,6 +35,10 @@ Z(alpha, r) both read that zero-label image and write their final label,
 lambda + delta_r and lambda + delta_r + alpha, as the high bits of each
 output id, with exponent and label shift read from per-label caches: no
 relabelled copy of E^- is stored on the way.
+
+pair_relation builds the quadratic Z-relation of every picture from its
+module: this one (identity twist, level 1), a Z-module of zbridge or
+the principal module of fockprin.
 """
 
 from __future__ import annotations
@@ -43,22 +48,54 @@ from functools import partial
 
 from . import checks
 from .distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
-                      ExpField, FieldFamily, FockSpace, TruncationWindow,
-                      _acc, partitions)
+                      ExpField, FieldFamily, FockSpace, ScaledField, SumField,
+                      TruncationWindow, _acc, partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
-from .scalar import Cyc
+from .scalar import Cyc, cyc_root_of_unity
+
+
+class TwistData:
+    """Automorphism data entering the quadratic relations: the order m,
+    the root action theta^p and the eta scalars.  The default is the
+    identity twist of order 1."""
+
+    def __init__(self, m: int = 1):
+        self.m = m
+
+    def theta_root(self, p, beta):
+        return beta
+
+    def eta(self, p, beta) -> Cyc:
+        return Cyc.one()
+
+    def root_of_unity(self, power) -> Cyc:
+        return cyc_root_of_unity(self.m, power)
+
+
+class LatticeRoots:
+    """Root data for pair_relation from a module's .lat and .alg."""
+
+    def root_vec(self, beta):
+        return self.lat.embed_root(beta)
+
+    def form_xx(self, beta) -> Cyc:
+        """<x_beta, x_-beta> in the Chevalley normalization."""
+        return self.alg.form(GElement.x(tuple(beta)),
+                             GElement.x(tuple(-c for c in beta)))
 
 
 class KFields:
     """What both Fock modules share: the field cache, the vacuum and the
     central fields k_0(r, z^w) = X(delta_r, z^w) and
     k_i(r, z^w) = delta_i(z^w) X(delta_r, z^w), w the weight of the
-    space (1 here, m in the principal picture).  A module supplies the
-    space, N and delta(rvec), the label vector delta_r."""
+    space (1 here, m in the principal picture), at level k = 1.  A
+    module supplies the space, N and delta(rvec), the label vector
+    delta_r."""
 
     def __init__(self, space: FockSpace, N: int):
         self.space = space
         self.N = N
+        self.k = Cyc.one()
         self._fields = {}
 
     def _cached(self, key, build):
@@ -80,25 +117,26 @@ class KFields:
         return self._cached(("k0", rvec), lambda: VertexXField(
             self.space, self.delta(rvec), "k0%r" % (rvec,)))
 
-    def k(self, i, rvec):
-        """k_i(r, z^w) = delta_i(z^w) X(delta_r, z^w), 1-based i."""
+    def kf(self, i, rvec):
+        """k_i(r, z^w) = delta_i(z^w) X(delta_r, z^w), 1-based i, and
+        k_0(r, z^w) at i = 0."""
         rvec = tuple(rvec)
+        if i == 0:
+            return self.k0(rvec)
         unit = tuple(1 if j == i else 0 for j in range(1, self.N + 1))
         return self._cached(("k", i, rvec), lambda: HeisTimesXField(
             self.space, self.delta(unit), self.k0(rvec), "k%d%r" % (i, rvec)))
 
-    def kf(self, i, rvec):
-        """k_i(r, z^w), with k_0(r, z^w) at i = 0."""
-        return self.k0(rvec) if i == 0 else self.k(i, rvec)
 
-
-class HomogeneousModule(KFields):
-    """The Fock module V(Gamma) with its field dictionary."""
+class HomogeneousModule(KFields, LatticeRoots):
+    """The Fock module V(Gamma) with its field dictionary: the identity
+    twist at level 1."""
 
     def __init__(self, rs: RootSystem, N: int):
         self.rs = rs
         self.lat = Lattice(rs, N)
         self.alg = ChevalleyAlgebra(rs, self.lat)
+        self.twist = TwistData()
         heis = list(range(rs.rank + N))
         super().__init__(FockSpace(self.lat.gram, heis, mode_scale=1,
                                    weight=1), N)
@@ -153,9 +191,8 @@ class VertexXField(FieldFamily):
 
 
 class HeisTimesXField(FieldFamily):
-    """vec(z^w) x(z), x a VertexXField: the k_i fields (vec = delta_i),
-    the dressed Cartan fields beta(r, z) (level 1) and the delta term
-    sum_i r_i k_i of the pair relation (vec = delta_r)."""
+    """vec(z^w) x(z), x a VertexXField: the k_i fields (vec = delta_i)
+    and the dressed Cartan fields beta(r, z) (level 1)."""
 
     def __init__(self, space: FockSpace, vec, x, label):
         super().__init__()
@@ -301,29 +338,46 @@ def window_states(space: FockSpace, window: TruncationWindow):
 # ---------------------------------------------------------------------------
 
 
-def pair_relation(mod: HomogeneousModule, b1, b2, rvec, svec) -> DeltaRelation:
-    """The quadratic Z-operator relation for a root pair, untwisted form."""
-    space = mod.space
-    f = mod.z(b1, rvec)
-    g = mod.z(b2, svec)
-    ip = mod.rs.form(b1, b2)
-    rhs = []
+def _sum_r_k(mod, rvec, tot):
+    """sum_i r_i k_i(r + s, z) from the module's k_i fields; None at r = 0."""
+    parts = [ScaledField(mod.kf(i + 1, tot), ri)
+             for i, ri in enumerate(rvec) if ri]
+    return SumField(parts) if parts else None
+
+
+def pair_relation(mod, b1, b2, rvec, svec) -> DeltaRelation:
+    """The quadratic Z-relation of a root pair: prefactors
+    prod_p (1 - zeta_m^-p z1/z2)^((theta^p b1, b2)), a Z term where
+    theta^p b1 + b2 is a root and the terms h(0) k_0, sum_i r_i k_i and
+    D k_0 where it is 0, read from mod's twist, level k, root data (rs,
+    alg, root_vec, form_xx) and fields z and kf."""
+    tw = mod.twist
+    m = tw.m
+    kinv = mod.k.inv()
     tot = tuple(a + b for a, b in zip(rvec, svec))
-    s = tuple(a + b for a, b in zip(b1, b2))
-    if s in mod.rs.root_set:
-        rhs.append(DeltaTerm(Cyc.rational(mod.alg.eps_roots(b1, b2)),
-                             Cyc.one(), mod.z(s, tot)))
-    if not any(s):
-        fxx = mod.alg.form(GElement.x(b2), GElement.x(tuple(-c for c in b2)))
-        b2vec = mod.lat.embed_root(b2)
-        rhs.append(DeltaTerm(-fxx, Cyc.one(),
-                             ZeroModeTimesField(space, b2vec, mod.k0(tot))))
-        if any(rvec):
-            # sum_i r_i k_i(r+s, z) packaged as (delta_r)(z) X(delta_{r+s}, z)
-            rhs.append(DeltaTerm(fxx, Cyc.one(), HeisTimesXField(
-                space, mod.delta(rvec), mod.k0(tot), "rk%r" % (tot,))))
-        rhs.append(DeltaTerm(fxx, Cyc.one(), mod.k0(tot), use_D=True))
-    return DeltaRelation(f, g, [(Fraction(ip), Cyc.one())], rhs)
+    factors = []
+    rhs = []
+    for p in range(m):
+        tb1 = tw.theta_root(p, b1)
+        a = tw.root_of_unity(-p)
+        ip = mod.rs.form(tb1, b2)
+        if ip:
+            factors.append((Fraction(ip), a))
+        et = tw.eta(p, b1)
+        summed = tuple(x + y for x, y in zip(tb1, b2))
+        if summed in mod.rs.root_set:
+            coeff = et * mod.alg.eps_roots(tb1, b2) * Fraction(1, m)
+            rhs.append(DeltaTerm(coeff, a, mod.z(summed, tot)))
+        elif not any(summed):
+            base = et * mod.form_xx(b2) * Fraction(1, m)
+            rhs.append(DeltaTerm(-base * kinv, a, ZeroModeTimesField(
+                mod.space, mod.root_vec(b2), mod.kf(0, tot))))
+            rk = _sum_r_k(mod, rvec, tot)
+            if rk is not None:
+                rhs.append(DeltaTerm(base, a, rk))
+            rhs.append(DeltaTerm(base * kinv * Fraction(1, m), a,
+                                 mod.kf(0, tot), use_D=True))
+    return DeltaRelation(mod.z(b1, rvec), mod.z(b2, svec), factors, rhs)
 
 
 def verify_33(mod: HomogeneousModule, window: TruncationWindow,

@@ -19,9 +19,11 @@ the Z fields built on them and the constant solver.
 The vacuum-space constants C_j are configuration inputs;
 solve_prin_constants recovers them from the quadratic relation when a
 single orbit carries the whole root system.  Root vectors are
-renormalized so [x_beta, x_{-beta}] = -2/<beta, beta> and every eta
-scalar is 1, and the theta-fixed zero-weight Cartan acts by 0, which
-removes the (beta_2)_0 delta-term from the quadratic relation.
+renormalized so [x_beta, x_{-beta}] = -2/<beta, beta> (form_xx) and
+every eta scalar is 1, and the theta-fixed zero-weight Cartan acts by 0
+(root_vec is the zero vector), which removes the (beta_2)_0 delta-term
+from the quadratic relation.  That relation is fockhom.pair_relation,
+read from the module itself: its twist, level 1, root data and fields.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from math import isqrt
 from . import checks
 from .distops import (DeltaRelation, FockSpace, ScaledField,
                       TruncationWindow, product_of_binomials)
-from .fockhom import KFields, window_states
+from .fockhom import KFields, TwistData, pair_relation, window_states
 from .linalg import rank
 from .scalar import Cyc, cyc_root_of_unity
-from .zbridge import DkModule, TwistData, z_pair_relation
 
 
 class PrinTwist(TwistData):
@@ -58,11 +59,19 @@ def negation_theta(beta):
     return tuple(-c for c in beta)
 
 
+class _PrinAlg:
+    @staticmethod
+    def eps_roots(b1, b2):
+        raise NotImplementedError(
+            "structure constants for twisted root sums are not configured")
+
+
 class PrincipalModule(KFields):
     """V(Gamma) with the principal k-fields and scalar Z-operators."""
 
     def __init__(self, rs, N: int, m: int, theta_fn, constants=None):
         self.rs = rs
+        self.alg = _PrinAlg()
         self.m = m
         self.twist = PrinTwist(m, theta_fn)
         dim = 2 * N
@@ -127,6 +136,14 @@ class PrincipalModule(KFields):
         """Label coordinate read by d_i (1-based i)."""
         return i - 1
 
+    def root_vec(self, beta):
+        """The zero vector: the theta-fixed zero-weight Cartan acts by 0."""
+        return (0,) * self.space.dim
+
+    def form_xx(self, beta) -> Cyc:
+        """The renormalized <x_beta, x_-beta> = -2/<beta, beta>."""
+        return Cyc.rational(Fraction(-2, self.rs.form(beta, beta)))
+
     def z(self, beta, rvec) -> ScaledField:
         def build():
             f = ScaledField(self.k0(rvec), self.constant(beta))
@@ -134,43 +151,6 @@ class PrincipalModule(KFields):
             return f
 
         return self._cached(("z", tuple(beta), tuple(rvec)), build)
-
-
-# ---------------------------------------------------------------------------
-# the Z-module view (feeds the shared quadratic-relation builder)
-# ---------------------------------------------------------------------------
-
-
-class _PrinLat:
-    """The roots have no component in the null lattice: the zero-weight
-    Cartan acts by 0, so root embeddings are the zero vector."""
-
-    def __init__(self, N, dim):
-        self.N = N
-        self.dim = dim
-
-    def embed_root(self, beta):
-        return (0,) * self.dim
-
-
-class _PrinAlg:
-    @staticmethod
-    def eps_roots(b1, b2):
-        raise NotImplementedError(
-            "structure constants for twisted root sums are not configured")
-
-
-class PrinZModule(DkModule):
-    """DkModule wrapper with the renormalized pairing <x_b, x_-b>."""
-
-    def form_xx(self, beta) -> Cyc:
-        return Cyc.rational(Fraction(-2, self.rs.form(beta, beta)))
-
-
-def as_zmodule(mod: PrincipalModule, states) -> PrinZModule:
-    return PrinZModule(mod.space, 1, mod.twist, mod.rs,
-                       _PrinLat(mod.N, 2 * mod.N), _PrinAlg(),
-                       mod.z, mod.kf, states, name="prin")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +195,6 @@ def verify_principal_relations(mod: PrincipalModule,
     states = window_states(mod.space, window)
     W = window.modes
     zero = mod.zero_r()
-    w = as_zmodule(mod, states)
     sample = roots[0]
 
     # (1) Z(a, r, z) k_0(s, z^m) = Z(a, r+s, z)   (level k = 1)
@@ -250,7 +229,7 @@ def verify_principal_relations(mod: PrincipalModule,
                 checks.run(entries, "prin.7",
                            {"b1": list(b1), "b2": list(b2),
                             "r": list(rvec), "s": list(svec)},
-                           checks.holds, z_pair_relation(w, b1, b2, rvec, svec),
+                           checks.holds, pair_relation(mod, b1, b2, rvec, svec),
                            states, W)
 
     # (8) brackets with the theta-fixed Cartan h_0, which the realization

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import checks
 from .autom import Automorphism, eigenspace_decompose, eta
+from .distops import _acc
 from .rootsys import ChevalleyAlgebra, GElement
 from .scalar import Cyc, cyc_root_of_unity
 
@@ -181,15 +182,6 @@ class ToroidalAlgebra:
         if n % self.m:
             return TorElement()
         return self.normalize_dA(TorElement({("k", i, n, tuple(rvec)): Cyc.one()}))
-
-
-def _acc(out, key, val):
-    prev = out.get(key)
-    val = val if prev is None else prev + val
-    if val:
-        out[key] = val
-    else:
-        out.pop(key, None)
 
 
 def apply_loop_automorphism(aut: Automorphism, el: TorElement) -> TorElement:

@@ -8,7 +8,9 @@ acting on the vacuum space Omega (the joint kernel of the positive
 Cartan modes); conversely a Z-module W rebuilds a current module on
 M(k) (x) W by tensoring the dressing exponentials back on.  Both
 directions, the category conditions and the quadratic Z-relations are
-verified coefficient-by-coefficient on truncation windows.
+verified coefficient-by-coefficient on truncation windows.  The
+Z-relation with its binomial prefactors is fockhom.pair_relation, read
+from the DkModule; the current relations are built here.
 """
 
 from __future__ import annotations
@@ -19,36 +21,12 @@ from functools import partial
 from . import checks
 from .distops import (LABEL_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                       FieldFamily, FockSpace, HeisenbergField, IdentityField,
-                      ProductField, ScaledField, SumField, TruncationWindow,
-                      _acc, comb_scale, comb_sub, dressing_operator)
-from .fockhom import (HomogeneousModule, ZeroModeTimesField, _mode_multisets,
-                      window_states)
+                      ProductField, TruncationWindow, _acc, comb_scale,
+                      comb_sub, dressing_operator)
+from .fockhom import (HomogeneousModule, LatticeRoots, TwistData,
+                      _mode_multisets, _sum_r_k, pair_relation, window_states)
 from .linalg import nullspace, rank
-from .rootsys import GElement
-from .scalar import Cyc, cyc_root_of_unity
-
-
-# ---------------------------------------------------------------------------
-# twist data (trivial for the untwisted bridge, overridable for m > 1)
-# ---------------------------------------------------------------------------
-
-
-class TwistData:
-    """Automorphism data entering the quadratic relations: the order m,
-    the root action theta^p and the eta scalars.  The default is the
-    identity twist of order 1."""
-
-    def __init__(self, m: int = 1):
-        self.m = m
-
-    def theta_root(self, p, beta):
-        return beta
-
-    def eta(self, p, beta) -> Cyc:
-        return Cyc.one()
-
-    def root_of_unity(self, power) -> Cyc:
-        return cyc_root_of_unity(self.m, power)
+from .scalar import Cyc
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +34,7 @@ class TwistData:
 # ---------------------------------------------------------------------------
 
 
-class _FieldModule:
+class _FieldModule(LatticeRoots):
     """What CkModule and DkModule share: a level-k module on a Fock space
     with its twist and root data, whose fields are built on demand by
     the constructor hooks and cached per key."""
@@ -87,17 +65,9 @@ class _FieldModule:
     def kf(self, i, rvec) -> FieldFamily:
         return self._field(self._k_fn, "k", i, tuple(rvec))
 
-    def root_vec(self, beta):
-        return self.lat.embed_root(beta)
-
     def delta_coord(self, i) -> int:
         """Label coordinate read by d_i (1-based i)."""
         return self.rs.rank + (i - 1)
-
-    def form_xx(self, beta) -> Cyc:
-        """<x_beta, x_-beta> in the Chevalley normalization."""
-        return self.alg.form(GElement.x(tuple(beta)),
-                             GElement.x(tuple(-c for c in beta)))
 
 
 class CkModule(_FieldModule):
@@ -156,7 +126,7 @@ def homogeneous_Ck(mod: HomogeneousModule) -> CkModule:
     def beta_fn(vec, rvec):
         return mod.heis(vec, rvec)
 
-    return CkModule(space, 1, TwistData(1), mod.rs, mod.lat, mod.alg,
+    return CkModule(space, mod.k, mod.twist, mod.rs, mod.lat, mod.alg,
                     x_fn, beta_fn, mod.kf, name="V(Gamma)")
 
 
@@ -275,16 +245,14 @@ def to_Zmodule(mod: CkModule, window: TruncationWindow) -> DkModule:
                     z_fn, mod.kf, omega, name="Omega(%s)" % mod.name)
 
 
-def from_Zmodule(w: DkModule, cartan_dirs=None) -> CkModule:
+def from_Zmodule(w: DkModule) -> CkModule:
     """Rebuild a current module on M(k) (x) W: the dressings act on the
     Cartan modes, the Z and central fields on the W tensor factor."""
     if not w.k:
         raise ValueError("from_Zmodule needs a nonzero level k")
     space = w.space
     kval = w.k.as_fraction()
-    if cartan_dirs is None:
-        cartan_dirs = [d for d in space.heis_dirs if d < w.rs.rank]
-    cartan_dirs = list(cartan_dirs)
+    cartan_dirs = _cartan_dirs(w)
 
     def x_fn(beta, rvec):
         vec = w.root_vec(beta)
@@ -310,12 +278,6 @@ def from_Zmodule(w: DkModule, cartan_dirs=None) -> CkModule:
 # ---------------------------------------------------------------------------
 # relation builders
 # ---------------------------------------------------------------------------
-
-
-def _sum_r_k(mod, rvec, tot):
-    parts = [ScaledField(mod.kf(i + 1, tot), ri)
-             for i, ri in enumerate(rvec) if ri]
-    return SumField(parts) if parts else None
 
 
 def current_pair_relation(mod: CkModule, b1, b2, rvec, svec) -> DeltaRelation:
@@ -386,41 +348,6 @@ def _twisted_cartan_pairing(mod, p, v1, v2):
     if p % mod.twist.m == 0:
         return Cyc.rational(mod.space.pair(tuple(v1), tuple(v2)))
     raise NotImplementedError("nontrivial twists supply their own pairing")
-
-
-def z_pair_relation(w: DkModule, b1, b2, rvec, svec) -> DeltaRelation:
-    """The quadratic Z-relation with its binomial prefactors."""
-    tw = w.twist
-    m = tw.m
-    kinv = w.k.inv()
-    tot = tuple(a + b for a, b in zip(rvec, svec))
-    factors = []
-    rhs = []
-    for p in range(m):
-        tb1 = tw.theta_root(p, b1)
-        a = tw.root_of_unity(-p)
-        ip = w.rs.form(tb1, b2)
-        if ip:
-            factors.append((Fraction(ip), a))
-        et = tw.eta(p, b1)
-        summed = tuple(x + y for x, y in zip(tb1, b2))
-        if summed in w.rs.root_set:
-            coeff = et * w.alg.eps_roots(tb1, b2) * Fraction(1, m)
-            rhs.append(DeltaTerm(coeff, a, w.z(summed, tot)))
-        elif not any(summed):
-            fxx = w.form_xx(b2)
-            base = et * fxx * Fraction(1, m)
-            rhs.append(DeltaTerm(-base * kinv, a,
-                                 ZeroModeTimesField(w.space, w.root_vec(b2),
-                                                    w.kf(0, tot))))
-            rk = _sum_r_k(w, rvec, tot)
-            if rk is not None:
-                rhs.append(DeltaTerm(base, a, rk))
-            rhs.append(DeltaTerm(base * kinv * Fraction(1, m), a,
-                                 w.kf(0, tot), use_D=True))
-    f = w.z(b1, rvec)
-    g = w.z(b2, svec)
-    return DeltaRelation(f, g, factors, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +484,7 @@ def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
     for b1 in roots:
         for b2 in roots:
             checks.run(entries, "zk.7", {"b1": list(b1), "b2": list(b2)},
-                       checks.holds, z_pair_relation(w, b1, b2, zero, zero),
+                       checks.holds, pair_relation(w, b1, b2, zero, zero),
                        states, W)
 
     # (8) zero-mode bracket with the Cartan

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from field_oracle import Tuples
+from torlab import zbridge
 from torlab.autom import diagram_automorphism, identity_automorphism
 from torlab.distops import (FieldFamily, HeisenbergField, ProductField,
                             ScaledField, TruncationWindow, comb_scale,
@@ -131,7 +132,7 @@ def _negated_at(base, rvec):
 
 def hom_center():
     mod = _hom()
-    mod._fields[("k", 1, (1,))] = ScaledField(mod.k(1, (1,)), 2)
+    mod._fields[("k", 1, (1,))] = ScaledField(mod.kf(1, (1,)), 2)
     return verify_center_hom(mod, WIN, rvecs=R)
 
 
@@ -168,7 +169,7 @@ def ck_dressing():
 
 def hom_center_late():
     mod = _hom()
-    k1 = mod.k(1, (1,))
+    k1 = mod.kf(1, (1,))
     last = _last_hit(k1, window_states(mod.space, WIN))
     mod._fields[("k", 1, (1,))] = _FaultOn(k1, last)
     return verify_center_hom(mod, WIN, rvecs=R)
@@ -176,13 +177,13 @@ def hom_center_late():
 
 def prin_52():
     mod = _prin()
-    mod._fields[("k", 1, (1,))] = ScaledField(mod.k(1, (1,)), 2)
+    mod._fields[("k", 1, (1,))] = ScaledField(mod.kf(1, (1,)), 2)
     return verify_52(mod, PWIN, rvecs=R)
 
 
 def prin_3():
     mod = _prin()
-    mod._fields[("k", 1, (1,))] = ScaledField(mod.k(1, (1,)), 2)
+    mod._fields[("k", 1, (1,))] = ScaledField(mod.kf(1, (1,)), 2)
     return verify_principal_relations(mod, PWIN, rvecs=R)
 
 
@@ -246,7 +247,7 @@ def zk_factor():
 def hom_prod_k0k():
     """k_1 at multidegree 1 scaled by 2."""
     mod = _hom()
-    mod._fields[("k", 1, (1,))] = ScaledField(mod.k(1, (1,)), 2)
+    mod._fields[("k", 1, (1,))] = ScaledField(mod.kf(1, (1,)), 2)
     return verify_products_hom(mod, WIN, rvecs=R)
 
 
@@ -288,6 +289,25 @@ def bridge_k0():
     return entries
 
 
+def bridge_pairing():
+    """omega_basis listing its first state twice: two of the pairing
+    map's images are then equal, so it is not injective."""
+    v = homogeneous_Ck(_hom())
+    omega_basis = zbridge.omega_basis
+
+    def doubled(mod, window):
+        states, pure = omega_basis(mod, window)
+        return states[:1] + states, pure
+
+    zbridge.omega_basis = doubled
+    try:
+        entries, _w, _back = roundtrip_check(
+            v, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R[:1])
+    finally:
+        zbridge.omega_basis = omega_basis
+    return entries
+
+
 # -- holds, degree_shift, coord_shift, nonzero -------------------------
 
 
@@ -310,6 +330,16 @@ def hom_eps():
     a = tuple(mod.rs.roots[-1])
     na = tuple(-c for c in a)
     return verify_33(mod, WIN, root_pairs=[(a, na)], rvecs=[(0,)])
+
+
+def zk_pair():
+    """Z(-alpha, 0) negated: on the opposite pairs only the left-hand
+    side changes sign, so the central terms no longer match it."""
+    w, bad = _dk()
+    na = tuple(-c for c in w.rs.roots[-1])
+    bad._z_fn = lambda b, r: (ScaledField(w.z(b, r), -1)
+                              if (b, r) == (na, (0,)) else w.z(b, r))
+    return verify_Zk_relations(bad, WIN, rvecs=R)
 
 
 def prin_degree():
@@ -336,7 +366,7 @@ def prin_coord():
 
 def hom_trivial_k():
     mod = _hom()
-    mod._fields[("k", 1, (0,))] = ScaledField(mod.k(1, (0,)), 0)
+    mod._fields[("k", 1, (0,))] = ScaledField(mod.kf(1, (0,)), 0)
     return verify_center_hom(mod, WIN, rvecs=R)
 
 
@@ -539,6 +569,9 @@ CASES = {
              ("((0, 1, 0), ((0, 1), (1, 1), (1, 1)))", "Cyc(1)"),
              ("((0, 1, 0), ((0, 1), (1, 2)))", "Cyc(1)")]}),
     ]),
+    "bridge_pairing": (bridge_pairing, "bridge.pairing_injective", [
+        ({}, None),
+    ]),
     "ck_dressing": (ck_dressing, "ck.rel1", [
         ({"b1": [-1], "b2": [-1]},
          {"state": ((0, -1, 0), ((0, 1),)), "modes": (-2, -1), "difference": [
@@ -585,6 +618,14 @@ CASES = {
     ]),
     "hom_eps": (hom_eps, "zhom.pair", [
         ({"b1": [1], "b2": [-1], "r": [0], "s": [0]},
+         {"state": ((-1, 0, 0), ()), "modes": (-2, 2), "difference": [
+             ("((-1, 0, 0), ())", "Cyc(-8)")]}),
+    ]),
+    "zk_pair": (zk_pair, "zk.7", [
+        ({"b1": [-1], "b2": [1]},
+         {"state": ((-1, 0, 0), ()), "modes": (-1, 1), "difference": [
+             ("((-1, 0, 0), ())", "Cyc(2)")]}),
+        ({"b1": [1], "b2": [-1]},
          {"state": ((-1, 0, 0), ()), "modes": (-2, 2), "difference": [
              ("((-1, 0, 0), ())", "Cyc(-8)")]}),
     ]),
@@ -714,7 +755,7 @@ class _ExtraTopMode(FieldFamily):
 def test_vanishes_reaches_every_term_top_mode():
     """A k_1 mode above every mode of k_0 still enters the d_A check."""
     mod = _hom()
-    k1 = mod.k(1, (1,))
+    k1 = mod.kf(1, (1,))
     mod._fields[("k", 1, (1,))] = _ExtraTopMode(k1)
     entries = verify_center_hom(mod, WIN, rvecs=[(1,)])
     first = window_states(mod.space, WIN)[0]

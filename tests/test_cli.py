@@ -185,9 +185,19 @@ def test_cli_gen_stable(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_cli_error_exits(tmp_path):
+def test_cli_error_exits(tmp_path, capsys):
     assert main(["verify", "toroidal", "--algebra", "Z9"]) == 2
     assert main(["verify", "principal", "--algebra", "A1"]) == 2  # no constants
+    # unsupported inputs name their config key
+    for argv, key in [
+            (["solve-constants", "--algebra", "A2"], "algebra"),
+            (["verify", "principal", "--algebra", "A2", "--solve-constants"],
+             "algebra"),
+            (["verify", "iso", "--algebra", "A3", "--theta", "diagram:1,0,2"],
+             "automorphism.permutation")]:
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "config error: %s:" % key in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "toroidal", "--no-such-flag"])
     assert exc.value.code == 2

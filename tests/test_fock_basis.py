@@ -59,7 +59,7 @@ def _fields(mod):
     out = {}
     for r in RVECS:
         out["k0%r" % (r,)] = mod.k0(r)
-        out["k1%r" % (r,)] = mod.k(1, r)
+        out["k1%r" % (r,)] = mod.kf(1, r)
         out["E-%r" % (r,)] = mod.k0(r).em
     if isinstance(mod, PrincipalModule):
         return out

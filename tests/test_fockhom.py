@@ -65,7 +65,7 @@ def test_field_modes_shift_degree():
     mod = _a2()
     states = window_states(mod.space, TruncationWindow(2, 2, 1))
     rng = random.Random(7)
-    fields = [mod.k0((1,)), mod.k(1, (-1,)), mod.z(mod.rs.roots[0], (1,)),
+    fields = [mod.k0((1,)), mod.kf(1, (-1,)), mod.z(mod.rs.roots[0], (1,)),
               mod.heis(mod.lat.embed_root(mod.rs.roots[2]), (0,))]
     for f in fields:
         for _ in range(30):
@@ -111,7 +111,7 @@ def test_zero_mode_bracket_with_z():
 def test_k_fields_central():
     mod = _a1()
     states = window_states(mod.space, TruncationWindow(2, 2, 1))
-    k = mod.k(1, (1,))
+    k = mod.kf(1, (1,))
     z = mod.z(mod.rs.roots[0], (-1,))
     rel = DeltaRelation(k, z, [], [])
     for v in states[:25]:
@@ -156,9 +156,9 @@ def _vec_x_cases(name):
     if name == "prin-A1":
         mod = PrincipalModule(build_root_system("A", 1), 1, 2, negation_theta)
         return mod, TruncationWindow(4, 3, 1), [
-            (mod.delta((1,)), lambda r: mod.k(1, r))]
+            (mod.delta((1,)), lambda r: mod.kf(1, r))]
     mod = _a1() if name == "hom-A1" else _a2()
-    fields = [(mod.delta((1,)), lambda r: mod.k(1, r))]
+    fields = [(mod.delta((1,)), lambda r: mod.kf(1, r))]
     for a in mod.rs.simple_roots:
         vec = mod.lat.embed_root(a)
         fields.append((vec, lambda r, vec=vec: mod.heis(vec, r)))

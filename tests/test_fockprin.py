@@ -4,13 +4,12 @@ import pytest
 
 from field_oracle import Tuples
 from torlab.distops import TruncationWindow
-from torlab.fockhom import window_states
-from torlab.fockprin import (PrincipalModule, _sqrt_in_cyc, as_zmodule,
-                             negation_theta, solve_prin_constants, verify_52,
+from torlab.fockhom import pair_relation, window_states
+from torlab.fockprin import (PrincipalModule, _sqrt_in_cyc, negation_theta,
+                             solve_prin_constants, verify_52,
                              verify_principal_relations)
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc, cyc_root_of_unity
-from torlab.zbridge import z_pair_relation
 
 
 def _mod(constants=None):
@@ -78,7 +77,7 @@ def test_X_vacuum_action():
 def test_k_fields_supported_on_multiples_of_m():
     mod = _mod()
     states = window_states(mod.space, WIN)
-    for f in (Tuples(mod.k0((1,))), Tuples(mod.k(1, (1,)))):
+    for f in (Tuples(mod.k0((1,))), Tuples(mod.kf(1, (1,)))):
         for v in states[:30]:
             for n in range(-4, f.max_mode(v) + 1):
                 if n % mod.m and f.mode_memo(n, v):
@@ -129,8 +128,7 @@ def test_orbit_independence():
 def test_wrong_constant_fails_with_witness():
     mod = _mod(constants=Cyc.rational(Fraction(1, 4)))
     states = window_states(mod.space, WIN)
-    w = as_zmodule(mod, states)
-    rel = z_pair_relation(w, (1,), (-1,), (0,), (0,))
+    rel = pair_relation(mod, (1,), (-1,), (0,), (0,))
     hits = [rel.check_window(WIN.modes, v) for v in states]
     assert any(not ok for ok, _ in hits)
     witness = next(wit for ok, wit in hits if not ok)

@@ -120,7 +120,6 @@ UNCOVERED = {
     "1.5(7)": "no fault case yet",
     "1.5(8)": "no fault case yet",
     "bridge.omega_size": "a count: fails only on an empty Omega basis",
-    "bridge.pairing_injective": "no fault case yet",
     "ck.factor_k": "no fault case yet",
     "ck.grading": "no fault case yet",
     "ck.k0_scalar": "no fault case yet",
@@ -145,7 +144,6 @@ UNCOVERED = {
     "zk.4": "no fault case yet",
     "zk.5": "no fault case yet",
     "zk.6": "no fault case yet",
-    "zk.7": "no fault case yet",
     "zk.8": "no fault case yet",
     "zk.omega_closed": "made to fail by test_checks.py::"
                        "test_omega_closed_reports_the_first_offending_cell",
