@@ -547,25 +547,6 @@ class ScaledField(FieldFamily):
         return self.base.max_mode(sid)
 
 
-class SumField(FieldFamily):
-    def __init__(self, parts):
-        super().__init__()
-        self.parts = list(parts)
-        self.shift = self.parts[0].shift
-        self.space = field_space(*self.parts)
-        self.label = "+".join(p.label for p in self.parts)
-
-    def mode_state(self, n, sid):
-        out = {}
-        for p in self.parts:
-            for k, v in p.mode_memo(n, sid).items():
-                _acc(out, k, v)
-        return out
-
-    def max_mode(self, sid):
-        return max(p.max_mode(sid) for p in self.parts)
-
-
 class ProductField(FieldFamily):
     """Same-variable product f(z) g(z), optionally times a scalar.
 

@@ -36,9 +36,15 @@ lambda + delta_r and lambda + delta_r + alpha, as the high bits of each
 output id, with exponent and label shift read from per-label caches: no
 relabelled copy of E^- is stored on the way.
 
-pair_relation builds the quadratic Z-relation of every picture from its
-module: this one (identity twist, level 1), a Z-module of zbridge or
-the principal module of fockprin.
+The bracket of two root fields is written once, for every picture:
+root_pair_terms gives its binomial prefactors and its summands over
+p = 0..m-1 (a root term where theta^p b1 + b2 is a root, a zero summand
+where it is 0) from a module's twist and root data, and central_terms
+the r_i k_i and D k_0 delta terms of a zero summand on the module's k
+fields.  pair_relation builds the quadratic Z-relation on them for this
+module (identity twist, level 1), a Z-module of zbridge or the
+principal module of fockprin; zbridge's current relations and the
+principal constant solver read the same two functions.
 """
 
 from __future__ import annotations
@@ -48,8 +54,8 @@ from functools import partial
 
 from . import checks
 from .distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
-                      ExpField, FieldFamily, FockSpace, ScaledField, SumField,
-                      TruncationWindow, _acc, partitions)
+                      ExpField, FieldFamily, FockSpace, TruncationWindow,
+                      _acc, partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
 from .scalar import Cyc, cyc_root_of_unity
 
@@ -338,45 +344,64 @@ def window_states(space: FockSpace, window: TruncationWindow):
 # ---------------------------------------------------------------------------
 
 
-def _sum_r_k(mod, rvec, tot):
-    """sum_i r_i k_i(r + s, z) from the module's k_i fields; None at r = 0."""
-    parts = [ScaledField(mod.kf(i + 1, tot), ri)
-             for i, ri in enumerate(rvec) if ri]
-    return SumField(parts) if parts else None
+def root_pair_terms(mod, b1, b2):
+    """The bracket of the root fields of b1 and b2, read from mod's
+    twist, rs, alg.eps_roots and form_xx, as (factors, terms).
 
-
-def pair_relation(mod, b1, b2, rvec, svec) -> DeltaRelation:
-    """The quadratic Z-relation of a root pair: prefactors
-    prod_p (1 - zeta_m^-p z1/z2)^((theta^p b1, b2)), a Z term where
-    theta^p b1 + b2 is a root and the terms h(0) k_0, sum_i r_i k_i and
-    D k_0 where it is 0, read from mod's twist, level k, root data (rs,
-    alg, root_vec, form_xx) and fields z and kf."""
+    factors holds (<theta^p b1, b2>, zeta_m^-p) for each p = 0..m-1 with
+    a nonzero pairing: the prefactors
+    prod_p (1 - zeta_m^-p z1/z2)^(<theta^p b1, b2>).  terms holds one
+    (a, lead, summed) for each p where theta^p b1 + b2 is a root, summed,
+    or 0, summed None, with a = zeta_m^-p and lead the coefficient of
+    that summand: eta_p(b1) eps(theta^p b1, b2)/m at a root and
+    eta_p(b1) <x_b2, x_-b2>/m at 0."""
     tw = mod.twist
     m = tw.m
-    kinv = mod.k.inv()
-    tot = tuple(a + b for a, b in zip(rvec, svec))
     factors = []
-    rhs = []
+    terms = []
     for p in range(m):
         tb1 = tw.theta_root(p, b1)
         a = tw.root_of_unity(-p)
         ip = mod.rs.form(tb1, b2)
         if ip:
             factors.append((Fraction(ip), a))
-        et = tw.eta(p, b1)
         summed = tuple(x + y for x, y in zip(tb1, b2))
         if summed in mod.rs.root_set:
-            coeff = et * mod.alg.eps_roots(tb1, b2) * Fraction(1, m)
-            rhs.append(DeltaTerm(coeff, a, mod.z(summed, tot)))
+            terms.append((a, tw.eta(p, b1) * mod.alg.eps_roots(tb1, b2)
+                          * Fraction(1, m), summed))
         elif not any(summed):
-            base = et * mod.form_xx(b2) * Fraction(1, m)
-            rhs.append(DeltaTerm(-base * kinv, a, ZeroModeTimesField(
-                mod.space, mod.root_vec(b2), mod.kf(0, tot))))
-            rk = _sum_r_k(mod, rvec, tot)
-            if rk is not None:
-                rhs.append(DeltaTerm(base, a, rk))
-            rhs.append(DeltaTerm(base * kinv * Fraction(1, m), a,
-                                 mod.kf(0, tot), use_D=True))
+            terms.append((a, tw.eta(p, b1) * mod.form_xx(b2)
+                          * Fraction(1, m), None))
+    return factors, terms
+
+
+def central_terms(mod, lead, a, rvec, tot, kinv):
+    """The central delta terms of a zero summand with coefficient lead:
+    lead r_i k_i(r + s) for each nonzero r_i, then lead kinv/m D k_0(r + s),
+    the fields read from mod.kf."""
+    out = [DeltaTerm(lead * ri, a, mod.kf(i, tot))
+           for i, ri in enumerate(rvec, 1) if ri]
+    out.append(DeltaTerm(lead * kinv * Fraction(1, mod.twist.m), a,
+                         mod.kf(0, tot), use_D=True))
+    return out
+
+
+def pair_relation(mod, b1, b2, rvec, svec) -> DeltaRelation:
+    """The quadratic Z-relation of a root pair: the prefactors and
+    summands of root_pair_terms, with a Z term at each root summand and
+    the terms h(0) k_0, sum_i r_i k_i and D k_0 at each zero summand,
+    read from mod's level k, root_vec and fields z and kf."""
+    kinv = mod.k.inv()
+    tot = tuple(a + b for a, b in zip(rvec, svec))
+    factors, terms = root_pair_terms(mod, b1, b2)
+    rhs = []
+    for a, lead, summed in terms:
+        if summed is not None:
+            rhs.append(DeltaTerm(lead, a, mod.z(summed, tot)))
+            continue
+        rhs.append(DeltaTerm(-lead * kinv, a, ZeroModeTimesField(
+            mod.space, mod.root_vec(b2), mod.kf(0, tot))))
+        rhs += central_terms(mod, lead, a, rvec, tot, kinv)
     return DeltaRelation(mod.z(b1, rvec), mod.z(b2, svec), factors, rhs)
 
 

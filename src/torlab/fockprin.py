@@ -18,7 +18,8 @@ have integer matrix elements; this module adds the orbit constants C_j,
 the Z fields built on them and the constant solver.
 The vacuum-space constants C_j are configuration inputs;
 solve_prin_constants recovers them from the quadratic relation when a
-single orbit carries the whole root system.  Root vectors are
+single orbit carries the whole root system, with the prefactors and
+zero summands of fockhom.root_pair_terms.  Root vectors are
 renormalized so [x_beta, x_{-beta}] = -2/<beta, beta> (form_xx) and
 every eta scalar is 1, and the theta-fixed zero-weight Cartan acts by 0
 (root_vec is the zero vector), which removes the (beta_2)_0 delta-term
@@ -35,7 +36,8 @@ from math import isqrt
 from . import checks
 from .distops import (DeltaRelation, FockSpace, ScaledField,
                       TruncationWindow, product_of_binomials)
-from .fockhom import KFields, TwistData, pair_relation, window_states
+from .fockhom import (KFields, TwistData, pair_relation, root_pair_terms,
+                      window_states)
 from .linalg import rank
 from .scalar import Cyc, cyc_root_of_unity
 
@@ -285,8 +287,10 @@ def solve_prin_constants(mod: PrincipalModule, window: TruncationWindow):
 
     The relation is linear in u = C^2: on the vacuum space both sides
     are scalar series supported on the anti-diagonal, and matching the
-    coefficients pins u.  Returns every C in Q(zeta_M) with C^2 = u;
-    each returned value must (and does) pass the verification suite.
+    coefficients pins u.  The prefactors and the zero summands are those
+    of root_pair_terms for the pair (beta, beta).  Returns every C in
+    Q(zeta_M) with C^2 = u; each returned value must (and does) pass the
+    verification suite.
     Returns [] when the window constraints are inconsistent or u has no
     square root in Q(zeta_M): a finding, not an input error.
     """
@@ -294,35 +298,16 @@ def solve_prin_constants(mod: PrincipalModule, window: TruncationWindow):
         raise NotImplementedError(
             "the constant solver needs a single theta-orbit")
     beta = mod.orbits[0][0]
-    m = mod.m
     W = max(window.modes, 2)
-    factors = []
-    central_p = []
-    for p in range(m):
-        tb = mod.twist.theta_root(p, beta)
-        ip = mod.rs.form(tb, beta)
-        if ip:
-            factors.append((Fraction(ip), cyc_root_of_unity(m, -p)))
-        summed = tuple(x + y for x, y in zip(tb, beta))
-        if summed in mod.rs.root_set:
-            raise NotImplementedError(
-                "orbit pairs landing in the root system are out of scope")
-        if not any(summed):
-            central_p.append(p)
+    factors, terms = root_pair_terms(mod, beta, beta)
     coef = product_of_binomials(factors, W)
-    rconst = Cyc.rational(Fraction(-2, mod.rs.form(beta, beta))
-                          * Fraction(1, m * m))
-
-    def rhs(a):
-        tot = Cyc.zero()
-        for p in central_p:
-            tot = tot + cyc_root_of_unity(m, -p * a) * a
-        return rconst * tot
-
+    zeros = [(a, lead * Fraction(1, mod.m)) for a, lead, summed in terms
+             if summed is None]
     u = None
-    for a in range(1, W + 1):
-        la = coef[a]
-        ra = rhs(a)
+    for n in range(1, W + 1):
+        la = coef[n]
+        # the D k_0 terms of pair_relation at level 1: lead/m a^n n
+        ra = sum((c * a ** n * n for a, c in zeros), Cyc.zero())
         if la:
             cand = ra / la
             if u is None:

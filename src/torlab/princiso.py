@@ -28,10 +28,10 @@ import random
 from fractions import Fraction
 
 from . import checks, linalg
-from .autom import (Automorphism, affine_marks, diagram_automorphism,
+from .autom import (affine_marks, diagram_automorphism, eigenspace_decompose,
                     identity_automorphism)
 from .rootsys import ChevalleyAlgebra, GElement, build_root_system
-from .scalar import Cyc, cyc_root_of_unity
+from .scalar import Cyc
 from .toroidal import TorElement, ToroidalAlgebra
 
 
@@ -109,16 +109,6 @@ def _ratio(alg, u, v):
         return None
     coeffs = linalg.express_in_span([alg.to_vector(v)], alg.to_vector(u))
     return None if coeffs is None else coeffs[0]
-
-
-def _class_project(alg, pi, g, cls):
-    K = pi.order
-    if K == 1:
-        return g
-    out = GElement()
-    for p in range(K):
-        out = out + pi.power(p).apply(g).scale(cyc_root_of_unity(K, (-cls * p) % K))
-    return out.scale(Cyc.rational(Fraction(1, K)))
 
 
 def _subspace_basis(vectors):
@@ -237,11 +227,10 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
 
     # eigenclass subspaces and their t-weight lines
     hams = H[1:]
-    class_bases = []
-    for cls in range(K):
-        vs = [alg.to_vector(_class_project(alg, pi, GElement({s: Cyc.one()}), cls))
-              for s in alg.symbols]
-        class_bases.append(_subspace_basis(vs))
+    comps = [dict(eigenspace_decompose(pi, GElement({s: Cyc.one()})))
+             for s in alg.symbols]
+    class_bases = [_subspace_basis([alg.to_vector(c.get(cls, GElement()))
+                                    for c in comps]) for cls in range(K)]
     zero_spaces = [None] * K
     for cls in range(K):
         for weight, basis in _weight_split(alg, class_bases[cls], hams):

@@ -10,7 +10,8 @@ M(k) (x) W by tensoring the dressing exponentials back on.  Both
 directions, the category conditions and the quadratic Z-relations are
 verified coefficient-by-coefficient on truncation windows.  The
 Z-relation with its binomial prefactors is fockhom.pair_relation, read
-from the DkModule; the current relations are built here.
+from the DkModule; the current relations are built here from the same
+summands and central terms (fockhom.root_pair_terms, central_terms).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from functools import partial
 from . import checks
 from .distops import (LABEL_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                       FieldFamily, FockSpace, HeisenbergField, IdentityField,
-                      ProductField, TruncationWindow, _acc, comb_scale,
-                      comb_sub, dressing_operator)
+                      ProductField, TruncationWindow, _acc, dressing_operator)
 from .fockhom import (HomogeneousModule, LatticeRoots, TwistData,
-                      _mode_multisets, _sum_r_k, pair_relation, window_states)
+                      _mode_multisets, central_terms, pair_relation,
+                      root_pair_terms, window_states)
 from .linalg import nullspace, rank
 from .scalar import Cyc
 
@@ -281,48 +282,30 @@ def from_Zmodule(w: DkModule) -> CkModule:
 
 
 def current_pair_relation(mod: CkModule, b1, b2, rvec, svec) -> DeltaRelation:
-    """[x_{b1}(r, z1), x_{b2}(s, z2)] as a delta-function identity."""
-    tw = mod.twist
-    m = tw.m
+    """[x_{b1}(r, z1), x_{b2}(s, z2)] as a delta-function identity: the
+    summands of root_pair_terms, with an x term at each root summand and
+    the terms -(b2)(r+s), sum_i r_i k_i and D k_0 at each zero summand."""
     tot = tuple(a + b for a, b in zip(rvec, svec))
     rhs = []
-    for p in range(m):
-        tb1 = tw.theta_root(p, b1)
-        a = tw.root_of_unity(-p)
-        et = tw.eta(p, b1)
-        summed = tuple(x + y for x, y in zip(tb1, b2))
-        if summed in mod.rs.root_set:
-            coeff = et * mod.alg.eps_roots(tb1, b2) * Fraction(1, m)
-            rhs.append(DeltaTerm(coeff, a, mod.x(summed, tot)))
-        elif not any(summed):
-            fxx = mod.form_xx(b2)
-            base = et * fxx * Fraction(1, m)
-            rhs.append(DeltaTerm(-base, a, mod.beta_field(mod.root_vec(b2), tot)))
-            rk = _sum_r_k(mod, rvec, tot)
-            if rk is not None:
-                rhs.append(DeltaTerm(base, a, rk))
-            rhs.append(DeltaTerm(base * Fraction(1, m), a, mod.kf(0, tot),
-                                 use_D=True))
+    for a, lead, summed in root_pair_terms(mod, b1, b2)[1]:
+        if summed is not None:
+            rhs.append(DeltaTerm(lead, a, mod.x(summed, tot)))
+            continue
+        rhs.append(DeltaTerm(-lead, a, mod.beta_field(mod.root_vec(b2), tot)))
+        rhs += central_terms(mod, lead, a, rvec, tot, 1)
     return DeltaRelation(mod.x(b1, rvec), mod.x(b2, svec), [], rhs)
 
 
 def cartan_pair_relation(mod: CkModule, h1, h2, rvec, svec) -> DeltaRelation:
     """[h1(r, z1), h2(s, z2)]: pure central right-hand side."""
     tw = mod.twist
-    m = tw.m
     tot = tuple(a + b for a, b in zip(rvec, svec))
     rhs = []
-    for p in range(m):
+    for p in range(tw.m):
         ip = _twisted_cartan_pairing(mod, p, h1, h2)
-        if not ip:
-            continue
-        a = tw.root_of_unity(-p)
-        base = ip * Fraction(1, m)
-        rk = _sum_r_k(mod, rvec, tot)
-        if rk is not None:
-            rhs.append(DeltaTerm(base, a, rk))
-        rhs.append(DeltaTerm(base * Fraction(1, m), a, mod.kf(0, tot),
-                             use_D=True))
+        if ip:
+            rhs += central_terms(mod, ip * Fraction(1, tw.m),
+                                 tw.root_of_unity(-p), rvec, tot, 1)
     return DeltaRelation(mod.beta_field(h1, rvec), mod.beta_field(h2, svec),
                          [], rhs)
 
@@ -429,19 +412,6 @@ def check_Ck(mod: CkModule, window: TruncationWindow, roots=None,
     return entries
 
 
-def _zero_mode_bracket(space, avec, z, ip, states, lo):
-    """[a(0), Z(n)] = ip Z(n) for the Cartan vector avec."""
-    for v in states:
-        sid = space.sid(v)
-        comb = {sid: Cyc.one()}
-        for n in range(lo, z.max_mode(sid) + 1):
-            lhs = comb_sub(space.heisenberg_act(avec, 0, z.mode_memo(n, sid)),
-                           z.mode(n, space.heisenberg_act(avec, 0, comb)))
-            if comb_sub(lhs, comb_scale(z.mode_memo(n, sid), ip)):
-                return False, {"state": v, "mode": n}
-    return True, None
-
-
 def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
                         rvecs=None, entries=None):
     """The ten quadratic-algebra relations on the module's Omega states."""
@@ -487,12 +457,15 @@ def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
                        checks.holds, pair_relation(w, b1, b2, zero, zero),
                        states, W)
 
-    # (8) zero-mode bracket with the Cartan
+    # (8) [a(0), Z(n)] = (a, beta) Z(n): a(0) acts by the pairing with
+    # the label, so every output label must move that pairing by (a, beta)
+    pair = w.space.pair
     for a in w.rs.simple_roots:
+        avec = w.root_vec(a)
+        ip = w.rs.form(a, sample)
         checks.run(entries, "zk.8", {"a": list(a), "beta": list(sample)},
-                   _zero_mode_bracket, w.space, w.root_vec(a),
-                   w.z(sample, zero), Cyc.rational(w.rs.form(a, sample)),
-                   states, -W)
+                   checks.no_out, [w.z(sample, zero)], states, -W,
+                   lambda v, n, s: pair(avec, s[0]) - pair(avec, v[0]) != ip)
 
     # (9) eta-covariance
     checks.eta_covariance(entries, "zk.9", lambda b: w.z(b, zero), w.twist,

@@ -4,7 +4,7 @@ The delta-relation oracle works cell by cell: lhs_coeff and check_state
 compute the coefficient at z1^a z2^b of one relation on one state the
 slow way, against which DeltaRelation.check_window and its witnesses are
 compared.  The composite-field oracle, ref_max_mode and ref_mode,
-recomputes the caps and images of ProductField, SumField, ScaledField,
+recomputes the caps and images of ProductField, ScaledField,
 RestrictedField and HeisTimesXField from their parts with no per-field
 cache and with comb_add sums.
 
@@ -24,9 +24,8 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from torlab.distops import (FockSpace, ProductField, ScaledField, SumField,
-                            comb_add, comb_scale, comb_sub,
-                            witness_difference)
+from torlab.distops import (FockSpace, ProductField, ScaledField, comb_add,
+                            comb_scale, comb_sub, witness_difference)
 from torlab.fockhom import HeisTimesXField
 from torlab.zbridge import RestrictedField
 
@@ -223,8 +222,6 @@ def ref_max_mode(field, state):
     if isinstance(field, ProductField):
         return (ref_max_mode(field.f, _shifted(state, field.g.shift))
                 + ref_max_mode(field.g, state))
-    if isinstance(field, SumField):
-        return max(ref_max_mode(p, state) for p in field.parts)
     if isinstance(field, ScaledField):
         return ref_max_mode(field.base, state)
     if isinstance(field, RestrictedField):
@@ -253,9 +250,6 @@ def ref_mode(field, n, state, seen):
                     ref_mode(field.f, n - q, mid, seen), c))
         if field.scale is not None:
             out = comb_scale(out, field.scale)
-    elif isinstance(field, SumField):
-        for p in field.parts:
-            out = comb_add(out, ref_mode(p, n, state, seen))
     elif isinstance(field, ScaledField):
         out = comb_scale(ref_mode(field.base, n, state, seen), field.coeff)
     elif isinstance(field, RestrictedField):

@@ -342,6 +342,23 @@ def zk_pair():
     return verify_Zk_relations(bad, WIN, rvecs=R)
 
 
+def zk_zero_mode():
+    """Every Z(beta) replaced by Z(-beta): its outputs move the pairing
+    with a simple root by (a, -beta) instead of (a, beta)."""
+    w, bad = _dk()
+    bad._z_fn = lambda b, r: w.z(tuple(-c for c in b), r)
+    return verify_Zk_relations(bad, WIN, rvecs=R)
+
+
+def ck_rel2():
+    """The Cartan fields at multidegree 0 scaled by 2: their bracket
+    quadruples, and its central right-hand side stays as it is."""
+    v, bad = _ck()
+    bad._beta_fn = lambda h, r: (ScaledField(v._beta_fn(h, r), 2)
+                                 if r == (0,) else v._beta_fn(h, r))
+    return check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
+
+
 def prin_degree():
     mod = _prin()
     b = tuple(mod.rs.roots[0])
@@ -628,6 +645,15 @@ CASES = {
         ({"b1": [1], "b2": [-1]},
          {"state": ((-1, 0, 0), ()), "modes": (-2, 2), "difference": [
              ("((-1, 0, 0), ())", "Cyc(-8)")]}),
+    ]),
+    "zk_zero_mode": (zk_zero_mode, "zk.8", [
+        ({"a": [1], "beta": [-1]},
+         {"state": ((-1, 0, 0), ()), "mode": 1, "out": ((0, 0, 0), ())}),
+    ]),
+    "ck_rel2": (ck_rel2, "ck.rel2", [
+        ({"h1": [1, 0, 0], "h2": [1, 0, 0]},
+         {"state": ((-1, 0, 0), ()), "modes": (-2, 2), "difference": [
+             ("((-1, 0, 0), ())", "Cyc(-12)")]}),
     ]),
     "prin_degree": (prin_degree, "prin.4", [
         ({"beta": [-1], "r": [1]},

@@ -193,6 +193,11 @@ def test_cli_error_exits(tmp_path, capsys):
             (["solve-constants", "--algebra", "A2"], "algebra"),
             (["verify", "principal", "--algebra", "A2", "--solve-constants"],
              "algebra"),
+            (["verify", "principal", "--algebra", "A2", "--constants",
+              '{"1,0": {"order": 1, "coeffs": ["1"]}, '
+              '"0,1": {"order": 1, "coeffs": ["1"]}, '
+              '"1,1": {"order": 1, "coeffs": ["1"]}}', "--window", "1,1,1"],
+             "algebra"),
             (["verify", "iso", "--algebra", "A3", "--theta", "diagram:1,0,2"],
              "automorphism.permutation")]:
         capsys.readouterr()

@@ -123,7 +123,6 @@ UNCOVERED = {
     "ck.factor_k": "no fault case yet",
     "ck.grading": "no fault case yet",
     "ck.k0_scalar": "no fault case yet",
-    "ck.rel2": "no fault case yet",
     "ck.rel6_d0": "no fault case yet",
     "ck.rel8_central": "no fault case yet",
     "iso.form_pairing": "no fault case yet",
@@ -144,7 +143,6 @@ UNCOVERED = {
     "zk.4": "no fault case yet",
     "zk.5": "no fault case yet",
     "zk.6": "no fault case yet",
-    "zk.8": "no fault case yet",
     "zk.omega_closed": "made to fail by test_checks.py::"
                        "test_omega_closed_reports_the_first_offending_cell",
 }

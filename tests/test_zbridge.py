@@ -6,10 +6,11 @@ from field_oracle import Tuples, lhs_coeff
 from torlab.distops import (DeltaRelation, IdentityField, ScaledField,
                             TruncationWindow, comb_add, comb_scale, comb_sub,
                             dressing_operator)
-from torlab.fockhom import HomogeneousModule, window_states
+from torlab.fockhom import HomogeneousModule, pair_relation, window_states
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
-from torlab.zbridge import (CkModule, TwistData, check_Ck, from_Zmodule,
+from torlab.zbridge import (CkModule, TwistData, check_Ck,
+                            current_pair_relation, from_Zmodule,
                             homogeneous_Ck, omega_basis, roundtrip_check,
                             to_Zmodule, verify_Zk_relations)
 
@@ -128,6 +129,23 @@ def test_dressed_commutator_identity():
             for B in range(-2, 3):
                 lhs = lhs_coeff(rel, A, B, v)
                 assert not comb_sub(lhs, rhs_coeff(A, B, v)), (A, B, v)
+
+
+def test_central_terms_read_the_module_k_fields():
+    """The Z-relation and the current relation of the opposite pair share
+    their central terms r_1 k_1 and D k_0, each a plain delta term on the
+    module's own cached k field."""
+    V = HomogeneousModule(build_root_system("A", 1), 1)
+    r, s = (1,), (0,)
+    zrel = pair_relation(V, (1,), (-1,), r, s)
+    crel = current_pair_relation(homogeneous_Ck(V), (1,), (-1,), r, s)
+    zterms, cterms = zrel.rhs_terms[1:], crel.rhs_terms[1:]
+    assert ([(t.coeff, t.a, t.use_D) for t in zterms]
+            == [(t.coeff, t.a, t.use_D) for t in cterms])
+    k1, k0 = V.kf(1, r), V.kf(0, r)
+    for terms in (zterms, cterms):
+        assert len(terms) == 2
+        assert terms[0].field is k1 and terms[1].field is k0
 
 
 def test_check_Ck_small_window():
