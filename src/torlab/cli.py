@@ -23,7 +23,7 @@ from .fockhom import HomogeneousModule, l1_ball, verify_33, \
 from .fockprin import (PrincipalModule, negation_theta, solve_prin_constants,
                        verify_52, verify_principal_relations)
 from .princiso import build_iso_context, n_table, verify_iso
-from .report import VerificationReport, jsonable
+from .report import VerificationReport, jsonable, to_text
 from .rootsys import ChevalleyAlgebra, build_root_system
 from .toroidal import (GeneratingRelationVerifier, ToroidalAlgebra,
                        sample_bracket_axioms)
@@ -303,8 +303,7 @@ def run_gen(cfg: RunConfig) -> int:
         "basis": [el_json(el) for el in basis],
         "brackets": brackets,
     }
-    _emit(cfg, json.dumps(dump, sort_keys=True, indent=1,
-                          separators=(",", ": ")) + "\n")
+    _emit(cfg, to_text(dump))
     return 0
 
 

@@ -16,6 +16,7 @@ are written as the repr of a Cyc.
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
 
@@ -44,6 +45,16 @@ def jsonable(x):
         return x.to_json()
     except AttributeError:
         return repr(x)
+
+
+def to_text(obj) -> str:
+    """The canonical text of a JSON object: sorted keys, indent 1, a final
+    newline.  json.dump writes each chunk to the buffer as the encoder
+    yields it, where json.dumps would first hold every chunk in a list."""
+    buf = io.StringIO()
+    json.dump(obj, buf, sort_keys=True, indent=1, separators=(",", ": "))
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def _key(k):
@@ -97,8 +108,7 @@ class VerificationReport:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=1,
-                          separators=(",", ": ")) + "\n"
+        return to_text(self.to_json())
 
     @staticmethod
     def parse(text: str) -> dict:

@@ -225,15 +225,23 @@ class GeneratingRelationVerifier:
         """Relation rel, one of 1.5(1)-(3), at every mode pair (i, j) of
         the window: [x_b1(r, z1), x_b2(s, z2)], [h_b1(r, z1), h_b2(s, z2)]
         or [h_b1(r, z1), x_b2(s, z2)] against its delta-function
-        expansion, a sum of one summand per p = 0..m-1."""
+        expansion, a sum of one summand per p = 0..m-1.
+
+        Nothing a cell reads but the bracket depends on both i and j, so
+        these are built once per relation, through the algebra's own
+        field modes: the left modes lf[i], the right modes rf[j], each
+        summand's root or h_b2 mode at every n = i + j, the k modes of
+        the central term at every n, and the coefficients cs[p, i].  The
+        bracket tor.bracket(lf[i], rf[j]) is taken in every cell."""
         tor, m, W = self.tor, self.m, self.window
         rs = self.alg.rs
         left, right = _PAIR_FIELDS[rel]
         tot = tuple(x + y for x, y in zip(rvec, svec))
-        # (p, lead, kind): summand p is c = lead w^(-p i)/m times the root
-        # vector kind at t^(i+j), times the central term (kind "k"), or,
-        # for 1.5(1) at b1 = -b2, c <x_b2, x_-b2> (central term - h_b2);
-        # the central term carries the form scale, as in tor.bracket
+        # (p, lead, x, z): summand p is c = lead w^(-p i)/m times the mode
+        # of x at t^(i+j) t^tot (a root vector, or h_b2 for 1.5(1) at
+        # b1 = -b2; none for 1.5(2)), plus z c times the central term:
+        # z = 1 for 1.5(2), and z = <x_b2, x_-b2> = -1 beside h_b2; the
+        # central term carries the form scale, as in tor.bracket
         terms = []
         for p in range(m):
             if rel == "1.5(1)":
@@ -242,46 +250,57 @@ class GeneratingRelationVerifier:
                 et = eta(tor.aut, p, b1)
                 if summed in rs.root_set:
                     terms.append((p, et * self.alg.eps_roots(tb1, b2),
-                                  GElement.x(summed)))
+                                  GElement.x(summed), 0))
                 elif not any(summed):
-                    terms.append((p, et, "h"))
+                    terms.append((p, et, GElement.h(b2), -1))
                 continue
             # the twisted Cartan pairing <theta^p h_b1, h_b2>
             pairing = self.alg.form(tor.aut.power(p).apply(GElement.h(b1)),
                                     GElement.h(b2)) if p else \
                 Cyc.rational(rs.form(b1, b2))
             if pairing:
-                terms.append((p, pairing,
-                              GElement.x(b2) if rel == "1.5(3)" else "k"))
-        for i in range(-W, W + 1):
-            for j in range(-W, W + 1):
-                lhs = tor.bracket(tor.x_field_mode(left(b1), rvec, i),
-                                  tor.x_field_mode(right(b2), svec, j))
+                terms.append((p, pairing, GElement.x(b2), 0)
+                             if rel == "1.5(3)" else (p, pairing, None, 1))
+        modes = range(-W, W + 1)
+        sums = range(-2 * W, 2 * W + 1)
+        lf = {i: tor.x_field_mode(left(b1), rvec, i) for i in modes}
+        rf = {j: tor.x_field_mode(right(b2), svec, j) for j in modes}
+        vec = {p: {n: tor.x_field_mode(x, tot, n) for n in sums}
+               for p, _, x, _ in terms if x is not None}
+        ks = {n: self._central_modes(rvec, tot, n) for n in sums} \
+            if any(z for *_, z in terms) else {}
+        cs = {(p, i): lead * cyc_root_of_unity(m, -p * i) * Fraction(1, m)
+              for p, lead, _, _ in terms for i in modes}
+        for i in modes:
+            for j in modes:
+                lhs = tor.bracket(lf[i], rf[j])
                 rhs = TorElement()
-                for p, lead, kind in terms:
-                    c = lead * cyc_root_of_unity(m, -p * i) * Fraction(1, m)
-                    if isinstance(kind, GElement):
-                        rhs = rhs + tor.x_field_mode(kind, tot, i + j).scale(c)
-                        continue
-                    if kind == "h":
-                        c = Cyc.rational(-1) * c
-                        rhs = rhs - tor.x_field_mode(GElement.h(b2), tot,
-                                                     i + j).scale(c)
-                    rhs = self._plus_central(rhs, c * tor.form_scale, rvec,
-                                             tot, i, i + j)
+                for p, _, x, z in terms:
+                    c = cs[p, i]
+                    if x is not None:
+                        rhs = rhs + vec[p][i + j].scale(c)
+                    if z:
+                        rhs = self._plus_central(rhs, c * z * tor.form_scale,
+                                                 rvec, i, ks[i + j])
                 checks.run(entries, rel, {"beta1": b1, "beta2": b2, "r": rvec,
                                           "s": svec, "modes": (i, j)},
                            checks.equal, lhs, rhs)
 
-    def _plus_central(self, el, c, rvec, tot, i, n):
-        """el + c (sum_l r_l k_l + (i/m) k_0) at t^n t^tot, the central
-        term of 1.5(1)-(2) once c carries the form scale; at c = 1,
-        tot = rvec and i = n it is the left-hand side of 1.5(4)."""
-        tor = self.tor
+    def _central_modes(self, rvec, tot, n):
+        """The k modes at t^n t^tot that the central term reads: k_0 and
+        each k_l with r_l != 0, by l."""
+        ls = [0] + [l + 1 for l, rl in enumerate(rvec) if rl]
+        return {l: self.tor.k_field_mode(l, tot, n) for l in ls}
+
+    def _plus_central(self, el, c, rvec, i, k):
+        """el + c (sum_l r_l k_l + (i/m) k_0), k the modes of
+        _central_modes at one t^n t^tot: the central term of 1.5(1)-(2)
+        once c carries the form scale; at c = 1, tot = rvec and i = n it
+        is the left-hand side of 1.5(4)."""
         for l, rl in enumerate(rvec):
             if rl:
-                el = el + tor.k_field_mode(l + 1, tot, n).scale(c * rl)
-        return el + tor.k_field_mode(0, tot, n).scale(c * Fraction(i, self.m))
+                el = el + k[l + 1].scale(c * rl)
+        return el + k[0].scale(c * Fraction(i, self.m))
 
     def check_central_relations(self, rvec, entries):
         """(4): (1/m) Dk_0 + sum r_i k_i = 0; (5)/(6): derivation action;
@@ -293,7 +312,9 @@ class GeneratingRelationVerifier:
             if n % m:
                 continue
             checks.run(entries, "1.5(4)", {"r": rvec, "mode": n}, checks.equal,
-                       self._plus_central(zero, 1, rvec, rvec, n, n), zero)
+                       self._plus_central(zero, 1, rvec, n,
+                                          self._central_modes(rvec, rvec, n)),
+                       zero)
             for j in range(tor.N + 1):
                 kj = tor.k_field_mode(j, rvec, n)
                 for i in range(1, tor.N + 1):

@@ -1,9 +1,10 @@
 """Fault injection per check kind of torlab.checks.
 
 Each case corrupts one input of a suite (a cached field, a field hook of
-a module, the twist, the bracket or invariant form of a toroidal
-algebra, or the data of an iso context) and requires the relation that
-should notice to fail, with exactly the witness written below.  The
+a module, the twist, the bracket, invariant form, derivations, k field
+modes or eigencomponents of a toroidal algebra, or the data of an iso
+context) and requires the relation that should notice to fail, with
+exactly the witness written below.  The
 witnesses were first produced by the per-suite verifiers that
 torlab.checks replaced, run on the same corruptions, so a change in how a
 shared kind sweeps states and modes, or builds its witness, shows up
@@ -31,7 +32,7 @@ from torlab.fockprin import (PrincipalModule, negation_theta,
                              solve_prin_constants, verify_52,
                              verify_principal_relations)
 from torlab.princiso import build_iso_context, verify_iso
-from torlab.rootsys import ChevalleyAlgebra, build_root_system
+from torlab.rootsys import ChevalleyAlgebra, GElement, build_root_system
 from torlab.scalar import Cyc
 from torlab.toroidal import (GeneratingRelationVerifier, TorElement,
                              ToroidalAlgebra, sample_bracket_axioms)
@@ -443,6 +444,67 @@ def tor_axioms():
     return sample_bracket_axioms(_a1_bad_h_bracket(), 12, 7)
 
 
+def tor_axioms_25():
+    return sample_bracket_axioms(_a1_bad_h_bracket(), 25, 7)
+
+
+def _central_relations(tor):
+    """1.5(4)-(6) and (8) of tor at r = (1,), window 1."""
+    entries = []
+    GeneratingRelationVerifier(tor, 1).check_central_relations((1,), entries)
+    return entries
+
+
+def tor_central_dA():
+    alg = ChevalleyAlgebra(build_root_system("A", 1))
+    return _central_relations(_KZeroDoubled(alg, identity_automorphism(alg),
+                                            1))
+
+
+class _DerivDoubled(ToroidalAlgebra):
+    """A toroidal algebra whose derivation d_i is 2 d_i."""
+
+    def deriv(self, i):
+        return super().deriv(i).scale(2)
+
+
+def tor_deriv():
+    alg = ChevalleyAlgebra(build_root_system("A", 1))
+    return _central_relations(_DerivDoubled(alg, identity_automorphism(alg),
+                                            1))
+
+
+class _KWithH(ToroidalAlgebra):
+    """A toroidal algebra whose nonzero k field modes also carry the loop
+    term h_a (x) t^n t^r, a the first root: no longer central."""
+
+    def k_field_mode(self, i, rvec, n):
+        k = super().k_field_mode(i, rvec, n)
+        if k.is_zero():
+            return k
+        return k + self.loop(GElement.h(self.alg.rs.roots[0]), n, rvec)
+
+
+def tor_k_not_central():
+    alg = ChevalleyAlgebra(build_root_system("A", 1))
+    return _central_relations(_KWithH(alg, identity_automorphism(alg), 1))
+
+
+def tor_component():
+    """A2 with the diagram flip, the eigencomponents of x_alpha1 scaled
+    by 2 and those of x_alpha2 left as they are: theta no longer maps
+    one to the other."""
+    alg = ChevalleyAlgebra(build_root_system("A", 2))
+    tor = ToroidalAlgebra(alg, diagram_automorphism(alg, [1, 0], 2), 1)
+    sym = ("x", (1, 0))
+    tor.g_component(sym, 0)
+    tor._components[sym] = {cls: g.scale(2)
+                            for cls, g in tor._components[sym].items()}
+    entries = []
+    GeneratingRelationVerifier(tor, 1).check_relation_7((1, 0), (1,), entries)
+    return entries
+
+
 # -- none_of: the iso invariants ---------------------------------------
 
 
@@ -739,6 +801,61 @@ CASES = {
          _difference("(('k', 1, -2, (2,)), Cyc(-2))")),
         ({"sample": 2, "r0": -3, "r": (2,)},
          _difference("(('k', 1, -3, (2,)), Cyc(-2))")),
+    ]),
+    "tor_antisym": (tor_axioms_25, "tor.antisym", [
+        ({"sample": 14}, _difference("(('g', ('x', (1,)), 3, (4,)), Cyc(2))")),
+        ({"sample": 16},
+         _difference("(('g', ('x', (1,)), -6, (-1,)), Cyc(2))")),
+    ]),
+    "tor_central_dA": (tor_central_dA, "1.5(4)", [
+        ({"r": (1,), "mode": -1},
+         _difference("(('k', 1, -1, (1,)), Cyc(-1))")),
+        ({"r": (1,), "mode": 1}, _difference("(('k', 1, 1, (1,)), Cyc(-1))")),
+    ]),
+    "tor_deriv_i": (tor_deriv, "1.5(5)", [
+        ({"r": (1,), "mode": -1, "i": 1, "j": 0},
+         _difference("(('k', 1, -1, (1,)), Cyc(1))")),
+        ({"r": (1,), "mode": -1, "i": 1, "j": 1},
+         _difference("(('k', 1, -1, (1,)), Cyc(1))")),
+        ({"r": (1,), "mode": 0, "i": 1, "j": 0},
+         _difference("(('k', 0, 0, (1,)), Cyc(1))")),
+        ({"r": (1,), "mode": 1, "i": 1, "j": 0},
+         _difference("(('k', 1, 1, (1,)), Cyc(-1))")),
+        ({"r": (1,), "mode": 1, "i": 1, "j": 1},
+         _difference("(('k', 1, 1, (1,)), Cyc(1))")),
+    ]),
+    "tor_deriv_0": (tor_deriv, "1.5(6)", [
+        ({"r": (1,), "mode": -1, "j": 0},
+         _difference("(('k', 1, -1, (1,)), Cyc(-1))")),
+        ({"r": (1,), "mode": -1, "j": 1},
+         _difference("(('k', 1, -1, (1,)), Cyc(-1))")),
+        ({"r": (1,), "mode": 1, "j": 0},
+         _difference("(('k', 1, 1, (1,)), Cyc(-1))")),
+        ({"r": (1,), "mode": 1, "j": 1},
+         _difference("(('k', 1, 1, (1,)), Cyc(1))")),
+    ]),
+    "tor_k_central": (tor_k_not_central, "1.5(8)", [
+        ({"r": (1,), "mode": -1, "j": 0},
+         _difference("(('g', ('x', (-1,)), 0, (2,)), Cyc(2))")),
+        ({"r": (1,), "mode": -1, "j": 1},
+         _difference("(('g', ('x', (-1,)), 0, (2,)), Cyc(2))")),
+        ({"r": (1,), "mode": 0, "j": 0},
+         _difference("(('g', ('x', (-1,)), 1, (2,)), Cyc(2))")),
+        ({"r": (1,), "mode": 1, "j": 0},
+         _difference("(('g', ('x', (-1,)), 2, (2,)), Cyc(2))")),
+        ({"r": (1,), "mode": 1, "j": 1},
+         _difference("(('g', ('x', (-1,)), 2, (2,)), Cyc(2))")),
+    ]),
+    "tor_theta_component": (tor_component, "1.5(7)", [
+        ({"beta": (1, 0), "p": 1, "r": (1,), "mode": -1},
+         _difference("(('g', ('x', (0, 1)), -1, (1,)), Cyc(1/2))",
+                     "(('g', ('x', (1, 0)), -1, (1,)), Cyc(-1/2))")),
+        ({"beta": (1, 0), "p": 1, "r": (1,), "mode": 0},
+         _difference("(('g', ('x', (0, 1)), 0, (1,)), Cyc(1/2))",
+                     "(('g', ('x', (1, 0)), 0, (1,)), Cyc(1/2))")),
+        ({"beta": (1, 0), "p": 1, "r": (1,), "mode": 1},
+         _difference("(('g', ('x', (0, 1)), 1, (1,)), Cyc(1/2))",
+                     "(('g', ('x', (1, 0)), 1, (1,)), Cyc(-1/2))")),
     ]),
     "iso_N_simple": (iso_bad_n, "iso.N_simple", [
         ({"node": 1, "gen": "F"}, _difference("N = 0, expected -1")),

@@ -21,6 +21,7 @@ import pytest
 
 from test_checks import CASES
 from torlab.cli import main
+from torlab.report import to_text
 
 RUNS = [
     (["verify", "homogeneous", "--algebra", "A1", "--window", "2,2,1"], 0,
@@ -114,11 +115,6 @@ def test_report_bytes(argv, code, digest):
 # why.  The list only shrinks: a new id needs a case or a line here, and
 # an id that gains a case must leave it.
 UNCOVERED = {
-    "1.5(4)": "no fault case yet",
-    "1.5(5)": "no fault case yet",
-    "1.5(6)": "no fault case yet",
-    "1.5(7)": "no fault case yet",
-    "1.5(8)": "no fault case yet",
     "bridge.omega_size": "a count: fails only on an empty Omega basis",
     "ck.factor_k": "no fault case yet",
     "ck.grading": "no fault case yet",
@@ -137,7 +133,6 @@ UNCOVERED = {
     "prin.constants_solved": "made to fail by test_cli.py::"
                              "test_solver_finding_no_constant_exits_1",
     "prin.k_nontrivial": "no fault case yet",
-    "tor.antisym": "no fault case yet",
     "zk.10": "no fault case yet",
     "zk.2": "no fault case yet",
     "zk.4": "no fault case yet",
@@ -155,3 +150,22 @@ def test_every_relation_id_has_a_fault_case_or_a_reason():
         ids |= {e["relation_id"] for e in report.get("entries", [])}
     covered = {rel for _case, rel, _want in CASES.values()}
     assert ids - covered == set(UNCOVERED)
+
+
+@pytest.mark.parametrize("name", ["toroidal-A2", "gen"])
+def test_out_file_holds_the_stdout_bytes(name, tmp_path):
+    """--out writes the bytes a pinned run writes to stdout, but for the
+    output path its config echoes; report.to_text is the canonical
+    json.dumps text."""
+    argv = next(r[0] for r in RUNS if _run_id(*r) == name)
+    code, out = _run(argv)
+    path = tmp_path / "report.json"
+    assert main(argv + ["--seed", "7", "--out", str(path)]) == code
+    written = path.read_bytes()
+    assert json.loads(written)["config"]["output"] == str(path)
+    assert written.replace(json.dumps(str(path)).encode(), b"null") == \
+        out.encode()
+    obj = {"b": [], "a": {}, "c": [[1, [2, {}]], []], "d": "ζ é",
+           "e": {"y": [None, True], "x": 1.5}}
+    assert to_text(obj) == json.dumps(obj, sort_keys=True, indent=1,
+                                      separators=(",", ": ")) + "\n"
