@@ -9,7 +9,9 @@ A deliberate change of report content updates the values below.
 
 The same runs back the fault-coverage ratchet: every relation id they
 report has a fault case in test_checks.CASES or a reason in UNCOVERED.
-Each run is made once per pytest run and its report kept for both tests.
+Each run is made once per pytest run and its report kept for every test.
+The hashes pin stdout; the last test checks that --out writes the same
+bytes to a file.
 """
 
 import hashlib
