@@ -87,11 +87,12 @@ def automorphism_from_generator_images(alg: ChevalleyAlgebra, pairs, order: int)
     pairs: list of (GElement, GElement).  Returns None if the images are
     bracket-inconsistent or do not span the algebra.
     """
-    domain = []     # coordinate vectors spanning the known domain
-    images = []     # matching image elements
+    span = linalg.Span()    # coordinate vectors spanning the known domain
+    images = []             # matching image elements
     for u, au in pairs:
-        if not _absorb(alg, domain, images, u, au):
+        if not _absorb(alg, span, images, u, au):
             return None
+    domain = span.vectors
     frontier = list(range(len(domain)))
     while frontier:
         fresh = []
@@ -103,7 +104,7 @@ def automorphism_from_generator_images(alg: ChevalleyAlgebra, pairs, order: int)
                 if w.is_zero():
                     continue
                 n0 = len(domain)
-                ok = _absorb(alg, domain, images, w, alg.bracket(images[i], images[j]))
+                ok = _absorb(alg, span, images, w, alg.bracket(images[i], images[j]))
                 if not ok:
                     return None
                 if len(domain) > n0:
@@ -114,30 +115,27 @@ def automorphism_from_generator_images(alg: ChevalleyAlgebra, pairs, order: int)
     action = {}
     for s in alg.symbols:
         target = [Cyc.one() if t == s else Cyc.zero() for t in alg.symbols]
-        coeffs = linalg.express_in_span(domain, target)
-        if coeffs is None:
-            return None
-        img = GElement()
-        for c, im in zip(coeffs, images):
-            if c:
-                img = img + im.scale(c)
-        action[s] = img
+        action[s] = _combine(span.coords(target), images)
     return Automorphism(alg, action, order)
 
 
-def _absorb(alg, domain, images, u, au):
-    """Add (u, au) to the span; check consistency if already in span."""
-    vec = alg.to_vector(u)
-    coeffs = linalg.express_in_span(domain, vec)
-    if coeffs is None:
-        domain.append(vec)
-        images.append(au)
-        return True
-    pred = GElement()
+def _combine(coeffs, images):
+    out = GElement()
     for c, im in zip(coeffs, images):
         if c:
-            pred = pred + im.scale(c)
-    return pred == au
+            out = out + im.scale(c)
+    return out
+
+
+def _absorb(alg, span, images, u, au):
+    """Add (u, au) to the span; check consistency if already in span."""
+    vec = alg.to_vector(u)
+    coeffs = span.coords(vec)
+    if coeffs is None:
+        span.add(vec)
+        images.append(au)
+        return True
+    return _combine(coeffs, images) == au
 
 
 def diagram_automorphism(alg: ChevalleyAlgebra, perm, order: int) -> Automorphism:

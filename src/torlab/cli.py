@@ -80,10 +80,18 @@ def _build_toroidal(cfg: RunConfig) -> ToroidalAlgebra:
     return ToroidalAlgebra(alg, aut, cfg.n)
 
 
+def _fock_root_system(cfg: RunConfig):
+    """The root system of a Fock suite, which builds no theta but its own."""
+    if cfg.automorphism["kind"] != "identity":
+        raise ConfigError("automorphism.kind: %r is not built by the Fock "
+                          "suites (use identity)" % cfg.automorphism["kind"])
+    return build_root_system(cfg.kind, cfg.rank)
+
+
 def _principal_module(cfg: RunConfig):
     """The principal module of the configured algebra, without constants,
     and the order m of its principal automorphism."""
-    rs = build_root_system(cfg.kind, cfg.rank)
+    rs = _fock_root_system(cfg)
     marks, _ = affine_marks(untwisted_affine_cartan(rs))
     m = sum(marks)
     if m != 2:
@@ -118,7 +126,7 @@ def suite_toroidal(cfg: RunConfig):
 
 
 def suite_homogeneous(cfg: RunConfig):
-    mod = HomogeneousModule(build_root_system(cfg.kind, cfg.rank), cfg.n)
+    mod = HomogeneousModule(_fock_root_system(cfg), cfg.n)
     entries = verify_33(mod, cfg.window)
     verify_center_hom(mod, cfg.window, entries=entries)
     verify_products_hom(mod, cfg.window, entries=entries)
@@ -126,14 +134,14 @@ def suite_homogeneous(cfg: RunConfig):
 
 
 def suite_zalg(cfg: RunConfig):
-    mod = HomogeneousModule(build_root_system(cfg.kind, cfg.rank), cfg.n)
+    mod = HomogeneousModule(_fock_root_system(cfg), cfg.n)
     w = to_Zmodule(homogeneous_Ck(mod), cfg.window)
     entries = verify_Zk_relations(w, cfg.window)
     return entries, _header(cfg, 1)
 
 
 def suite_roundtrip(cfg: RunConfig):
-    mod = HomogeneousModule(build_root_system(cfg.kind, cfg.rank), cfg.n)
+    mod = HomogeneousModule(_fock_root_system(cfg), cfg.n)
     ck = homogeneous_Ck(mod)
     entries, _w, back = roundtrip_check(ck, cfg.window)
     check_Ck(ck, cfg.window, entries=entries)

@@ -140,6 +140,8 @@ class RunConfig:
             raise ConfigError("algebra.rank: must be >= 1, got %d" % self.rank)
         if self.kind == "E" and self.rank not in (6, 7, 8):
             raise ConfigError("algebra.rank: E requires rank 6, 7 or 8")
+        if self.kind == "D" and self.rank < 3:
+            raise ConfigError("algebra.rank: D requires rank >= 3")
         if self.n < 1:
             raise ConfigError("toroidal.n: must be >= 1, got %d" % self.n)
         if self.level != 1:

@@ -240,7 +240,7 @@ class ZField(FieldFamily):
 
     def __init__(self, mod: HomogeneousModule, alpha, rvec):
         super().__init__()
-        self.mod = mod
+        self.lat = mod.lat
         self.space = mod.space
         self.alpha = tuple(alpha)
         self.avec = mod.lat.embed_root(alpha)
@@ -262,7 +262,7 @@ class ZField(FieldFamily):
             hit = self._labels[lid] = (
                 zexp + self.x.base(lid)[0],
                 space.shifted(lid << MODE_BITS, self.shift),
-                self.mod.lat.eps(self.avec, space.label_of(lid)))
+                self.lat.eps(self.avec, space.label_of(lid)))
         return hit
 
     def max_mode(self, sid):

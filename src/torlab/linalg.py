@@ -37,11 +37,13 @@ def rref(mat):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c].inv()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r] = [inv * x if x else x for x in rows[r]]
+        nz = [k for k, y in enumerate(prow) if y]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                for k in nz:
+                    row[k] = row[k] - f * prow[k]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -70,27 +72,56 @@ def nullspace(mat):
     return basis
 
 
-def solve(mat, rhs):
-    """One solution of A x = b, or None if inconsistent."""
-    rows = _copy(mat)
-    b = [as_cyc(x) for x in rhs]
-    aug = [row + [bx] for row, bx in zip(rows, b)]
-    red, pivots = rref(aug)
-    ncols = len(mat[0]) if mat else 0
-    if ncols in pivots:
-        return None
-    x = [Cyc.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
+class Span:
+    """A growing list of vectors in echelon form: each independent vector
+    adds itself reduced against the rows before it, scaled to 1 at its
+    first nonzero column (the pivot), with its combination of the vectors
+    added.  A row is zero at the earlier pivots, so one pass reduces."""
 
+    def __init__(self, vectors=()):
+        self.vectors = []   # every vector added, dependent ones included
+        self.rows = []      # (pivot, row, its nonzero columns, {index: c})
+        for vec in vectors:
+            self.add(vec)
 
-def express_in_span(vectors, target):
-    """Coefficients c with sum c_i vectors_i = target, or None."""
-    if not vectors:
-        return [] if all(not as_cyc(t) for t in target) else None
-    cols = [[as_cyc(v[i]) for v in vectors] for i in range(len(target))]
-    return solve(cols, target)
+    def __len__(self):
+        return len(self.rows)
+
+    def _reduce(self, vec):
+        """vec less its part in the span, and that part's combination."""
+        v = [as_cyc(x) for x in vec]
+        combo = {}
+        for p, row, nz, rc in self.rows:
+            f = v[p]
+            if f:
+                for k in nz:
+                    v[k] = v[k] - f * row[k]
+                for k, c in rc.items():
+                    combo[k] = combo[k] + f * c if k in combo else f * c
+        return v, combo
+
+    def add(self, vec) -> bool:
+        """Add vec; False, with no new row, if it lies in the span."""
+        v, combo = self._reduce(vec)
+        index = len(self.vectors)
+        self.vectors.append(vec)
+        p = next((k for k, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        inv = v[p].inv()
+        row = [inv * x if x else x for x in v]
+        rc = {k: -inv * c for k, c in combo.items()}
+        rc[index] = inv
+        self.rows.append((p, row, [k for k, x in enumerate(row) if x], rc))
+        return True
+
+    def coords(self, target):
+        """c with sum c_i v_i = target, one per vector added, or None: the
+        independent vectors carry the combination, each dependent one 0."""
+        v, combo = self._reduce(target)
+        if any(v):
+            return None
+        return [combo.get(k, Cyc.zero()) for k in range(len(self.vectors))]
 
 
 def int_nullvector(mat):

@@ -97,7 +97,7 @@ class IsoContext:
         self.N = {}            # line index -> exponent shift
         self.d = {}            # line index -> theta eigenvalue exponent mod m
         self.probes = []       # per class: chosen spanning probes
-        self.cols = []         # per class: (vectors, infos) for decomposition
+        self.cols = []         # per class: (Span, infos) for decomposition
         self.dom = None        # ToroidalAlgebra over pi   (divisor K)
         self.cod = None        # ToroidalAlgebra, divisor m
         self._coords = {}
@@ -107,7 +107,7 @@ def _ratio(alg, u, v):
     """Scalar c with u = c v, or None."""
     if v.is_zero():
         return None
-    coeffs = linalg.express_in_span([alg.to_vector(v)], alg.to_vector(u))
+    coeffs = linalg.Span([alg.to_vector(v)]).coords(alg.to_vector(u))
     return None if coeffs is None else coeffs[0]
 
 
@@ -116,17 +116,22 @@ def _subspace_basis(vectors):
     return [r for r in rows[:len(pivots)]]
 
 
+def _combination(coeffs, vectors):
+    """sum_i coeffs_i vectors_i."""
+    vec = [Cyc.zero()] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            vec = [a + c * b for a, b in zip(vec, v)]
+    return vec
+
+
 def _restricted_matrix(alg, basis, op):
     """Rows of the operator op (GElement endo) in the given basis."""
-    cols = []
-    for v in basis:
-        img = alg.to_vector(op(alg.from_vector(v)))
-        c = linalg.express_in_span(basis, img)
-        if c is None:
-            raise ValueError("operator does not preserve the subspace")
-        cols.append(c)
-    n = len(basis)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    span = linalg.Span(basis)
+    cols = [span.coords(alg.to_vector(op(alg.from_vector(v)))) for v in basis]
+    if None in cols:
+        raise ValueError("operator does not preserve the subspace")
+    return [list(row) for row in zip(*cols)]
 
 
 def _weight_split(alg, basis, hams):
@@ -139,23 +144,21 @@ def _weight_split(alg, basis, hams):
                 continue
             mat = _restricted_matrix(alg, vs, lambda g, h=h: alg.bracket(h, g))
             total = 0
-            for lam in range(-12, 13):
+            found = []
+            for lam in sorted(range(-12, 13), key=abs):
+                if total == len(vs):
+                    break
                 shifted = [[mat[i][j] - (Cyc.rational(lam) if i == j else Cyc.zero())
                             for j in range(len(vs))] for i in range(len(vs))]
                 ker = linalg.nullspace(shifted)
                 if not ker:
                     continue
-                sub = []
-                for coeffs in ker:
-                    vec = [Cyc.zero()] * len(vs[0])
-                    for c, v in zip(coeffs, vs):
-                        if c:
-                            vec = [a + c * b for a, b in zip(vec, v)]
-                    sub.append(vec)
-                refined.append((prefix + (lam,), _subspace_basis(sub)))
+                sub = [_combination(coeffs, vs) for coeffs in ker]
+                found.append((prefix + (lam,), _subspace_basis(sub)))
                 total += len(ker)
             if total != len(vs):
                 raise ValueError("ad-eigenvalues escape the search range")
+            refined += sorted(found)
         pieces = refined
     return pieces
 
@@ -257,11 +260,7 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
         if len(ker) != 1:
             raise ValueError("affine node weight space is not a line "
                              "(dim %d)" % len(ker))
-        vec = [Cyc.zero()] * alg.dim
-        for c, v in zip(ker[0], basis):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, v)]
-        return alg.from_vector(vec)
+        return alg.from_vector(_combination(ker[0], basis))
 
     e0 = joint_kernel_line(1, F[1:])
     f0 = joint_kernel_line(-1, E[1:])
@@ -294,9 +293,10 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
     ctx.m = K * sum(marks)
 
     # form normalization: <psi_0, psi_0> = 2 a1_0 / K
-    gram = [[alg.form(H[i], H[j]) for j in range(1, n)] for i in range(1, n)]
+    gram = linalg.Span([alg.form(H[i], H[j]) for i in range(1, n)]
+                       for j in range(1, n))
     rhs = [Cyc.rational(A[i][0]) for i in range(1, n)]
-    coords = linalg.solve(gram, rhs)
+    coords = gram.coords(rhs)
     if coords is None:
         raise ValueError("restricted Cartan form is degenerate")
     psi0sq = Cyc.zero()
@@ -393,6 +393,7 @@ def _build_probes(ctx, zero_spaces):
     """Spanning weight-zero brackets with their phi image data, per class."""
     alg = ctx.alg
     ctx.probes = [[] for _ in range(ctx.K)]
+    spans = [linalg.Span() for _ in range(ctx.K)]
     order = sorted(range(len(ctx.lines)),
                    key=lambda i: (ctx.lines[i].cls, ctx.lines[i].weight))
     for i in order:
@@ -407,38 +408,34 @@ def _build_probes(ctx, zero_spaces):
             f = alg.form(li.g, lj.g) * ctx.lam
             if f and ctx.N[i] + ctx.N[j] != 0:
                 raise ValueError("form-paired lines with N(u) + N(v) != 0")
-            chosen = ctx.probes[cls]
             vec = alg.to_vector(b)
-            if linalg.express_in_span([p.vec for p in chosen], vec) is not None:
+            if not spans[cls].add(vec):
                 continue
-            chosen.append(Probe(cls, b, vec, ctx.N[i] + ctx.N[j],
-                                f * Fraction(ctx.N[i], ctx.m)))
+            ctx.probes[cls].append(Probe(cls, b, vec, ctx.N[i] + ctx.N[j],
+                                         f * Fraction(ctx.N[i], ctx.m)))
     ctx.cols = []
     for cls in range(ctx.K):
-        vectors = []
-        infos = []
+        span, infos = linalg.Span(), []
         for i, ln in enumerate(ctx.lines):
             if ln.cls == cls:
-                vectors.append(ln.vec)
+                span.add(ln.vec)
                 infos.append(("line", ln.g, ctx.N[i]))
         for p in ctx.probes[cls]:
-            vectors.append(p.vec)
+            span.add(p.vec)
             infos.append(("probe", p.g, p.shift, p.central))
         zdim = len(zero_spaces[cls]) if zero_spaces[cls] else 0
         want = sum(1 for ln in ctx.lines if ln.cls == cls) + zdim
-        if linalg.rank(vectors) != want:
+        if len(span) != want:
             raise ValueError("weight-zero probes do not span class %d" % cls)
-        ctx.cols.append((vectors, infos))
+        ctx.cols.append((span, infos))
 
 
 def _decompose(ctx, cls, g):
     key = (cls, tuple(sorted((s, repr(c)) for s, c in g.terms.items())))
-    hit = ctx._coords.get(key)
+    if key not in ctx._coords:
+        ctx._coords[key] = ctx.cols[cls][0].coords(ctx.alg.to_vector(g))
+    hit = ctx._coords[key]
     if hit is None:
-        vectors, _ = ctx.cols[cls]
-        hit = linalg.express_in_span(vectors, ctx.alg.to_vector(g))
-        ctx._coords[key] = hit if hit is not None else False
-    if hit is False or hit is None:
         raise ValueError("element is not in the pi-twisted subalgebra")
     return hit
 

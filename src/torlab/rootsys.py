@@ -172,6 +172,8 @@ class GElement:
         return not self.terms
 
     def __eq__(self, other):
+        if not isinstance(other, GElement):
+            return NotImplemented
         return (self - other).is_zero()
 
     def __hash__(self):

@@ -55,6 +55,8 @@ class TorElement:
         return not self.terms
 
     def __eq__(self, other):
+        if not isinstance(other, TorElement):
+            return NotImplemented
         return (self - other).is_zero()
 
     def __repr__(self):

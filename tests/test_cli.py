@@ -199,7 +199,16 @@ def test_cli_error_exits(tmp_path, capsys):
               '"1,1": {"order": 1, "coeffs": ["1"]}}', "--window", "1,1,1"],
              "algebra"),
             (["verify", "iso", "--algebra", "A3", "--theta", "diagram:1,0,2"],
-             "automorphism.permutation")]:
+             "automorphism.permutation"),
+            (["verify", "toroidal", "--algebra", "D2"], "algebra.rank"),
+            # the Fock suites build no theta but their own
+            (["verify", "homogeneous", "--theta", "diagram:0"],
+             "automorphism.kind"),
+            (["verify", "zalg", "--theta", "principal"], "automorphism.kind"),
+            (["verify", "roundtrip", "--algebra", "A2", "--theta",
+              "diagram:1,0"], "automorphism.kind"),
+            (["verify", "principal", "--solve-constants", "--theta",
+              "diagram:0"], "automorphism.kind")]:
         capsys.readouterr()
         assert main(argv) == 2
         assert "config error: %s:" % key in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -200,3 +202,22 @@ def test_vec_times_x_reads_the_weight():
     for v in states:
         for n in range(-16, 17):
             assert comb_eq(got.mode_memo(n, v), want.mode_memo(n, v)), (v, n)
+
+
+def test_a_swept_module_is_freed_without_the_cycle_collector():
+    """No field refers back to its module, so with the cycle collector
+    off a module whose Z field has filled its memos is freed as soon as
+    its last reference goes, and with it every memo it filled."""
+    gc.disable()
+    try:
+        mod = _a1()
+        z = mod.z((1,), (1,))
+        for state in window_states(mod.space, TruncationWindow(2, 2, 1)):
+            for n in range(-3, 4):
+                z.mode_memo(n, mod.space.sid(state))
+        assert z._memo
+        gone = weakref.ref(mod)
+        del mod, z
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -56,6 +56,8 @@ RUNS = [
     (["verify", "iso", "--algebra", "A3", "--theta", "diagram:2,1,0",
       "--samples", "100"], 0,
      "29937457def58d49ac1a11353565afaf4ab182332fcea80819c7c4795977b2e6"),
+    (["verify", "iso", "--algebra", "D4", "--samples", "200"], 0,
+     "9f5f317b20514007a48fbed366bc940c262e374ecdacff8b45b30a7ccce60481"),
     (["solve-constants", "--algebra", "A1", "--window", "4,3,1"], 0,
      "861cfc348b5345347858d41fca5cb99b90baab9465ad7c82d6b6976c194ebf0a"),
     (["gen", "--algebra", "A1", "--n", "1", "--window", "1,1,1"], 0,

@@ -147,3 +147,11 @@ def test_form_invariance_random():
     for _ in range(200):
         u, v, w = (_random_element(alg, rng) for _ in range(3))
         assert alg.form(alg.bracket(u, v), w) == alg.form(u, alg.bracket(v, w))
+
+
+def test_equality_with_a_foreign_operand_is_false():
+    x = GElement.x((1,))
+    assert not x == "k"
+    assert x != "k"
+    assert "k" in [x, "k"] and [x, "k"].index("k") == 1
+    assert x == GElement.x((1,)).scale(Cyc.one())

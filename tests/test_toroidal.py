@@ -129,3 +129,9 @@ def test_generating_relations_on_a_rescaled_form():
         assert {e[0] for e in entries} == {"1.5(%d)" % i for i in range(1, 9)}
         bad = [e for e in entries if e[2] != "pass"]
         assert not bad, (scale, bad[:3])
+
+
+def test_tor_element_equality_with_a_foreign_operand_is_false():
+    el = TorElement({("k", 0, 0, (0,)): Cyc.one()})
+    assert not el == "k" and el != "k" and el != GElement.x((1,))
+    assert el == TorElement({("k", 0, 0, (0,)): Cyc.one()})
