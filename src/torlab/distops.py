@@ -101,16 +101,19 @@ def product_of_binomials(factors, nmax: int):
 
 def _native(x):
     """x as an int or Fraction when it is a rational Cyc, which is stored
-    at order 1; else x."""
-    return x.coeffs[0] if isinstance(x, Cyc) and x.order == 1 else x
+    at order 1 (an int when its denominator is 1); else x."""
+    if isinstance(x, Cyc) and x.order == 1:
+        return x.nums[0] if x.den == 1 else Fraction(x.nums[0], x.den)
+    return x
 
 
 def _int_if_integral(x):
     """x as an int when it is an integral rational (an int, a rational
     with denominator 1 or a rational Cyc of that kind), else x."""
-    q = _native(x)
-    if not isinstance(q, Cyc) and q.denominator == 1:
-        return int(q.numerator)
+    if isinstance(x, Cyc):
+        return x.nums[0] if x.order == 1 and x.den == 1 else x
+    if x.denominator == 1:
+        return int(x.numerator)
     return x
 
 

@@ -214,6 +214,21 @@ def prin_eta():
     return verify_principal_relations(mod, PWIN, rvecs=R)
 
 
+# -- holds: centrality of the k fields ---------------------------------
+
+
+def prin_k_central():
+    """The sample Z field at multidegree 0 negated on the first window
+    state.  Its mode 0 acts there as -C instead of C, while it still
+    acts as C on the states the k fields send that state to, so the k
+    fields stop commuting with it."""
+    mod = _prin()
+    b, zero = tuple(mod.rs.roots[0]), mod.zero_r()
+    first = window_states(mod.space, PWIN)[0]
+    mod._fields[("z", b, zero)] = _FaultOn(mod.z(b, zero), first)
+    return verify_principal_relations(mod, PWIN, rvecs=R)
+
+
 # -- fields_equal ------------------------------------------------------
 
 
@@ -364,6 +379,13 @@ def prin_degree():
     mod = _prin()
     b = tuple(mod.rs.roots[0])
     mod._fields[("z", b, (1,))] = _ModeOffByOne(mod.z(b, (1,)))
+    return verify_principal_relations(mod, PWIN, rvecs=R)
+
+
+def prin_k_degree():
+    """k_1 at multidegree 1 with its mode index off by one."""
+    mod = _prin()
+    mod._fields[("k", 1, (1,))] = _ModeOffByOne(mod.kf(1, (1,)))
     return verify_principal_relations(mod, PWIN, rvecs=R)
 
 
@@ -547,6 +569,40 @@ CASES = {
     "prin_3": (prin_3, "prin.3", [
         ({"r": [1]}, {"state": ((-1, 0), ()), "mode": -4}),
     ]),
+    "prin_k_factor": (prin_3, "prin.2", [
+        ({"i": 1, "r": [1], "s": [0]},
+         {"state": ((-1, 0), ()), "mode": -4, "difference": [
+             ("((0, 0), ((0, 1), (0, 1)))", "Cyc(-1)"),
+             ("((0, 0), ((0, 2),))", "Cyc(-1)")]}),
+        ({"i": 1, "r": [1], "s": [1]},
+         {"state": ((-1, 0), ()), "mode": -4, "difference": [
+             ("((1, 0), ((0, 1), (0, 1)))", "Cyc(2)"),
+             ("((1, 0), ((0, 2),))", "Cyc(1)")]}),
+        ({"i": 1, "r": [-1], "s": [1]},
+         {"state": ((-1, 0), ()), "mode": -4, "difference": [
+             ("((-1, 0), ((0, 2),))", "Cyc(1)")]}),
+    ]),
+    "prin_k_central": (prin_k_central, "prin.10", [
+        ({"j": 1, "r": [0]},
+         {"state": ((-1, 0), ()), "modes": (-4, 0), "difference": [
+             ("((-1, 0), ((0, 2),))", "Cyc(1/2*z4^1)")]}),
+        ({"j": 0, "r": [1]},
+         {"state": ((-1, 0), ()), "modes": (-4, 0), "difference": [
+             ("((0, 0), ((0, 1), (0, 1)))", "Cyc(1/4*z4^1)"),
+             ("((0, 0), ((0, 2),))", "Cyc(1/4*z4^1)")]}),
+        ({"j": 1, "r": [1]},
+         {"state": ((-1, 0), ()), "modes": (-4, 0), "difference": [
+             ("((0, 0), ((0, 1), (0, 1)))", "Cyc(1/2*z4^1)"),
+             ("((0, 0), ((0, 2),))", "Cyc(1/2*z4^1)")]}),
+        ({"j": 0, "r": [-1]},
+         {"state": ((-1, 0), ()), "modes": (-4, 0), "difference": [
+             ("((-2, 0), ((0, 1), (0, 1)))", "Cyc(1/4*z4^1)"),
+             ("((-2, 0), ((0, 2),))", "Cyc(-1/4*z4^1)")]}),
+        ({"j": 1, "r": [-1]},
+         {"state": ((-1, 0), ()), "modes": (-4, 0), "difference": [
+             ("((-2, 0), ((0, 1), (0, 1)))", "Cyc(-1/2*z4^1)"),
+             ("((-2, 0), ((0, 2),))", "Cyc(1/2*z4^1)")]}),
+    ]),
     "ck_eta": (ck_eta, "ck.rel7_eta", [
         ({"beta": [-1], "p": 0},
          {"state": ((-1, 0, 0), ((0, 1),)), "mode": -2}),
@@ -721,6 +777,11 @@ CASES = {
         ({"beta": [-1], "r": [1]},
          {"state": ((-1, 0), ()), "mode": -3,
           "out": ((0, 0), ((0, 1), (0, 1)))}),
+    ]),
+    "prin_k_degree": (prin_k_degree, "prin.5", [
+        ({"j": 1, "r": [1]},
+         {"state": ((-1, 0), ()), "mode": -3,
+          "out": ((0, 0), ((0, 2),))}),
     ]),
     "ck_coord": (ck_coord, "ck.rel5_di", [
         ({"i": 1, "j": 0, "r": [1]},

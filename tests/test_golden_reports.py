@@ -128,9 +128,6 @@ UNCOVERED = {
     "iso.form_pairing": "no fault case yet",
     "iso.hom": "no fault case yet",
     "iso.phi_C": "no fault case yet",
-    "prin.10": "no fault case yet",
-    "prin.2": "no fault case yet",
-    "prin.5": "no fault case yet",
     "prin.7": "fails with pinned witnesses in the principal -fail runs above",
     "prin.8": "made to fail by test_fockprin.py::"
               "test_prin8_needs_a_trivial_fixed_cartan",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cyc_oracle
 from torlab.scalar import Cyc, cyclotomic_poly, cyc_root_of_unity
 
 
@@ -270,3 +271,94 @@ def test_rational_operand_matches_the_lifted_computation(x, q):
     for eq in (x == q, q == x):
         assert eq is (u == v)
     assert (x != q) is (q != x) is (u != v)
+
+
+# -- against the Fraction-vector oracle ----------------------------------
+
+
+_ORACLE_ORDERS = (1, 3, 4, 5, 8, 12)
+_SCALARS = st.one_of(st.integers(-6, 6),
+                     st.fractions(min_value=-5, max_value=5,
+                                  max_denominator=12))
+
+
+@st.composite
+def _twins(draw):
+    """One value as a Cyc and as an oracle Cyc, built from the same
+    coefficient vector at one of _ORACLE_ORDERS, coefficients often 0."""
+    M = draw(st.sampled_from(_ORACLE_ORDERS))
+    co = draw(st.lists(st.one_of(st.just(0), _SCALARS),
+                       min_size=_deg(M), max_size=_deg(M)))
+    return Cyc(M, co), cyc_oracle.Cyc(M, co)
+
+
+def _agrees(got, want):
+    """got is stored in lowest terms, is the value the constructor gives
+    for want's coefficients, and has want's order, coeffs, repr, to_json
+    and hash."""
+    assert type(got) is Cyc
+    assert got.den > 0 and gcd(*got.nums, got.den) == 1
+    assert got == Cyc(want.order, want.coeffs)
+    assert (got.order, got.coeffs, repr(got), got.to_json(), hash(got)) == \
+        (want.order, want.coeffs, repr(want), want.to_json(), hash(want))
+
+
+def _agree_or_raise(f, x, xo):
+    """f(x) agrees with f(xo), or both raise ZeroDivisionError."""
+    try:
+        want = f(xo)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f(x)
+        return
+    _agrees(f(x), want)
+
+
+# zeta_12 + zeta_12^3 / 2 and -1/3 - zeta_12: two values at order 12
+# whose sum, -1/3 + zeta_4 / 2, lies in Q(zeta_4)
+_Z12 = ((0, 1, 0, Fraction(1, 2)), (Fraction(-1, 3), -1, 0, 0))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_twins(), _twins(), st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+@example((Cyc(12, _Z12[0]), cyc_oracle.Cyc(12, _Z12[0])),
+         (Cyc(12, _Z12[1]), cyc_oracle.Cyc(12, _Z12[1])), -2, 2)
+def test_operations_match_the_fraction_oracle(x, y, n, k):
+    """+, -, *, /, inv, ** (negative n too), lift and negation agree
+    with the Fraction-vector Cyc of tests/cyc_oracle.py in order,
+    coeffs, repr, to_json and hash, and keep the stored form canonical."""
+    (a, ao), (b, bo) = x, y
+    _agrees(a, ao)
+    _agrees(Cyc.from_json(ao.to_json()), ao)
+    _agrees(a + b, ao + bo)
+    _agrees(a - b, ao - bo)
+    _agrees(a * b, ao * bo)
+    _agrees(-a, -ao)
+    _agrees(a.lift(a.order * k), ao.lift(ao.order * k))
+    _agree_or_raise(lambda v: v[0] / v[1], (a, b), (ao, bo))
+    _agree_or_raise(lambda v: v.inv(), b, bo)
+    _agree_or_raise(lambda v: v ** n, b, bo)
+    assert (a == b) is (ao == bo)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_twins(), _SCALARS)
+@example((Cyc(4, (Fraction(1, 2), Fraction(3, 2))),
+          cyc_oracle.Cyc(4, (Fraction(1, 2), Fraction(3, 2)))), 2)
+@example((Cyc(1, (Fraction(5, 6),)), cyc_oracle.Cyc(1, (Fraction(5, 6),))),
+         Fraction(1, 6))
+def test_rational_operands_match_the_fraction_oracle(x, q):
+    """x op q and q op x for an int, a Fraction and an order-1 Cyc q
+    agree with the oracle, as do the comparisons with q."""
+    a, ao = x
+    for r, ro in ((q, q), (Cyc.rational(q), cyc_oracle.Cyc.rational(q))):
+        _agrees(a + r, ao + ro)
+        _agrees(r + a, ro + ao)
+        _agrees(a - r, ao - ro)
+        _agrees(r - a, ro - ao)
+        _agrees(a * r, ao * ro)
+        _agrees(r * a, ro * ao)
+        _agree_or_raise(lambda v: v[0] / v[1], (a, r), (ao, ro))
+        _agree_or_raise(lambda v: v[0] / v[1], (r, a), (ro, ao))
+    assert (a == q) is (ao == q) is (q == a)
+    assert hash(Cyc.rational(q)) == hash(q)
