@@ -5,6 +5,10 @@ Diagram automorphisms are seeded on simple root vectors with a searched
 sign vector and extended through bracket words; the same closure engine
 builds arbitrary automorphisms from generator images, which is how the
 principal automorphism of a twisted context is realized.
+
+TwistData holds the theta data that the toroidal verifier and the Fock,
+Z-algebra and principal modules read: TwistData.of(aut) for an
+automorphism, TwistData(m) for the identity at order m.
 """
 
 from __future__ import annotations
@@ -191,17 +195,64 @@ def eigenspace_decompose(aut: Automorphism, x: GElement):
 
 
 def eta(aut: Automorphism, p: int, beta) -> Cyc:
-    """Scalar with aut^p (x_beta) = eta * x_(theta^p beta)."""
-    perm = aut.root_permutation()
-    if perm is None:
-        raise ValueError("automorphism does not permute the root lines")
-    img = aut.power(p).apply(GElement.x(beta))
-    (sym, coeff), = img.terms.items()
-    target = beta
-    for _ in range(p % aut.order):
-        target = perm[target]
-    assert sym == ("x", target)
+    """Scalar with aut^p (x_beta) = eta * x_(theta^p beta), for an aut
+    that permutes the root lines (TwistData.of checks that it does)."""
+    (_sym, coeff), = aut.power(p).apply(GElement.x(beta)).terms.items()
     return coeff
+
+
+class TwistData:
+    """The theta data of the relations: the order m, the root action
+    theta^p, the scalars eta_p(beta) with
+    theta^p(x_beta) = eta_p(beta) x_(theta^p beta), and zeta_m^power.
+
+    theta^p iterates the one-step root map step, p mod m times, and
+    eta_fn(p, beta) gives the scalars.  The defaults are the identity
+    twist at order m: step the identity on roots, every eta 1."""
+
+    def __init__(self, m: int = 1, step=tuple, eta_fn=None):
+        self.m = m
+        self._step = step
+        self._eta = eta_fn
+
+    @classmethod
+    def of(cls, aut: Automorphism) -> "TwistData":
+        """theta and eta of aut, which must permute the root lines."""
+        perm = aut.root_permutation()
+        if perm is None:
+            raise ValueError("automorphism does not permute the root lines")
+        return cls(aut.order, perm.__getitem__,
+                   lambda p, beta: eta(aut, p, beta))
+
+    def theta_root(self, p, beta):
+        beta = tuple(beta)
+        for _ in range(p % self.m):
+            beta = tuple(self._step(beta))
+        return beta
+
+    def orbits(self, roots):
+        """The theta-orbits through roots, in the order of roots, each
+        walked from its first member there."""
+        seen = set()
+        out = []
+        for beta in map(tuple, roots):
+            if beta in seen:
+                continue
+            orbit = [beta]
+            for _ in range(self.m - 1):
+                nxt = self.theta_root(1, orbit[-1])
+                if nxt == beta:
+                    break
+                orbit.append(nxt)
+            seen.update(orbit)
+            out.append(tuple(orbit))
+        return out
+
+    def eta(self, p, beta) -> Cyc:
+        return Cyc.one() if self._eta is None else self._eta(p, beta)
+
+    def root_of_unity(self, power) -> Cyc:
+        return cyc_root_of_unity(self.m, power)
 
 
 def untwisted_affine_cartan(rs) -> list:

@@ -39,12 +39,14 @@ relabelled copy of E^- is stored on the way.
 The bracket of two root fields is written once, for every picture:
 root_pair_terms gives its binomial prefactors and its summands over
 p = 0..m-1 (a root term where theta^p b1 + b2 is a root, a zero summand
-where it is 0) from a module's twist and root data, and central_terms
-the r_i k_i and D k_0 delta terms of a zero summand on the module's k
-fields.  pair_relation builds the quadratic Z-relation on them for this
-module (identity twist, level 1), a Z-module of zbridge or the
-principal module of fockprin; zbridge's current relations and the
-principal constant solver read the same two functions.
+where it is 0) from a module's twist (autom.TwistData, the identity
+here) and root data, cartan_pair_terms the twisted Cartan pairings of
+the Cartan brackets, and central_terms the r_i k_i and D k_0 delta terms
+of a zero summand on the module's k fields.  pair_relation builds the
+quadratic Z-relation on them for this module (identity twist, level 1),
+a Z-module of zbridge or the principal module of fockprin; zbridge's
+current relations, the principal constant solver and the toroidal
+verifier of relations 1.5(1)-(3) read the same functions.
 """
 
 from __future__ import annotations
@@ -53,33 +55,18 @@ from fractions import Fraction
 from functools import partial
 
 from . import checks
+from .autom import TwistData
 from .distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                       ExpField, FieldFamily, FockSpace, TruncationWindow,
                       _acc, partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
-from .scalar import Cyc, cyc_root_of_unity
-
-
-class TwistData:
-    """Automorphism data entering the quadratic relations: the order m,
-    the root action theta^p and the eta scalars.  The default is the
-    identity twist of order 1."""
-
-    def __init__(self, m: int = 1):
-        self.m = m
-
-    def theta_root(self, p, beta):
-        return beta
-
-    def eta(self, p, beta) -> Cyc:
-        return Cyc.one()
-
-    def root_of_unity(self, power) -> Cyc:
-        return cyc_root_of_unity(self.m, power)
+from .scalar import Cyc
 
 
 class LatticeRoots:
-    """Root data for pair_relation from a module's .lat and .alg."""
+    """Root data for root_pair_terms and pair_relation: root_vec from a
+    module's .lat, and form_xx from its .alg, which is all the toroidal
+    verifier reads."""
 
     def root_vec(self, beta):
         return self.lat.embed_root(beta)
@@ -344,12 +331,28 @@ def window_states(space: FockSpace, window: TruncationWindow):
 # ---------------------------------------------------------------------------
 
 
+def cartan_pair_terms(mod, b1, b2):
+    """The summands of the bracket of the Cartan fields of b1 and b2, read
+    from mod's twist and rs: one (a, lead) for each p = 0..m-1 with
+    a nonzero <theta^p h_b1, h_b2>, a = zeta_m^-p and lead that pairing
+    over m.  theta^p preserves the form and sends x_(+-b) to multiples of
+    x_(+-theta^p b), so it sends h_b to h_(theta^p b), and the pairing is
+    the root form (theta^p b1, b2)."""
+    tw = mod.twist
+    out = []
+    for p in range(tw.m):
+        ip = mod.rs.form(tw.theta_root(p, b1), b2)
+        if ip:
+            out.append((tw.root_of_unity(-p), Fraction(ip, tw.m)))
+    return out
+
+
 def root_pair_terms(mod, b1, b2):
     """The bracket of the root fields of b1 and b2, read from mod's
     twist, rs, alg.eps_roots and form_xx, as (factors, terms).
 
     factors holds (<theta^p b1, b2>, zeta_m^-p) for each p = 0..m-1 with
-    a nonzero pairing: the prefactors
+    a nonzero pairing, the pairings of cartan_pair_terms: the prefactors
     prod_p (1 - zeta_m^-p z1/z2)^(<theta^p b1, b2>).  terms holds one
     (a, lead, summed) for each p where theta^p b1 + b2 is a root, summed,
     or 0, summed None, with a = zeta_m^-p and lead the coefficient of
@@ -357,14 +360,11 @@ def root_pair_terms(mod, b1, b2):
     eta_p(b1) <x_b2, x_-b2>/m at 0."""
     tw = mod.twist
     m = tw.m
-    factors = []
+    factors = [(lead * m, a) for a, lead in cartan_pair_terms(mod, b1, b2)]
     terms = []
     for p in range(m):
         tb1 = tw.theta_root(p, b1)
         a = tw.root_of_unity(-p)
-        ip = mod.rs.form(tb1, b2)
-        if ip:
-            factors.append((Fraction(ip), a))
         summed = tuple(x + y for x, y in zip(tb1, b2))
         if summed in mod.rs.root_set:
             terms.append((a, tw.eta(p, b1) * mod.alg.eps_roots(tb1, b2)

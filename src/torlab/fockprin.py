@@ -25,6 +25,8 @@ every eta scalar is 1, and the theta-fixed zero-weight Cartan acts by 0
 (root_vec is the zero vector), which removes the (beta_2)_0 delta-term
 from the quadratic relation.  That relation is fockhom.pair_relation,
 read from the module itself: its twist, level 1, root data and fields.
+The twist is an autom.TwistData whose one-step root map is the theta_fn
+the module is built with (negation_theta for A1).
 """
 
 from __future__ import annotations
@@ -34,30 +36,17 @@ from functools import partial
 from math import isqrt
 
 from . import checks
+from .autom import TwistData
 from .distops import (DeltaRelation, FockSpace, ScaledField,
                       TruncationWindow, product_of_binomials)
-from .fockhom import (KFields, TwistData, pair_relation, root_pair_terms,
-                      window_states)
+from .fockhom import KFields, pair_relation, root_pair_terms, window_states
 from .linalg import rank
 from .scalar import Cyc, cyc_root_of_unity
 
 
-class PrinTwist(TwistData):
-    """Principal automorphism data: order m and the root action theta."""
-
-    def __init__(self, m: int, theta_fn):
-        super().__init__(m)
-        self._theta = theta_fn
-
-    def theta_root(self, p, beta):
-        beta = tuple(beta)
-        for _ in range(p % self.m):
-            beta = tuple(self._theta(beta))
-        return beta
-
-
 def negation_theta(beta):
-    """Root action of the principal automorphism in rank 1 (m = 2)."""
+    """Root action of the principal automorphism in rank 1 (m = 2): the
+    one-step map of the module's TwistData."""
     return tuple(-c for c in beta)
 
 
@@ -69,41 +58,25 @@ class _PrinAlg:
 
 
 class PrincipalModule(KFields):
-    """V(Gamma) with the principal k-fields and scalar Z-operators."""
+    """V(Gamma) with the principal k-fields and scalar Z-operators.
+    theta_fn, the principal automorphism's one-step action on roots, is
+    the step of the module's autom.TwistData; every eta is 1."""
 
     def __init__(self, rs, N: int, m: int, theta_fn, constants=None):
         self.rs = rs
         self.alg = _PrinAlg()
         self.m = m
-        self.twist = PrinTwist(m, theta_fn)
+        self.twist = TwistData(m, theta_fn)
         dim = 2 * N
         gram = [[0] * dim for _ in range(dim)]
         for i in range(N):
             gram[i][N + i] = 1
             gram[N + i][i] = 1
         super().__init__(FockSpace(gram, range(N), mode_scale=1, weight=m), N)
-        self.orbits = self._theta_orbits()
+        self.orbits = self.twist.orbits(rs.roots)
         self.constants = None
         if constants is not None:
             self.set_constants(constants)
-
-    def _theta_orbits(self):
-        seen = set()
-        orbits = []
-        for beta in self.rs.roots:
-            beta = tuple(beta)
-            if beta in seen:
-                continue
-            orbit = []
-            cur = beta
-            for _ in range(self.m):
-                if cur in seen:
-                    break
-                seen.add(cur)
-                orbit.append(cur)
-                cur = self.twist.theta_root(1, cur)
-            orbits.append(tuple(orbit))
-        return orbits
 
     def orbit_rep(self, beta):
         beta = tuple(beta)

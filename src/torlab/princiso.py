@@ -28,8 +28,8 @@ import random
 from fractions import Fraction
 
 from . import checks, linalg
-from .autom import (affine_marks, diagram_automorphism, eigenspace_decompose,
-                    identity_automorphism)
+from .autom import (TwistData, affine_marks, diagram_automorphism,
+                    eigenspace_decompose, identity_automorphism)
 from .rootsys import ChevalleyAlgebra, GElement, build_root_system
 from .scalar import Cyc
 from .toroidal import TorElement, ToroidalAlgebra
@@ -163,29 +163,6 @@ def _weight_split(alg, basis, hams):
     return pieces
 
 
-def _simple_orbits(pi, rank):
-    if pi.order == 1:
-        return [(i,) for i in range(rank)]
-    perm = pi.root_permutation()
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    seen = set()
-    orbits = []
-    for i in range(rank):
-        if i in seen:
-            continue
-        orbit = []
-        a = simple[i]
-        while True:
-            idx = next(j for j, s in enumerate(simple) if s == a)
-            if idx in seen:
-                break
-            seen.add(idx)
-            orbit.append(idx)
-            a = perm[a]
-        orbits.append(tuple(orbit))
-    return orbits
-
-
 def _int_of(c):
     f = c.as_fraction()
     if f.denominator != 1:
@@ -207,11 +184,11 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
     ctx = IsoContext(alg, pi, K, nvars)
 
     # canonical generators of the eigenclass-zero subalgebra
-    orbits = _simple_orbits(pi, rank)
+    orbits = TwistData.of(pi).orbits(rs.simple_roots)
     ctx.ell = len(orbits)
     E, F, H = [None], [None], [None]
     for orbit in orbits:
-        a0 = rs.simple_roots[orbit[0]]
+        a0 = orbit[0]
         e = GElement()
         f = GElement()
         for p in range(len(orbit)):

@@ -6,6 +6,8 @@ Elements are Cyc-linear combinations of
   derivations    d_i                    (0 <= i <= N),
 held in a deterministic normal form modulo the central relations
   (1/m) r0 t^r0 t^rvec k_0 + sum_i r_i t^r0 t^rvec k_i = 0.
+The relation verifier reads theta as autom.TwistData.of(aut), and the
+summands of 1.5(1)-(3) from fockhom, as the Fock pictures do.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import checks
-from .autom import Automorphism, eigenspace_decompose, eta
+from .autom import Automorphism, TwistData, eigenspace_decompose
 from .distops import _acc
+from .fockhom import LatticeRoots, cartan_pair_terms, root_pair_terms
 from .rootsys import ChevalleyAlgebra, GElement
 from .scalar import Cyc, cyc_root_of_unity
 
@@ -208,20 +211,18 @@ _PAIR_FIELDS = {"1.5(1)": (GElement.x, GElement.x),
                 "1.5(3)": (GElement.h, GElement.x)}
 
 
-class GeneratingRelationVerifier:
-    """Coefficient-wise checks of the eight generating-function relations."""
+class GeneratingRelationVerifier(LatticeRoots):
+    """Coefficient-wise checks of the eight generating-function relations.
+    fockhom.root_pair_terms and cartan_pair_terms read this verifier as
+    their module: its twist TwistData.of(tor.aut), rs, alg and form_xx."""
 
     def __init__(self, tor: ToroidalAlgebra, window: int):
         self.tor = tor
         self.window = window
         self.m = tor.m
         self.alg = tor.alg
-
-    def _theta_root(self, beta, p):
-        perm = self.tor.aut.root_permutation()
-        for _ in range(p % self.m if self.m > 1 else 0):
-            beta = perm[beta]
-        return beta
+        self.rs = tor.alg.rs
+        self.twist = TwistData.of(tor.aut)
 
     def check_pair_relation(self, rel, b1, b2, rvec, svec, entries):
         """Relation rel, one of 1.5(1)-(3), at every mode pair (i, j) of
@@ -233,57 +234,46 @@ class GeneratingRelationVerifier:
         these are built once per relation, through the algebra's own
         field modes: the left modes lf[i], the right modes rf[j], each
         summand's root or h_b2 mode at every n = i + j, the k modes of
-        the central term at every n, and the coefficients cs[p, i].  The
+        the central term at every n, and the coefficients cs[t, i].  The
         bracket tor.bracket(lf[i], rf[j]) is taken in every cell."""
-        tor, m, W = self.tor, self.m, self.window
-        rs = self.alg.rs
+        tor, W = self.tor, self.window
         left, right = _PAIR_FIELDS[rel]
         tot = tuple(x + y for x, y in zip(rvec, svec))
-        # (p, lead, x, z): summand p is c = lead w^(-p i)/m times the mode
-        # of x at t^(i+j) t^tot (a root vector, or h_b2 for 1.5(1) at
-        # b1 = -b2; none for 1.5(2)), plus z c times the central term:
-        # z = 1 for 1.5(2), and z = <x_b2, x_-b2> = -1 beside h_b2; the
-        # central term carries the form scale, as in tor.bracket
-        terms = []
-        for p in range(m):
-            if rel == "1.5(1)":
-                tb1 = self._theta_root(b1, p)
-                summed = tuple(x + y for x, y in zip(tb1, b2))
-                et = eta(tor.aut, p, b1)
-                if summed in rs.root_set:
-                    terms.append((p, et * self.alg.eps_roots(tb1, b2),
-                                  GElement.x(summed), 0))
-                elif not any(summed):
-                    terms.append((p, et, GElement.h(b2), -1))
-                continue
-            # the twisted Cartan pairing <theta^p h_b1, h_b2>
-            pairing = self.alg.form(tor.aut.power(p).apply(GElement.h(b1)),
-                                    GElement.h(b2)) if p else \
-                Cyc.rational(rs.form(b1, b2))
-            if pairing:
-                terms.append((p, pairing, GElement.x(b2), 0)
-                             if rel == "1.5(3)" else (p, pairing, None, 1))
+        # (a, c, x, z): summand a = zeta_m^-p is c a^i times the mode of x
+        # at t^(i+j) t^tot (a root vector, or h_b2 for 1.5(1) at b1 = -b2;
+        # none for 1.5(2)), plus z a^i times the central term, which
+        # carries the form scale, as in tor.bracket.  At a zero summand
+        # lead has the factor <x_b2, x_-b2> = -1, so h_b2 gets -lead.
+        if rel == "1.5(1)":
+            terms = [(a, lead, GElement.x(summed), 0) if summed is not None
+                     else (a, -lead, GElement.h(b2), lead)
+                     for a, lead, summed in root_pair_terms(self, b1, b2)[1]]
+        elif rel == "1.5(2)":
+            terms = [(a, 0, None, lead)
+                     for a, lead in cartan_pair_terms(self, b1, b2)]
+        else:
+            terms = [(a, lead, GElement.x(b2), 0)
+                     for a, lead in cartan_pair_terms(self, b1, b2)]
         modes = range(-W, W + 1)
         sums = range(-2 * W, 2 * W + 1)
         lf = {i: tor.x_field_mode(left(b1), rvec, i) for i in modes}
         rf = {j: tor.x_field_mode(right(b2), svec, j) for j in modes}
-        vec = {p: {n: tor.x_field_mode(x, tot, n) for n in sums}
-               for p, _, x, _ in terms if x is not None}
+        vec = {t: {n: tor.x_field_mode(x, tot, n) for n in sums}
+               for t, (_, _, x, _) in enumerate(terms) if x is not None}
         ks = {n: self._central_modes(rvec, tot, n) for n in sums} \
             if any(z for *_, z in terms) else {}
-        cs = {(p, i): lead * cyc_root_of_unity(m, -p * i) * Fraction(1, m)
-              for p, lead, _, _ in terms for i in modes}
+        cs = {(t, i): (c * a ** i, z * a ** i * tor.form_scale)
+              for t, (a, c, _, z) in enumerate(terms) for i in modes}
         for i in modes:
             for j in modes:
                 lhs = tor.bracket(lf[i], rf[j])
                 rhs = TorElement()
-                for p, _, x, z in terms:
-                    c = cs[p, i]
+                for t, (_, _, x, z) in enumerate(terms):
+                    c, cz = cs[t, i]
                     if x is not None:
-                        rhs = rhs + vec[p][i + j].scale(c)
+                        rhs = rhs + vec[t][i + j].scale(c)
                     if z:
-                        rhs = self._plus_central(rhs, c * z * tor.form_scale,
-                                                 rvec, i, ks[i + j])
+                        rhs = self._plus_central(rhs, cz, rvec, i, ks[i + j])
                 checks.run(entries, rel, {"beta1": b1, "beta2": b2, "r": rvec,
                                           "s": svec, "modes": (i, j)},
                            checks.equal, lhs, rhs)
@@ -331,13 +321,14 @@ class GeneratingRelationVerifier:
                            checks.equal, tor.bracket(kj, sample), zero)
 
     def check_relation_7(self, beta, rvec, entries):
-        tor, m, W = self.tor, self.m, self.window
-        for p in range(m):
+        tor, tw, W = self.tor, self.twist, self.window
+        for p in range(self.m):
+            tb = GElement.x(tw.theta_root(p, beta))
+            et = tw.eta(p, beta)
             for n in range(-W, W + 1):
                 lhs = tor.x_field_mode(GElement.x(beta), rvec, n).scale(
-                    cyc_root_of_unity(m, p * n))
-                tb = self._theta_root(beta, p)
-                rhs = tor.x_field_mode(GElement.x(tb), rvec, n).scale(eta(tor.aut, p, beta))
+                    tw.root_of_unity(p * n))
+                rhs = tor.x_field_mode(tb, rvec, n).scale(et)
                 checks.run(entries, "1.5(7)",
                            {"beta": beta, "p": p, "r": rvec, "mode": n},
                            checks.equal, lhs, rhs)

@@ -11,20 +11,22 @@ directions, the category conditions and the quadratic Z-relations are
 verified coefficient-by-coefficient on truncation windows.  The
 Z-relation with its binomial prefactors is fockhom.pair_relation, read
 from the DkModule; the current relations are built here from the same
-summands and central terms (fockhom.root_pair_terms, central_terms).
+summands, Cartan pairings and central terms (fockhom.root_pair_terms,
+cartan_pair_terms, central_terms).  Both modules carry their theta as an
+autom.TwistData, the identity one for the homogeneous module.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 
 from . import checks
+from .autom import TwistData
 from .distops import (LABEL_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                       FieldFamily, FockSpace, HeisenbergField, IdentityField,
                       ProductField, TruncationWindow, _acc, dressing_operator)
-from .fockhom import (HomogeneousModule, LatticeRoots, TwistData,
-                      _mode_multisets, central_terms, pair_relation,
+from .fockhom import (HomogeneousModule, LatticeRoots, _mode_multisets,
+                      cartan_pair_terms, central_terms, pair_relation,
                       root_pair_terms, window_states)
 from .linalg import nullspace, rank
 from .scalar import Cyc
@@ -296,41 +298,23 @@ def current_pair_relation(mod: CkModule, b1, b2, rvec, svec) -> DeltaRelation:
     return DeltaRelation(mod.x(b1, rvec), mod.x(b2, svec), [], rhs)
 
 
-def cartan_pair_relation(mod: CkModule, h1, h2, rvec, svec) -> DeltaRelation:
-    """[h1(r, z1), h2(s, z2)]: pure central right-hand side."""
-    tw = mod.twist
+def cartan_pair_relation(mod: CkModule, a1, a2, rvec, svec) -> DeltaRelation:
+    """[h_a1(r, z1), h_a2(s, z2)]: pure central right-hand side."""
     tot = tuple(a + b for a, b in zip(rvec, svec))
     rhs = []
-    for p in range(tw.m):
-        ip = _twisted_cartan_pairing(mod, p, h1, h2)
-        if ip:
-            rhs += central_terms(mod, ip * Fraction(1, tw.m),
-                                 tw.root_of_unity(-p), rvec, tot, 1)
-    return DeltaRelation(mod.beta_field(h1, rvec), mod.beta_field(h2, svec),
-                         [], rhs)
+    for a, lead in cartan_pair_terms(mod, a1, a2):
+        rhs += central_terms(mod, lead, a, rvec, tot, 1)
+    return DeltaRelation(mod.beta_field(mod.root_vec(a1), rvec),
+                         mod.beta_field(mod.root_vec(a2), svec), [], rhs)
 
 
-def mixed_pair_relation(mod: CkModule, h1, b2, rvec, svec) -> DeltaRelation:
-    """[h1(r, z1), x_{b2}(s, z2)] = pairing * x_{b2}(r+s, z2) delta."""
-    tw = mod.twist
-    m = tw.m
+def mixed_pair_relation(mod: CkModule, a1, b2, rvec, svec) -> DeltaRelation:
+    """[h_a1(r, z1), x_{b2}(s, z2)] = pairing * x_{b2}(r+s, z2) delta."""
     tot = tuple(a + b for a, b in zip(rvec, svec))
-    b2vec = mod.root_vec(b2)
-    rhs = []
-    for p in range(m):
-        ip = _twisted_cartan_pairing(mod, p, h1, b2vec)
-        if ip:
-            rhs.append(DeltaTerm(ip * Fraction(1, m), tw.root_of_unity(-p),
-                                 mod.x(b2, tot)))
-    return DeltaRelation(mod.beta_field(h1, rvec), mod.x(b2, svec), [], rhs)
-
-
-def _twisted_cartan_pairing(mod, p, v1, v2):
-    """<theta^p v1, v2> on label-coordinate vectors; identity twist reads
-    the Gram form directly."""
-    if p % mod.twist.m == 0:
-        return Cyc.rational(mod.space.pair(tuple(v1), tuple(v2)))
-    raise NotImplementedError("nontrivial twists supply their own pairing")
+    rhs = [DeltaTerm(lead, a, mod.x(b2, tot))
+           for a, lead in cartan_pair_terms(mod, a1, b2)]
+    return DeltaRelation(mod.beta_field(mod.root_vec(a1), rvec),
+                         mod.x(b2, svec), [], rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +340,15 @@ def check_Ck(mod: CkModule, window: TruncationWindow, roots=None,
     zero = mod.zero_r()
     kinv = mod.k.inv()
     sample = roots[0]
-    hvecs = [mod.root_vec(a) for a in mod.rs.simple_roots]
+    simple = mod.rs.simple_roots
 
     # (1) k_0 at multidegree 0 acts as the scalar k
     checks.run(entries, "ck.k0_scalar", {}, checks.vanishes,
                [(1, mod.kf(0, zero)), (-mod.k, IdentityField())], states, -W)
 
     # (2) d_0-grading: bounded above, and every field moves it by its mode
-    graded = [mod.x(sample, zero), mod.beta_field(hvecs[0], zero),
+    graded = [mod.x(sample, zero),
+              mod.beta_field(mod.root_vec(simple[0]), zero),
               mod.kf(0, rvecs[-1] if len(rvecs) > 1 else zero)]
     for f in graded:
         checks.run(entries, "ck.grading", {"field": f.label},
@@ -386,15 +371,17 @@ def check_Ck(mod: CkModule, window: TruncationWindow, roots=None,
                        checks.holds,
                        current_pair_relation(mod, b1, b2, zero, zero),
                        states, W)
-    for h1 in hvecs:
-        for h2 in hvecs:
-            checks.run(entries, "ck.rel2", {"h1": list(h1), "h2": list(h2)},
+    for a1 in simple:
+        h1 = list(mod.root_vec(a1))
+        for a2 in simple:
+            checks.run(entries, "ck.rel2",
+                       {"h1": h1, "h2": list(mod.root_vec(a2))},
                        checks.holds,
-                       cartan_pair_relation(mod, h1, h2, zero, zero),
+                       cartan_pair_relation(mod, a1, a2, zero, zero),
                        states, W)
-        checks.run(entries, "ck.rel3", {"h1": list(h1), "b2": list(sample)},
+        checks.run(entries, "ck.rel3", {"h1": h1, "b2": list(sample)},
                    checks.holds,
-                   mixed_pair_relation(mod, h1, sample, zero, zero), states, W)
+                   mixed_pair_relation(mod, a1, sample, zero, zero), states, W)
 
     # (4) central combination; (5)/(6) derivation eigenvalues; (8) centrality
     for rvec in rvecs:

@@ -123,6 +123,12 @@ def _k1_doubled(base):
     return lambda i, r: ScaledField(base(i, r), 2) if i == 1 else base(i, r)
 
 
+def _k1_at_1(base, wrap):
+    """k_fn hook: k_1 at multidegree 1 replaced by wrap(k_1), every other
+    k field as in base."""
+    return lambda i, r: wrap(base(i, r)) if (i, r) == (1, (1,)) else base(i, r)
+
+
 def _negated_at(base, rvec):
     """x_fn / z_fn hook: the field at multidegree rvec scaled by -1."""
     return lambda b, r: ScaledField(base(b, r), -1) if r == rvec else base(b, r)
@@ -188,6 +194,13 @@ def prin_3():
     return verify_principal_relations(mod, PWIN, rvecs=R)
 
 
+def ck_k0_scalar():
+    """A level-1 module declared at level 2: k_0 at multidegree 0 acts
+    as 1, not as the level."""
+    v, bad = _ck(k=2)
+    return check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
+
+
 # -- vanishes: eta-covariance ------------------------------------------
 
 
@@ -229,6 +242,22 @@ def prin_k_central():
     return verify_principal_relations(mod, PWIN, rvecs=R)
 
 
+def ck_k_central():
+    """k_1 at multidegree 1 negated on the first window state: it stops
+    commuting with the root field, which moves that state elsewhere."""
+    v, bad = _ck()
+    first = window_states(v.space, WIN)[0]
+    bad._k_fn = _k1_at_1(v.kf, lambda f: _FaultOn(f, first))
+    return check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
+
+
+def zk_k_central():
+    """k_1 at multidegree 1 negated on the first Omega state."""
+    w, bad = _dk()
+    bad._k_fn = _k1_at_1(w.kf, lambda f: _FaultOn(f, w.omega_states[0]))
+    return verify_Zk_relations(bad, WIN, rvecs=R)
+
+
 # -- fields_equal ------------------------------------------------------
 
 
@@ -257,6 +286,20 @@ def ck_factor():
 def zk_factor():
     w, bad = _dk()
     bad._z_fn = _negated_at(w._z_fn, (1,))
+    return verify_Zk_relations(bad, WIN, rvecs=R)
+
+
+def ck_k_factor():
+    """k_1 at multidegree 1 scaled by 2."""
+    v, bad = _ck()
+    bad._k_fn = _k1_at_1(v.kf, lambda f: ScaledField(f, 2))
+    return check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
+
+
+def zk_k_factor():
+    """k_1 at multidegree 1 scaled by 2."""
+    w, bad = _dk()
+    bad._k_fn = _k1_at_1(w.kf, lambda f: ScaledField(f, 2))
     return verify_Zk_relations(bad, WIN, rvecs=R)
 
 
@@ -375,6 +418,35 @@ def ck_rel2():
     return check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
 
 
+def ck_grading():
+    """Every Cartan field with its mode index off by one."""
+    v, bad = _ck()
+    bad._beta_fn = lambda h, r: _ModeOffByOne(v._beta_fn(h, r))
+    return check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
+
+
+def ck_k_degree():
+    """k_1 at multidegree 1 with its mode index off by one."""
+    v, bad = _ck()
+    bad._k_fn = _k1_at_1(v.kf, _ModeOffByOne)
+    return check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
+
+
+def zk_degree():
+    """Z at multidegree 1 with its mode index off by one."""
+    w, bad = _dk()
+    bad._z_fn = lambda b, r: (_ModeOffByOne(w.z(b, r)) if r == (1,)
+                              else w.z(b, r))
+    return verify_Zk_relations(bad, WIN, rvecs=R)
+
+
+def zk_k_degree():
+    """k_1 at multidegree 1 with its mode index off by one."""
+    w, bad = _dk()
+    bad._k_fn = _k1_at_1(w.kf, _ModeOffByOne)
+    return verify_Zk_relations(bad, WIN, rvecs=R)
+
+
 def prin_degree():
     mod = _prin()
     b = tuple(mod.rs.roots[0])
@@ -394,6 +466,13 @@ def ck_coord():
     v, bad = _ck()
     bad._k_fn = lambda i, r: v.kf(i, tuple(-c for c in r))
     return check_Ck(bad, WIN, roots=[tuple(v.rs.roots[0])], rvecs=R)
+
+
+def zk_coord():
+    """Every k field built at the opposite multidegree."""
+    w, bad = _dk()
+    bad._k_fn = lambda i, r: w.kf(i, tuple(-c for c in r))
+    return verify_Zk_relations(bad, WIN, rvecs=R)
 
 
 def prin_coord():
@@ -602,6 +681,80 @@ CASES = {
          {"state": ((-1, 0), ()), "modes": (-4, 0), "difference": [
              ("((-2, 0), ((0, 1), (0, 1)))", "Cyc(-1/2*z4^1)"),
              ("((-2, 0), ((0, 2),))", "Cyc(1/2*z4^1)")]}),
+    ]),
+    "ck_k0_scalar": (ck_k0_scalar, "ck.k0_scalar", [
+        ({}, {"state": ((-1, 0, 0), ()), "mode": 0}),
+    ]),
+    "ck_k_central": (ck_k_central, "ck.rel8_central", [
+        ({"j": 1, "r": [1]},
+         {"state": ((0, 0, 0), ()), "modes": (-2, -1), "difference": [
+             ("((-1, 1, 0), ((1, 1), (1, 1)))", "Cyc(-2)"),
+             ("((-1, 1, 0), ((1, 2),))", "Cyc(-2)")]}),
+    ]),
+    "zk_k_central": (zk_k_central, "zk.10", [
+        ({"j": 1, "r": [1]},
+         {"state": ((0, 0, 0), ()), "modes": (-2, -1), "difference": [
+             ("((-1, 1, 0), ((1, 1), (1, 1)))", "Cyc(-2)"),
+             ("((-1, 1, 0), ((1, 2),))", "Cyc(-2)")]}),
+    ]),
+    "ck_k_factor": (ck_k_factor, "ck.factor_k", [
+        ({"i": 1, "r": [0], "s": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 1, 0), ((1, 1), (1, 1)))", "Cyc(-1)"),
+             ("((-1, 1, 0), ((1, 2),))", "Cyc(-1)")]}),
+        ({"i": 1, "r": [1], "s": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 2, 0), ((1, 1), (1, 1)))", "Cyc(2)"),
+             ("((-1, 2, 0), ((1, 2),))", "Cyc(1)")]}),
+        ({"i": 1, "r": [1], "s": [-1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 0, 0), ((1, 2),))", "Cyc(1)")]}),
+    ]),
+    "zk_k_factor": (zk_k_factor, "zk.2", [
+        ({"i": 1, "r": [1], "s": [0]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 1, 0), ((1, 1), (1, 1)))", "Cyc(-1)"),
+             ("((-1, 1, 0), ((1, 2),))", "Cyc(-1)")]}),
+        ({"i": 1, "r": [1], "s": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 2, 0), ((1, 1), (1, 1)))", "Cyc(2)"),
+             ("((-1, 2, 0), ((1, 2),))", "Cyc(1)")]}),
+        ({"i": 1, "r": [-1], "s": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "difference": [
+             ("((-1, 0, 0), ((1, 2),))", "Cyc(1)")]}),
+    ]),
+    "ck_grading": (ck_grading, "ck.grading", [
+        ({"field": "beta(0,)"},
+         {"state": ((-1, 0, 0), ()), "mode": -2,
+          "out": ((-1, 0, 0), ((0, 3),))}),
+    ]),
+    "ck_k_degree": (ck_k_degree, "ck.rel6_d0", [
+        ({"j": 1, "r": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2,
+          "out": ((-1, 1, 0), ((1, 3),))}),
+    ]),
+    "zk_degree": (zk_degree, "zk.4", [
+        ({"beta": [-1], "r": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2, "out": ((-2, 1, 0), ())}),
+    ]),
+    "zk_k_degree": (zk_k_degree, "zk.5", [
+        ({"j": 1, "r": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2,
+          "out": ((-1, 1, 0), ((1, 3),))}),
+    ]),
+    "zk_coord": (zk_coord, "zk.6", [
+        ({"i": 1, "j": 0, "r": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2,
+          "out": ((-1, -1, 0), ((1, 1), (1, 1)))}),
+        ({"i": 1, "j": 1, "r": [1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2,
+          "out": ((-1, -1, 0), ((1, 2),))}),
+        ({"i": 1, "j": 0, "r": [-1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2,
+          "out": ((-1, 1, 0), ((1, 1), (1, 1)))}),
+        ({"i": 1, "j": 1, "r": [-1]},
+         {"state": ((-1, 0, 0), ()), "mode": -2,
+          "out": ((-1, 1, 0), ((1, 2),))}),
     ]),
     "ck_eta": (ck_eta, "ck.rel7_eta", [
         ({"beta": [-1], "p": 0},

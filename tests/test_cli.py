@@ -221,16 +221,21 @@ def test_cli_error_exits(tmp_path, capsys):
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     """An exception that is neither a config error nor a finding is a bug:
-    exit 3 with the traceback on stderr, and no report."""
-    def broken(cfg):
-        raise KeyError("no such field")
+    exit 3 with the traceback on stderr, and no report.  A path that is
+    not implemented is one too."""
+    for exc, shown in ((KeyError("no such field"),
+                        "KeyError: 'no such field'"),
+                       (NotImplementedError("no such path"),
+                        "NotImplementedError: no such path")):
+        def broken(cfg, exc=exc):
+            raise exc
 
-    monkeypatch.setitem(cli._SUITES, "zalg", broken)
-    code, rep = _run(["verify", "zalg", "--algebra", "A1",
-                      "--window", "1,1,1"], tmp_path)
-    assert code == 3 and rep is None
-    err = capsys.readouterr().err
-    assert "Traceback" in err and "KeyError: 'no such field'" in err
+        monkeypatch.setitem(cli._SUITES, "zalg", broken)
+        code, rep = _run(["verify", "zalg", "--algebra", "A1",
+                          "--window", "1,1,1"], tmp_path)
+        assert code == 3 and rep is None
+        err = capsys.readouterr().err
+        assert "Traceback" in err and shown in err
 
 
 def test_level_other_than_one_is_a_config_error(tmp_path, capsys):

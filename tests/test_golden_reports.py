@@ -120,11 +120,6 @@ def test_report_bytes(argv, code, digest):
 # an id that gains a case must leave it.
 UNCOVERED = {
     "bridge.omega_size": "a count: fails only on an empty Omega basis",
-    "ck.factor_k": "no fault case yet",
-    "ck.grading": "no fault case yet",
-    "ck.k0_scalar": "no fault case yet",
-    "ck.rel6_d0": "no fault case yet",
-    "ck.rel8_central": "no fault case yet",
     "iso.form_pairing": "no fault case yet",
     "iso.hom": "no fault case yet",
     "iso.phi_C": "no fault case yet",
@@ -134,11 +129,6 @@ UNCOVERED = {
     "prin.constants_solved": "made to fail by test_cli.py::"
                              "test_solver_finding_no_constant_exits_1",
     "prin.k_nontrivial": "no fault case yet",
-    "zk.10": "no fault case yet",
-    "zk.2": "no fault case yet",
-    "zk.4": "no fault case yet",
-    "zk.5": "no fault case yet",
-    "zk.6": "no fault case yet",
     "zk.omega_closed": "made to fail by test_checks.py::"
                        "test_omega_closed_reports_the_first_offending_cell",
 }

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from test_autom import coxeter_lift_a2
 from torlab.autom import diagram_automorphism, identity_automorphism
 from torlab.rootsys import ChevalleyAlgebra, GElement, build_root_system
 from torlab.scalar import Cyc, cyc_root_of_unity
@@ -129,6 +130,20 @@ def test_generating_relations_on_a_rescaled_form():
         assert {e[0] for e in entries} == {"1.5(%d)" % i for i in range(1, 9)}
         bad = [e for e in entries if e[2] != "pass"]
         assert not bad, (scale, bad[:3])
+
+
+def test_generating_relations_on_the_coxeter_lift_of_a2():
+    """1.5(1)-(8) at m = 3, on a theta that sends simple roots to
+    non-simple roots: every root pair, window 2."""
+    alg = ChevalleyAlgebra(build_root_system("A", 2))
+    tor = ToroidalAlgebra(alg, coxeter_lift_a2(alg), 1)
+    assert tor.m == 3
+    entries = GeneratingRelationVerifier(tor, 2).run((1,), (0,))
+    assert {e[0] for e in entries} == {"1.5(%d)" % i for i in range(1, 9)}
+    bad = [e for e in entries if e[2] != "pass"]
+    assert not bad, bad[:3]
+    pairs = [e for e in entries if e[0] in ("1.5(1)", "1.5(2)", "1.5(3)")]
+    assert len(pairs) == 3 * 6 * 6 * 5 * 5
 
 
 def test_tor_element_equality_with_a_foreign_operand_is_false():
