@@ -51,8 +51,12 @@ class RunConfig:
         return cfg
 
     def _apply_ini(self, path):
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError("config: %r is not an INI file (%s)"
+                              % (path, exc.message.splitlines()[0]))
         if not read:
             raise ConfigError("config: cannot read %r" % path)
         get = parser.get
@@ -82,20 +86,22 @@ class RunConfig:
                 vals = {"modes": self.window.modes,
                         "degree": self.window.degree,
                         "support": self.window.support}
-                vals[attr] = _as_int("window." + key, get("window", key))
+                vals[attr] = _as_bound("window." + key, get("window", key))
                 self.window = TruncationWindow(**vals)
         if has("sampling", "samples"):
             self.samples = _as_int("sampling.samples", get("sampling", "samples"))
         if has("sampling", "seed"):
             self.seed = _as_int("sampling.seed", get("sampling", "seed"))
         if parser.has_section("constants"):
-            consts = {}
-            for key, val in parser.items("constants"):
-                if key == "solve":
-                    self.solve_constants = parser.getboolean("constants", "solve")
-                    continue
-                consts[_root_key("constants." + key, key)] = _as_cyc(
-                    "constants." + key, val)
+            if has("constants", "solve"):
+                try:
+                    self.solve_constants = parser.getboolean("constants",
+                                                             "solve")
+                except ValueError:
+                    raise ConfigError("constants.solve: expected a boolean, "
+                                      "got %r" % get("constants", "solve"))
+            consts = _as_constants((k, v) for k, v in parser.items("constants")
+                                   if k != "solve")
             if consts:
                 self.constants = consts
         if has("output", "path"):
@@ -123,9 +129,7 @@ class RunConfig:
                 raise ConfigError("constants: invalid JSON (%s)" % exc)
             if not isinstance(obj, dict):
                 raise ConfigError("constants: expected an object")
-            self.constants = {
-                _root_key("constants." + k, k): _as_cyc("constants." + k, v)
-                for k, v in obj.items()}
+            self.constants = _as_constants(obj.items())
         if getattr(args, "solve_constants", False):
             self.solve_constants = True
         if getattr(args, "out", None):
@@ -167,11 +171,6 @@ class RunConfig:
             if s is not None and any(v != 1 for v in s):
                 raise ConfigError("automorphism.s: only s = (1, ..., 1) "
                                   "is supported")
-        for name, v in (("modes", self.window.modes),
-                        ("degree", self.window.degree),
-                        ("lattice", self.window.support)):
-            if v < 0:
-                raise ConfigError("window.%s: must be >= 0, got %d" % (name, v))
         if self.samples < 0:
             raise ConfigError("sampling.samples: must be >= 0")
         return self
@@ -219,6 +218,8 @@ def parse_window(text):
         w, d, b = (int(p) for p in parts)
     except ValueError:
         raise ConfigError("window: non-integer bound in %r" % text)
+    if min(w, d, b) < 0:
+        raise ConfigError("window: bounds must be >= 0, got %r" % text)
     return TruncationWindow(w, d, b)
 
 
@@ -257,6 +258,13 @@ def _as_int(key, text):
         raise ConfigError("%s: expected an integer, got %r" % (key, text))
 
 
+def _as_bound(key, text):
+    v = _as_int(key, text)
+    if v < 0:
+        raise ConfigError("%s: must be >= 0, got %d" % (key, v))
+    return v
+
+
 def _as_ints(key, text):
     try:
         return [int(p) for p in str(text).split(",")]
@@ -272,8 +280,17 @@ def _as_fraction(key, text):
         raise ConfigError("%s: expected a rational, got %r" % (key, text))
 
 
-def _root_key(key, text):
-    return tuple(_as_ints(key, text))
+def _as_constants(items):
+    """{root: Cyc} from (root text, value) pairs; naming a root twice is
+    an error, not a silent overwrite."""
+    out = {}
+    for text, val in items:
+        key = "constants." + text
+        root = tuple(_as_ints(key, text))
+        if root in out:
+            raise ConfigError("%s: root %r is given twice" % (key, root))
+        out[root] = _as_cyc(key, val)
+    return out
 
 
 def _as_cyc(key, val):

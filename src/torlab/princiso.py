@@ -11,9 +11,11 @@ isomorphism phi between them:
 with a central k_0 correction on weight-zero loop elements.  The exponent
 table N lives on t-weight lines: pairs (Z_K-eigenclass, weight under the
 fixed Cartan t of the eigenclass-zero subalgebra), since for K > 1 the
-root vectors of the big Cartan are not pi-eigenvectors.  N is propagated
-from the canonical affine generators through bracket words; any
-inconsistency is reported, never patched.
+root vectors of the big Cartan are not pi-eigenvectors.  Each line is a
+pi-eigencomponent of a root vector: pi fixes t and permutes the root
+lines, so the components of x_alpha carry alpha's weight on t.  N is
+propagated from the canonical affine generators through bracket words;
+any inconsistency raises, never patched.
 
 The bracket conventions differ on the two sides: the pi-side divides the
 k_0 central cocycle by K, the theta-side by m (both realized through
@@ -111,63 +113,20 @@ def _ratio(alg, u, v):
     return None if coeffs is None else coeffs[0]
 
 
-def _subspace_basis(vectors):
-    rows, pivots = linalg.rref(vectors)
-    return [r for r in rows[:len(pivots)]]
-
-
-def _combination(coeffs, vectors):
-    """sum_i coeffs_i vectors_i."""
-    vec = [Cyc.zero()] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if c:
-            vec = [a + c * b for a, b in zip(vec, v)]
-    return vec
-
-
-def _restricted_matrix(alg, basis, op):
-    """Rows of the operator op (GElement endo) in the given basis."""
-    span = linalg.Span(basis)
-    cols = [span.coords(alg.to_vector(op(alg.from_vector(v)))) for v in basis]
-    if None in cols:
-        raise ValueError("operator does not preserve the subspace")
-    return [list(row) for row in zip(*cols)]
-
-
-def _weight_split(alg, basis, hams):
-    """Refine a subspace into joint ad-eigenspaces of the Cartan elements."""
-    pieces = [((), basis)]
-    for h in hams:
-        refined = []
-        for prefix, vs in pieces:
-            if not vs:
-                continue
-            mat = _restricted_matrix(alg, vs, lambda g, h=h: alg.bracket(h, g))
-            total = 0
-            found = []
-            for lam in sorted(range(-12, 13), key=abs):
-                if total == len(vs):
-                    break
-                shifted = [[mat[i][j] - (Cyc.rational(lam) if i == j else Cyc.zero())
-                            for j in range(len(vs))] for i in range(len(vs))]
-                ker = linalg.nullspace(shifted)
-                if not ker:
-                    continue
-                sub = [_combination(coeffs, vs) for coeffs in ker]
-                found.append((prefix + (lam,), _subspace_basis(sub)))
-                total += len(ker)
-            if total != len(vs):
-                raise ValueError("ad-eigenvalues escape the search range")
-            refined += sorted(found)
-        pieces = refined
-    return pieces
-
-
-def _int_of(c):
-    f = c.as_fraction()
+def _eigenvalue(alg, h, g):
+    """The integer c with [h, g] = c g; 0 if [h, g] is no multiple of g."""
+    r = _ratio(alg, alg.bracket(h, g), g)
+    if r is None:
+        return 0
+    f = r.as_fraction()
     if f.denominator != 1:
         raise ValueError("expected an integer eigenvalue, got %s" % (f,))
     return int(f)
+
+
+def _weight(alg, hams, g):
+    """The t-weight of g: its eigenvalues under ad H_1, ..., ad H_ell."""
+    return tuple(_eigenvalue(alg, h, g) for h in hams)
 
 
 def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
@@ -184,7 +143,8 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
     ctx = IsoContext(alg, pi, K, nvars)
 
     # canonical generators of the eigenclass-zero subalgebra
-    orbits = TwistData.of(pi).orbits(rs.simple_roots)
+    twist = TwistData.of(pi)
+    orbits = twist.orbits(rs.simple_roots)
     ctx.ell = len(orbits)
     E, F, H = [None], [None], [None]
     for orbit in orbits:
@@ -205,39 +165,33 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
         F.append(f)
         H.append(alg.bracket(e, f))
 
-    # eigenclass subspaces and their t-weight lines
+    # t-weight lines: the pi-eigencomponents of one root vector per orbit.
+    # pi fixes t, so each component has its root's weight on t.
     hams = H[1:]
-    comps = [dict(eigenspace_decompose(pi, GElement({s: Cyc.one()})))
-             for s in alg.symbols]
-    class_bases = [_subspace_basis([alg.to_vector(c.get(cls, GElement()))
-                                    for c in comps]) for cls in range(K)]
-    zero_spaces = [None] * K
-    for cls in range(K):
-        for weight, basis in _weight_split(alg, class_bases[cls], hams):
-            if not any(weight):
-                zero_spaces[cls] = basis
-                continue
-            if len(basis) > 1:
-                raise ValueError("t-weight multiplicity above one at %r" % (weight,))
-            vec = basis[0]
-            ctx.line_at[(cls, weight)] = len(ctx.lines)
-            ctx.lines.append(Line(cls, weight, alg.from_vector(vec), vec))
+    for orbit in twist.orbits(rs.roots):
+        for cls, comp in eigenspace_decompose(pi, GElement.x(orbit[0])):
+            vec = alg.to_vector(comp)
+            lead = next(c for c in vec if c).inv()
+            vec = [lead * c if c else c for c in vec]
+            ctx.lines.append(Line(cls, _weight(alg, hams, comp),
+                                  alg.from_vector(vec), vec))
+    ctx.lines.sort(key=lambda ln: (ln.cls, ln.weight))
+    ctx.line_at = {(ln.cls, ln.weight): i for i, ln in enumerate(ctx.lines)}
+    if len(ctx.line_at) != len(ctx.lines):
+        raise ValueError("t-weight multiplicity above one")
+    zero_spans = [linalg.Span() for _ in range(K)]
+    for i in range(rs.rank):
+        for cls, comp in eigenspace_decompose(pi, GElement({("h", i): Cyc.one()})):
+            zero_spans[cls].add(alg.to_vector(comp))
 
-    # affine node: lowest weight line of class 1, highest of class -1
+    # affine node: the line of class 1 (-1) that every F_j (E_j) kills
     def joint_kernel_line(cls, gens):
-        basis = class_bases[cls % K]
-        rows = []
-        for g in gens:
-            mat = []
-            for v in basis:
-                mat.append(alg.to_vector(alg.bracket(g, alg.from_vector(v))))
-            for i in range(len(mat[0])):
-                rows.append([mat[j][i] for j in range(len(basis))])
-        ker = linalg.nullspace(rows)
-        if len(ker) != 1:
+        hits = [ln.g for ln in ctx.lines if ln.cls == cls % K
+                and all(alg.bracket(g, ln.g).is_zero() for g in gens)]
+        if len(hits) != 1:
             raise ValueError("affine node weight space is not a line "
-                             "(dim %d)" % len(ker))
-        return alg.from_vector(_combination(ker[0], basis))
+                             "(dim %d)" % len(hits))
+        return hits[0]
 
     e0 = joint_kernel_line(1, F[1:])
     f0 = joint_kernel_line(-1, E[1:])
@@ -255,8 +209,7 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
     A = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            r = _ratio(alg, alg.bracket(H[i], E[j]), E[j])
-            A[i][j] = 0 if r is None else _int_of(r)
+            A[i][j] = _eigenvalue(alg, H[i], E[j])
     ctx.cartan = A
     marks, comarks = affine_marks(A)
     if marks[0] != 1:
@@ -286,17 +239,13 @@ def build_iso_context(kind: str, rank: int, K: int = 1, perm=None,
     ctx.cod = ToroidalAlgebra(alg, _LoopOrder(ctx.m), nvars, form_scale=ctx.lam)
 
     compute_N(ctx)
-    _build_probes(ctx, zero_spaces)
+    _build_probes(ctx, [len(span) for span in zero_spans])
     return ctx
 
 
 def _line_of(ctx, g, cls):
     """Line index of a weight vector g in the given class, with a check."""
-    weight = []
-    for h in ctx.H[1:]:
-        r = _ratio(ctx.alg, ctx.alg.bracket(h, g), g)
-        weight.append(0 if r is None else _int_of(r))
-    idx = ctx.line_at.get((cls % ctx.K, tuple(weight)))
+    idx = ctx.line_at.get((cls % ctx.K, _weight(ctx.alg, ctx.H[1:], g)))
     if idx is None or _ratio(ctx.alg, g, ctx.lines[idx].g) is None:
         raise ValueError("element does not sit on a single t-weight line")
     return idx
@@ -366,16 +315,14 @@ def compute_N(ctx: IsoContext):
     return {(ln.cls, ln.weight): ctx.N[i] for i, ln in enumerate(ctx.lines)}
 
 
-def _build_probes(ctx, zero_spaces):
-    """Spanning weight-zero brackets with their phi image data, per class."""
+def _build_probes(ctx, zero_dims):
+    """Spanning weight-zero brackets with their phi image data, per class;
+    zero_dims[cls] is the dimension of the weight-zero space of class cls."""
     alg = ctx.alg
     ctx.probes = [[] for _ in range(ctx.K)]
     spans = [linalg.Span() for _ in range(ctx.K)]
-    order = sorted(range(len(ctx.lines)),
-                   key=lambda i: (ctx.lines[i].cls, ctx.lines[i].weight))
-    for i in order:
-        for j in order:
-            li, lj = ctx.lines[i], ctx.lines[j]
+    for i, li in enumerate(ctx.lines):
+        for j, lj in enumerate(ctx.lines):
             if any(a + b for a, b in zip(li.weight, lj.weight)):
                 continue
             b = alg.bracket(li.g, lj.g)
@@ -400,9 +347,7 @@ def _build_probes(ctx, zero_spaces):
         for p in ctx.probes[cls]:
             span.add(p.vec)
             infos.append(("probe", p.g, p.shift, p.central))
-        zdim = len(zero_spaces[cls]) if zero_spaces[cls] else 0
-        want = sum(1 for ln in ctx.lines if ln.cls == cls) + zdim
-        if len(span) != want:
+        if len(span) != sum(ln.cls == cls for ln in ctx.lines) + zero_dims[cls]:
             raise ValueError("weight-zero probes do not span class %d" % cls)
         ctx.cols.append((span, infos))
 
@@ -535,10 +480,6 @@ def verify_iso(ctx: IsoContext, samples: int = 1000, seed: int = 0):
 
 
 def n_table(ctx: IsoContext):
-    """JSON-friendly exponent table, sorted deterministically."""
-    out = []
-    for i, ln in enumerate(ctx.lines):
-        out.append({"class": ln.cls, "weight": list(ln.weight),
-                    "N": ctx.N[i], "theta_exp": ctx.d[i]})
-    out.sort(key=lambda e: (e["class"], e["weight"]))
-    return out
+    """JSON-friendly exponent table, in line order: by class, then weight."""
+    return [{"class": ln.cls, "weight": list(ln.weight), "N": ctx.N[i],
+             "theta_exp": ctx.d[i]} for i, ln in enumerate(ctx.lines)]

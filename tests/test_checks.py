@@ -621,6 +621,22 @@ def iso_bad_marks():
     return verify_iso(ctx, samples=0)
 
 
+def iso_no_k0():
+    """phi without its central k_0 correction on weight-zero loop
+    elements: the probes' k_0 coefficients set to 0."""
+    ctx = build_iso_context("A", 1)
+    for _span, infos in ctx.cols:
+        infos[:] = [info[:3] + (0,) if info[0] == "probe" else info
+                    for info in infos]
+    return verify_iso(ctx, samples=12)
+
+
+def iso_bad_psi0sq():
+    ctx = build_iso_context("A", 1)
+    ctx.psi0sq = ctx.psi0sq * 2
+    return verify_iso(ctx, samples=0)
+
+
 def _pair(b1, b2, i, j):
     return {"beta1": b1, "beta2": b2, "r": (1,), "s": (0,), "modes": (i, j)}
 
@@ -1082,6 +1098,17 @@ CASES = {
     ]),
     "iso_marks": (iso_bad_marks, "iso.marks", [
         ({"marks": (2, 1), "comarks": (1, 1)}, _difference("a_0 = 2")),
+    ]),
+    "iso_hom": (iso_no_k0, "iso.hom", [
+        ({"sample": 9, "a": ("line", 0, 2, (-1,)),
+          "b": ("line", 1, -1, (-1,))},
+         _difference("(('k', 1, 2, (-2,)), Cyc(-1))")),
+    ]),
+    "iso_phi_C": (iso_no_k0, "iso.phi_C", [
+        ({"K": 1, "m": 2}, _difference("(('k', 0, 0, (0,)), Cyc(-1/2))")),
+    ]),
+    "iso_form_pairing": (iso_bad_psi0sq, "iso.form_pairing", [
+        ({"psi0sq": "Cyc(4)"}, _difference("Cyc(4)")),
     ]),
 }
 

@@ -208,9 +208,29 @@ def test_cli_error_exits(tmp_path, capsys):
             (["verify", "roundtrip", "--algebra", "A2", "--theta",
               "diagram:1,0"], "automorphism.kind"),
             (["verify", "principal", "--solve-constants", "--theta",
-              "diagram:0"], "automorphism.kind")]:
+              "diagram:0"], "automorphism.kind"),
+            (["verify", "zalg", "--window=-1,2,1"], "window"),
+            # a constant must name a root of one orbit, each orbit once
+            (["verify", "principal", "--constants",
+              '{"2": {"order": 1, "coeffs": ["1"]}}'], "constants.2"),
+            (["verify", "principal", "--constants",
+              '{"1": {"order": 1, "coeffs": ["1"]}, '
+              '"-1": {"order": 1, "coeffs": ["1"]}}'], "constants.-1"),
+            (["verify", "principal", "--constants",
+              '{"1": {"order": 1, "coeffs": ["1"]}, '
+              '"01": {"order": 1, "coeffs": ["1"]}}'], "constants.01"),
+            (["verify", "principal", "--constants", "{}"], "constants")]:
         capsys.readouterr()
         assert main(argv) == 2
+        assert "config error: %s:" % key in capsys.readouterr().err
+    for text, key in [("[window]\nmodes = -1\n", "window.modes"),
+                      ("[constants]\nsolve = maybe\n", "constants.solve"),
+                      ("n = 1\n", "config"),
+                      # no interpolation: a % is a character of the value
+                      ("[sampling]\nseed = 5%\n", "sampling.seed")]:
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert main(["verify", "zalg", "--config", str(ini)]) == 2
         assert "config error: %s:" % key in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "toroidal", "--no-such-flag"])
@@ -222,11 +242,14 @@ def test_cli_error_exits(tmp_path, capsys):
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     """An exception that is neither a config error nor a finding is a bug:
     exit 3 with the traceback on stderr, and no report.  A path that is
-    not implemented is one too."""
+    not implemented is one too, and so is a ValueError: every input the
+    config admits builds."""
     for exc, shown in ((KeyError("no such field"),
                         "KeyError: 'no such field'"),
                        (NotImplementedError("no such path"),
-                        "NotImplementedError: no such path")):
+                        "NotImplementedError: no such path"),
+                       (ValueError("orbit sum is not pi-fixed"),
+                        "ValueError: orbit sum is not pi-fixed")):
         def broken(cfg, exc=exc):
             raise exc
 

@@ -23,6 +23,7 @@ import pytest
 
 from test_checks import CASES
 from torlab.cli import main
+from torlab.config import parse_theta, permutation_order
 from torlab.report import to_text
 
 RUNS = [
@@ -58,6 +59,9 @@ RUNS = [
      "29937457def58d49ac1a11353565afaf4ab182332fcea80819c7c4795977b2e6"),
     (["verify", "iso", "--algebra", "D4", "--samples", "200"], 0,
      "9f5f317b20514007a48fbed366bc940c262e374ecdacff8b45b30a7ccce60481"),
+    (["verify", "iso", "--algebra", "D4", "--theta", "diagram:2,1,3,0",
+      "--samples", "100"], 0,
+     "bfe4af3cc0c71296e33c7b327506432ce3d7b06cb25168dbbcad9a8f6ec45729"),
     (["solve-constants", "--algebra", "A1", "--window", "4,3,1"], 0,
      "861cfc348b5345347858d41fca5cb99b90baab9465ad7c82d6b6976c194ebf0a"),
     (["gen", "--algebra", "A1", "--n", "1", "--window", "1,1,1"], 0,
@@ -77,13 +81,18 @@ RUNS = [
 
 
 def _run_id(argv, code, _digest):
-    """The suite or command, the algebra unless it is A1, the number of
-    variables unless it is 1, a given constant unless it is rational, and
-    -fail."""
+    """The suite or command, the algebra unless it is A1, the order K of a
+    diagram theta unless it is at most 2, the number of variables unless
+    it is 1, a given constant unless it is rational, and -fail."""
     name = argv[1] if argv[0] == "verify" else argv[0]
     algebra = argv[argv.index("--algebra") + 1]
     if algebra != "A1":
         name += "-" + algebra
+    if "--theta" in argv:
+        theta = parse_theta(argv[argv.index("--theta") + 1])
+        order = permutation_order(theta.get("permutation", [0]))
+        if order > 2:
+            name += "-K%d" % order
     if "--n" in argv and argv[argv.index("--n") + 1] != "1":
         name += "-n" + argv[argv.index("--n") + 1]
     if "--constants" in argv:
@@ -120,9 +129,6 @@ def test_report_bytes(argv, code, digest):
 # an id that gains a case must leave it.
 UNCOVERED = {
     "bridge.omega_size": "a count: fails only on an empty Omega basis",
-    "iso.form_pairing": "no fault case yet",
-    "iso.hom": "no fault case yet",
-    "iso.phi_C": "no fault case yet",
     "prin.7": "fails with pinned witnesses in the principal -fail runs above",
     "prin.8": "made to fail by test_fockprin.py::"
               "test_prin8_needs_a_trivial_fixed_cartan",

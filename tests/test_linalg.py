@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torlab.linalg import Span, rank, rref
-from torlab.princiso import _weight_split
-from torlab.rootsys import ChevalleyAlgebra, GElement, build_root_system
 from torlab.scalar import Cyc, cyc_root_of_unity
 
 I = cyc_root_of_unity(4, 1)
@@ -91,29 +89,3 @@ def test_a_target_outside_the_span_has_no_coords(system, extra):
     assert span.coords(target + [Cyc.rational(extra + 1)]) is None
     assert span.coords([Cyc.zero()] * (len(target) + 1)) == \
         [Cyc.zero()] * len(vectors)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from([("A", 1), ("A", 2), ("A", 3)]), st.data())
-def test_weight_split_pieces_come_in_ascending_eigenvalue_order(alg_id, data):
-    """The pieces of the whole algebra under a few coroot combinations:
-    weights in ascending order, each piece a joint eigenspace, and their
-    dimensions filling the algebra."""
-    alg = ChevalleyAlgebra(build_root_system(*alg_id))
-    simple = alg.rs.simple_roots
-    hams = []
-    for _ in range(data.draw(st.integers(1, 2))):
-        h = GElement()
-        for a in simple:
-            h = h + GElement.h(a).scale(data.draw(st.integers(-1, 1)))
-        hams.append(h)
-    basis = [alg.to_vector(GElement({s: Cyc.one()})) for s in alg.symbols]
-    pieces = _weight_split(alg, basis, hams)
-    weights = [w for w, _ in pieces]
-    assert weights == sorted(set(weights))
-    assert sum(len(vs) for _, vs in pieces) == alg.dim
-    for w, vs in pieces:
-        for v in vs:
-            g = alg.from_vector(v)
-            for lam, h in zip(w, hams):
-                assert alg.bracket(h, g) == g.scale(Cyc.rational(lam))

@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from torlab.config import ConfigError, RunConfig, permutation_order
 from torlab.princiso import (build_iso_context, check_phi_C, n_table, phi,
                              verify_iso)
 from torlab.rootsys import GElement
-from torlab.scalar import Cyc
+from torlab.scalar import Cyc, cyc_root_of_unity
 from torlab.toroidal import TorElement
 
 
@@ -35,6 +37,23 @@ def test_a3_twisted_context():
     # theta eigenvalue = N + class * m/K on every line (fixed-point images)
     for i, ln in enumerate(ctx.lines):
         assert (ctx.d[i] - ctx.N[i] - ln.cls * 3) % 6 == 0
+
+
+def test_lines_are_joint_eigenvectors_in_class_weight_order():
+    """Each line is a pi-eigenvector of its class with its weight under
+    ad H_1, ..., ad H_ell; the lines come sorted by (class, weight), one
+    per root, and with the weight-zero probes they fill the algebra."""
+    for K, perm in ((1, None), (2, [0, 1, 3, 2]), (3, [2, 1, 3, 0])):
+        ctx = build_iso_context("D", 4, K=K, perm=perm)
+        keys = [(ln.cls, ln.weight) for ln in ctx.lines]
+        assert keys == sorted(set(keys))
+        assert len(ctx.lines) == len(ctx.alg.rs.roots)
+        for ln in ctx.lines:
+            assert ctx.pi.apply(ln.g) == ln.g.scale(
+                cyc_root_of_unity(K, ln.cls))
+            for lam, h in zip(ln.weight, ctx.H[1:]):
+                assert ctx.alg.bracket(h, ln.g) == ln.g.scale(lam)
+        assert sum(len(span) for span, _infos in ctx.cols) == ctx.alg.dim
 
 
 def test_phi_closed_form_on_a1_root_vectors():
@@ -107,7 +126,7 @@ def test_corrupted_exponent_table_is_caught():
     from torlab.princiso import _build_probes
     with pytest.raises(ValueError):
         # the form-paired invariant N(u) + N(v) = 0 now fails
-        _build_probes(ctx, [[ctx.alg.to_vector(ctx.H[1])]])
+        _build_probes(ctx, [1])
     entries = verify_iso(_corrupt(_a1()), samples=0, seed=0)
     assert any(e[0] == "iso.N_opposite" and e[2] == "fail" for e in entries)
 
@@ -130,3 +149,32 @@ def test_domain_errors():
         phi(ctx, ctx.dom.loop(odd, 0, (0,)))
     with pytest.raises(ValueError):
         build_iso_context("A", 3, K=2)
+
+
+def _admitted_pairs(max_rank=6):
+    """Every (kind, rank, perm) the config admits for the iso suite, up to
+    max_rank: each Dynkin diagram symmetry, the identity included."""
+    for kind, ranks in (("A", range(1, max_rank + 1)),
+                        ("D", range(3, max_rank + 1)), ("E", (6,))):
+        for rank in ranks:
+            for perm in map(list, itertools.permutations(range(rank))):
+                cfg = RunConfig()
+                cfg.kind, cfg.rank = kind, rank
+                cfg.automorphism = {"kind": "diagram", "permutation": perm}
+                try:
+                    cfg.validate()
+                except ConfigError:
+                    continue
+                yield kind, rank, perm
+
+
+def test_every_admitted_pair_builds_and_verifies():
+    """A pair the config admits is never an input error: its context builds
+    and every iso entry passes."""
+    pairs = list(_admitted_pairs())
+    assert len(pairs) == 25
+    for kind, rank, perm in pairs:
+        K = permutation_order(perm)
+        ctx = build_iso_context(kind, rank, K=K, perm=perm)
+        bad = [e for e in verify_iso(ctx, samples=20) if e[2] != "pass"]
+        assert not bad, (kind, rank, perm, bad[:2])
