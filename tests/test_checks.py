@@ -489,6 +489,13 @@ def hom_trivial_k():
     return verify_center_hom(mod, WIN, rvecs=R)
 
 
+def prin_trivial_k():
+    """k_1 zero at the multidegree prin.k_nontrivial samples, R[1]."""
+    mod = _prin()
+    mod._fields[("k", 1, R[1])] = ScaledField(mod.kf(1, R[1]), 0)
+    return verify_principal_relations(mod, PWIN, rvecs=R)
+
+
 # -- equal: the toroidal relations -------------------------------------
 
 
@@ -980,6 +987,9 @@ CASES = {
     ]),
     "hom_trivial_k": (hom_trivial_k, "zhom.k_nontrivial", [
         ({"i": 1}, None),
+    ]),
+    "prin_trivial_k": (prin_trivial_k, "prin.k_nontrivial", [
+        ({"j": 1}, None),
     ]),
     "tor_pair_xx": (tor_central_doubled, "1.5(1)", [
         (_pair((1, 0), (-1, 0), -1, -1),

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +86,37 @@ def test_report_sorting_and_roundtrip():
         json.dumps(obj, sort_keys=True)
     with pytest.raises(ValueError):
         rep.extend([("x", {}, "maybe", None)])
+
+
+def test_report_entry_order_is_the_compact_params_text():
+    """Entries sort by (relation_id, json.dumps(params, sort_keys=True)):
+    "-" < "0" < "[" and "[1, 2]" < "[10]" < "[1]" in that text, an order
+    that neither the values nor their indented text give."""
+    rep = VerificationReport({"seed": 0})
+    rep.extend([("b.rel", {"x": [1]}, "pass", None),
+                ("b.rel", {"x": [1, 2]}, "pass", None),
+                ("b.rel", {"x": [10]}, "pass", None),
+                ("b.rel", {"x": 0}, "fail",
+                 {"difference": [("s", Cyc(4, (0, Fraction(1, 2))))]}),
+                ("b.rel", {"x": -1}, "pass", None),
+                ("a.rel", {"x": [10]}, "pass", None)])
+    text = rep.dumps()
+    entries = json.loads(text)["entries"]
+    assert [(e["relation_id"], e["params"]) for e in entries] == [
+        ("a.rel", {"x": [10]}),
+        ("b.rel", {"x": -1}),
+        ("b.rel", {"x": 0}),
+        ("b.rel", {"x": [1, 2]}),
+        ("b.rel", {"x": [10]}),
+        ("b.rel", {"x": [1]})]
+    assert entries[2] == {
+        "relation_id": "b.rel", "params": {"x": 0}, "status": "fail",
+        "witness": {"difference": [
+            ["s", {"order": 4, "coeffs": ["0", "1/2"]}]]}}
+    assert rep.summary() == {"pass": 5, "fail": 1, "total": 6}
+    assert json.loads(text)["summary"] == rep.summary()
+    assert text == json.dumps(rep.to_json(), sort_keys=True, indent=1,
+                              separators=(",", ": ")) + "\n"
 
 
 def test_report_serializes_cyclotomic_scalars():

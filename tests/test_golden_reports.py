@@ -134,7 +134,6 @@ UNCOVERED = {
               "test_prin8_needs_a_trivial_fixed_cartan",
     "prin.constants_solved": "made to fail by test_cli.py::"
                              "test_solver_finding_no_constant_exits_1",
-    "prin.k_nontrivial": "no fault case yet",
     "zk.omega_closed": "made to fail by test_checks.py::"
                        "test_omega_closed_reports_the_first_offending_cell",
 }
