@@ -479,6 +479,14 @@ class FieldFamily:
     that sums several images merges each finished image into its output
     in turn, with the grouping comb_add gives: where a sum cancels
     decides the order of its keys.
+
+    mode_parts(n, sid) gives the image as (label_bits, sign, image): the
+    image of sid is {label_bits | k: sign * c for k, c in image}, in the
+    order of image.  Here it is (0, 1, mode_memo(n, sid)).  A view
+    (RelabelledView) is a field whose image is another field's memoized
+    image with a label and a sign put on; it returns those parts and
+    stores no image of its own, and mode and the product loop of
+    check_window put the label and sign on as they accumulate.
     """
 
     label = "field"
@@ -506,12 +514,34 @@ class FieldFamily:
             hit = images[n] = self.mode_state(n, sid)
         return hit
 
+    def mode_parts(self, n, sid):
+        return 0, 1, self.mode_memo(n, sid)
+
     def mode(self, n, comb):
         out = {}
         for sid, c in comb.items():
-            for k, v in self.mode_memo(n, sid).items():
-                _acc(out, k, v * c)
+            hi, sign, image = self.mode_parts(n, sid)
+            if sign < 0:
+                c = -c
+            for k, v in image.items():
+                # with no label bits the memo's own key object is kept, so
+                # the images of composites share keys with their parts
+                _acc(out, k | hi if hi else k, v * c)
         return out
+
+
+class RelabelledView(FieldFamily):
+    """A field that overrides mode_parts to return another field's
+    memoized image with its label bits and sign, and keeps no memo: its
+    mode_memo and mode_state build the relabelled image on demand."""
+
+    def mode_memo(self, n, sid):
+        hi, sign, image = self.mode_parts(n, sid)
+        if sign > 0:
+            return {hi | k: c for k, c in image.items()}
+        return {hi | k: -c for k, c in image.items()}
+
+    mode_state = mode_memo
 
 
 class IdentityField(FieldFamily):
@@ -743,17 +773,27 @@ def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
 
 def _products(sid, outer, inner, modes):
     """(p, nonzero (key, coefficient) pairs) of the image of sid under
-    outer(n_outer) inner(n_inner), per (p, n_outer, n_inner) in modes."""
+    outer(n_outer) inner(n_inner), per (p, n_outer, n_inner) in modes.
+
+    outer and inner are mode_parts of the two fields: each intermediate
+    key is w | label_bits of the inner parts, each output key
+    k | label_bits of the outer parts, and the inner coefficient flips
+    where the two signs differ.  Keys come, and sums group, as in the
+    product of the relabelled images, so no witness moves."""
     cells = []
     for p, n_outer, n_inner in modes:
-        mid = inner(n_inner, sid)
+        hi_in, sign_in, mid = inner(n_inner, sid)
         if not mid:
             continue
         acc = {}
         for w, cw in mid.items():
-            res = outer(n_outer, w)
+            hi, sign, res = outer(n_outer, w | hi_in)
             if res:
+                if sign != sign_in:
+                    cw = -cw
                 for k, v in res.items():
+                    if hi:
+                        k |= hi
                     prev = acc.get(k)
                     vv = v * cw
                     acc[k] = vv if prev is None else prev + vv
@@ -849,8 +889,8 @@ class DeltaRelation:
         cut = min(2 * W, self.cutoff(sid))
         gmax = self.g.max_mode(sid)
         fmax = self.f.max_mode(sid)
-        fmode = self.f.mode_memo
-        gmode = self.g.mode_memo
+        fmode = self.f.mode_parts
+        gmode = self.g.mode_parts
         for S in range(-2 * W, cut + 1):
             amin = max(-W, S - W)
             amax = min(W, S + W)
@@ -863,9 +903,11 @@ class DeltaRelation:
             rhs_cells = []
             for ti, term in enumerate(self.rhs_terms):
                 if S <= term.field.max_mode(sid):
-                    cell = term.field.mode_memo(S, sid)
+                    hi, sign, cell = term.field.mode_parts(S, sid)
                     if cell:
-                        rhs_cells.append((ti, term, tuple(cell.items())))
+                        rhs_cells.append((ti, term, tuple(
+                            (k | hi, v if sign > 0 else -v)
+                            for k, v in cell.items())))
             if not (cells1 or cells2 or rhs_cells):
                 continue
             for a in range(amin, amax + 1):

@@ -31,10 +31,12 @@ sid = (lid << 32) | mid (label id, mode-multiset id), and window_states
 hands out (label, modes) tuples that the sweeps convert once.  The
 dressing E^-(delta_r) ignores the label, so its images are kept once per
 mid, on the zero label, whose sid is the mid itself.  X(delta_r) and
-Z(alpha, r) both read that zero-label image and write their final label,
-lambda + delta_r and lambda + delta_r + alpha, as the high bits of each
-output id, with exponent and label shift read from per-label caches: no
-relabelled copy of E^- is stored on the way.
+Z(alpha, r) are views of that memo (distops.RelabelledView): mode_parts
+returns the zero-label image with the label bits of the final label,
+lambda + delta_r or lambda + delta_r + alpha, and Z's cocycle sign, read
+from per-label caches, and the sweeps put them on each output id as they
+accumulate.  Neither field stores an image, so no relabelled copy of E^-
+is kept.
 
 The bracket of two root fields is written once, for every picture:
 root_pair_terms gives its binomial prefactors and its summands over
@@ -57,8 +59,8 @@ from functools import partial
 from . import checks
 from .autom import TwistData
 from .distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
-                      ExpField, FieldFamily, FockSpace, TruncationWindow,
-                      _acc, partitions)
+                      ExpField, FieldFamily, FockSpace, RelabelledView,
+                      TruncationWindow, _acc, partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
 from .scalar import Cyc
 
@@ -148,11 +150,14 @@ class HomogeneousModule(KFields, LatticeRoots):
             self.space, vec, self.k0(rvec), "beta%r" % (rvec,)))
 
 
-class VertexXField(FieldFamily):
+class VertexXField(RelabelledView):
     """X(delta, z^w), w the weight of the space: shifts the label by
     delta, multiplies the z-exponent -w(delta, label), and dresses with
     E^-(delta, z^w).  E^+ is the identity because delta pairs to zero
-    with every mode the space carries."""
+    with every mode the space carries.
+
+    A view: mode n of a state is the zero-label E^- image at n minus
+    the exponent, with the label bits of label + delta put on."""
 
     def __init__(self, space: FockSpace, vec, label):
         super().__init__()
@@ -177,10 +182,11 @@ class VertexXField(FieldFamily):
     def max_mode(self, sid):
         return self.base(sid >> MODE_BITS)[0]
 
-    def mode_state(self, n, sid):
+    def mode_parts(self, n, sid):
         e, hi = self.base(sid >> MODE_BITS)
-        return {hi | k: v for k, v in
-                self.em.mode_memo(n - e, sid & MODE_MASK).items()}
+        if n > e:
+            return hi, 1, {}
+        return hi, 1, self.em.mode_memo(n - e, sid & MODE_MASK)
 
 
 class HeisTimesXField(FieldFamily):
@@ -217,13 +223,13 @@ class HeisTimesXField(FieldFamily):
         return out
 
 
-class ZField(FieldFamily):
+class ZField(RelabelledView):
     """Z(alpha, r, z) = Z(alpha, 0, z) k_0(r, z); the alpha-part is a pure
     lattice operator, so each input state meets exactly one split.
 
-    Mode n reads the zero-label E^-(delta_r) image of k_0 = X(delta_r) at
-    n minus both z-exponents, and writes the output label
-    lambda + delta_r + alpha and the cocycle sign in one pass."""
+    A view: mode n of a state is the zero-label E^-(delta_r) image of
+    k_0 = X(delta_r) at n minus both z-exponents, with the label bits of
+    lambda + delta_r + alpha and the cocycle sign put on."""
 
     def __init__(self, mod: HomogeneousModule, alpha, rvec):
         super().__init__()
@@ -232,6 +238,7 @@ class ZField(FieldFamily):
         self.alpha = tuple(alpha)
         self.avec = mod.lat.embed_root(alpha)
         self.x = mod.k0(rvec)
+        self.em = self.x.em
         self.shift = tuple(a + b for a, b in zip(self.avec, self.x.shift))
         self.label = "Z" + repr(self.alpha) + repr(tuple(rvec))
         self._half = int(mod.space.pair(self.avec, self.avec)) // 2
@@ -256,12 +263,11 @@ class ZField(FieldFamily):
         # both parts read the label only
         return self._label(sid >> MODE_BITS)[0]
 
-    def mode_state(self, n, sid):
+    def mode_parts(self, n, sid):
         e, hi, sign = self._label(sid >> MODE_BITS)
-        image = self.x.em.mode_memo(n - e, sid & MODE_MASK)
-        if sign > 0:
-            return {hi | k: c for k, c in image.items()}
-        return {hi | k: -c for k, c in image.items()}
+        if n > e:
+            return hi, sign, {}
+        return hi, sign, self.em.mode_memo(n - e, sid & MODE_MASK)
 
 
 class ZeroModeTimesField(FieldFamily):

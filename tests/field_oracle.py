@@ -10,7 +10,8 @@ cache and with comb_add sums.
 
 The Fock oracle is the Heisenberg action in the monomial basis p_lambda,
 monomial_act, and the exponential series by its recursion, exp_series;
-Monomial reads a field's images in that basis.  An operator with the
+Monomial reads a field's images in that basis.  ref_vertex builds the
+modes of X(delta) and Z(alpha, r) from exp_series and the lattice.  An operator with the
 monomial matrix element M(out, in) has the matrix element
 M(out, in) * z_out / z_in in the basis b_lambda = p_lambda / z_lambda
 that FockSpace uses.
@@ -26,7 +27,7 @@ from math import factorial
 
 from torlab.distops import (FockSpace, ProductField, ScaledField, comb_add,
                             comb_scale, comb_sub, witness_difference)
-from torlab.fockhom import HeisTimesXField
+from torlab.fockhom import HeisTimesXField, ZField
 from torlab.zbridge import RestrictedField
 
 
@@ -146,6 +147,27 @@ def exp_series(space, vec, c, sign, state, n, act=None):
             acc = comb_add(acc, act(vec, sign * j, series[t - j]))
         series.append(comb_scale(acc, Fraction(c) / t))
     return series[-1]
+
+
+def ref_vertex(field, n, state):
+    """Mode n of a VertexXField X(delta) or a ZField
+    Z(alpha, r) = eps(alpha, .) e^alpha z^(-(alpha, .) - (alpha, alpha)/2)
+    X(delta_r) on the (label, modes) state.  X adds delta to the label
+    and reads E^-(delta) = exp_series at n less its z-exponent
+    -w(delta, label); the lattice part of Z reads the label X leaves."""
+    space = field.space
+    x = field.x if isinstance(field, ZField) else field
+    label, modes = state
+    exponent = -space.weight * space.pair(x.vec, label)
+    label = tuple(a + b for a, b in zip(label, x.vec))
+    sign = 1
+    if isinstance(field, ZField):
+        avec = field.avec
+        exponent -= space.pair(avec, label) + space.pair(avec, avec) // 2
+        sign = field.lat.eps(avec, label)
+        label = tuple(a + b for a, b in zip(label, avec))
+    return comb_scale(exp_series(space, x.vec, 1, -1, (label, modes),
+                                 n - exponent), sign)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from field_oracle import Tuples, check_state, comb_eq
-from torlab.checks import default_rvecs, fields_equal, nonzero
+from field_oracle import Tuples, check_state, comb_eq, ref_vertex
+from torlab.checks import default_rvecs, fields_equal, holds, nonzero
 from torlab.distops import (DeltaRelation, HeisenbergField, ProductField,
                             TruncationWindow, comb_scale, comb_sub)
 from torlab.fockhom import (HeisTimesXField, HomogeneousModule,
-                            pair_relation, verify_33, verify_center_hom,
-                            verify_products_hom, window_states)
+                            VertexXField, ZField, pair_relation, verify_33,
+                            verify_center_hom, verify_products_hom,
+                            window_states)
 from torlab.fockprin import PrincipalModule, negation_theta
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
@@ -206,8 +207,8 @@ def test_vec_times_x_reads_the_weight():
 
 def test_a_swept_module_is_freed_without_the_cycle_collector():
     """No field refers back to its module, so with the cycle collector
-    off a module whose Z field has filled its memos is freed as soon as
-    its last reference goes, and with it every memo it filled."""
+    off a module whose Z field has filled the E^- memo it reads is freed
+    as soon as its last reference goes, and with it every memo filled."""
     gc.disable()
     try:
         mod = _a1()
@@ -215,9 +216,88 @@ def test_a_swept_module_is_freed_without_the_cycle_collector():
         for state in window_states(mod.space, TruncationWindow(2, 2, 1)):
             for n in range(-3, 4):
                 z.mode_memo(n, mod.space.sid(state))
-        assert z._memo
+        assert z.x.em._memo
         gone = weakref.ref(mod)
         del mod, z
         assert gone() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ["A1", "A2"])
+def test_views_read_their_parts(name):
+    """k_0(r) and Z(alpha, r) at every root and default r: from -W up to
+    one above max_mode, mode_memo is the image of mode_parts with the
+    label bits and the sign put on, key order included, it equals the
+    exponential series of ref_vertex, and above max_mode it is empty.
+    Some Z meets a window state with cocycle sign -1."""
+    mod = _a1() if name == "A1" else _a2()
+    win = TruncationWindow(2, 2, 1)
+    W = win.modes
+    rvecs = default_rvecs(mod.N)
+    fields = [mod.k0(r) for r in rvecs]
+    fields += [mod.z(a, r) for a in mod.rs.roots for r in rvecs]
+    signs = set()
+    for f in fields:
+        for v in window_states(mod.space, win):
+            sid = mod.space.sid(v)
+            top = f.max_mode(sid)
+            for n in range(min(-W, top + 1), top + 2):
+                hi, sign, image = f.mode_parts(n, sid)
+                assert list(f.mode_memo(n, sid).items()) == \
+                    [(hi | k, sign * c) for k, c in image.items()]
+                assert comb_eq(Tuples(f).mode_memo(n, v),
+                               ref_vertex(f, n, v)), (f.label, v, n)
+                if n > top:
+                    assert image == {}
+                signs.add((type(f), sign))
+    assert (VertexXField, -1) not in signs
+    assert (ZField, -1) in signs
+
+
+class _Unsigned(ZField):
+    """Z(alpha, r) with its cocycle sign dropped."""
+
+    def mode_parts(self, n, sid):
+        hi, _sign, image = super().mode_parts(n, sid)
+        return hi, 1, image
+
+
+def test_a_negative_cocycle_sign_reaches_the_sweep():
+    """On A2, Z(alpha_1) has sign -1 on window states, and its pair
+    relation with alpha_2 passes; with that sign dropped the sweep fails,
+    with the witness the cell oracle gives."""
+    mod = _a2()
+    win = TruncationWindow(2, 2, 1)
+    states = window_states(mod.space, win)
+    b1, b2 = mod.rs.simple_roots
+    rel = pair_relation(mod, b1, b2, (0,), (1,))
+    assert any(rel.f.mode_parts(0, mod.space.sid(v))[1] < 0 for v in states)
+    assert holds(rel, states, win.modes) == (True, None)
+    rel.f = _Unsigned(mod, b1, (0,))
+    ok, witness = holds(rel, states, win.modes)
+    assert not ok and witness["difference"]
+    assert check_state(rel, *witness["modes"], witness["state"]) == \
+        (False, witness)
+
+
+def test_views_store_no_images():
+    """After a sweep of one opposite A2 root pair at (2, 2, 1), no Z or
+    k_0 field keeps a memo, and every dict either keeps has at most one
+    entry per label: their images are read from the E^- memo, which the
+    sweep filled."""
+    mod = _a2()
+    a = mod.rs.roots[0]
+    entries = verify_33(mod, TruncationWindow(2, 2, 1),
+                        root_pairs=[(a, tuple(-c for c in a))])
+    assert entries and all(e[2] == "pass" for e in entries)
+    views = [f for f in mod._fields.values()
+             if isinstance(f, (ZField, VertexXField))]
+    assert {type(f) for f in views} == {ZField, VertexXField}
+    labels = len(mod.space._labels)
+    for f in views:
+        assert f._memo == {}, f.label
+        for attr, val in vars(f).items():
+            if isinstance(val, dict):
+                assert len(val) <= labels, (f.label, attr)
+    assert all(f.em._memo for f in views)
