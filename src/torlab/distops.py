@@ -562,8 +562,10 @@ class IdentityField(FieldFamily):
 
 
 class ScaledField(FieldFamily):
-    """coeff times a field; an int coeff stays an int, so an integer
-    field scaled by it stays in int arithmetic."""
+    """coeff times a field.  Its own memo holds the scaled images, which
+    checks read mode by mode; a DeltaRelation sweeps the base instead and
+    puts the coefficient on once per relation (see there), so an integer
+    field scaled by any constant is swept in int arithmetic."""
 
     def __init__(self, base, coeff):
         super().__init__()
@@ -810,11 +812,22 @@ def _products(sid, outer, inner, modes):
 _BINOMIAL_TABLES = {}
 
 
+def _unscaled(field):
+    """(base, c) with field = c * base, through every ScaledField with a
+    nonzero coefficient; (field, 1) for any other field."""
+    c = 1
+    while isinstance(field, ScaledField) and field.coeff:
+        c = field.coeff * c
+        field = field.base
+    return field, c
+
+
 @dataclass
 class DeltaTerm:
-    """coeff * (D^use_D delta)(a z1/z2) * h(z2) with h a field in z2."""
+    """coeff * (D^use_D delta)(a z1/z2) * h(z2) with h a field in z2;
+    coeff is an exact scalar (int, Fraction or Cyc)."""
 
-    coeff: Cyc
+    coeff: int | Fraction | Cyc
     a: Cyc
     field: FieldFamily
     use_D: bool = False
@@ -828,8 +841,21 @@ class DeltaRelation:
     uses the same data with z1 and z2 exchanged, which is the expansion
     region convention for reversed operator order.
 
-    Integral binomial and delta-term coefficients are used as int, so a
-    relation between integer-valued fields is checked in integers.
+    Integral binomial and delta-term coefficients are used as int, and
+    rational ones as Fraction, so a relation between integer-valued
+    fields is checked in integers.
+
+    Constant scalars are factored out before the sweep.  An operand f or
+    g that is a ScaledField with a nonzero coefficient (nested ones too)
+    is swept through its base, and s = c_f c_g.  A delta term whose field
+    is such a ScaledField takes that coefficient into its own, and every
+    delta-term coefficient is divided by s.  The swept difference is then
+    D / s, with s a nonzero constant, so its first nonzero cell and that
+    cell's keys are those of D; the values of a failing cell are
+    multiplied back by s before witness_difference, so each witness keeps
+    its bytes.  The principal Z = C k_0 is swept as the integer k_0.
+    f, g, factors and rhs_terms stay the caller's objects; the swept
+    operands are rebuilt whenever f, g or rhs_terms is reassigned.
     Witnesses are read in the monomial basis of the fields' space.
     """
 
@@ -842,12 +868,36 @@ class DeltaRelation:
         self.space = field_space(f, g)
         self._coef = ()
         self._apow = {}
+        self._plan_of = None
+        self._plan = None
+
+    def _sweep_plan(self):
+        """(f, g, s, terms): the operands as swept, the factored constant
+        s (None when it is 1) and the delta terms as swept, their
+        coefficients divided by s."""
+        key = (self.f, self.g, self.rhs_terms)
+        if key != self._plan_of:
+            f, cf = _unscaled(self.f)
+            g, cg = _unscaled(self.g)
+            s = _native(cf * cg)
+            s = None if s == 1 else s
+            terms = []
+            for t in self.rhs_terms:
+                h, ch = _unscaled(t.field)
+                c = t.coeff * ch
+                terms.append(DeltaTerm(c if s is None else Cyc._coerce(c) / s,
+                                       t.a, h, t.use_D))
+            self._plan_of = key
+            self._plan = f, g, s, terms
+            self._apow = {}
+        return self._plan
 
     def cutoff(self, sid):
         """Bound C with: every coefficient at z1^a z2^b with a + b > C is
         zero on this state, on both sides.  Needs .shift on both fields."""
-        caps = [t.field.max_mode(sid) for t in self.rhs_terms]
-        for first, second in ((self.f, self.g), (self.g, self.f)):
+        f, g, _s, terms = self._sweep_plan()
+        caps = [t.field.max_mode(sid) for t in terms]
+        for first, second in ((f, g), (g, f)):
             shifted = self.space.shifted(sid, second.shift)
             caps.append(first.max_mode(shifted) + second.max_mode(sid))
         return max(caps)
@@ -871,7 +921,7 @@ class DeltaRelation:
             hit = term.coeff * term.a ** a
             if term.use_D:
                 hit = hit * a
-            hit = _int_if_integral(hit)
+            hit = _int_if_integral(_native(hit))
             self._apow[key] = hit
         return hit
 
@@ -886,11 +936,12 @@ class DeltaRelation:
         names its state and output states as tuples.
         """
         sid = self.space.sid(state)
+        f, g, scale, terms = self._sweep_plan()
         cut = min(2 * W, self.cutoff(sid))
-        gmax = self.g.max_mode(sid)
-        fmax = self.f.max_mode(sid)
-        fmode = self.f.mode_parts
-        gmode = self.g.mode_parts
+        gmax = g.max_mode(sid)
+        fmax = f.max_mode(sid)
+        fmode = f.mode_parts
+        gmode = g.mode_parts
         for S in range(-2 * W, cut + 1):
             amin = max(-W, S - W)
             amax = min(W, S + W)
@@ -901,7 +952,7 @@ class DeltaRelation:
             cells2 = _products(sid, gmode, fmode, [
                 (p, S - p, p) for p in range(amin, fmax + 1)])
             rhs_cells = []
-            for ti, term in enumerate(self.rhs_terms):
+            for ti, term in enumerate(terms):
                 if S <= term.field.max_mode(sid):
                     hi, sign, cell = term.field.mode_parts(S, sid)
                     if cell:
@@ -939,7 +990,8 @@ class DeltaRelation:
                             vv = -(v * c)
                             diff[k] = vv if prev is None else prev + vv
                 if any(diff.values()):
-                    bad = {k: v for k, v in diff.items() if v}
+                    bad = {k: v if scale is None else v * scale
+                           for k, v in diff.items() if v}
                     return False, {"state": state, "modes": (a, S - a),
                                    "difference": witness_difference(
                                        self.space, state, bad)}

@@ -15,7 +15,11 @@ at level k = 1.  The X and k fields are those of the homogeneous
 picture (fockhom.KFields) on a space of weight m, in the same basis
 b_lambda = p_lambda / z_lambda (see FockSpace), where k_0, k_i and E^-
 have integer matrix elements; this module adds the orbit constants C_j,
-the Z fields built on them and the constant solver.
+the Z fields built on them and the constant solver.  Each Z is a
+distops.ScaledField of k_0, so a DeltaRelation factors the C_j out of
+its sweep: the quadratic and centrality relations are compared on the
+integer images of k_0 with rational coefficients, and the C_j are put
+back only on a witness.
 The vacuum-space constants C_j are configuration inputs;
 solve_prin_constants recovers them from the quadratic relation when a
 single orbit carries the whole root system, with the prefactors and

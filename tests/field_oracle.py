@@ -202,10 +202,12 @@ def delta_cells(rel, a, s, state):
     """(coefficient, image of the state) for each delta term of rel with
     a nonzero coefficient at z1^a z2^(s - a)."""
     out = []
-    for ti, term in enumerate(rel.rhs_terms):
+    for term in rel.rhs_terms:
         field = Tuples(term.field, rel.space)
         if s <= field.max_mode(state):
-            c = rel._delta_coeff(ti, term, a)
+            c = term.coeff * term.a ** a
+            if term.use_D:
+                c = c * a
             if c:
                 out.append((c, field.mode_memo(s, state)))
     return out

@@ -1,9 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from field_oracle import Tuples
-from torlab.distops import TruncationWindow
+from torlab.checks import default_rvecs, holds
+from torlab.distops import (DeltaRelation, DeltaTerm, FieldFamily,
+                            ScaledField, TruncationWindow)
 from torlab.fockhom import pair_relation, window_states
 from torlab.fockprin import (PrincipalModule, _sqrt_in_cyc, negation_theta,
                              solve_prin_constants, verify_52,
@@ -161,3 +164,127 @@ def test_z_operator_is_scalar_times_k0():
             rhs = {s: c * q for s, q in k0.mode_memo(n, v).items()}
             assert not {k for k in lhs} ^ {k for k in rhs} and \
                 all(lhs[k] == rhs[k] for k in lhs)
+
+
+# ---------------------------------------------------------------------------
+# constant scalars factored out of the delta-relation sweeps
+# ---------------------------------------------------------------------------
+
+
+class _Plain(FieldFamily):
+    """A field read through to another one, but not a ScaledField, so a
+    DeltaRelation sweeps it as it is: a scaled field's own images."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+        self.shift, self.label, self.space = f.shift, f.label, f.space
+
+    def max_mode(self, sid):
+        return self.f.max_mode(sid)
+
+    def mode_parts(self, n, sid):
+        return self.f.mode_parts(n, sid)
+
+    def mode_memo(self, n, sid):
+        return self.f.mode_memo(n, sid)
+
+
+def _plain(rel):
+    """rel with both operands and every delta-term field read through."""
+    return DeltaRelation(
+        _Plain(rel.f), _Plain(rel.g), rel.factors,
+        [DeltaTerm(t.coeff, t.a, _Plain(t.field), t.use_D)
+         for t in rel.rhs_terms])
+
+
+def _prin_relations(mod):
+    """The prin.7 and prin.10 relations of verify_principal_relations."""
+    rvecs = default_rvecs(mod.N)
+    zero = mod.zero_r()
+    roots = [tuple(b) for b in mod.rs.roots]
+    pairs = [(zero, zero), (rvecs[1], zero), (rvecs[1], rvecs[1])]
+    rels = [pair_relation(mod, b1, b2, r, s)
+            for b1 in roots for b2 in roots for r, s in pairs]
+    rels += [DeltaRelation(mod.kf(j, r), mod.z(roots[0], zero), [], [])
+             for r in rvecs[:3] for j in range(mod.N + 1)]
+    return rels
+
+
+I4 = cyc_root_of_unity(4, 1)
+GOLDEN_FAIL_CONSTANTS = [Cyc.rational(Fraction(1, 4)), (1 + I4) * Fraction(1, 4),
+                         I4 * Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("constant", [None] + GOLDEN_FAIL_CONSTANTS, ids=repr)
+def test_factored_sweep_equals_the_plain_sweep(constant):
+    """With C factored out of Z = C k_0, every prin.7 and prin.10
+    relation gives the (ok, witness) of the unfactored sweep on every
+    window state, at the solved constant and at the golden-fail ones."""
+    mod = _mod()
+    mod.set_constants(solve_prin_constants(mod, WIN)[0]
+                      if constant is None else constant)
+    states = window_states(mod.space, WIN)
+    fails = 0
+    for rel in _prin_relations(mod):
+        ref = _plain(rel)
+        for v in states:
+            got = rel.check_window(WIN.modes, v)
+            assert got == ref.check_window(WIN.modes, v), (rel.f.label, v)
+            fails += not got[0]
+    assert (fails == 0) == (constant is None)
+
+
+def test_factoring_guards():
+    """A zero coefficient is not factored, nested ScaledFields are, and
+    the relation keeps the caller's operands: reassigning rel.f after a
+    sweep takes effect."""
+    mod = _mod()
+    mod.set_constants(solve_prin_constants(mod, WIN)[0])
+    states = window_states(mod.space, WIN)
+    W = WIN.modes
+    rel = pair_relation(mod, (1,), (-1,), (0,), (0,))
+    f, g, terms = rel.f, rel.g, rel.rhs_terms
+
+    for zero in (DeltaRelation(ScaledField(f, 0), g, rel.factors, terms),
+                 DeltaRelation(f, g, rel.factors, [
+                     DeltaTerm(t.coeff, t.a, ScaledField(t.field, 0), t.use_D)
+                     for t in terms])):
+        got = holds(zero, states, W)
+        assert not got[0] and got == holds(_plain(zero), states, W)
+
+    nested = DeltaRelation(ScaledField(f, -1), g, rel.factors, terms)
+    got = holds(nested, states, W)
+    assert not got[0] and got == holds(_plain(nested), states, W)
+
+    assert holds(rel, states, W) == (True, None)
+    assert rel.f is f and rel.g is g and rel.rhs_terms is terms
+    rel.f = ScaledField(f, 2)
+    got = holds(rel, states, W)
+    assert not got[0] and got == holds(_plain(rel), states, W)
+    rel.f = f
+    assert holds(rel, states, W) == (True, None)
+
+
+_CYC_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+            "__rmul__", "__neg__", "__truediv__", "__rtruediv__", "__pow__")
+
+
+def test_principal_sweep_runs_in_int(monkeypatch):
+    """Once its delta coefficients are cached, a prin.7 sweep at the
+    solved constant makes no Cyc arithmetic: C^2 stays out of the cells."""
+    mod = _mod()
+    mod.set_constants(solve_prin_constants(mod, WIN)[0])
+    states = window_states(mod.space, WIN)
+    rels = _prin_relations(mod)[:12]
+    for rel in rels:
+        assert holds(rel, states, WIN.modes) == (True, None)
+    calls = Counter()
+    for name in _CYC_OPS:
+        def counted(*args, _op=getattr(Cyc, name), _name=name):
+            calls[_name] += 1
+            return _op(*args)
+        monkeypatch.setattr(Cyc, name, counted)
+    for rel in rels:
+        assert holds(rel, states, WIN.modes) == (True, None)
+    assert not calls, calls
