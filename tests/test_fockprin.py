@@ -198,17 +198,20 @@ def _plain(rel):
          for t in rel.rhs_terms])
 
 
-def _prin_relations(mod):
-    """The prin.7 and prin.10 relations of verify_principal_relations."""
-    rvecs = default_rvecs(mod.N)
-    zero = mod.zero_r()
+def _prin7(mod):
+    """The prin.7 relations of verify_principal_relations."""
+    r1, zero = default_rvecs(mod.N)[1], mod.zero_r()
     roots = [tuple(b) for b in mod.rs.roots]
-    pairs = [(zero, zero), (rvecs[1], zero), (rvecs[1], rvecs[1])]
-    rels = [pair_relation(mod, b1, b2, r, s)
-            for b1 in roots for b2 in roots for r, s in pairs]
-    rels += [DeltaRelation(mod.kf(j, r), mod.z(roots[0], zero), [], [])
-             for r in rvecs[:3] for j in range(mod.N + 1)]
-    return rels
+    return [pair_relation(mod, b1, b2, r, s)
+            for b1 in roots for b2 in roots
+            for r, s in [(zero, zero), (r1, zero), (r1, r1)]]
+
+
+def _prin10(mod):
+    """The prin.10 relations of verify_principal_relations."""
+    z = mod.z(tuple(mod.rs.roots[0]), mod.zero_r())
+    return [DeltaRelation(mod.kf(j, r), z, [], [])
+            for r in default_rvecs(mod.N)[:3] for j in range(mod.N + 1)]
 
 
 I4 = cyc_root_of_unity(4, 1)
@@ -226,7 +229,7 @@ def test_factored_sweep_equals_the_plain_sweep(constant):
                       if constant is None else constant)
     states = window_states(mod.space, WIN)
     fails = 0
-    for rel in _prin_relations(mod):
+    for rel in _prin7(mod) + _prin10(mod):
         ref = _plain(rel)
         for v in states:
             got = rel.check_window(WIN.modes, v)
@@ -276,7 +279,7 @@ def test_principal_sweep_runs_in_int(monkeypatch):
     mod = _mod()
     mod.set_constants(solve_prin_constants(mod, WIN)[0])
     states = window_states(mod.space, WIN)
-    rels = _prin_relations(mod)[:12]
+    rels = _prin7(mod)
     for rel in rels:
         assert holds(rel, states, WIN.modes) == (True, None)
     calls = Counter()
