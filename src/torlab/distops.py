@@ -186,7 +186,10 @@ class FockSpace:
       label_pair(vec, lid) -> (vec, label)
       annihilatable(sid, vec)
 
-    Images are dicts {sid: coefficient}.
+    Images are dicts {sid: coefficient}.  The space also keeps the
+    expansion of each E^+- dressing it meets, once per (sign, c, vec):
+    dressing(sign, c, vec) hands every ExpField with that data the same
+    memo and term lists.
     """
 
     def __init__(self, gram, heis_dirs, mode_scale=1, weight=1):
@@ -209,6 +212,7 @@ class FockSpace:
         self._shifted = {}    # vec -> {lid: lid'}
         self._label_pairs = {}  # vec -> {lid: (vec, label)}
         self._annihilatable = {}  # vec -> {mid: bound}
+        self._dressings = {}  # (sign, c, vec) -> (memo, terms) of E^sign
 
     # -- state ids ---------------------------------------------------------
 
@@ -313,6 +317,17 @@ class FockSpace:
         hit = table.get(lid)
         if hit is None:
             hit = table[lid] = self.pair(vec, self._labels[lid])
+        return hit
+
+    def dressing(self, sign, c, vec):
+        """(memo, terms) of the dressing E^sign(c, vec) (see ExpField),
+        one pair per distinct dressing of the space, so every ExpField
+        built with equal data reads and fills one expansion.  Plain
+        dicts, with no reference back to a field."""
+        key = (sign, c, vec)
+        hit = self._dressings.get(key)
+        if hit is None:
+            hit = self._dressings[key] = ({}, {0: [(0, 1)]})
         return hit
 
     def annihilatable(self, sid, vec) -> int:
@@ -485,8 +500,11 @@ class FieldFamily:
     order of image.  Here it is (0, 1, mode_memo(n, sid)).  A view
     (RelabelledView) is a field whose image is another field's memoized
     image with a label and a sign put on; it returns those parts and
-    stores no image of its own, and mode and the product loop of
-    check_window put the label and sign on as they accumulate.
+    stores no image of its own.  An E^+- dressing (ExpField) is read the
+    same way on a labelled state: its parts are the zero-label image and
+    the state's label bits.  mode, ProductField and the product loop of
+    check_window read every factor through mode_parts and put the label
+    and sign on as they accumulate, so no relabelled image is stored.
     """
 
     label = "field"
@@ -517,11 +535,13 @@ class FieldFamily:
     def mode_parts(self, n, sid):
         return 0, 1, self.mode_memo(n, sid)
 
-    def mode(self, n, comb):
+    def mode(self, n, comb, hi_in=0, sign_in=1):
+        """Mode n applied to {hi_in | k: sign_in * c for k, c in comb},
+        the image a mode_parts triple describes."""
         out = {}
         for sid, c in comb.items():
-            hi, sign, image = self.mode_parts(n, sid)
-            if sign < 0:
+            hi, sign, image = self.mode_parts(n, sid | hi_in if hi_in else sid)
+            if sign != sign_in:
                 c = -c
             for k, v in image.items():
                 # with no label bits the memo's own key object is kept, so
@@ -593,16 +613,20 @@ class ProductField(FieldFamily):
 
     Both caps are kept per state, which is exact because a cap is a pure
     function of the state and neither factor changes once built.
-    mode_state merges the finished image f.mode(n - q, .) of each q into
-    its output in turn, as comb_add would; fusing f.mode's inner sum into
-    the output would regroup the sum and could move a witness's bytes.
+    mode_state reads g through mode_parts and hands the parts to f.mode,
+    which puts g's label bits and sign on as it reads f's parts, so no
+    relabelled image of g is built.  It merges the finished image
+    f.mode(n - q, .) of each q into its output in turn, as comb_add
+    would; fusing f.mode's inner sum into the output would regroup the
+    sum and could move a witness's bytes.  A scale equal to 1 is stored
+    as None.
     """
 
     def __init__(self, f, g, scale=None, label=None):
         super().__init__()
         self.f = f
         self.g = g
-        self.scale = scale
+        self.scale = None if scale == 1 else scale
         self.space = field_space(f, g)
         self.shift = tuple(a + b for a, b in zip(f.shift, g.shift))
         self.label = label or (f.label + "*" + g.label)
@@ -623,11 +647,12 @@ class ProductField(FieldFamily):
 
     def mode_state(self, n, sid):
         fcap, gcap = self._caps(sid)
+        gparts = self.g.mode_parts
         out = {}
         for q in range(n - fcap, gcap + 1):
-            mid = self.g.mode_memo(q, sid)
+            hi, sign, mid = gparts(q, sid)
             if mid:
-                for k, v in self.f.mode(n - q, mid).items():
+                for k, v in self.f.mode(n - q, mid, hi, sign).items():
                     _acc(out, k, v)
         if self.scale is not None:
             out = comb_scale(out, self.scale)
@@ -686,22 +711,28 @@ class ExpField(FieldFamily):
 
     The series never applies vec(0), the only mode that reads the label,
     so it is expanded once per mode multiset mid, on the zero label
-    (where sid == mid), and every other label reads that expansion with
-    its own label put back on the output states.
+    (where sid == mid).  Every other label is a view of that expansion:
+    mode_parts gives the zero-label image with the state's label bits,
+    and only a direct mode_memo call on a labelled state stores a
+    relabelled copy.  The memo and the term lists belong to the space
+    (FockSpace.dressing), one pair per (sign, c, vec), so the fields of
+    equal dressings built by separate composites expand it once.  An
+    integral c is stored as an int, so 1 and Fraction(1) name one
+    dressing, expanded in int.
     """
 
     def __init__(self, space: FockSpace, vec, c, sign: int, label="E"):
         super().__init__()
         self.space = space
         self.vec = tuple(vec)
-        self.c = c if type(c) is int else Fraction(c)
+        self.c = _int_if_integral(Fraction(c))
         self.sign = 1 if sign > 0 else -1
         self.shift = (0,) * space.dim
         self.label = label
         self._factors = self.vec if self.sign < 0 else [
             space.mode_scale * p for p in space.dir_pairs(self.vec)]
         self._dirs = [d for d in space.heis_dirs if self._factors[d]]
-        self._terms = {0: [(0, 1)]}
+        self._memo, self._terms = space.dressing(self.sign, self.c, self.vec)
 
     def max_mode(self, sid):
         if self.sign < 0:
@@ -729,6 +760,13 @@ class ExpField(FieldFamily):
                     w = _int_if_integral(Fraction(w, space.z(mu)))
                 hit.append((mu, w))
         return hit
+
+    def mode_parts(self, n, sid):
+        # a zero-label id is passed on as is, so the memo keeps the
+        # caller's key object
+        if sid > MODE_MASK:
+            return sid & LABEL_BITS, 1, self.mode_memo(n, sid & MODE_MASK)
+        return 0, 1, self.mode_memo(n, sid)
 
     def mode_state(self, n, sid):
         w = self.space.weight

@@ -28,15 +28,16 @@ witnesses are converted back to the monomial basis.
 
 State ids: the fields act on the FockSpace's int ids
 sid = (lid << 32) | mid (label id, mode-multiset id), and window_states
-hands out (label, modes) tuples that the sweeps convert once.  The
-dressing E^-(delta_r) ignores the label, so its images are kept once per
-mid, on the zero label, whose sid is the mid itself.  X(delta_r) and
-Z(alpha, r) are views of that memo (distops.RelabelledView): mode_parts
+hands out (label, modes) tuples that the sweeps convert once.  Every
+E^+- dressing ignores the label, so its images are kept once per mid, on
+the zero label, whose sid is the mid itself, and once per distinct
+dressing of the space (distops.ExpField).  X(delta_r) and Z(alpha, r)
+are views of the E^-(delta_r) memo (distops.RelabelledView): mode_parts
 returns the zero-label image with the label bits of the final label,
 lambda + delta_r or lambda + delta_r + alpha, and Z's cocycle sign, read
-from per-label caches, and the sweeps put them on each output id as they
-accumulate.  Neither field stores an image, so no relabelled copy of E^-
-is kept.
+from per-label caches; a dressing's own labelled images are views the
+same way.  The sweeps and ProductField put label and sign on each output
+id as they accumulate, so no relabelled copy of a dressing is kept.
 
 The bracket of two root fields is written once, for every picture:
 root_pair_terms gives its binomial prefactors and its summands over

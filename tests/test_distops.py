@@ -2,14 +2,17 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from field_oracle import (Monomial, Tuples, check_state, comb_eq, ref_max_mode,
                           ref_mode, z_factor)
+from torlab.checks import default_rvecs
 from torlab.distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
-                            ExpField, FockSpace, HeisenbergField,
-                            IdentityField, TruncationWindow,
-                            binomial_coefficient, binomial_factor, comb_sub,
-                            dressing_operator, partitions,
-                            product_of_binomials, series_mul)
+                            ExpField, FieldFamily, FockSpace, HeisenbergField,
+                            IdentityField, ProductField, TruncationWindow,
+                            _acc, binomial_coefficient, binomial_factor,
+                            comb_scale, comb_sub, dressing_operator,
+                            partitions, product_of_binomials, series_mul)
 from torlab.fockhom import HomogeneousModule, window_states
 from torlab.fockprin import PrincipalModule, negation_theta
 from torlab.rootsys import build_root_system
@@ -219,6 +222,71 @@ def test_composite_caches_match_uncached_oracle():
                     assert comb_eq(got, ref_mode(f, n, v, seen)), (f.label, v, n)
                     cells += len(got)
         assert cells > 10000
+
+
+def _memo_product_image(field, n, sid):
+    """ProductField's mode n on sid with g read through g.mode_memo, the
+    relabelled dict, and f applied to it by f.mode."""
+    fcap = field.f.max_mode(field.space.shifted(sid, field.g.shift))
+    out = {}
+    for q in range(n - fcap, field.g.max_mode(sid) + 1):
+        mid = field.g.mode_memo(q, sid)
+        if mid:
+            for k, v in field.f.mode(n - q, mid).items():
+                _acc(out, k, v)
+    if field.scale is not None:
+        out = comb_scale(out, field.scale)
+    return out
+
+
+def _product_nodes(field, out):
+    """Every ProductField reachable from field through its factors, bases
+    and X parts, keyed by id."""
+    if isinstance(field, ProductField):
+        out[id(field)] = field
+    for name in ("f", "g", "base", "x"):
+        sub = getattr(field, name, None)
+        if isinstance(sub, FieldFamily):
+            _product_nodes(sub, out)
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_product_reads_its_right_factor_through_parts(rank):
+    """Every ProductField inside the x fields of homogeneous_Ck and of
+    from_Zmodule(to_Zmodule(.)), and inside h Z(alpha, r) for each root
+    alpha, gives on the labelled window states the image of g read
+    through mode_memo, key order included.  Some g puts label bits on
+    and some Z puts the cocycle sign -1 on."""
+    win = TruncationWindow(2, 2, 1)
+    W = win.modes
+    mod = HomogeneousModule(build_root_system("A", rank), 1)
+    V = homogeneous_Ck(mod)
+    back = from_Zmodule(to_Zmodule(V, win))
+    h = HeisenbergField(mod.space, V.root_vec(V.rs.simple_roots[0]))
+    nodes = {}
+    for beta in V.rs.roots:
+        for rvec in default_rvecs(V.N)[:2]:
+            for f in (V.x(beta, rvec), back.x(beta, rvec),
+                      ProductField(h, mod.z(beta, rvec))):
+                _product_nodes(f, nodes)
+    states = [mod.space.sid(v) for v in window_states(mod.space, win)]
+    assert any(sid > MODE_MASK for sid in states)
+    seen = set()
+    cells = 0
+    for node in nodes.values():
+        for sid in states:
+            for q in range(-W, node.g.max_mode(sid) + 1):
+                hi, sign, _image = node.g.mode_parts(q, sid)
+                seen.add((bool(hi), sign))
+            for n in range(-W, node.max_mode(sid) + 1):
+                got = node.mode_memo(n, sid)
+                want = _memo_product_image(node, n, sid)
+                assert list(got.items()) == list(want.items()), (
+                    node.label, mod.space.state_of(sid), n)
+                cells += len(got)
+    assert (True, 1) in seen and (True, -1) in seen
+    assert cells > 1000
 
 
 def _id_spaces():

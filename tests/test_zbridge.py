@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from field_oracle import Tuples, lhs_coeff
-from torlab.distops import (DeltaRelation, IdentityField, ScaledField,
-                            TruncationWindow, comb_add, comb_scale, comb_sub,
-                            dressing_operator)
+from torlab.distops import (MODE_MASK, DeltaRelation, ExpField,
+                            IdentityField, ScaledField, TruncationWindow,
+                            comb_add, comb_scale, comb_sub, dressing_operator)
 from torlab.fockhom import HomogeneousModule, pair_relation, window_states
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
@@ -169,6 +169,33 @@ def test_roundtrip_small_window():
     assert not bad, bad[:2]
     assert any(e[0] == "bridge.roundtrip_x" for e in entries)
     assert any(e[0] == "bridge.pairing_injective" for e in entries)
+
+
+def test_dressings_store_one_zero_label_expansion(monkeypatch):
+    """After roundtrip_check and check_Ck on the original and the rebuilt
+    A1 module, every E^+- memo holds zero-label rows only (a labelled
+    image is read off the zero-label one), and the E^+- fields built with
+    equal (sign, c, vec) in one space share one memo."""
+    built = []
+    init = ExpField.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ExpField, "__init__", record)
+    V = _v()
+    entries, _w, back = roundtrip_check(V, WIN)
+    entries = entries + check_Ck(V, WIN) + check_Ck(back, WIN)
+    assert all(e[2] == "pass" for e in entries)
+    assert any(em._memo for em in built)
+    assert all(sid <= MODE_MASK for em in built for sid in em._memo)
+    groups = {}
+    for em in built:
+        groups.setdefault((em.space, em.sign, em.c, em.vec), []).append(em)
+    assert len(groups) < len(built)
+    for same in groups.values():
+        assert all(em._memo is same[0]._memo for em in same)
 
 
 def test_factorization_counterexample():
