@@ -30,12 +30,16 @@ Families of entries built on them, one entry per parameter choice:
   factorization   factorization of the fields through k_0
   derivations     the d_0 and d_i eigenvalue relations of k_0..k_N
   eta_covariance  F(b, w^p z) = eta_p(b) F(theta^p b, z)
+  dk_relations    relations (1)-(6), (9) and (10) of the category D_k,
+                  the block the principal and Z-algebra suites share
 """
 
 from __future__ import annotations
 
-from .distops import (FockSpace, ProductField, comb_add, comb_scale,
-                      comb_sub, field_space, witness_difference)
+from functools import partial
+
+from .distops import (DeltaRelation, FockSpace, ProductField, comb_add,
+                      comb_scale, comb_sub, field_space, witness_difference)
 
 
 def _space(*fields):
@@ -216,3 +220,41 @@ def eta_covariance(entries, rel_id, field, twist, roots, states, lo):
                      (-twist.eta(p, beta), field(twist.theta_root(p, beta)))]
             run(entries, rel_id, {"beta": list(beta), "p": p},
                 vanishes, terms, states, lo)
+
+
+def dk_relations(entries, prefix, mod, roots, rvecs, ks, central_rvecs,
+                 states, W):
+    """Relations (1)-(6), (9) and (10) of a D_k module, with Z-fields
+    mod.z(beta, r) and central fields mod.kf(i, r) at level mod.k: one
+    entry prefix.<n> per parameter choice, Z sampled at roots[0].
+    (1) Z(r) k_0(s) = k Z(r+s) and (2) k_0(r) k_i(s) = k k_i(r+s), i in
+    ks, for r, s in rvecs; (3) the d_A relation, (4) [d_0, Z(r)] = D Z(r)
+    and (5), (6) the derivations at each r in rvecs; (9) eta-covariance
+    over roots; (10) k_j(r) commutes with Z, j in ks, r in central_rvecs.
+    """
+    lo = -W
+    kinv = mod.k.inv()
+    sample = roots[0]
+    zero = mod.zero_r()
+    z = partial(mod.z, sample)
+    k0 = partial(mod.kf, 0)
+    factorization(entries, prefix + ".1", {"beta": list(sample)},
+                  z, k0, z, rvecs, states, lo, kinv)
+    for i in ks:
+        ki = partial(mod.kf, i)
+        factorization(entries, prefix + ".2", {"i": i},
+                      k0, ki, ki, rvecs, states, lo, kinv)
+    for rvec in rvecs:
+        run(entries, prefix + ".3", {"r": list(rvec)},
+            central, mod.kf, mod.m, rvec, states, lo)
+        run(entries, prefix + ".4", {"beta": list(sample), "r": list(rvec)},
+            degree_shift, mod.space, mod.z(sample, rvec), states, lo)
+        derivations(entries, prefix + ".5", prefix + ".6", mod, rvec,
+                    states, lo)
+    eta_covariance(entries, prefix + ".9", lambda b: mod.z(b, zero),
+                   mod.twist, roots, states, lo)
+    for rvec in central_rvecs:
+        for j in ks:
+            rel = DeltaRelation(mod.kf(j, rvec), mod.z(sample, zero), [], [])
+            run(entries, prefix + ".10", {"j": j, "r": list(rvec)},
+                holds, rel, states, W)

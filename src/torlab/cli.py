@@ -103,7 +103,7 @@ def _principal_module(cfg: RunConfig):
     return PrincipalModule(rs, cfg.n, m, negation_theta), m
 
 
-def _header(cfg: RunConfig, m: int, extra=None) -> dict:
+def _header(m: int, extra=None) -> dict:
     head = {
         "dA_relation": "(1/%d) r0 t^r0 t^r k_0 + sum_i r_i t^r0 t^r k_i = 0"
                        % m,
@@ -124,7 +124,7 @@ def suite_toroidal(cfg: RunConfig):
     svec = (0,) * cfg.n
     verifier = GeneratingRelationVerifier(tor, cfg.window.modes)
     entries += verifier.run(rvec, svec)
-    return entries, _header(cfg, tor.m, {"theta_order": tor.m})
+    return entries, _header(tor.m, {"theta_order": tor.m})
 
 
 def suite_homogeneous(cfg: RunConfig):
@@ -132,14 +132,14 @@ def suite_homogeneous(cfg: RunConfig):
     entries = verify_33(mod, cfg.window)
     verify_center_hom(mod, cfg.window, entries=entries)
     verify_products_hom(mod, cfg.window, entries=entries)
-    return entries, _header(cfg, 1)
+    return entries, _header(1)
 
 
 def suite_zalg(cfg: RunConfig):
     mod = HomogeneousModule(_fock_root_system(cfg), cfg.n)
     w = to_Zmodule(homogeneous_Ck(mod), cfg.window)
     entries = verify_Zk_relations(w, cfg.window)
-    return entries, _header(cfg, 1)
+    return entries, _header(1)
 
 
 def suite_roundtrip(cfg: RunConfig):
@@ -148,7 +148,7 @@ def suite_roundtrip(cfg: RunConfig):
     entries, _w, back = roundtrip_check(ck, cfg.window)
     check_Ck(ck, cfg.window, entries=entries)
     check_Ck(back, cfg.window, entries=entries)
-    return entries, _header(cfg, 1)
+    return entries, _header(1)
 
 
 def _solve(mod, cfg: RunConfig):
@@ -188,7 +188,7 @@ def suite_principal(cfg: RunConfig):
         sols, solved = _solve(mod, cfg)
         extra["solved_constants"] = [jsonable(c) for c in sols]
         if not sols:
-            return solved, _header(cfg, m, extra)
+            return solved, _header(m, extra)
         mod.set_constants(sols[0])
         extra["constant_used"] = jsonable(sols[0])
         extra["constant_squared"] = jsonable(sols[0] * sols[0])
@@ -199,7 +199,7 @@ def suite_principal(cfg: RunConfig):
                           "constants or --solve-constants")
     entries = verify_52(mod, cfg.window)
     verify_principal_relations(mod, cfg.window, entries=entries)
-    return entries, _header(cfg, m, extra)
+    return entries, _header(m, extra)
 
 
 def suite_iso(cfg: RunConfig):
@@ -227,7 +227,7 @@ def suite_iso(cfg: RunConfig):
                         % ctx.m,
         },
     }
-    return entries, _header(cfg, ctx.m, extra)
+    return entries, _header(ctx.m, extra)
 
 
 _SUITES = {
@@ -262,7 +262,7 @@ def run_verify(cfg: RunConfig, suite: str) -> int:
 def run_solve(cfg: RunConfig) -> int:
     mod, m = _principal_module(cfg)
     sols, entries = _solve(mod, cfg)
-    header = _header(cfg, m, {
+    header = _header(m, {
         "suite": "solve-constants",
         "theta_order": m,
         "solved_constants": [jsonable(c) for c in sols],

@@ -67,9 +67,7 @@ def binomial_factor(c, a, nmax: int):
     Coefficients stay plain Fractions unless a is irrational.
     """
     c = Fraction(c)
-    a = _native(a)
-    if not isinstance(a, Cyc):
-        a = Fraction(a)
+    a = _scalar(a)
     out = []
     apow = a ** 0
     for n in range(nmax + 1):
@@ -96,22 +94,18 @@ def product_of_binomials(factors, nmax: int):
     out = [1] + [0] * nmax
     for c, a in factors:
         out = series_mul(out, binomial_factor(c, a, nmax), nmax)
-    return [_int_if_integral(x) for x in out]
+    return [_scalar(x) for x in out]
 
 
-def _native(x):
-    """x as an int or Fraction when it is a rational Cyc, which is stored
-    at order 1 (an int when its denominator is 1); else x."""
-    if isinstance(x, Cyc) and x.order == 1:
-        return x.nums[0] if x.den == 1 else Fraction(x.nums[0], x.den)
-    return x
-
-
-def _int_if_integral(x):
-    """x as an int when it is an integral rational (an int, a rational
-    with denominator 1 or a rational Cyc of that kind), else x."""
+def _scalar(x):
+    """The one scalar rule of the sweeps: x as an int when it is an
+    integral rational, as a Fraction when it is any other rational (an
+    int, a Fraction or a Cyc at order 1, where every rational Cyc is
+    stored), and otherwise the Cyc x itself."""
     if isinstance(x, Cyc):
-        return x.nums[0] if x.order == 1 and x.den == 1 else x
+        if x.order != 1:
+            return x
+        return x.nums[0] if x.den == 1 else Fraction(x.nums[0], x.den)
     if x.denominator == 1:
         return int(x.numerator)
     return x
@@ -436,11 +430,12 @@ def comb_add(a, b):
 
 
 def comb_scale(a, c):
+    """c * a; a itself at c = 1, as no caller writes into an image."""
     if not c:
         return {}
-    c = _native(c)
+    c = _scalar(c)
     if c == 1:
-        return dict(a)
+        return a
     return {k: v * c for k, v in a.items()}
 
 
@@ -725,7 +720,7 @@ class ExpField(FieldFamily):
         super().__init__()
         self.space = space
         self.vec = tuple(vec)
-        self.c = _int_if_integral(Fraction(c))
+        self.c = _scalar(Fraction(c))
         self.sign = 1 if sign > 0 else -1
         self.shift = (0,) * space.dim
         self.label = label
@@ -757,7 +752,7 @@ class ExpField(FieldFamily):
                 w = prod((self.c * self._factors[d]
                           for d, _j in space.modes_of(mu)), start=self.c ** 0)
                 if self.sign > 0:
-                    w = _int_if_integral(Fraction(w, space.z(mu)))
+                    w = _scalar(Fraction(w, space.z(mu)))
                 hit.append((mu, w))
         return hit
 
@@ -801,7 +796,7 @@ def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
     an exact rational."""
     if not k:
         raise ValueError("dressing operators need a nonzero level k")
-    c = _int_if_integral(Fraction(m, k))
+    c = _scalar(Fraction(m, k))
     name = label or ("E+" if sign > 0 else "E-")
     return ExpField(space, vec, (c if sign > 0 else -c), sign, label=name)
 
@@ -917,7 +912,7 @@ class DeltaRelation:
         if key != self._plan_of:
             f, cf = _unscaled(self.f)
             g, cg = _unscaled(self.g)
-            s = _native(cf * cg)
+            s = _scalar(cf * cg)
             s = None if s == 1 else s
             terms = []
             for t in self.rhs_terms:
@@ -959,7 +954,7 @@ class DeltaRelation:
             hit = term.coeff * term.a ** a
             if term.use_D:
                 hit = hit * a
-            hit = _int_if_integral(_native(hit))
+            hit = _scalar(hit)
             self._apow[key] = hit
         return hit
 

@@ -31,18 +31,22 @@ from the quadratic relation.  That relation is fockhom.pair_relation,
 read from the module itself: its twist, level 1, root data and fields.
 The twist is an autom.TwistData whose one-step root map is the theta_fn
 the module is built with (negation_theta for A1).
+The module is a D_k module (its Z-fields are C_j k_0), so
+verify_principal_relations writes relations (1)-(6), (9) and (10)
+through checks.dk_relations, the block zbridge.verify_Zk_relations
+uses too, and adds prin.7, prin.8 and prin.k_nontrivial; verify_52
+repeats the d_A relation prin.3 as prin.52.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import isqrt
 
 from . import checks
 from .autom import TwistData
-from .distops import (DeltaRelation, FockSpace, ScaledField,
-                      TruncationWindow, product_of_binomials)
+from .distops import (FockSpace, ScaledField, TruncationWindow,
+                      product_of_binomials)
 from .fockhom import KFields, pair_relation, root_pair_terms, window_states
 from .linalg import rank
 from .scalar import Cyc, cyc_root_of_unity
@@ -164,7 +168,10 @@ def verify_52(mod: PrincipalModule, window: TruncationWindow, rvecs=None,
 def verify_principal_relations(mod: PrincipalModule,
                                window: TruncationWindow, roots=None,
                                rvecs=None, entries=None):
-    """The ten defining relations on window states, exactly."""
+    """The ten defining relations on window states, exactly: the D_k
+    block checks.dk_relations (prin.1-6, 9, 10) with every k_i, i = 0..N,
+    and the multidegrees rvecs[:3] for centrality, then prin.7, prin.8
+    and prin.k_nontrivial."""
     if entries is None:
         entries = []
     if roots is None:
@@ -174,29 +181,9 @@ def verify_principal_relations(mod: PrincipalModule,
     states = window_states(mod.space, window)
     W = window.modes
     zero = mod.zero_r()
-    sample = roots[0]
-
-    # (1) Z(a, r, z) k_0(s, z^m) = Z(a, r+s, z)   (level k = 1)
-    # (2) k_0(r, z^m) k_i(s, z^m) = k_i(r+s, z^m)
-    z = partial(mod.z, sample)
-    checks.factorization(entries, "prin.1", {"beta": list(sample)},
-                         z, mod.k0, z, rvecs, states, -W)
-    for i in range(mod.N + 1):
-        ki = partial(mod.kf, i)
-        checks.factorization(entries, "prin.2", {"i": i},
-                             mod.k0, ki, ki, rvecs, states, -W)
-
-    # (3) sum_i r_i k_i + (1/m) D k_0 = 0, which is exactly (5.2)
-    for rvec in rvecs:
-        checks.run(entries, "prin.3", {"r": list(rvec)}, checks.central,
-                   mod.kf, mod.m, rvec, states, -W)
-
-    # (4) [d_0, Z] = DZ, (5) [d_0, k_j] = D k_j, (6) [d_i, k_j(r)] = r_i k_j(r)
-    for rvec in rvecs:
-        checks.run(entries, "prin.4", {"beta": list(sample), "r": list(rvec)},
-                   checks.degree_shift, mod.space, mod.z(sample, rvec),
-                   states, -W)
-        checks.derivations(entries, "prin.5", "prin.6", mod, rvec, states, -W)
+    ks = range(mod.N + 1)
+    checks.dk_relations(entries, "prin", mod, roots, rvecs, ks, rvecs[:3],
+                        states, W)
 
     # (7) the quadratic relation with binomial prefactors
     pair_rvecs = [(zero, zero)]
@@ -216,21 +203,9 @@ def verify_principal_relations(mod: PrincipalModule,
     dim_h0 = _fixed_cartan_dim(mod.rs, mod.twist)
     checks.run(entries, "prin.8", {"dim_h0": dim_h0}, bool, dim_h0 == 0)
 
-    # (9) eta-covariance: Z(b, r, w^p z) = eta Z(theta^p b, r, z), eta = 1
-    checks.eta_covariance(entries, "prin.9", lambda b: mod.z(b, zero),
-                          mod.twist, roots, states, -W)
-
-    # (10) centrality of the k fields
-    for rvec in rvecs[:3]:
-        for j in range(mod.N + 1):
-            central = DeltaRelation(mod.kf(j, rvec), mod.z(sample, zero),
-                                    [], [])
-            checks.run(entries, "prin.10", {"j": j, "r": list(rvec)},
-                       checks.holds, central, states, W)
-
     # the center acts nontrivially at desk scale
     rv = rvecs[1] if len(rvecs) > 1 else zero
-    for j in range(mod.N + 1):
+    for j in ks:
         checks.run(entries, "prin.k_nontrivial", {"j": j},
                    checks.nonzero, mod.kf(j, rv), states, -W)
     return entries

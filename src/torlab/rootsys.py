@@ -1,5 +1,8 @@
 """Simply-laced root systems, the extended lattice with its 2-cocycle,
 and the finite-dimensional Lie algebra in its Chevalley presentation.
+LinearCombination is the one linear-combination class of the algebra
+layer: GElement here and toroidal.TorElement add only their names and
+constructors.
 
 Roots are integer tuples in simple-root coordinates; the Gram matrix of
 that basis is the Cartan matrix, so (alpha, alpha) = 2 for every root.
@@ -121,16 +124,57 @@ class Lattice:
         return (0,) * self.rs.rank + tuple(rvec) + (0,) * self.N
 
 
-class GElement:
-    """Finite Cyc-linear combination of Chevalley basis symbols.
-
-    Symbols are ("x", root) and ("h", i) for the simple coroot h_i.
-    """
+class LinearCombination:
+    """Finite Cyc-linear combination of basis symbols: terms maps each
+    symbol to its nonzero coefficient.  Sums, differences, negation and
+    scale return the class of the left operand; == compares only within
+    one class and returns NotImplemented for any other operand, and the
+    combinations are mutable values, so not hashable."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            s = out.get(k)
+            s = v if s is None else s + v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.terms.items()})
+
+    def scale(self, c):
+        if not c:
+            return type(self)()
+        return type(self)({k: v * c for k, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.terms)
+
+
+class GElement(LinearCombination):
+    """Combination of Chevalley basis symbols ("x", root) and ("h", i),
+    h_i the simple coroot."""
+
+    __slots__ = ()
 
     @staticmethod
     def x(root, coeff=None) -> "GElement":
@@ -145,42 +189,6 @@ class GElement:
             if vi:
                 terms[("h", i)] = c * vi
         return GElement(terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return GElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GElement({k: -v for k, v in self.terms.items()})
-
-    def scale(self, c):
-        if not Cyc._coerce(c):
-            return GElement()
-        return GElement({k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, GElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("GElement is not hashable")
-
-    def __repr__(self):
-        return "GElement(%r)" % (self.terms,)
 
 
 class ChevalleyAlgebra:

@@ -67,7 +67,21 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _phi_deg(M: int) -> int:
-    return len(cyclotomic_poly(M)) - 1
+    """phi(M), the degree of Phi_M, from the prime factors of M: no
+    polynomial is built, so a large order costs only trial division."""
+    if M < 1:
+        raise ValueError("order must be positive")
+    out = rest = M
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        out -= out // rest
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +236,11 @@ class Cyc:
     def __init__(self, order: int, coeffs):
         co = [c if isinstance(c, (int, Fraction)) else Fraction(c)
               for c in coeffs]
-        if len(co) != _phi_deg(order):
+        # the order is an int; phi(M) >= sqrt(M / 2), so an order too
+        # large for the vector is refused before it is factored, in time
+        # bounded by the input
+        if (type(order) is not int or 2 * len(co) ** 2 < order
+                or len(co) != _phi_deg(order)):
             raise ValueError("coefficient vector has wrong length")
         den = lcm(*(c.denominator for c in co))
         v = _canon(order, [c.numerator * (den // c.denominator) for c in co],

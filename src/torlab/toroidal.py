@@ -1,6 +1,7 @@
 """The (twisted) toroidal Lie algebra and its generating-function relations.
 
-Elements are Cyc-linear combinations of
+Elements are Cyc-linear combinations (TorElement, a
+rootsys.LinearCombination) of
   loop terms     g (x) t^r0 t^rvec      (g a Chevalley basis symbol),
   central terms  t^r0 t^rvec k_i        (0 <= i <= N),
   derivations    d_i                    (0 <= i <= N),
@@ -18,52 +19,14 @@ from . import checks
 from .autom import Automorphism, TwistData, eigenspace_decompose
 from .distops import _acc
 from .fockhom import LatticeRoots, cartan_pair_terms, root_pair_terms
-from .rootsys import ChevalleyAlgebra, GElement
+from .rootsys import ChevalleyAlgebra, GElement, LinearCombination
 from .scalar import Cyc, cyc_root_of_unity
 
 
-class TorElement:
-    """Finite combination of toroidal basis symbols (already normalized)."""
+class TorElement(LinearCombination):
+    """Combination of toroidal basis symbols (already normalized)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TorElement(out)
-
-    def __sub__(self, other):
-        return self + other.scale(Cyc.rational(-1))
-
-    def __neg__(self):
-        return self.scale(Cyc.rational(-1))
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Cyc.rational(c)
-        if not c:
-            return TorElement()
-        return TorElement({k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TorElement):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __repr__(self):
-        return "TorElement(%r)" % (self.terms,)
+    __slots__ = ()
 
 
 class ToroidalAlgebra:

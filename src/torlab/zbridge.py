@@ -14,6 +14,9 @@ from the DkModule; the current relations are built here from the same
 summands, Cartan pairings and central terms (fockhom.root_pair_terms,
 cartan_pair_terms, central_terms).  Both modules carry their theta as an
 autom.TwistData, the identity one for the homogeneous module.
+verify_Zk_relations writes relations (1)-(6), (9) and (10) of D_k
+through checks.dk_relations, the block of the principal suite too,
+with k_1 alone, and adds zk.omega_closed, zk.7 and zk.8.
 """
 
 from __future__ import annotations
@@ -148,8 +151,9 @@ def omega_basis(mod: CkModule, window: TruncationWindow):
 
     Solved slice by slice with exact linear algebra: a slice is a fixed
     label and total mode degree, and the positive modes map it into
-    lower slices.  Returns (states, entries): the kernel states plus a
-    report asserting every kernel vector is a single basis state.
+    lower slices.  Returns (states, pure): the states in the supports of
+    the kernel vectors, and whether every kernel vector is a single
+    basis state.
     """
     space = mod.space
     dirs = _cartan_dirs(mod)
@@ -401,7 +405,10 @@ def check_Ck(mod: CkModule, window: TruncationWindow, roots=None,
 
 def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
                         rvecs=None, entries=None):
-    """The ten quadratic-algebra relations on the module's Omega states."""
+    """The ten quadratic-algebra relations on the module's Omega states:
+    zk.omega_closed, the D_k block checks.dk_relations (zk.1-6, 9, 10)
+    with k_1 alone and the multidegrees rvecs[:2] for centrality, then
+    zk.7 and zk.8."""
     if entries is None:
         entries = []
     if roots is None:
@@ -411,7 +418,6 @@ def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
     states = w.omega_states
     W = window.modes
     zero = w.zero_r()
-    kinv = w.k.inv()
     sample = roots[0]
 
     # closure: Z and k modes keep Omega inside Omega (no Cartan modes)
@@ -420,22 +426,8 @@ def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
     checks.run(entries, "zk.omega_closed", {}, checks.no_out, closed, states,
                -W, lambda v, n, s: any(d in cartan for d, _ in s[1]))
 
-    # (1) and (2): factorization through k_0
-    z = partial(w.z, sample)
-    k0 = partial(w.kf, 0)
-    k1 = partial(w.kf, 1)
-    checks.factorization(entries, "zk.1", {"beta": list(sample)},
-                         z, k0, z, rvecs, states, -W, kinv)
-    checks.factorization(entries, "zk.2", {"i": 1},
-                         k0, k1, k1, rvecs, states, -W, kinv)
-
-    # (3) central combination, (4)/(5) grading, (6) d_i eigenvalues
-    for rvec in rvecs:
-        checks.run(entries, "zk.3", {"r": list(rvec)},
-                   checks.central, w.kf, w.m, rvec, states, -W)
-        checks.run(entries, "zk.4", {"beta": list(sample), "r": list(rvec)},
-                   checks.degree_shift, w.space, w.z(sample, rvec), states, -W)
-        checks.derivations(entries, "zk.5", "zk.6", w, rvec, states, -W)
+    checks.dk_relations(entries, "zk", w, roots, rvecs, [1], rvecs[:2],
+                        states, W)
 
     # (7) the quadratic relation with binomial prefactors
     for b1 in roots:
@@ -453,16 +445,6 @@ def verify_Zk_relations(w: DkModule, window: TruncationWindow, roots=None,
         checks.run(entries, "zk.8", {"a": list(a), "beta": list(sample)},
                    checks.no_out, [w.z(sample, zero)], states, -W,
                    lambda v, n, s: pair(avec, s[0]) - pair(avec, v[0]) != ip)
-
-    # (9) eta-covariance
-    checks.eta_covariance(entries, "zk.9", lambda b: w.z(b, zero), w.twist,
-                          roots, states, -W)
-
-    # (10) centrality of the k fields
-    for rvec in rvecs[:2]:
-        central = DeltaRelation(w.kf(1, rvec), w.z(sample, zero), [], [])
-        checks.run(entries, "zk.10", {"j": 1, "r": list(rvec)},
-                   checks.holds, central, states, W)
     return entries
 
 

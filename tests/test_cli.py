@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import torlab
 from torlab import cli
 from torlab.cli import main
 from torlab.config import (ConfigError, RunConfig, parse_algebra,
@@ -269,6 +273,22 @@ def test_cli_error_exits(tmp_path, capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_large_cyclotomic_order_is_refused_at_once():
+    """A constant of order 65536 with a one-entry vector exits 2 at once:
+    the length is compared with phi(M) from the prime factors of M, and
+    Phi_M is never built.  Run in a subprocess so that a hang fails on
+    the timeout instead of stalling the suite."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(torlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torlab.cli", "verify", "principal",
+         "--algebra", "A1", "--window", "1,1,1", "--constants",
+         '{"1": {"order": 65536, "coeffs": ["1"]}}'],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert "config error: constants.1:" in proc.stderr
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):

@@ -10,9 +10,10 @@ from torlab.checks import default_rvecs
 from torlab.distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                             ExpField, FieldFamily, FockSpace, HeisenbergField,
                             IdentityField, ProductField, TruncationWindow,
-                            _acc, binomial_coefficient, binomial_factor,
-                            comb_scale, comb_sub, dressing_operator,
-                            partitions, product_of_binomials, series_mul)
+                            _acc, _scalar, binomial_coefficient,
+                            binomial_factor, comb_scale, comb_sub,
+                            dressing_operator, partitions,
+                            product_of_binomials, series_mul)
 from torlab.fockhom import HomogeneousModule, window_states
 from torlab.fockprin import PrincipalModule, negation_theta
 from torlab.rootsys import build_root_system
@@ -47,6 +48,27 @@ def test_binomial_factor_examples():
     # product over factors multiplies exponents
     assert (product_of_binomials([(1, Cyc.one()), (1, Cyc.one())], 5)
             == binomial_factor(2, 1, 5))
+
+
+def test_one_scalar_rule():
+    """_scalar gives an int for an integral rational, a Fraction for any
+    other rational and the Cyc itself otherwise; comb_scale hands back
+    its argument at a unit scale."""
+    i = cyc_root_of_unity(4, 1)
+    for x, want, kind in [(3, 3, int), (Fraction(6, 2), 3, int),
+                          (Fraction(1, 2), Fraction(1, 2), Fraction),
+                          (Cyc.rational(4), 4, int),
+                          (Cyc.rational(Fraction(-1, 3)), Fraction(-1, 3),
+                           Fraction),
+                          (i, i, Cyc)]:
+        got = _scalar(x)
+        assert got == want and type(got) is kind
+    assert _scalar(i) is i
+    image = {1: 2, 5: Fraction(1, 3)}
+    for one in (1, Fraction(1), Cyc.one()):
+        assert comb_scale(image, one) is image
+    assert comb_scale(image, Fraction(2)) == {1: 4, 5: Fraction(2, 3)}
+    assert type(comb_scale(image, Fraction(2))[1]) is int
 
 
 def test_partition_counts():

@@ -72,6 +72,8 @@ RUNS = [
     (["verify", "principal", "--algebra", "A1", "--n", "2",
       "--solve-constants", "--window", "4,3,1"], 0,
      "524b16f48d347579777880a3049f658f5395adbf3f17fbaf1a66471978c8af5e"),
+    (["verify", "zalg", "--algebra", "A1", "--n", "2", "--window", "1,1,1"],
+     0, "7db5ed2dc1b5018f4fe4d56b42fa559df024706b5e1b73b728bd9943c5bc79b7"),
     (["verify", "roundtrip", "--algebra", "A1", "--n", "2",
       "--window", "1,1,1"], 0,
      "aab604cd8053bae2de996fb24c3ab5dd7e6714906a1398e9f5dc42bf8b3600cf"),

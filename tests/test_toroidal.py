@@ -3,7 +3,8 @@ from fractions import Fraction
 
 from test_autom import coxeter_lift_a2
 from torlab.autom import diagram_automorphism, identity_automorphism
-from torlab.rootsys import ChevalleyAlgebra, GElement, build_root_system
+from torlab.rootsys import (ChevalleyAlgebra, GElement, LinearCombination,
+                            build_root_system)
 from torlab.scalar import Cyc, cyc_root_of_unity
 from torlab.toroidal import (GeneratingRelationVerifier, TorElement,
                              ToroidalAlgebra, apply_loop_automorphism)
@@ -144,6 +145,24 @@ def test_generating_relations_on_the_coxeter_lift_of_a2():
     assert not bad, bad[:3]
     pairs = [e for e in entries if e[0] in ("1.5(1)", "1.5(2)", "1.5(3)")]
     assert len(pairs) == 3 * 6 * 6 * 5 * 5
+
+
+def test_both_element_classes_take_their_operations_from_one_class():
+    """GElement and TorElement define none of the operations of
+    LinearCombination, and each operation returns the operand's class."""
+    shared = {"__init__", "__add__", "__sub__", "__neg__", "scale",
+              "is_zero", "__eq__", "__repr__"}
+    g = GElement.x((1,))
+    t = TorElement({("d", 0): Cyc.one()})
+    for el in (g, t):
+        cls = type(el)
+        assert issubclass(cls, LinearCombination)
+        assert not shared & set(vars(cls))
+        for got in (el + el, el - el, -el, el.scale(2), el.scale(0)):
+            assert type(got) is cls
+        assert repr(el.scale(0)) == cls.__name__ + "({})"
+    assert (g + g).terms == {("x", (1,)): Cyc.rational(2)}
+    assert (t - t).is_zero() and t.scale(Fraction(1, 2)) != t
 
 
 def test_tor_element_equality_with_a_foreign_operand_is_false():
