@@ -183,7 +183,7 @@ class FockSpace:
     Images are dicts {sid: coefficient}.  The space also keeps the
     expansion of each E^+- dressing it meets, once per (sign, c, vec):
     dressing(sign, c, vec) hands every ExpField with that data the same
-    memo and term lists.
+    index, memo, term lists and product memo (see _view_products).
     """
 
     def __init__(self, gram, heis_dirs, mode_scale=1, weight=1):
@@ -206,7 +206,7 @@ class FockSpace:
         self._shifted = {}    # vec -> {lid: lid'}
         self._label_pairs = {}  # vec -> {lid: (vec, label)}
         self._annihilatable = {}  # vec -> {mid: bound}
-        self._dressings = {}  # (sign, c, vec) -> (memo, terms) of E^sign
+        self._dressings = {}  # (sign, c, vec) -> (index, memo, terms, products)
 
     # -- state ids ---------------------------------------------------------
 
@@ -314,14 +314,16 @@ class FockSpace:
         return hit
 
     def dressing(self, sign, c, vec):
-        """(memo, terms) of the dressing E^sign(c, vec) (see ExpField),
-        one pair per distinct dressing of the space, so every ExpField
-        built with equal data reads and fills one expansion.  Plain
-        dicts, with no reference back to a field."""
+        """(index, memo, terms, products) of the dressing E^sign(c, vec)
+        (see ExpField), one per distinct dressing of the space, so every
+        ExpField built with equal data reads and fills one expansion and
+        one product memo.  The index numbers the dressings of the space;
+        the rest are plain dicts, with no reference back to a field."""
         key = (sign, c, vec)
         hit = self._dressings.get(key)
         if hit is None:
-            hit = self._dressings[key] = ({}, {0: [(0, 1)]})
+            hit = self._dressings[key] = (
+                len(self._dressings), {}, {0: [(0, 1)]}, {})
         return hit
 
     def annihilatable(self, sid, vec) -> int:
@@ -546,9 +548,34 @@ class FieldFamily:
 
 
 class RelabelledView(FieldFamily):
-    """A field that overrides mode_parts to return another field's
-    memoized image with its label bits and sign, and keeps no memo: its
-    mode_memo and mode_state build the relabelled image on demand."""
+    """A field whose image is the zero-label image of an E^- dressing em
+    (an ExpField of sign -1) with a label and a sign put on.  A subclass
+    sets em and gives view(lid) -> (e, label_bits, sign) per input label
+    lid: mode n of a state with that label is em's mode n - e on the
+    state's modes, with label_bits and sign put on, and empty above e.
+    mode_parts and max_mode read view and em, one call deep, and the
+    view keeps no memo: its mode_memo and mode_state build the
+    relabelled image on demand.
+
+    A DeltaRelation whose two operands both read through this mode_parts
+    takes their products from the mode-level product memo of the outer
+    dressing (_view_products), which depends on the two dressings, the
+    two modes of em and the input modes only; a subclass that overrides
+    mode_parts is swept through the general product loop."""
+
+    em = None
+
+    def view(self, lid):
+        raise NotImplementedError
+
+    def max_mode(self, sid):
+        return self.view(sid >> MODE_BITS)[0]
+
+    def mode_parts(self, n, sid):
+        e, hi, sign = self.view(sid >> MODE_BITS)
+        if n > e:
+            return hi, sign, {}
+        return hi, sign, self.em.mode_memo(n - e, sid & MODE_MASK)
 
     def mode_memo(self, n, sid):
         hi, sign, image = self.mode_parts(n, sid)
@@ -577,10 +604,12 @@ class IdentityField(FieldFamily):
 
 
 class ScaledField(FieldFamily):
-    """coeff times a field.  Its own memo holds the scaled images, which
-    checks read mode by mode; a DeltaRelation sweeps the base instead and
-    puts the coefficient on once per relation (see there), so an integer
-    field scaled by any constant is swept in int arithmetic."""
+    """coeff times a field.  It stores no image: mode_parts scales the
+    base's parts and mode_memo the base's image on each read, so a view
+    base is scaled without a relabelled copy.  A DeltaRelation sweeps the
+    base instead and puts the coefficient on once per relation (see
+    there), so an integer field scaled by any constant is swept in int
+    arithmetic."""
 
     def __init__(self, base, coeff):
         super().__init__()
@@ -590,8 +619,14 @@ class ScaledField(FieldFamily):
         self.label = base.label
         self.space = base.space
 
-    def mode_state(self, n, sid):
+    def mode_parts(self, n, sid):
+        hi, sign, image = self.base.mode_parts(n, sid)
+        return hi, sign, comb_scale(image, self.coeff)
+
+    def mode_memo(self, n, sid):
         return comb_scale(self.base.mode_memo(n, sid), self.coeff)
+
+    mode_state = mode_memo
 
     def max_mode(self, sid):
         return self.base.max_mode(sid)
@@ -709,11 +744,11 @@ class ExpField(FieldFamily):
     (where sid == mid).  Every other label is a view of that expansion:
     mode_parts gives the zero-label image with the state's label bits,
     and only a direct mode_memo call on a labelled state stores a
-    relabelled copy.  The memo and the term lists belong to the space
-    (FockSpace.dressing), one pair per (sign, c, vec), so the fields of
-    equal dressings built by separate composites expand it once.  An
-    integral c is stored as an int, so 1 and Fraction(1) name one
-    dressing, expanded in int.
+    relabelled copy.  The memo, the term lists and the product memo of
+    _view_products belong to the space (FockSpace.dressing), one set per
+    (sign, c, vec), so the fields of equal dressings built by separate
+    composites expand it once.  An integral c is stored as an int, so 1
+    and Fraction(1) name one dressing, expanded in int.
     """
 
     def __init__(self, space: FockSpace, vec, c, sign: int, label="E"):
@@ -727,7 +762,8 @@ class ExpField(FieldFamily):
         self._factors = self.vec if self.sign < 0 else [
             space.mode_scale * p for p in space.dir_pairs(self.vec)]
         self._dirs = [d for d in space.heis_dirs if self._factors[d]]
-        self._memo, self._terms = space.dressing(self.sign, self.c, self.vec)
+        self._did, self._memo, self._terms, self._products = space.dressing(
+            self.sign, self.c, self.vec)
 
     def max_mode(self, sid):
         if self.sign < 0:
@@ -814,7 +850,14 @@ def _products(sid, outer, inner, modes):
     key is w | label_bits of the inner parts, each output key
     k | label_bits of the outer parts, and the inner coefficient flips
     where the two signs differ.  Keys come, and sums group, as in the
-    product of the relabelled images, so no witness moves."""
+    product of the relabelled images, so no witness moves.
+
+    Where both fields are RelabelledViews read through its mode_parts,
+    a sweep calls _view_products instead.  It takes each cell from a
+    memo on the outer E^- dressing, keyed by (inner dressing, the two
+    dressing modes, the input's modes), and puts the outer label bits
+    and the product of the two signs on as it reads: the same cells,
+    byte for byte, since one cell's intermediate states share a label."""
     cells = []
     for p, n_outer, n_inner in modes:
         hi_in, sign_in, mid = inner(n_inner, sid)
@@ -832,8 +875,58 @@ def _products(sid, outer, inner, modes):
                     prev = acc.get(k)
                     vv = v * cw
                     acc[k] = vv if prev is None else prev + vv
-        items = tuple((k, v) for k, v in acc.items() if v)
+        items = tuple([(k, v) for k, v in acc.items() if v])
         if items:
+            cells.append((p, items))
+    return cells
+
+
+def _view_products(sid, outer, inner, modes):
+    """The cells of _products for two RelabelledView fields outer and
+    inner, each read from the product memo of the outer dressing.
+
+    With (e_i, hi_i, s_i) the inner view of sid's label and
+    (e_o, hi_o, s_o) the outer view of the label hi_i, a cell is the
+    product em_o(n_outer - e_o) em_i(n_inner - e_i) of the two zero-label
+    dressings on sid's modes, with hi_o put on each key and the sign
+    s_o s_i on each coefficient.  The memo is held by em_o (shared by
+    every field of that dressing, never by a view) and keyed by
+    (em_i's dressing index, n_outer - e_o, n_inner - e_i,
+    sid & MODE_MASK); it is filled by the accumulation of _products on
+    the zero label.  Witnesses keep their bytes: every intermediate
+    state of one cell carries the label hi_i, so k | hi_o is injective
+    and keeps the order of the keys, and s_o s_i multiplies the whole
+    exact sum.  Above a view's cap e the image is empty, as in
+    mode_parts, and nothing is stored."""
+    e_i, hi_i, s_i = inner.view(sid >> MODE_BITS)
+    e_o, hi_o, s_o = outer.view(hi_i >> MODE_BITS)
+    em_o = outer.em
+    em_i = inner.em
+    memo = em_o._products
+    did = em_i._did
+    mid = sid & MODE_MASK
+    flip = s_o != s_i
+    cells = []
+    for p, n_outer, n_inner in modes:
+        m_o = n_outer - e_o
+        m_i = n_inner - e_i
+        if m_o > 0 or m_i > 0:
+            continue
+        key = (did, m_o, m_i, mid)
+        items = memo.get(key)
+        if items is None:
+            acc = {}
+            for w, cw in em_i.mode_memo(m_i, mid).items():
+                for k, v in em_o.mode_memo(m_o, w).items():
+                    prev = acc.get(k)
+                    vv = v * cw
+                    acc[k] = vv if prev is None else prev + vv
+            items = memo[key] = tuple([(k, v) for k, v in acc.items() if v])
+        if items:
+            if flip:
+                items = tuple([(k | hi_o, -v) for k, v in items])
+            elif hi_o:
+                items = tuple([(k | hi_o, v) for k, v in items])
             cells.append((p, items))
     return cells
 
@@ -905,9 +998,11 @@ class DeltaRelation:
         self._plan = None
 
     def _sweep_plan(self):
-        """(f, g, s, terms): the operands as swept, the factored constant
-        s (None when it is 1) and the delta terms as swept, their
-        coefficients divided by s."""
+        """(f, g, s, terms, views): the operands as swept, the factored
+        constant s (None when it is 1), the delta terms as swept, their
+        coefficients divided by s, and whether both operands read through
+        RelabelledView.mode_parts, so that their products come from
+        _view_products."""
         key = (self.f, self.g, self.rhs_terms)
         if key != self._plan_of:
             f, cf = _unscaled(self.f)
@@ -921,19 +1016,24 @@ class DeltaRelation:
                 terms.append(DeltaTerm(c if s is None else Cyc._coerce(c) / s,
                                        t.a, h, t.use_D))
             self._plan_of = key
-            self._plan = f, g, s, terms
+            views = (type(f).mode_parts is RelabelledView.mode_parts
+                     and type(g).mode_parts is RelabelledView.mode_parts)
+            self._plan = f, g, s, terms, views
             self._apow = {}
         return self._plan
 
     def cutoff(self, sid):
-        """Bound C with: every coefficient at z1^a z2^b with a + b > C is
-        zero on this state, on both sides.  Needs .shift on both fields."""
-        f, g, _s, terms = self._sweep_plan()
-        caps = [t.field.max_mode(sid) for t in terms]
+        """(C, term caps): every coefficient at z1^a z2^b with a + b > C
+        is zero on this state, on both sides, and the term caps are the
+        max_mode of each swept delta term.  Needs .shift on both
+        fields."""
+        f, g, _s, terms, _views = self._sweep_plan()
+        tcaps = [t.field.max_mode(sid) for t in terms]
+        caps = list(tcaps)
         for first, second in ((f, g), (g, f)):
             shifted = self.space.shifted(sid, second.shift)
             caps.append(first.max_mode(shifted) + second.max_mode(sid))
-        return max(caps)
+        return max(caps), tcaps
 
     def _coefs(self, nmax):
         """The factor product's coefficients to at least u^nmax, from the
@@ -969,29 +1069,32 @@ class DeltaRelation:
         names its state and output states as tuples.
         """
         sid = self.space.sid(state)
-        f, g, scale, terms = self._sweep_plan()
-        cut = min(2 * W, self.cutoff(sid))
+        f, g, scale, terms, views = self._sweep_plan()
+        cut, tcaps = self.cutoff(sid)
+        cut = min(2 * W, cut)
         gmax = g.max_mode(sid)
         fmax = f.max_mode(sid)
-        fmode = f.mode_parts
-        gmode = g.mode_parts
+        if views:
+            products, fmode, gmode = _view_products, f, g
+        else:
+            products, fmode, gmode = _products, f.mode_parts, g.mode_parts
         for S in range(-2 * W, cut + 1):
             amin = max(-W, S - W)
             amax = min(W, S + W)
             p1lo = S - gmax
             coef = self._coefs(max(amax - p1lo, fmax - amin, 0))
-            cells1 = _products(sid, fmode, gmode, [
+            cells1 = products(sid, fmode, gmode, [
                 (p, p, S - p) for p in range(p1lo, amax + 1)])
-            cells2 = _products(sid, gmode, fmode, [
+            cells2 = products(sid, gmode, fmode, [
                 (p, S - p, p) for p in range(amin, fmax + 1)])
             rhs_cells = []
             for ti, term in enumerate(terms):
-                if S <= term.field.max_mode(sid):
+                if S <= tcaps[ti]:
                     hi, sign, cell = term.field.mode_parts(S, sid)
                     if cell:
-                        rhs_cells.append((ti, term, tuple(
+                        rhs_cells.append((ti, term, tuple([
                             (k | hi, v if sign > 0 else -v)
-                            for k, v in cell.items())))
+                            for k, v in cell.items()])))
             if not (cells1 or cells2 or rhs_cells):
                 continue
             for a in range(amin, amax + 1):

@@ -35,9 +35,13 @@ dressing of the space (distops.ExpField).  X(delta_r) and Z(alpha, r)
 are views of the E^-(delta_r) memo (distops.RelabelledView): mode_parts
 returns the zero-label image with the label bits of the final label,
 lambda + delta_r or lambda + delta_r + alpha, and Z's cocycle sign, read
-from per-label caches; a dressing's own labelled images are views the
-same way.  The sweeps and ProductField put label and sign on each output
-id as they accumulate, so no relabelled copy of a dressing is kept.
+from a per-label cache (view); a dressing's own labelled images are
+views the same way.  The sweeps and ProductField put label and sign on
+each output id as they accumulate, so no relabelled copy of a dressing
+is kept.  The quadratic Z-relation of every root pair multiplies the
+same E^-(delta_r) E^-(delta_s) images on the modes of a state, so its
+sweep reads each such product from one memo of the outer dressing
+(distops._view_products).
 
 The bracket of two root fields is written once, for every picture:
 root_pair_terms gives its binomial prefactors and its summands over
@@ -59,8 +63,8 @@ from functools import partial
 
 from . import checks
 from .autom import TwistData
-from .distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
-                      ExpField, FieldFamily, FockSpace, RelabelledView,
+from .distops import (MODE_BITS, DeltaRelation, DeltaTerm, ExpField,
+                      FieldFamily, FockSpace, RelabelledView,
                       TruncationWindow, _acc, partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
 from .scalar import Cyc
@@ -157,8 +161,9 @@ class VertexXField(RelabelledView):
     E^-(delta, z^w).  E^+ is the identity because delta pairs to zero
     with every mode the space carries.
 
-    A view: mode n of a state is the zero-label E^- image at n minus
-    the exponent, with the label bits of label + delta put on."""
+    A view: view(lid) is (-w(delta, label), label bits of
+    label + delta, 1), and mode n of a state is the zero-label E^- image
+    at n minus that exponent, with those label bits put on."""
 
     def __init__(self, space: FockSpace, vec, label):
         super().__init__()
@@ -167,27 +172,16 @@ class VertexXField(RelabelledView):
         self.shift = self.vec
         self.label = label
         self.em = ExpField(space, self.vec, 1, -1)
-        self._base = {}
+        self._views = {}
 
-    def base(self, lid):
-        """(z-exponent -w(delta, label), label bits of label + delta) of
-        the label lid."""
-        hit = self._base.get(lid)
+    def view(self, lid):
+        hit = self._views.get(lid)
         if hit is None:
             space = self.space
-            hit = self._base[lid] = (
+            hit = self._views[lid] = (
                 -space.weight * int(space.label_pair(self.vec, lid)),
-                space.shifted(lid << MODE_BITS, self.vec))
+                space.shifted(lid << MODE_BITS, self.vec), 1)
         return hit
-
-    def max_mode(self, sid):
-        return self.base(sid >> MODE_BITS)[0]
-
-    def mode_parts(self, n, sid):
-        e, hi = self.base(sid >> MODE_BITS)
-        if n > e:
-            return hi, 1, {}
-        return hi, 1, self.em.mode_memo(n - e, sid & MODE_MASK)
 
 
 class HeisTimesXField(FieldFamily):
@@ -228,9 +222,10 @@ class ZField(RelabelledView):
     """Z(alpha, r, z) = Z(alpha, 0, z) k_0(r, z); the alpha-part is a pure
     lattice operator, so each input state meets exactly one split.
 
-    A view: mode n of a state is the zero-label E^-(delta_r) image of
-    k_0 = X(delta_r) at n minus both z-exponents, with the label bits of
-    lambda + delta_r + alpha and the cocycle sign put on."""
+    A view: view(lid) is (the z-exponent of both parts, label bits of
+    lambda + delta_r + alpha, cocycle sign), and mode n of a state is the
+    zero-label E^-(delta_r) image of k_0 = X(delta_r) at n minus that
+    exponent, with the label bits and the sign put on."""
 
     def __init__(self, mod: HomogeneousModule, alpha, rvec):
         super().__init__()
@@ -243,32 +238,20 @@ class ZField(RelabelledView):
         self.shift = tuple(a + b for a, b in zip(self.avec, self.x.shift))
         self.label = "Z" + repr(self.alpha) + repr(tuple(rvec))
         self._half = int(mod.space.pair(self.avec, self.avec)) // 2
-        self._labels = {}
+        self._views = {}
 
-    def _label(self, lid):
-        """(z-exponent of both parts, label bits of the output label,
-        cocycle sign) of the label lid."""
-        hit = self._labels.get(lid)
+    def view(self, lid):
+        hit = self._views.get(lid)
         if hit is None:
             space = self.space
             # the lattice part reads the post-shift label, and
             # (alpha, delta_r) = 0 makes that shift invisible
             zexp = -int(space.label_pair(self.avec, lid)) - self._half
-            hit = self._labels[lid] = (
-                zexp + self.x.base(lid)[0],
+            hit = self._views[lid] = (
+                zexp + self.x.view(lid)[0],
                 space.shifted(lid << MODE_BITS, self.shift),
                 self.lat.eps(self.avec, space.label_of(lid)))
         return hit
-
-    def max_mode(self, sid):
-        # both parts read the label only
-        return self._label(sid >> MODE_BITS)[0]
-
-    def mode_parts(self, n, sid):
-        e, hi, sign = self._label(sid >> MODE_BITS)
-        if n > e:
-            return hi, sign, {}
-        return hi, sign, self.em.mode_memo(n - e, sid & MODE_MASK)
 
 
 class ZeroModeTimesField(FieldFamily):

@@ -291,6 +291,24 @@ def test_large_cyclotomic_order_is_refused_at_once():
     assert "config error: constants.1:" in proc.stderr
 
 
+def test_cyclotomic_order_above_the_bound_is_refused():
+    """A well-formed constant of order 4096 (2048 coefficients, phi(4096))
+    exits 2 at once: config refuses an order above 1024 before the Cyc
+    is built, which takes about 12 s at this order.  Run in a subprocess
+    so that a stall fails on the timeout instead of stalling the suite."""
+    coeffs = ["1"] + ["0"] * 2046 + ["1"]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(torlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torlab.cli", "verify", "principal",
+         "--algebra", "A1", "--window", "1,1,1", "--constants",
+         json.dumps({"1": {"order": 4096, "coeffs": coeffs}})],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert "config error: constants.1:" in proc.stderr
+    assert "1024" in proc.stderr
+
+
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     """An exception that is neither a config error nor a finding is a bug:
     exit 3 with the traceback on stderr, and no report.  A path that is

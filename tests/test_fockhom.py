@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from field_oracle import Tuples, check_state, comb_eq, ref_vertex
+from torlab import distops
 from torlab.checks import default_rvecs, fields_equal, holds, nonzero
-from torlab.distops import (DeltaRelation, HeisenbergField, ProductField,
-                            TruncationWindow, comb_scale, comb_sub)
+from torlab.distops import (MODE_BITS, DeltaRelation, HeisenbergField,
+                            ProductField, TruncationWindow, _products,
+                            _view_products, comb_scale, comb_sub)
 from torlab.fockhom import (HeisTimesXField, HomogeneousModule,
                             VertexXField, ZField, pair_relation, verify_33,
                             verify_center_hom, verify_products_hom,
@@ -301,3 +303,57 @@ def test_views_store_no_images():
             if isinstance(val, dict):
                 assert len(val) <= labels, (f.label, attr)
     assert all(f.em._memo for f in views)
+
+
+def test_view_products_are_the_general_products():
+    """On A2 at (2, 2, 1), for every ordered pair of Z views with r and s
+    in default_rvecs, every window state and every mode pair from -2W to
+    one above each view's cap, the cells _view_products takes from the
+    product memo are those of the general loop _products: the same keys
+    in the same order with the same values, both when a call fills the
+    memo and when it only reads it.  Some nonempty cell has the sign -1."""
+    mod = _a2()
+    win = TruncationWindow(2, 2, 1)
+    W = win.modes
+    rvecs = default_rvecs(mod.N)
+    views = [mod.z(a, r) for a in mod.rs.roots for r in rvecs]
+    signs = set()
+    for v in window_states(mod.space, win):
+        sid = mod.space.sid(v)
+        for outer in views:
+            for inner in views:
+                e_i, hi_i, s_i = inner.view(sid >> MODE_BITS)
+                e_o, _hi_o, s_o = outer.view(hi_i >> MODE_BITS)
+                modes = [(p, n_o, n_i) for p, (n_o, n_i) in enumerate(
+                    (a, b) for a in range(-2 * W, e_o + 2)
+                    for b in range(-2 * W, e_i + 2))]
+                want = _products(sid, outer.mode_parts, inner.mode_parts,
+                                 modes)
+                assert _view_products(sid, outer, inner, modes) == want
+                assert _view_products(sid, outer, inner, modes) == want
+                if want:
+                    signs.add(s_o * s_i)
+    assert signs == {1, -1}
+
+
+def test_a_sweep_stores_one_product_per_mode_triple(monkeypatch):
+    """One verify_33 sweep of A2 at (2, 2, 1) reads 187,888 nonempty
+    product cells and stores 1,725 mode-level products on its E^-
+    dressings, one per (inner dressing, outer mode, inner mode, input
+    modes) it met."""
+    mod = _a2()
+    read = []
+    fill = distops._view_products
+
+    def counted(sid, outer, inner, modes):
+        cells = fill(sid, outer, inner, modes)
+        read.append(len(cells))
+        return cells
+
+    monkeypatch.setattr(distops, "_view_products", counted)
+    entries = verify_33(mod, TruncationWindow(2, 2, 1))
+    assert entries and all(e[2] == "pass" for e in entries)
+    stored = sum(len(products) for _index, _memo, _terms, products
+                 in mod.space._dressings.values())
+    assert sum(read) == 187888
+    assert stored == 1725

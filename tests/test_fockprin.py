@@ -103,6 +103,19 @@ def test_relations_pass_with_solved_constant():
     assert all(e[2] == "pass" for e in entries if e[0] == "prin.k_nontrivial")
 
 
+def test_scaled_fields_store_no_images():
+    """After the principal relations at the solved constant, no Z =
+    C k_0 (a ScaledField) keeps an image: each read scales the image of
+    k_0, which keeps none either."""
+    mod = _mod()
+    mod.set_constants(solve_prin_constants(mod, WIN)[0])
+    entries = verify_principal_relations(mod, WIN)
+    assert entries and all(e[2] == "pass" for e in entries)
+    scaled = [f for f in mod._fields.values() if isinstance(f, ScaledField)]
+    assert scaled
+    assert all(f._memo == {} for f in scaled)
+
+
 def test_prin8_needs_a_trivial_fixed_cartan():
     """With theta the identity the fixed Cartan is all of h (dim 1 on
     A1), so relation (8) cannot be left out; negation fixes nothing."""
