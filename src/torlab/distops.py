@@ -61,11 +61,9 @@ def binomial_coefficient(c, n: int):
 
 
 def binomial_factor(c, a, nmax: int):
-    """Coefficients of (1 - a*u)^c in u^0..u^nmax, c an exact rational.
-
-    Nonnegative integer c terminates exactly (higher coefficients are 0).
-    Coefficients stay plain Fractions unless a is irrational.
-    """
+    """Coefficients of (1 - a*u)^c in u^0..u^nmax, c an exact rational:
+    plain Fractions unless a is irrational, 0 past a nonnegative
+    integer c."""
     c = Fraction(c)
     a = _scalar(a)
     out = []
@@ -87,10 +85,8 @@ def series_mul(s1, s2, nmax: int):
 
 
 def product_of_binomials(factors, nmax: int):
-    """Expansion of prod (1 - a*u)^c over (c, a) pairs, to u^nmax.
-
-    Integral coefficients come back as int, so that relations with
-    integer exponents keep their sweeps in integer arithmetic."""
+    """Expansion of prod (1 - a*u)^c over (c, a) pairs, to u^nmax, with
+    integral coefficients as int."""
     out = [1] + [0] * nmax
     for c, a in factors:
         out = series_mul(out, binomial_factor(c, a, nmax), nmax)
@@ -98,10 +94,9 @@ def product_of_binomials(factors, nmax: int):
 
 
 def _scalar(x):
-    """The one scalar rule of the sweeps: x as an int when it is an
-    integral rational, as a Fraction when it is any other rational (an
-    int, a Fraction or a Cyc at order 1, where every rational Cyc is
-    stored), and otherwise the Cyc x itself."""
+    """The one scalar rule of the sweeps: a rational x (an int, a Fraction
+    or a Cyc at order 1) as an int when integral and a Fraction
+    otherwise, any other Cyc as it is."""
     if isinstance(x, Cyc):
         if x.order != 1:
             return x
@@ -164,26 +159,13 @@ class FockSpace:
     combination vanishes in both bases or in neither.
 
     Inside the fields every state is an int id, sid = (lid << 32) | mid,
-    which hashes without walking a nested tuple.  The space interns each
-    label as a lid and each mode multiset as a mid the first time it
-    meets them; sid(state) and state_of(sid) convert at the boundaries
-    (window states in, witnesses out).  Ids are never compared or sorted,
-    so the order in which they are handed out cannot reach a result.
-    What the fields do to a state is read from cached transitions:
-
-      created(mid, d, j)   -> (mid', multiplicity of (d, j) in mid')
-      removable(mid)       -> ((d, j, count, mid'), ...) per distinct mode
-      joined(mid, mid2)    -> mid of the union of two multisets
-      removed(mid, mid2)   -> mid of the difference, None unless mid2 in mid
-      z(mid)               -> z_lambda
-      shifted(sid, vec)    -> sid with vec added to its label
-      label_pair(vec, lid) -> (vec, label)
-      annihilatable(sid, vec)
-
-    Images are dicts {sid: coefficient}.  The space also keeps the
-    expansion of each E^+- dressing it meets, once per (sign, c, vec):
-    dressing(sign, c, vec) hands every ExpField with that data the same
-    index, memo, term lists and product memo (see _view_products).
+    the label and the mode multiset interned on first meeting; sid(state)
+    and state_of(sid) convert at the boundaries.  Ids are never compared
+    or sorted, so the order in which they are handed out cannot reach a
+    result.  What the fields do to a state is read from the cached
+    transitions below, and images are dicts {sid: coefficient}.  The
+    space also keeps the expansion of each E^+- dressing it meets, once
+    per (sign, c, vec) (dressing).
     """
 
     def __init__(self, gram, heis_dirs, mode_scale=1, weight=1):
@@ -314,11 +296,9 @@ class FockSpace:
         return hit
 
     def dressing(self, sign, c, vec):
-        """(index, memo, terms, products) of the dressing E^sign(c, vec)
-        (see ExpField), one per distinct dressing of the space, so every
-        ExpField built with equal data reads and fills one expansion and
-        one product memo.  The index numbers the dressings of the space;
-        the rest are plain dicts, with no reference back to a field."""
+        """(index, memo, terms, products) of the dressing E^sign(c, vec),
+        shared by every ExpField built with equal data: the index numbers
+        the dressings of the space, the rest are plain dicts."""
         key = (sign, c, vec)
         hit = self._dressings.get(key)
         if hit is None:
@@ -447,16 +427,12 @@ def comb_sub(a, b):
 
 def witness_difference(space, state, diff):
     """The "difference" of a failing witness: sorted (repr(key),
-    repr(coefficient)) pairs of the nonzero coefficients in diff, the
-    image {sid: coefficient} of one input state, each key written as
-    its (label, modes) tuple.
-
-    Coefficients are read in the monomial basis p_lambda = z_lambda
-    b_lambda (the coefficient of out in the image of state is multiplied
-    by z_state / z_out), and written by value as the repr of a Cyc, such
-    as Cyc(1/2) or Cyc(1/4*z4^1), so a witness reads the same whether the
-    sweep kept its scalars as int, Fraction or Cyc.
-    """
+    repr(coefficient)) pairs of the nonzero coefficients of diff, the
+    image {sid: coefficient} of one input state, each key written as its
+    (label, modes) tuple.  Coefficients are read in the monomial basis
+    p_lambda = z_lambda b_lambda (times z_state / z_out) and written by
+    value as the repr of a Cyc, such as Cyc(1/4*z4^1), whether the sweep
+    kept them as int, Fraction or Cyc."""
     zin = space.z(space.mid(tuple(state[1])))
     out = []
     for k, v in diff.items():
@@ -480,28 +456,19 @@ class FieldFamily:
 
     Subclasses implement mode_state(n, sid) and max_mode(sid) on state
     ids of their FockSpace; modes above max_mode annihilate the state.
-    Results are memoized, which is what makes the bivariate sweeps
-    affordable: mode_memo keeps one row per sid, its max_mode and its
-    images indexed by n.  A mode above max_mode is answered with an
-    empty image and stores nothing.
+    mode_memo keeps one row per sid, its max_mode and its images indexed
+    by n, and stores nothing above max_mode.  Composite fields also keep
+    their mode caps per state.  Both caches are exact: a cap or an image
+    is a pure function of the state, as a field is not changed once
+    built, and a composite merges each finished image into its output in
+    turn, as comb_add groups it: where a sum cancels orders its keys.
 
-    Composite fields also keep their mode caps per state.  Two rules keep
-    both kinds of cache exact: a cap or an image is a pure function of
-    the state, because a field is not changed once built; and a composite
-    that sums several images merges each finished image into its output
-    in turn, with the grouping comb_add gives: where a sum cancels
-    decides the order of its keys.
-
-    mode_parts(n, sid) gives the image as (label_bits, sign, image): the
-    image of sid is {label_bits | k: sign * c for k, c in image}, in the
-    order of image.  Here it is (0, 1, mode_memo(n, sid)).  A view
-    (RelabelledView) is a field whose image is another field's memoized
-    image with a label and a sign put on; it returns those parts and
-    stores no image of its own.  An E^+- dressing (ExpField) is read the
-    same way on a labelled state: its parts are the zero-label image and
-    the state's label bits.  mode, ProductField and the product loop of
-    check_window read every factor through mode_parts and put the label
-    and sign on as they accumulate, so no relabelled image is stored.
+    mode_parts(n, sid) gives the image as (label_bits, sign, image),
+    meaning {label_bits | k: sign * c for k, c in image} in the order of
+    image, whose keys carry no label where label_bits is not 0.  Here it
+    is (0, 1, mode_memo(n, sid)); a view (RelabelledView), and an ExpField
+    on a labelled state, return a zero-label image and store no
+    relabelled copy.
     """
 
     label = "field"
@@ -548,20 +515,15 @@ class FieldFamily:
 
 
 class RelabelledView(FieldFamily):
-    """A field whose image is the zero-label image of an E^- dressing em
-    (an ExpField of sign -1) with a label and a sign put on.  A subclass
-    sets em and gives view(lid) -> (e, label_bits, sign) per input label
-    lid: mode n of a state with that label is em's mode n - e on the
-    state's modes, with label_bits and sign put on, and empty above e.
-    mode_parts and max_mode read view and em, one call deep, and the
-    view keeps no memo: its mode_memo and mode_state build the
-    relabelled image on demand.
-
-    A DeltaRelation whose two operands both read through this mode_parts
-    takes their products from the mode-level product memo of the outer
-    dressing (_view_products), which depends on the two dressings, the
-    two modes of em and the input modes only; a subclass that overrides
-    mode_parts is swept through the general product loop."""
+    """The zero-label image of an E^- dressing em (an ExpField of sign
+    -1) with a label and a sign put on.  A subclass sets em and gives
+    view(lid) -> (e, label_bits, sign) per input label lid, label_bits
+    those of the label plus shift: mode n of a state with that label is
+    em's mode n - e on its modes, with label_bits and sign put on, and
+    empty above e.  The view keeps no memo; mode_memo builds the
+    relabelled image on demand.  A DeltaRelation on two fields that read
+    through this mode_parts is folded (check_window); a subclass that
+    overrides mode_parts is swept through _products."""
 
     em = None
 
@@ -604,12 +566,10 @@ class IdentityField(FieldFamily):
 
 
 class ScaledField(FieldFamily):
-    """coeff times a field.  It stores no image: mode_parts scales the
-    base's parts and mode_memo the base's image on each read, so a view
-    base is scaled without a relabelled copy.  A DeltaRelation sweeps the
-    base instead and puts the coefficient on once per relation (see
-    there), so an integer field scaled by any constant is swept in int
-    arithmetic."""
+    """coeff times a field.  It stores no image: mode_parts and mode_memo
+    scale the base's on each read.  A DeltaRelation sweeps the base and
+    puts the coefficient on once (see there), so an integer field scaled
+    by any constant is swept in int arithmetic."""
 
     def __init__(self, base, coeff):
         super().__init__()
@@ -637,19 +597,13 @@ class ProductField(FieldFamily):
 
     The mode sum is made finite with the cap rule: f's max_mode over any
     state g produces is bounded by f's max_mode on the label-shifted
-    input.  That holds whenever g only removes modes or creates modes
-    pairing to zero with f's annihilation directions, which is true for
-    every dressing/vertex field combined here.
-
-    Both caps are kept per state, which is exact because a cap is a pure
-    function of the state and neither factor changes once built.
-    mode_state reads g through mode_parts and hands the parts to f.mode,
-    which puts g's label bits and sign on as it reads f's parts, so no
-    relabelled image of g is built.  It merges the finished image
-    f.mode(n - q, .) of each q into its output in turn, as comb_add
-    would; fusing f.mode's inner sum into the output would regroup the
-    sum and could move a witness's bytes.  A scale equal to 1 is stored
-    as None.
+    input, which holds whenever g only removes modes or creates modes
+    pairing to zero with f's annihilation directions, as for every
+    dressing/vertex field combined here.  mode_state reads g through
+    mode_parts and hands the parts to f.mode, so no relabelled image of
+    g is built, and merges the finished image f.mode(n - q, .) of each q
+    into its output in turn: fusing the sums would regroup them and could
+    move a witness's bytes.  A scale equal to 1 is stored as None.
     """
 
     def __init__(self, f, g, scale=None, label=None):
@@ -709,6 +663,24 @@ class HeisenbergField(FieldFamily):
         return self.space.heisenberg_act(self.vec, n // w, {sid: 1})
 
 
+class ZeroModeTimesField(FieldFamily):
+    """vec(0) applied after a base field (the Cartan delta term)."""
+
+    def __init__(self, space, vec, base):
+        super().__init__()
+        self.space = space
+        self.vec = tuple(vec)
+        self.base = base
+        self.shift = base.shift
+        self.label = "h0*" + base.label
+
+    def max_mode(self, sid):
+        return self.base.max_mode(sid)
+
+    def mode_state(self, n, sid):
+        return self.space.heisenberg_act(self.vec, 0, self.base.mode_memo(n, sid))
+
+
 class ExpField(FieldFamily):
     """exp(c * sum_(j>0) vec(sign*j) z^(sign*weight*j) / j) on a FockSpace.
 
@@ -731,24 +703,19 @@ class ExpField(FieldFamily):
     (d, j), so the series is prod_(d,j) exp(c s_d R_(d,j) / j), whose
     term R_(d,j)^k (1/j)^k / k! takes out k copies; prod j^k k! = z_kappa.
 
-    Keys come in the order in which the recursion
-    t F_t = c sum_(j=1..t) vec(sign j) F_(t-j) first makes them, the
-    order checks.no_out reads: terms(t) lists the multisets in that
-    order, E^- joins each onto the input and E^+ takes out each one the
-    input holds (first appearances restricted to a subset keep their
-    order).  No sum cancels, as the terms of a key share their sign.  An
-    int c keeps every integral coefficient in int.
+    Keys come in the order in which the recursion t F_t = c sum_(j=1..t)
+    vec(sign j) F_(t-j) first makes them, which checks.no_out reads:
+    terms(t) lists the multisets in that order, E^- joins each onto the
+    input and E^+ takes out each one the input holds (first appearances
+    restricted to a subset keep their order).  No sum cancels.
 
-    The series never applies vec(0), the only mode that reads the label,
-    so it is expanded once per mode multiset mid, on the zero label
-    (where sid == mid).  Every other label is a view of that expansion:
-    mode_parts gives the zero-label image with the state's label bits,
-    and only a direct mode_memo call on a labelled state stores a
-    relabelled copy.  The memo, the term lists and the product memo of
-    _view_products belong to the space (FockSpace.dressing), one set per
-    (sign, c, vec), so the fields of equal dressings built by separate
-    composites expand it once.  An integral c is stored as an int, so 1
-    and Fraction(1) name one dressing, expanded in int.
+    The series never reads the label, so it is expanded once per mode
+    multiset, on the zero label (sid == mid); mode_parts gives that image
+    with a state's label bits, and only a direct mode_memo call on a
+    labelled state stores a relabelled copy.  The memos and term lists
+    belong to the space (FockSpace.dressing), one set per (sign, c, vec),
+    c stored as an int where integral.  A dressing whose vec meets no
+    Heisenberg direction (_dirs empty), such as vec 0, is the identity.
     """
 
     def __init__(self, space: FockSpace, vec, c, sign: int, label="E"):
@@ -842,93 +809,69 @@ def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
 # ---------------------------------------------------------------------------
 
 
+def _product(sid, outer, inner, n_outer, n_inner):
+    """The nonzero (key, coefficient) pairs of outer(n_outer)
+    inner(n_inner) on sid, outer and inner mode_parts of two fields whose
+    label bits and signs go on as they are read: keys come, and sums
+    group, as in the product of the relabelled images."""
+    hi_in, sign_in, mid = inner(n_inner, sid)
+    acc = {}
+    for w, cw in mid.items():
+        hi, sign, res = outer(n_outer, w | hi_in)
+        if sign != sign_in:
+            cw = -cw
+        for k, v in res.items():
+            if hi:
+                k |= hi
+            prev = acc.get(k)
+            vv = v * cw
+            acc[k] = vv if prev is None else prev + vv
+    return tuple([(k, v) for k, v in acc.items() if v])
+
+
 def _products(sid, outer, inner, modes):
-    """(p, nonzero (key, coefficient) pairs) of the image of sid under
-    outer(n_outer) inner(n_inner), per (p, n_outer, n_inner) in modes.
-
-    outer and inner are mode_parts of the two fields: each intermediate
-    key is w | label_bits of the inner parts, each output key
-    k | label_bits of the outer parts, and the inner coefficient flips
-    where the two signs differ.  Keys come, and sums group, as in the
-    product of the relabelled images, so no witness moves.
-
-    Where both fields are RelabelledViews read through its mode_parts,
-    a sweep calls _view_products instead.  It takes each cell from a
-    memo on the outer E^- dressing, keyed by (inner dressing, the two
-    dressing modes, the input's modes), and puts the outer label bits
-    and the product of the two signs on as it reads: the same cells,
-    byte for byte, since one cell's intermediate states share a label."""
+    """(p, _product) per (p, n_outer, n_inner) in modes where it is not
+    empty: the labelled product loop of check_window."""
     cells = []
     for p, n_outer, n_inner in modes:
-        hi_in, sign_in, mid = inner(n_inner, sid)
-        if not mid:
-            continue
-        acc = {}
-        for w, cw in mid.items():
-            hi, sign, res = outer(n_outer, w | hi_in)
-            if res:
-                if sign != sign_in:
-                    cw = -cw
-                for k, v in res.items():
-                    if hi:
-                        k |= hi
-                    prev = acc.get(k)
-                    vv = v * cw
-                    acc[k] = vv if prev is None else prev + vv
-        items = tuple([(k, v) for k, v in acc.items() if v])
+        items = _product(sid, outer, inner, n_outer, n_inner)
         if items:
             cells.append((p, items))
     return cells
 
 
-def _view_products(sid, outer, inner, modes):
-    """The cells of _products for two RelabelledView fields outer and
-    inner, each read from the product memo of the outer dressing.
-
-    With (e_i, hi_i, s_i) the inner view of sid's label and
-    (e_o, hi_o, s_o) the outer view of the label hi_i, a cell is the
-    product em_o(n_outer - e_o) em_i(n_inner - e_i) of the two zero-label
-    dressings on sid's modes, with hi_o put on each key and the sign
-    s_o s_i on each coefficient.  The memo is held by em_o (shared by
-    every field of that dressing, never by a view) and keyed by
-    (em_i's dressing index, n_outer - e_o, n_inner - e_i,
-    sid & MODE_MASK); it is filled by the accumulation of _products on
-    the zero label.  Witnesses keep their bytes: every intermediate
-    state of one cell carries the label hi_i, so k | hi_o is injective
-    and keeps the order of the keys, and s_o s_i multiplies the whole
-    exact sum.  Above a view's cap e the image is empty, as in
-    mode_parts, and nothing is stored."""
-    e_i, hi_i, s_i = inner.view(sid >> MODE_BITS)
-    e_o, hi_o, s_o = outer.view(hi_i >> MODE_BITS)
-    em_o = outer.em
-    em_i = inner.em
+def _view_cells(em_o, em_i, mid, modes):
+    """(p, _product) of em_o(m_o) em_i(m_i), two E^- dressings, on the
+    zero-label state mid, per (p, m_o, m_i) in modes (m_o, m_i <= 0) where
+    it is not empty, kept in em_o's product memo under (em_i's index,
+    m_o, m_i, mid).  With the identity (no _dirs) on either side it is
+    the other dressing's image at mode 0, empty elsewhere, not stored."""
+    cells = []
+    if not (em_o._dirs and em_i._dirs):
+        for p, m_o, m_i in modes:
+            if not em_o._dirs:
+                image = None if m_o else em_i.mode_memo(m_i, mid)
+            else:
+                image = None if m_i else em_o.mode_memo(m_o, mid)
+            if image:
+                cells.append((p, image.items()))
+        return cells
     memo = em_o._products
     did = em_i._did
-    mid = sid & MODE_MASK
-    flip = s_o != s_i
-    cells = []
-    for p, n_outer, n_inner in modes:
-        m_o = n_outer - e_o
-        m_i = n_inner - e_i
-        if m_o > 0 or m_i > 0:
-            continue
+    for p, m_o, m_i in modes:
         key = (did, m_o, m_i, mid)
         items = memo.get(key)
         if items is None:
-            acc = {}
-            for w, cw in em_i.mode_memo(m_i, mid).items():
-                for k, v in em_o.mode_memo(m_o, w).items():
-                    prev = acc.get(k)
-                    vv = v * cw
-                    acc[k] = vv if prev is None else prev + vv
-            items = memo[key] = tuple([(k, v) for k, v in acc.items() if v])
+            items = memo[key] = _product(mid, em_o.mode_parts,
+                                         em_i.mode_parts, m_o, m_i)
         if items:
-            if flip:
-                items = tuple([(k | hi_o, -v) for k, v in items])
-            elif hi_o:
-                items = tuple([(k | hi_o, v) for k, v in items])
             cells.append((p, items))
     return cells
+
+
+def _is_view(field):
+    """Whether field reads through RelabelledView.mode_parts."""
+    return type(field).mode_parts is RelabelledView.mode_parts
 
 
 # Binomial tables of the delta relations, keyed by their factors tuple:
@@ -965,23 +908,18 @@ class DeltaRelation:
 
     factors: list of (c_p exact rational, a_p Cyc); the mirrored product
     uses the same data with z1 and z2 exchanged, which is the expansion
-    region convention for reversed operator order.
+    region convention for reversed operator order.  Integral binomial and
+    delta-term coefficients are used as int, rational ones as Fraction.
 
-    Integral binomial and delta-term coefficients are used as int, and
-    rational ones as Fraction, so a relation between integer-valued
-    fields is checked in integers.
-
-    Constant scalars are factored out before the sweep.  An operand f or
-    g that is a ScaledField with a nonzero coefficient (nested ones too)
-    is swept through its base, and s = c_f c_g.  A delta term whose field
-    is such a ScaledField takes that coefficient into its own, and every
-    delta-term coefficient is divided by s.  The swept difference is then
-    D / s, with s a nonzero constant, so its first nonzero cell and that
-    cell's keys are those of D; the values of a failing cell are
-    multiplied back by s before witness_difference, so each witness keeps
-    its bytes.  The principal Z = C k_0 is swept as the integer k_0.
-    f, g, factors and rhs_terms stay the caller's objects; the swept
-    operands are rebuilt whenever f, g or rhs_terms is reassigned.
+    Constant scalars are factored out before the sweep.  An operand that
+    is a ScaledField with a nonzero coefficient (nested ones too) is
+    swept through its base, with s = c_f c_g; a delta term whose field is
+    one takes its coefficient, and every delta-term coefficient is
+    divided by s.  The swept difference D / s has the first nonzero cell
+    and keys of D, and a failing cell is multiplied back by s, so each
+    witness keeps its bytes: the principal Z = C k_0 is swept as the
+    integer k_0.  f, g, factors and rhs_terms stay the caller's objects;
+    the swept operands are rebuilt whenever one is reassigned.
     Witnesses are read in the monomial basis of the fields' space.
     """
 
@@ -992,52 +930,45 @@ class DeltaRelation:
                         for c, a in factors]
         self.rhs_terms = rhs_terms
         self.space = field_space(f, g)
-        self._coef = ()
+        self._coef = self._ncoef = ()
         self._apow = {}
         self._plan_of = None
         self._plan = None
 
     def _sweep_plan(self):
-        """(f, g, s, terms, views): the operands as swept, the factored
-        constant s (None when it is 1), the delta terms as swept, their
-        coefficients divided by s, and whether both operands read through
-        RelabelledView.mode_parts, so that their products come from
-        _view_products."""
+        """(f, g, s, terms, folds): the operands as swept, the factored
+        constant s (None when it is 1), the delta terms as swept with
+        their coefficients divided by s, and how check_window folds each
+        term: (view, None) for a view, (base view, vec) for a
+        ZeroModeTimesField over a view, None for a term read through its
+        mode_parts.  folds is None unless both operands are views."""
         key = (self.f, self.g, self.rhs_terms)
         if key != self._plan_of:
             f, cf = _unscaled(self.f)
             g, cg = _unscaled(self.g)
             s = _scalar(cf * cg)
             s = None if s == 1 else s
-            terms = []
+            terms, folds = [], []
             for t in self.rhs_terms:
                 h, ch = _unscaled(t.field)
                 c = t.coeff * ch
                 terms.append(DeltaTerm(c if s is None else Cyc._coerce(c) / s,
                                        t.a, h, t.use_D))
+                if _is_view(h):
+                    folds.append((h, None))
+                elif type(h) is ZeroModeTimesField and _is_view(h.base):
+                    folds.append((h.base, h.vec))
+                else:
+                    folds.append(None)
             self._plan_of = key
-            views = (type(f).mode_parts is RelabelledView.mode_parts
-                     and type(g).mode_parts is RelabelledView.mode_parts)
-            self._plan = f, g, s, terms, views
+            self._plan = f, g, s, terms, (
+                folds if _is_view(f) and _is_view(g) else None)
             self._apow = {}
         return self._plan
 
-    def cutoff(self, sid):
-        """(C, term caps): every coefficient at z1^a z2^b with a + b > C
-        is zero on this state, on both sides, and the term caps are the
-        max_mode of each swept delta term.  Needs .shift on both
-        fields."""
-        f, g, _s, terms, _views = self._sweep_plan()
-        tcaps = [t.field.max_mode(sid) for t in terms]
-        caps = list(tcaps)
-        for first, second in ((f, g), (g, f)):
-            shifted = self.space.shifted(sid, second.shift)
-            caps.append(first.max_mode(shifted) + second.max_mode(sid))
-        return max(caps), tcaps
-
     def _coefs(self, nmax):
-        """The factor product's coefficients to at least u^nmax, from the
-        one table kept per distinct factors tuple."""
+        """The factor product's coefficients to at least u^nmax, one table
+        per factors tuple; _ncoef is it negated."""
         if nmax >= len(self._coef):
             key = tuple(self.factors)
             table = _BINOMIAL_TABLES.get(key, ())
@@ -1045,90 +976,158 @@ class DeltaRelation:
                 table = tuple(product_of_binomials(self.factors, nmax + 8))
                 _BINOMIAL_TABLES[key] = table
             self._coef = table
+            self._ncoef = tuple([-c for c in table])
         return self._coef
 
-    def _delta_coeff(self, ti, term, a):
-        key = (ti, a)
-        hit = self._apow.get(key)
+    def _delta_coeff(self, ti, term, a, mult):
+        """-mult times delta term ti's coefficient at z1^a, cached."""
+        hit = self._apow.get((ti, a, mult))
         if hit is None:
-            hit = term.coeff * term.a ** a
-            if term.use_D:
-                hit = hit * a
-            hit = _scalar(hit)
-            self._apow[key] = hit
+            base = self._apow.get((ti, a))
+            if base is None:
+                base = term.coeff * term.a ** a
+                base = self._apow[ti, a] = _scalar(base * a if term.use_D
+                                                   else base)
+            hit = self._apow[ti, a, mult] = base * -mult
         return hit
+
+    def _state(self, sid, fold):
+        """(label bits, e_1, gmax, s_1, e_2, fmax, s_2, reads) of sid:
+        gmax g's cap on sid, e_1 f's on the label g leaves, s_1 their
+        signs' product, and e_2, fmax, s_2 the same for g(f(v)); reads
+        (ti, term, em, cap, mult) per delta term, folded ones with their
+        view's dressing, exponent and sign (times <vec, label> for a
+        ZeroModeTimesField, left out at 0).  Folded, the output label's
+        bits (None if a view ends elsewhere); unfolded 0, signs 1."""
+        f, g, _s, terms, folds = self._sweep_plan()
+        if fold:
+            lid = sid >> MODE_BITS
+            gmax, hi_g, s_g = g.view(lid)
+            e1, hi, s1 = f.view(hi_g >> MODE_BITS)
+            fmax, hi_f, s_f = f.view(lid)
+            e2, hi2, s2 = g.view(hi_f >> MODE_BITS)
+            if hi2 != hi:
+                return None
+            s1, s2 = s1 * s_g, s2 * s_f
+        else:
+            hi, s1, s2 = 0, 1, 1
+            gmax, fmax = g.max_mode(sid), f.max_mode(sid)
+            e1 = f.max_mode(self.space.shifted(sid, g.shift))
+            e2 = g.max_mode(self.space.shifted(sid, f.shift))
+        reads = []
+        for ti, term in enumerate(terms):
+            if not fold or folds[ti] is None:
+                reads.append((ti, term, None, term.field.max_mode(sid), 1))
+                continue
+            view, vec = folds[ti]
+            cap, hi_t, mult = view.view(lid)
+            if hi_t != hi:
+                return None
+            if vec is not None:
+                mult *= self.space.label_pair(vec, hi >> MODE_BITS)
+            if mult:
+                reads.append((ti, term, view.em, cap, mult))
+        return hi, e1, gmax, s1, e2, fmax, s2, reads
 
     def check_window(self, W, state):
         """Check every coefficient cell |a|, |b| <= W on one (label, modes)
         state.
 
         Each cell is the coefficient at z1^a z2^b of the left-hand side
-        minus the delta terms; the cell products f_p(g_q(v)) on each
-        anti-diagonal p + q = a + b are merged once and reused across the
-        cells that share them.  The sweep runs on state ids; a witness
-        names its state and output states as tuples.
+        minus the delta terms; the products f_p(g_q(v)) of each
+        anti-diagonal p + q = a + b are merged once and shared by its
+        cells.  A witness names its state and output states as tuples.
+
+        With two view operands all cells of the state carry one output
+        label, and the sweep is folded: it reads the views once (_state)
+        and each product on zero-label keys (_view_cells), folds each
+        order's sign into the binomial coefficients and each term's mult
+        into its delta coefficient, and strips the label off a term read
+        through mode_parts.  A cell on another label (only a corrupted
+        relation makes one) sends the state back to its first
+        anti-diagonal through _products, with the same a-loop.  The label
+        goes on a failing witness only: k -> k | label is injective and
+        keeps key order, so witnesses keep their bytes.
         """
         sid = self.space.sid(state)
-        f, g, scale, terms, views = self._sweep_plan()
-        cut, tcaps = self.cutoff(sid)
-        cut = min(2 * W, cut)
-        gmax = g.max_mode(sid)
-        fmax = f.max_mode(sid)
-        if views:
-            products, fmode, gmode = _view_products, f, g
-        else:
-            products, fmode, gmode = _products, f.mode_parts, g.mode_parts
-        for S in range(-2 * W, cut + 1):
-            amin = max(-W, S - W)
-            amax = min(W, S + W)
-            p1lo = S - gmax
-            coef = self._coefs(max(amax - p1lo, fmax - amin, 0))
-            cells1 = products(sid, fmode, gmode, [
-                (p, p, S - p) for p in range(p1lo, amax + 1)])
-            cells2 = products(sid, gmode, fmode, [
-                (p, S - p, p) for p in range(amin, fmax + 1)])
-            rhs_cells = []
-            for ti, term in enumerate(terms):
-                if S <= tcaps[ti]:
-                    hi, sign, cell = term.field.mode_parts(S, sid)
-                    if cell:
-                        rhs_cells.append((ti, term, tuple([
-                            (k | hi, v if sign > 0 else -v)
-                            for k, v in cell.items()])))
-            if not (cells1 or cells2 or rhs_cells):
+        mid = sid & MODE_MASK
+        f, g, scale, _terms, folds = self._sweep_plan()
+        for fold in (True, False) if folds is not None else (False,):
+            st = self._state(sid, fold)
+            if st is None:
                 continue
-            for a in range(amin, amax + 1):
-                diff = {}
-                dget = diff.get
-                for p, items in cells1:
-                    if p > a:
-                        break
-                    cn = coef[a - p]
-                    if cn:
-                        for k, v in items:
-                            prev = dget(k)
-                            vv = v * cn
-                            diff[k] = vv if prev is None else prev + vv
-                for p, items in cells2:
-                    if p >= a:
-                        cn = coef[p - a]
+            hi, e1, gmax, s1, e2, fmax, s2, reads = st
+            cut = min(2 * W, max([e1 + gmax, e2 + fmax]
+                                 + [r[3] for r in reads]))
+            signed = {1: self._coefs(max(W + max(gmax, fmax), 0)),
+                      -1: self._ncoef}
+            coef1, coef2 = signed[s1], signed[-s2]
+            for S in range(-2 * W, cut + 1):
+                amin = max(-W, S - W)
+                amax = min(W, S + W)
+                if fold:
+                    cells1 = _view_cells(f.em, g.em, mid, [
+                        (p, p - e1, S - p - gmax)
+                        for p in range(S - gmax, min(amax, e1) + 1)])
+                    cells2 = _view_cells(g.em, f.em, mid, [
+                        (p, S - p - e2, p - fmax)
+                        for p in range(max(amin, S - e2), fmax + 1)])
+                else:
+                    cells1 = _products(sid, f.mode_parts, g.mode_parts, [
+                        (p, p, S - p) for p in range(S - gmax, amax + 1)])
+                    cells2 = _products(sid, g.mode_parts, f.mode_parts, [
+                        (p, S - p, p) for p in range(amin, fmax + 1)])
+                rhs = []
+                for ti, term, em, cap, mult in reads:
+                    if S > cap:
+                        continue
+                    if em is not None:
+                        cell = em.mode_memo(S - cap, mid)
+                    else:
+                        hi_t, mult, cell = term.field.mode_parts(S, sid)
+                        if hi_t != hi:
+                            cell = {(k | hi_t) ^ hi: v for k, v in cell.items()}
+                        if fold and any(k > MODE_MASK for k in cell):
+                            rhs = None  # another label: sweep unfolded
+                            break
+                    if cell:
+                        rhs.append((ti, term, mult, cell.items()))
+                if rhs is None:
+                    break
+                if not (cells1 or cells2 or rhs):
+                    continue
+                for a in range(amin, amax + 1):
+                    diff = {}
+                    dget = diff.get
+                    for p, items in cells1:
+                        if p > a:
+                            break
+                        cn = coef1[a - p]
                         if cn:
-                            cn = -cn
                             for k, v in items:
                                 prev = dget(k)
                                 vv = v * cn
                                 diff[k] = vv if prev is None else prev + vv
-                for ti, term, items in rhs_cells:
-                    c = self._delta_coeff(ti, term, a)
-                    if c:
-                        for k, v in items:
-                            prev = dget(k)
-                            vv = -(v * c)
-                            diff[k] = vv if prev is None else prev + vv
-                if any(diff.values()):
-                    bad = {k: v if scale is None else v * scale
-                           for k, v in diff.items() if v}
-                    return False, {"state": state, "modes": (a, S - a),
-                                   "difference": witness_difference(
-                                       self.space, state, bad)}
-        return True, None
+                    for p, items in cells2:
+                        if p >= a:
+                            cn = coef2[p - a]
+                            if cn:
+                                for k, v in items:
+                                    prev = dget(k)
+                                    vv = v * cn
+                                    diff[k] = vv if prev is None else prev + vv
+                    for ti, term, mult, items in rhs:
+                        c = self._delta_coeff(ti, term, a, mult)
+                        if c:
+                            for k, v in items:
+                                prev = dget(k)
+                                vv = v * c
+                                diff[k] = vv if prev is None else prev + vv
+                    if any(diff.values()):
+                        bad = {k | hi: v if scale is None else v * scale
+                               for k, v in diff.items() if v}
+                        return False, {"state": state, "modes": (a, S - a),
+                                       "difference": witness_difference(
+                                           self.space, state, bad)}
+            else:
+                return True, None

@@ -36,12 +36,16 @@ are views of the E^-(delta_r) memo (distops.RelabelledView): mode_parts
 returns the zero-label image with the label bits of the final label,
 lambda + delta_r or lambda + delta_r + alpha, and Z's cocycle sign, read
 from a per-label cache (view); a dressing's own labelled images are
-views the same way.  The sweeps and ProductField put label and sign on
-each output id as they accumulate, so no relabelled copy of a dressing
-is kept.  The quadratic Z-relation of every root pair multiplies the
-same E^-(delta_r) E^-(delta_s) images on the modes of a state, so its
-sweep reads each such product from one memo of the outer dressing
-(distops._view_products).
+views the same way.  ProductField and the labelled sweep put label and
+sign on each output id as they accumulate, so no relabelled copy of a
+dressing is kept.  The quadratic Z-relation of every root pair
+multiplies the same E^-(delta_r) E^-(delta_s) images on the modes of a
+state, and every cell of one state carries one output label, so its
+sweep is folded (distops.DeltaRelation.check_window): it reads each
+such product on zero-label keys from one memo of the outer dressing
+(distops._view_cells), folds the signs into the coefficients and puts
+the label on a failing witness only.  E^-(delta_0) is the identity, and
+its products are not stored.
 
 The bracket of two root fields is written once, for every picture:
 root_pair_terms gives its binomial prefactors and its summands over
@@ -65,7 +69,8 @@ from . import checks
 from .autom import TwistData
 from .distops import (MODE_BITS, DeltaRelation, DeltaTerm, ExpField,
                       FieldFamily, FockSpace, RelabelledView,
-                      TruncationWindow, _acc, partitions)
+                      TruncationWindow, ZeroModeTimesField, _acc,
+                      partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
 from .scalar import Cyc
 
@@ -252,24 +257,6 @@ class ZField(RelabelledView):
                 space.shifted(lid << MODE_BITS, self.shift),
                 self.lat.eps(self.avec, space.label_of(lid)))
         return hit
-
-
-class ZeroModeTimesField(FieldFamily):
-    """vec(0) applied after a base field (used by the Cartan delta-term)."""
-
-    def __init__(self, space, vec, base):
-        super().__init__()
-        self.space = space
-        self.vec = tuple(vec)
-        self.base = base
-        self.shift = base.shift
-        self.label = "h0*" + base.label
-
-    def max_mode(self, sid):
-        return self.base.max_mode(sid)
-
-    def mode_state(self, n, sid):
-        return self.space.heisenberg_act(self.vec, 0, self.base.mode_memo(n, sid))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ import pytest
 from field_oracle import Tuples, check_state, comb_eq, ref_vertex
 from torlab import distops
 from torlab.checks import default_rvecs, fields_equal, holds, nonzero
-from torlab.distops import (MODE_BITS, DeltaRelation, HeisenbergField,
-                            ProductField, TruncationWindow, _products,
-                            _view_products, comb_scale, comb_sub)
+from torlab.distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
+                            HeisenbergField, ProductField, TruncationWindow,
+                            ZeroModeTimesField, _products, _view_cells,
+                            comb_scale, comb_sub)
 from torlab.fockhom import (HeisTimesXField, HomogeneousModule,
                             VertexXField, ZField, pair_relation, verify_33,
                             verify_center_hom, verify_products_hom,
@@ -308,8 +309,9 @@ def test_views_store_no_images():
 def test_view_products_are_the_general_products():
     """On A2 at (2, 2, 1), for every ordered pair of Z views with r and s
     in default_rvecs, every window state and every mode pair from -2W to
-    one above each view's cap, the cells _view_products takes from the
-    product memo are those of the general loop _products: the same keys
+    one above each view's cap, the zero-label cells _view_cells takes from
+    the product memo, with the outer view's label bits and the sign
+    s_o s_i put on, are those of the general loop _products: the same keys
     in the same order with the same values, both when a call fills the
     memo and when it only reads it.  Some nonempty cell has the sign -1."""
     mod = _a2()
@@ -323,14 +325,21 @@ def test_view_products_are_the_general_products():
         for outer in views:
             for inner in views:
                 e_i, hi_i, s_i = inner.view(sid >> MODE_BITS)
-                e_o, _hi_o, s_o = outer.view(hi_i >> MODE_BITS)
+                e_o, hi_o, s_o = outer.view(hi_i >> MODE_BITS)
                 modes = [(p, n_o, n_i) for p, (n_o, n_i) in enumerate(
                     (a, b) for a in range(-2 * W, e_o + 2)
                     for b in range(-2 * W, e_i + 2))]
                 want = _products(sid, outer.mode_parts, inner.mode_parts,
                                  modes)
-                assert _view_products(sid, outer, inner, modes) == want
-                assert _view_products(sid, outer, inner, modes) == want
+                dressing_modes = [(p, n_o - e_o, n_i - e_i)
+                                  for p, n_o, n_i in modes
+                                  if n_o <= e_o and n_i <= e_i]
+                for _fill_then_read in range(2):
+                    got = _view_cells(outer.em, inner.em, sid & MODE_MASK,
+                                      dressing_modes)
+                    assert [(p, tuple((k | hi_o, s_o * s_i * c)
+                                      for k, c in items))
+                            for p, items in got] == want
                 if want:
                     signs.add(s_o * s_i)
     assert signs == {1, -1}
@@ -338,22 +347,150 @@ def test_view_products_are_the_general_products():
 
 def test_a_sweep_stores_one_product_per_mode_triple(monkeypatch):
     """One verify_33 sweep of A2 at (2, 2, 1) reads 187,888 nonempty
-    product cells and stores 1,725 mode-level products on its E^-
-    dressings, one per (inner dressing, outer mode, inner mode, input
-    modes) it met."""
+    product cells through _view_cells and stores 836 mode-level products
+    on its E^- dressings, one per (inner dressing, outer mode, inner
+    mode, input modes) it met where neither dressing is the identity
+    E^-(delta_0)."""
     mod = _a2()
     read = []
-    fill = distops._view_products
+    fill = distops._view_cells
 
-    def counted(sid, outer, inner, modes):
-        cells = fill(sid, outer, inner, modes)
+    def counted(em_o, em_i, mid, modes):
+        cells = fill(em_o, em_i, mid, modes)
         read.append(len(cells))
         return cells
 
-    monkeypatch.setattr(distops, "_view_products", counted)
+    monkeypatch.setattr(distops, "_view_cells", counted)
     entries = verify_33(mod, TruncationWindow(2, 2, 1))
     assert entries and all(e[2] == "pass" for e in entries)
-    stored = sum(len(products) for _index, _memo, _terms, products
-                 in mod.space._dressings.values())
+    dressings = mod.space._dressings
+    identity = {index for (_sign, _c, vec), (index, *_rest)
+                in dressings.items() if not any(vec)}
+    assert identity
+    stored = 0
+    for (_sign, _c, vec), (_index, _memo, _terms, products) in \
+            dressings.items():
+        assert any(vec) or not products
+        assert not {key[0] for key in products} & identity
+        stored += len(products)
     assert sum(read) == 187888
-    assert stored == 1725
+    assert stored == 836
+
+
+def test_the_homogeneous_sweep_never_takes_the_labelled_loop(monkeypatch):
+    """verify_33 on A2 at (2, 2, 1) folds every state: no product cell is
+    read through the labelled loop _products."""
+    mod = _a2()
+    calls = []
+    labelled = distops._products
+
+    def counted(*args):
+        calls.append(args[0])
+        return labelled(*args)
+
+    monkeypatch.setattr(distops, "_products", counted)
+    entries = verify_33(mod, TruncationWindow(2, 2, 1))
+    assert entries and all(e[2] == "pass" for e in entries)
+    assert calls == []
+
+
+class _Labelled(ZField):
+    """Z(alpha, r) with a mode_parts of its own that only calls
+    RelabelledView's: a relation on it is swept through _products."""
+
+    def mode_parts(self, n, sid):
+        return super().mode_parts(n, sid)
+
+
+def _relabelled_field(mod, field, tot):
+    """The delta-term field, built at the multidegree tot instead."""
+    if isinstance(field, ZeroModeTimesField):
+        return ZeroModeTimesField(mod.space, field.vec,
+                                  _relabelled_field(mod, field.base, tot))
+    if isinstance(field, ZField):
+        return mod.z(field.alpha, tot)
+    if isinstance(field, HeisTimesXField):
+        return mod.kf(1, tot)
+    return mod.k0(tot)
+
+
+def _corruptions(mod, rel, tot):
+    """(name, terms, factors) for rel and its corrupted copies: the first
+    delta term's sign flipped, the binomial exponents raised by 1, the
+    ZeroModeTimesField vec negated, and the first, the last and each k_i
+    (HeisTimesXField) delta term moved to another multidegree, so that
+    its label differs from the products'."""
+    terms = rel.rhs_terms
+    out = [("intact", terms, rel.factors)]
+    if terms:
+        t = terms[0]
+        out.append(("flip", [DeltaTerm(-t.coeff, t.a, t.field, t.use_D)]
+                    + terms[1:], rel.factors))
+    out.append(("exp", terms, [(c + 1, a) for c, a in rel.factors]))
+    for i, t in enumerate(terms):
+        if isinstance(t.field, ZeroModeTimesField):
+            bad = ZeroModeTimesField(mod.space,
+                                     tuple(-c for c in t.field.vec),
+                                     t.field.base)
+            out.append(("vec", terms[:i] + [DeltaTerm(t.coeff, t.a, bad)]
+                        + terms[i + 1:], rel.factors))
+    other = tuple(c + 1 for c in tot)
+    for i in sorted({i for i, t in enumerate(terms)
+                     if i in (0, len(terms) - 1)
+                     or isinstance(t.field, HeisTimesXField)}):
+        t = terms[i]
+        moved = DeltaTerm(t.coeff, t.a,
+                          _relabelled_field(mod, t.field, other), t.use_D)
+        out.append(("label", terms[:i] + [moved] + terms[i + 1:],
+                    rel.factors))
+    return out
+
+
+def test_the_folded_sweep_is_the_labelled_sweep(monkeypatch):
+    """On A2 at (2, 2, 1), one root pair of each inner-product class with
+    r and s in default_rvecs, and the corrupted copies of _corruptions:
+    on every window state the folded sweep gives the (ok, witness) of the
+    same relation on _Labelled operands, which no sweep folds.  Only a
+    delta term at another multidegree sends the folded sweep to
+    _products; every other corruption fails on the folded path."""
+    mod = _a2()
+    win = TruncationWindow(2, 2, 1)
+    states = window_states(mod.space, win)
+    roots = [tuple(a) for a in mod.rs.roots]
+    pairs = {}
+    for b1 in roots:
+        for b2 in roots:
+            pairs.setdefault(mod.rs.form(b1, b2), (b1, b2))
+    assert sorted(pairs) == [-2, -1, 1, 2]
+    calls = []
+    labelled = distops._products
+
+    def counted(*args):
+        calls.append(args[0])
+        return labelled(*args)
+
+    monkeypatch.setattr(distops, "_products", counted)
+    seen = set()
+    for b1, b2 in pairs.values():
+        for r in default_rvecs(mod.N):
+            for s in default_rvecs(mod.N):
+                rel = pair_relation(mod, b1, b2, r, s)
+                tot = tuple(x + y for x, y in zip(r, s))
+                for name, terms, factors in _corruptions(mod, rel, tot):
+                    folded = DeltaRelation(rel.f, rel.g, factors, terms)
+                    ref = DeltaRelation(_Labelled(mod, b1, r),
+                                        _Labelled(mod, b2, s), factors, terms)
+                    assert ref._sweep_plan()[4] is None
+                    fails = labelled_states = 0
+                    for v in states:
+                        del calls[:]
+                        got = folded.check_window(win.modes, v)
+                        labelled_states += bool(calls)
+                        assert got == ref.check_window(win.modes, v), \
+                            (name, b1, b2, r, s, v)
+                        fails += not got[0]
+                    assert name == "label" or not labelled_states
+                    seen.add((name, fails > 0, labelled_states > 0))
+    assert seen >= {("intact", False, False), ("flip", True, False),
+                    ("exp", True, False), ("vec", True, False),
+                    ("label", True, True)}
