@@ -42,7 +42,7 @@ class TruncationWindow:
     support: int
 
     def __post_init__(self):
-        if self.modes < 0 or self.degree < 0 or self.support < 0:
+        if min(self.modes, self.degree, self.support) < 0:
             raise ValueError("window bounds must be nonnegative")
 
 
@@ -452,60 +452,79 @@ def field_space(*fields):
 
 
 class FieldFamily:
-    """Mode family of a formal distribution.
+    """Mode family of a formal distribution, shifting labels by shift.
 
-    Subclasses implement mode_state(n, sid) and max_mode(sid) on state
-    ids of their FockSpace; modes above max_mode annihilate the state.
-    mode_memo keeps one row per sid, its max_mode and its images indexed
-    by n, and stores nothing above max_mode.  Composite fields also keep
-    their mode caps per state.  Both caches are exact: a cap or an image
-    is a pure function of the state, as a field is not changed once
-    built, and a composite merges each finished image into its output in
-    turn, as comb_add groups it: where a sum cancels orders its keys.
+    A label-homogeneous field reads the label only through a z-exponent
+    and a sign: view(lid) gives (e, label_bits, sign) per input label,
+    and mode n of a state (lid, mid) is the core image at n - e on the
+    zero-label state mid, with label_bits and sign put on.  ExpField,
+    IdentityField and RelabelledView have a view; ScaledField,
+    RestrictedField and ProductField take it from their parts.
+    HeisenbergField, ZeroModeTimesField, fockhom.HeisTimesXField and any
+    composite holding one read the label otherwise (mode 0 pairs with
+    it): their view is None and their core is keyed by sid.
 
-    mode_parts(n, sid) gives the image as (label_bits, sign, image),
-    meaning {label_bits | k: sign * c for k, c in image} in the order of
-    image, whose keys carry no label where label_bits is not 0.  Here it
-    is (0, 1, mode_memo(n, sid)); a view (RelabelledView), and an ExpField
-    on a labelled state, return a zero-label image and store no
-    relabelled copy.
+    Subclasses give mode_state(n, key) and cap(key) (or max_mode) on the
+    core's keys; modes above the cap annihilate.  core keeps one row per
+    key, the cap and the images by n.  Both caches are exact: a cap or
+    an image is a pure function of its key, as a field is not changed
+    once built, and a composite merges each finished image into its
+    output in turn, as comb_add groups it: where a sum cancels orders
+    its keys.  mode_parts(n, sid) gives the image as (label_bits, sign,
+    image), meaning {label_bits | k: sign * c for k, c in image} in the
+    order of image, and mode_memo(n, sid) builds that dict on demand.
     """
 
     label = "field"
     shift = None  # label shift per mode, when the field has one
     space = None  # the FockSpace it acts on, when it knows one
+    view = None
 
     def __init__(self):
         self._memo = {}
 
-    def mode_state(self, n, sid):
+    def mode_state(self, n, key):
         raise NotImplementedError
+
+    def cap(self, key):
+        return self.max_mode(key)
 
     def max_mode(self, sid):
-        raise NotImplementedError
+        if self.view is None:
+            return self.cap(sid)
+        return self.view(sid >> MODE_BITS)[0] + self.cap(sid & MODE_MASK)
 
-    def mode_memo(self, n, sid):
-        row = self._memo.get(sid)
+    def core(self, n, key):
+        row = self._memo.get(key)
         if row is None:
-            row = self._memo[sid] = (self.max_mode(sid), {})
+            row = self._memo[key] = (self.cap(key), {})
         if n > row[0]:
             return {}
         images = row[1]
         hit = images.get(n)
         if hit is None:
-            hit = images[n] = self.mode_state(n, sid)
+            hit = images[n] = self.mode_state(n, key)
         return hit
 
     def mode_parts(self, n, sid):
-        return 0, 1, self.mode_memo(n, sid)
+        if self.view is None:
+            return 0, 1, self.core(n, sid)
+        e, hi, sign = self.view(sid >> MODE_BITS)
+        return hi, sign, self.core(n - e, sid & MODE_MASK)
 
-    def mode(self, n, comb, hi_in=0, sign_in=1):
-        """Mode n applied to {hi_in | k: sign_in * c for k, c in comb},
-        the image a mode_parts triple describes."""
+    def mode_memo(self, n, sid):
+        hi, sign, image = self.mode_parts(n, sid)
+        if sign < 0:
+            return {hi | k: -c for k, c in image.items()}
+        return {hi | k: c for k, c in image.items()} if hi else image
+
+    def mode(self, n, comb, core=False):
+        """Mode n on comb, through the core on zero-label keys if core."""
         out = {}
         for sid, c in comb.items():
-            hi, sign, image = self.mode_parts(n, sid | hi_in if hi_in else sid)
-            if sign != sign_in:
+            hi, sign, image = (0, 1, self.core(n, sid)) if core else \
+                self.mode_parts(n, sid)
+            if sign < 0:
                 c = -c
             for k, v in image.items():
                 # with no label bits the memo's own key object is kept, so
@@ -515,41 +534,20 @@ class FieldFamily:
 
 
 class RelabelledView(FieldFamily):
-    """The zero-label image of an E^- dressing em (an ExpField of sign
-    -1) with a label and a sign put on.  A subclass sets em and gives
-    view(lid) -> (e, label_bits, sign) per input label lid, label_bits
-    those of the label plus shift: mode n of a state with that label is
-    em's mode n - e on its modes, with label_bits and sign put on, and
-    empty above e.  The view keeps no memo; mode_memo builds the
-    relabelled image on demand.  A DeltaRelation on two fields that read
-    through this mode_parts is folded (check_window); a subclass that
-    overrides mode_parts is swept through _products."""
+    """An E^- dressing em (an ExpField of sign -1) with a label and a
+    sign put on: a subclass passes em and gives view(lid), label_bits
+    those of the label plus shift.  Its core is em's; it keeps no memo.  A
+    DeltaRelation on two views with FieldFamily.mode_parts is folded
+    (check_window); one that overrides mode_parts is swept unfolded."""
 
-    em = None
-
-    def view(self, lid):
-        raise NotImplementedError
-
-    def max_mode(self, sid):
-        return self.view(sid >> MODE_BITS)[0]
-
-    def mode_parts(self, n, sid):
-        e, hi, sign = self.view(sid >> MODE_BITS)
-        if n > e:
-            return hi, sign, {}
-        return hi, sign, self.em.mode_memo(n - e, sid & MODE_MASK)
-
-    def mode_memo(self, n, sid):
-        hi, sign, image = self.mode_parts(n, sid)
-        if sign > 0:
-            return {hi | k: c for k, c in image.items()}
-        return {hi | k: -c for k, c in image.items()}
-
-    mode_state = mode_memo
+    def __init__(self, em):
+        super().__init__()
+        self.em = em
+        self.core, self.cap = em.core, em.cap
 
 
 class IdentityField(FieldFamily):
-    """Only mode 0 acts, as the identity."""
+    """Only mode 0 acts, as the identity; it stores no image."""
 
     label = "id"
 
@@ -558,38 +556,31 @@ class IdentityField(FieldFamily):
         if dim is not None:
             self.shift = (0,) * dim
 
-    def mode_state(self, n, sid):
-        return {sid: 1} if n == 0 else {}
+    def view(self, lid):
+        return 0, lid << MODE_BITS, 1
 
-    def max_mode(self, sid):
+    def cap(self, mid):
         return 0
+
+    def core(self, n, mid):
+        return {mid: 1} if n == 0 else {}
 
 
 class ScaledField(FieldFamily):
-    """coeff times a field.  It stores no image: mode_parts and mode_memo
-    scale the base's on each read.  A DeltaRelation sweeps the base and
-    puts the coefficient on once (see there), so an integer field scaled
-    by any constant is swept in int arithmetic."""
+    """coeff times a field, with its base's view.  It stores no image:
+    core scales the base's on each read.  A DeltaRelation sweeps the
+    base and puts the coefficient on once (see there), so an integer
+    field scaled by any constant is swept in int arithmetic."""
 
     def __init__(self, base, coeff):
         super().__init__()
         self.base = base
         self.coeff = coeff if isinstance(coeff, (int, Cyc)) else Fraction(coeff)
-        self.shift = base.shift
-        self.label = base.label
-        self.space = base.space
+        self.shift, self.label, self.space = base.shift, base.label, base.space
+        self.view, self.cap = base.view, base.cap
 
-    def mode_parts(self, n, sid):
-        hi, sign, image = self.base.mode_parts(n, sid)
-        return hi, sign, comb_scale(image, self.coeff)
-
-    def mode_memo(self, n, sid):
-        return comb_scale(self.base.mode_memo(n, sid), self.coeff)
-
-    mode_state = mode_memo
-
-    def max_mode(self, sid):
-        return self.base.max_mode(sid)
+    def core(self, n, key):
+        return comb_scale(self.base.core(n, key), self.coeff)
 
 
 class ProductField(FieldFamily):
@@ -599,11 +590,13 @@ class ProductField(FieldFamily):
     state g produces is bounded by f's max_mode on the label-shifted
     input, which holds whenever g only removes modes or creates modes
     pairing to zero with f's annihilation directions, as for every
-    dressing/vertex field combined here.  mode_state reads g through
-    mode_parts and hands the parts to f.mode, so no relabelled image of
-    g is built, and merges the finished image f.mode(n - q, .) of each q
-    into its output in turn: fusing the sums would regroup them and could
-    move a witness's bytes.  A scale equal to 1 is stored as None.
+    dressing/vertex field combined here.  With views on f and g its view
+    is g's, then f's at the label g leaves (exponents add, signs
+    multiply), and its core sums f's core over g's, capped by f.cap(mid)
+    and g.cap(mid): the rule in core terms.  Otherwise f.mode reads g's
+    labelled images.  The image f(n - q) of each q is merged into the
+    output in turn: fusing the sums would regroup them and could move a
+    witness's bytes.  A scale equal to 1 is stored as None.
     """
 
     def __init__(self, f, g, scale=None, label=None):
@@ -614,29 +607,42 @@ class ProductField(FieldFamily):
         self.space = field_space(f, g)
         self.shift = tuple(a + b for a, b in zip(f.shift, g.shift))
         self.label = label or (f.label + "*" + g.label)
-        self._cap_memo = {}
+        self._caps = {}
+        self._views = {}
+        if f.view is None or g.view is None:
+            self.view = None
 
-    def _caps(self, sid):
-        """(f's max_mode on the g-shifted state, g's max_mode)."""
-        hit = self._cap_memo.get(sid)
+    def view(self, lid):
+        hit = self._views.get(lid)
         if hit is None:
-            shifted = self.space.shifted(sid, self.g.shift)
-            hit = (self.f.max_mode(shifted), self.g.max_mode(sid))
-            self._cap_memo[sid] = hit
+            e_g, hi_g, s_g = self.g.view(lid)
+            e_f, hi, s_f = self.f.view(hi_g >> MODE_BITS)
+            hit = self._views[lid] = (e_g + e_f, hi, s_g * s_f)
         return hit
 
-    def max_mode(self, sid):
-        fcap, gcap = self._caps(sid)
-        return fcap + gcap
+    def _fg_caps(self, key):
+        """(f's cap, g's cap) per key: the cores' on a mid, else their
+        max_mode on the g-shifted state and on the state."""
+        hit = self._caps.get(key)
+        if hit is None:
+            f, g = self.f, self.g
+            hit = self._caps[key] = (f.cap(key), g.cap(key)) if self.view \
+                else (f.max_mode(self.space.shifted(key, g.shift)),
+                      g.max_mode(key))
+        return hit
 
-    def mode_state(self, n, sid):
-        fcap, gcap = self._caps(sid)
-        gparts = self.g.mode_parts
+    def cap(self, key):
+        return sum(self._fg_caps(key))
+
+    def mode_state(self, n, key):
+        fcap, gcap = self._fg_caps(key)
+        core = self.view is not None
+        gread = self.g.core if core else self.g.mode_memo
         out = {}
         for q in range(n - fcap, gcap + 1):
-            hi, sign, mid = gparts(q, sid)
-            if mid:
-                for k, v in self.f.mode(n - q, mid, hi, sign).items():
+            image = gread(q, key)
+            if image:
+                for k, v in self.f.mode(n - q, image, core).items():
                     _acc(out, k, v)
         if self.scale is not None:
             out = comb_scale(out, self.scale)
@@ -709,14 +715,14 @@ class ExpField(FieldFamily):
     input and E^+ takes out each one the input holds (first appearances
     restricted to a subset keep their order).  No sum cancels.
 
-    The series never reads the label, so it is expanded once per mode
-    multiset, on the zero label (sid == mid); mode_parts gives that image
-    with a state's label bits, and only a direct mode_memo call on a
-    labelled state stores a relabelled copy.  The memos and term lists
-    belong to the space (FockSpace.dressing), one set per (sign, c, vec),
-    c stored as an int where integral.  A dressing whose vec meets no
+    The series never reads the label: the view is (0, its bits, 1) and
+    the core is expanded once per mode multiset.  The memos and term
+    lists belong to the space (FockSpace.dressing), one set per (sign,
+    c, vec), c an int where integral.  A dressing whose vec meets no
     Heisenberg direction (_dirs empty), such as vec 0, is the identity.
     """
+
+    view = IdentityField.view
 
     def __init__(self, space: FockSpace, vec, c, sign: int, label="E"):
         super().__init__()
@@ -732,10 +738,10 @@ class ExpField(FieldFamily):
         self._did, self._memo, self._terms, self._products = space.dressing(
             self.sign, self.c, self.vec)
 
-    def max_mode(self, sid):
+    def cap(self, mid):
         if self.sign < 0:
             return 0
-        return self.space.weight * self.space.annihilatable(sid, self.vec)
+        return self.space.weight * self.space.annihilatable(mid, self.vec)
 
     def terms(self, t):
         """(mu, w) per multiset mu of total index t, in the recursion's
@@ -759,13 +765,6 @@ class ExpField(FieldFamily):
                 hit.append((mu, w))
         return hit
 
-    def mode_parts(self, n, sid):
-        # a zero-label id is passed on as is, so the memo keeps the
-        # caller's key object
-        if sid > MODE_MASK:
-            return sid & LABEL_BITS, 1, self.mode_memo(n, sid & MODE_MASK)
-        return 0, 1, self.mode_memo(n, sid)
-
     def mode_state(self, n, sid):
         w = self.space.weight
         sign = self.sign
@@ -774,10 +773,6 @@ class ExpField(FieldFamily):
         total = sign * n // w
         if total == 0:
             return {sid: 1}
-        if sid > MODE_MASK:
-            hi = sid & LABEL_BITS
-            return {hi | k: v for k, v in
-                    self.mode_memo(n, sid & MODE_MASK).items()}
         space = self.space
         out = {}
         if sign < 0:
@@ -850,9 +845,9 @@ def _view_cells(em_o, em_i, mid, modes):
     if not (em_o._dirs and em_i._dirs):
         for p, m_o, m_i in modes:
             if not em_o._dirs:
-                image = None if m_o else em_i.mode_memo(m_i, mid)
+                image = None if m_o else em_i.core(m_i, mid)
             else:
-                image = None if m_i else em_o.mode_memo(m_o, mid)
+                image = None if m_i else em_o.core(m_o, mid)
             if image:
                 cells.append((p, image.items()))
         return cells
@@ -870,8 +865,9 @@ def _view_cells(em_o, em_i, mid, modes):
 
 
 def _is_view(field):
-    """Whether field reads through RelabelledView.mode_parts."""
-    return type(field).mode_parts is RelabelledView.mode_parts
+    """Whether field is a RelabelledView with FieldFamily's mode_parts."""
+    return (isinstance(field, RelabelledView)
+            and type(field).mode_parts is FieldFamily.mode_parts)
 
 
 # Binomial tables of the delta relations, keyed by their factors tuple:
@@ -924,16 +920,14 @@ class DeltaRelation:
     """
 
     def __init__(self, f, g, factors, rhs_terms):
-        self.f = f
-        self.g = g
+        self.f, self.g = f, g
         self.factors = [(Fraction(c), a if isinstance(a, Cyc) else Fraction(a))
                         for c, a in factors]
         self.rhs_terms = rhs_terms
         self.space = field_space(f, g)
         self._coef = self._ncoef = ()
         self._apow = {}
-        self._plan_of = None
-        self._plan = None
+        self._plan_of = self._plan = None
 
     def _sweep_plan(self):
         """(f, g, s, terms, folds): the operands as swept, the factored
@@ -1082,7 +1076,7 @@ class DeltaRelation:
                     if S > cap:
                         continue
                     if em is not None:
-                        cell = em.mode_memo(S - cap, mid)
+                        cell = em.core(S - cap, mid)
                     else:
                         hi_t, mult, cell = term.field.mode_parts(S, sid)
                         if hi_t != hi:

@@ -36,11 +36,14 @@ are views of the E^-(delta_r) memo (distops.RelabelledView): mode_parts
 returns the zero-label image with the label bits of the final label,
 lambda + delta_r or lambda + delta_r + alpha, and Z's cocycle sign, read
 from a per-label cache (view); a dressing's own labelled images are
-views the same way.  ProductField and the labelled sweep put label and
-sign on each output id as they accumulate, so no relabelled copy of a
-dressing is kept.  The quadratic Z-relation of every root pair
-multiplies the same E^-(delta_r) E^-(delta_s) images on the modes of a
-state, and every cell of one state carries one output label, so its
+views the same way.  A ProductField of such fields has a view too, and
+keeps one zero-label core image per mode multiset: the label and the
+sign go on when a caller reads the image (distops.FieldFamily).  The
+k_i and beta(r) fields (HeisTimesXField) read the label through a mode
+0, so they have no view and keep their images per state.  The
+quadratic Z-relation of every root pair multiplies the same
+E^-(delta_r) E^-(delta_s) images on the modes of a state, and every
+cell of one state carries one output label, so its
 sweep is folded (distops.DeltaRelation.check_window): it reads each
 such product on zero-label keys from one memo of the outer dressing
 (distops._view_cells), folds the signs into the coefficients and puts
@@ -171,12 +174,11 @@ class VertexXField(RelabelledView):
     at n minus that exponent, with those label bits put on."""
 
     def __init__(self, space: FockSpace, vec, label):
-        super().__init__()
         self.space = space
         self.vec = tuple(vec)
         self.shift = self.vec
         self.label = label
-        self.em = ExpField(space, self.vec, 1, -1)
+        super().__init__(ExpField(space, self.vec, 1, -1))
         self._views = {}
 
     def view(self, lid):
@@ -233,13 +235,12 @@ class ZField(RelabelledView):
     exponent, with the label bits and the sign put on."""
 
     def __init__(self, mod: HomogeneousModule, alpha, rvec):
-        super().__init__()
+        self.x = mod.k0(rvec)
+        super().__init__(self.x.em)
         self.lat = mod.lat
         self.space = mod.space
         self.alpha = tuple(alpha)
         self.avec = mod.lat.embed_root(alpha)
-        self.x = mod.k0(rvec)
-        self.em = self.x.em
         self.shift = tuple(a + b for a, b in zip(self.avec, self.x.shift))
         self.label = "Z" + repr(self.alpha) + repr(tuple(rvec))
         self._half = int(mod.space.pair(self.avec, self.avec)) // 2

@@ -14,6 +14,12 @@ from the DkModule; the current relations are built here from the same
 summands, Cartan pairings and central terms (fockhom.root_pair_terms,
 cartan_pair_terms, central_terms).  Both modules carry their theta as an
 autom.TwistData, the identity one for the homogeneous module.
+Every dressed field is a ProductField of E^-, a view and E^+ (nested
+five deep in the rebuilt module), and each moves the label by a fixed
+vector, so each has a label view (distops.FieldFamily) and keeps one
+zero-label core image per mode multiset; a RestrictedField takes its
+base's view.  Only b' = h k_0 / k and products holding a k_i read the
+label otherwise and keep their images per state.
 verify_Zk_relations writes relations (1)-(6), (9) and (10) of D_k
 through checks.dk_relations, the block of the principal suite too,
 with k_1 alone, and adds zk.omega_closed, zk.7 and zk.8.
@@ -194,8 +200,10 @@ def omega_basis(mod: CkModule, window: TruncationWindow):
 class RestrictedField(FieldFamily):
     """1 (x) F on M(k) (x) W realized inside the same Fock space: F acts
     on the label and the non-Cartan modes, the Cartan modes ride along.
-    The split of a mode multiset is kept per mid, and the Cartan modes
-    go back on each output through the space's join transition."""
+    It has F's view when F has one, and then one core row per mid.  The
+    split of a mode multiset is kept per mid: F reads its core key with
+    the Cartan modes taken off, and they go back on each output through
+    the space's join transition."""
 
     def __init__(self, base, cartan_dirs, label=None):
         super().__init__()
@@ -205,11 +213,12 @@ class RestrictedField(FieldFamily):
         self.space = base.space
         self.label = label or ("1x" + base.label)
         self._splits = {}
+        self.view = base.view
 
-    def _split(self, sid):
-        """(mid of the Cartan modes, sid of the W state of the rest),
+    def _split(self, key):
+        """(mid of the Cartan modes, key of the W state of the rest),
         the first kept per mid."""
-        mid = sid & MODE_MASK
+        mid = key & MODE_MASK
         hit = self._splits.get(mid)
         if hit is None:
             space = self.space
@@ -217,16 +226,16 @@ class RestrictedField(FieldFamily):
             hit = self._splits[mid] = (
                 space.mid(tuple(mo for mo in modes if mo[0] in self.cartan)),
                 space.mid(tuple(mo for mo in modes if mo[0] not in self.cartan)))
-        return hit[0], (sid & LABEL_BITS) | hit[1]
+        return hit[0], (key & LABEL_BITS) | hit[1]
 
-    def max_mode(self, sid):
-        return self.base.max_mode(self._split(sid)[1])
+    def cap(self, key):
+        return self.base.cap(self._split(key)[1])
 
-    def mode_state(self, n, sid):
-        mk, wsid = self._split(sid)
+    def mode_state(self, n, key):
+        mk, wkey = self._split(key)
         joined = self.space.joined
         out = {}
-        for k, c in self.base.mode_memo(n, wsid).items():
+        for k, c in self.base.core(n, wkey).items():
             _acc(out, (k & LABEL_BITS) | joined(k & MODE_MASK, mk), c)
         return out
 

@@ -210,40 +210,65 @@ def test_weighted_modes():
 
 def _composite_fields(win):
     """The x, x', b' and k fields of A1 at N = 2 and of its roundtrip
-    through the Z-algebra."""
-    V = homogeneous_Ck(HomogeneousModule(build_root_system("A", 1), 2))
+    through the Z-algebra, and the products Z(beta, 0) Z(beta, e_1),
+    whose left factor's z-exponent moves with the label the right one
+    leaves."""
+    mod = HomogeneousModule(build_root_system("A", 1), 2)
+    V = homogeneous_Ck(mod)
     back = from_Zmodule(to_Zmodule(V, win))
     zero, e1 = (0, 0), (1, 0)
     hvec = V.root_vec(V.rs.simple_roots[0])
     fields = []
     for beta in (V.rs.roots[0], V.rs.roots[-1]):
         fields += [V.x(beta, zero), V.x(beta, e1), back.x(beta, zero),
-                   back.x(beta, e1)]
+                   back.x(beta, e1),
+                   ProductField(mod.z(beta, zero), mod.z(beta, e1))]
     fields += [back.beta_field(hvec, zero), back.beta_field(hvec, e1),
                V.kf(1, e1), back.kf(0, e1), back.kf(1, zero), back.kf(2, e1)]
     return V.space, fields
+
+
+def _principal_products():
+    """The products checks.dk_relations builds on principal A1 at m = 2,
+    a space of weight 2: Z(beta, r) k_0(s), Z = C k_0 with C = 1/4, and
+    k_0(r) k_1(s), for r, s in default_rvecs."""
+    mod = PrincipalModule(build_root_system("A", 1), 1, 2, negation_theta,
+                          constants=Fraction(1, 4))
+    beta = mod.rs.roots[0]
+    fields = []
+    for r in default_rvecs(mod.N):
+        for s in default_rvecs(mod.N):
+            fields += [ProductField(mod.z(beta, r), mod.k0(s)),
+                       ProductField(mod.k0(r), mod.kf(1, s))]
+    return mod.space, fields
 
 
 def test_composite_caches_match_uncached_oracle():
     """Per-state caps and in-place merges of the composite fields agree
     with a recomputation that keeps no per-field cache and sums with
     comb_add, on two fresh builds whose window states are visited in
-    opposite orders."""
-    win = TruncationWindow(2, 2, 1)
-    lo = -2 * win.modes
+    opposite orders: the A1 fields of _composite_fields at (2, 2, 1),
+    and the weight-2 principal products at (6, 4, 1), where the core
+    exponent of k_0 is -2(delta, label)."""
+    inputs = [(_composite_fields, TruncationWindow(2, 2, 1), 10000),
+              (lambda _win: _principal_products(), TruncationWindow(6, 4, 1),
+               5000)]
     for visit in (list, lambda states: states[::-1]):
-        space, fields = _composite_fields(win)
-        seen = {}
-        cells = 0
-        for v in visit(window_states(space, win)):
-            for f in fields:
-                hi = Tuples(f).max_mode(v)
-                assert hi == ref_max_mode(f, v), (f.label, v)
-                for n in range(lo, hi + 1):
-                    got = Tuples(f).mode_memo(n, v)
-                    assert comb_eq(got, ref_mode(f, n, v, seen)), (f.label, v, n)
-                    cells += len(got)
-        assert cells > 10000
+        for build, win, least in inputs:
+            lo = -2 * win.modes
+            space, fields = build(win)
+            seen = {}
+            cells = 0
+            for v in visit(window_states(space, win)):
+                for f in fields:
+                    hi = Tuples(f).max_mode(v)
+                    assert hi == ref_max_mode(f, v), (f.label, v)
+                    for n in range(lo, hi + 1):
+                        got = Tuples(f).mode_memo(n, v)
+                        assert comb_eq(got, ref_mode(f, n, v, seen)), \
+                            (f.label, v, n)
+                        cells += len(got)
+            assert cells > least
 
 
 def _memo_product_image(field, n, sid):

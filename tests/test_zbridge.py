@@ -4,12 +4,13 @@ import pytest
 
 from field_oracle import Tuples, lhs_coeff
 from torlab.distops import (MODE_MASK, DeltaRelation, ExpField,
-                            IdentityField, ScaledField, TruncationWindow,
-                            comb_add, comb_scale, comb_sub, dressing_operator)
+                            IdentityField, ProductField, ScaledField,
+                            TruncationWindow, comb_add, comb_scale, comb_sub,
+                            dressing_operator)
 from torlab.fockhom import HomogeneousModule, pair_relation, window_states
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
-from torlab.zbridge import (CkModule, TwistData, check_Ck,
+from torlab.zbridge import (CkModule, RestrictedField, TwistData, check_Ck,
                             current_pair_relation, from_Zmodule,
                             homogeneous_Ck, omega_basis, roundtrip_check,
                             to_Zmodule, verify_Zk_relations)
@@ -196,6 +197,41 @@ def test_dressings_store_one_zero_label_expansion(monkeypatch):
     assert len(groups) < len(built)
     for same in groups.values():
         assert all(em._memo is same[0]._memo for em in same)
+
+
+def test_composites_with_a_view_keep_one_core_row_per_mode_multiset(
+        monkeypatch):
+    """After roundtrip_check and check_Ck on the original and the rebuilt
+    A1 module at (2, 2, 1), every ProductField and RestrictedField with a
+    label view keeps its images and caps on mids only, at most one row
+    per mode multiset of the space, and 1,676 core rows in all; every
+    ProductField that reads the label (b' = h k_0 and the k_i k_0
+    products of the factorization checks) still fills labelled rows."""
+    built = []
+    for cls in (ProductField, RestrictedField):
+        def record(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__init__", record)
+    V = _v()
+    entries, _w, back = roundtrip_check(V, WIN)
+    entries = entries + check_Ck(V, WIN) + check_Ck(back, WIN)
+    assert all(e[2] == "pass" for e in entries)
+    viewed = [f for f in built if f.view is not None]
+    labelled = [f for f in built
+                if f.view is None and isinstance(f, ProductField)]
+    assert viewed and labelled
+    mids = len(V.space._modes)
+    for f in viewed:
+        assert all(key <= MODE_MASK for key in f._memo), f.label
+        assert len(f._memo) <= mids, f.label
+        assert all(key <= MODE_MASK for key in getattr(f, "_caps", ())), \
+            f.label
+    assert {f.label[:2] for f in labelled} == {"b'", "k1", "1x"}
+    for f in labelled:
+        assert any(key > MODE_MASK for key in f._memo), f.label
+    assert sum(len(f._memo) for f in viewed) == 1676
 
 
 def test_factorization_counterexample():
