@@ -132,14 +132,16 @@ def no_out(fields, states, lo, bad):
     """No mode n >= lo of a field takes a state v to an output state s
     with bad(v, n, s), v and s (label, modes) tuples.  Sweeps states,
     then fields, then modes upward, and each image in its key order; the
-    witness is the first offending {state, mode, out}."""
+    witness is the first offending {state, mode, out}.  Images are read
+    through mode_parts, the label bits put on each key as it is tested."""
     space = _space(*fields)
     for v in states:
         sid = space.sid(v)
         for f in fields:
             for n in range(lo, f.max_mode(sid) + 1):
-                for s in f.mode_memo(n, sid):
-                    s = space.state_of(s)
+                hi, _sign, image = f.mode_parts(n, sid)
+                for s in image:
+                    s = space.state_of(s | hi)
                     if bad(v, n, s):
                         return False, {"state": v, "mode": n, "out": s}
     return True, None
@@ -160,7 +162,7 @@ def coord_shift(f, states, lo, coord, expected):
 def nonzero(f, states, lo):
     """Some mode of f is nonzero on some state."""
     sids = map(_space(f).sid, states)
-    return any(f.mode_memo(n, sid)
+    return any(f.mode_parts(n, sid)[2]
                for sid in sids for n in range(lo, f.max_mode(sid) + 1))
 
 

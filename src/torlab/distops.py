@@ -463,6 +463,9 @@ class FieldFamily:
     HeisenbergField, ZeroModeTimesField, fockhom.HeisTimesXField and any
     composite holding one read the label otherwise (mode 0 pairs with
     it): their view is None and their core is keyed by sid.
+    DeltaRelation.check_window reads both kinds in one sweep (_read), a
+    field without a view as one with exponent 0, cap max_mode and sign 1
+    on its labelled state.
 
     Subclasses give mode_state(n, key) and cap(key) (or max_mode) on the
     core's keys; modes above the cap annihilate.  core keeps one row per
@@ -536,9 +539,9 @@ class FieldFamily:
 class RelabelledView(FieldFamily):
     """An E^- dressing em (an ExpField of sign -1) with a label and a
     sign put on: a subclass passes em and gives view(lid), label_bits
-    those of the label plus shift.  Its core is em's; it keeps no memo.  A
-    DeltaRelation on two views with FieldFamily.mode_parts is folded
-    (check_window); one that overrides mode_parts is swept unfolded."""
+    those of the label plus shift.  Its core is em's; it keeps no memo.
+    check_window reads the products of two views from the product memo
+    of their dressings (_cells)."""
 
     def __init__(self, em):
         super().__init__()
@@ -804,70 +807,67 @@ def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
 # ---------------------------------------------------------------------------
 
 
-def _product(sid, outer, inner, n_outer, n_inner):
-    """The nonzero (key, coefficient) pairs of outer(n_outer)
-    inner(n_inner) on sid, outer and inner mode_parts of two fields whose
-    label bits and signs go on as they are read: keys come, and sums
-    group, as in the product of the relabelled images."""
-    hi_in, sign_in, mid = inner(n_inner, sid)
+def _read(field, sid):
+    """(e, cap, sign, label bits, key) of field on sid: its mode n there is
+    core(n - e, key) with the label bits and the sign put on, empty past
+    e + cap.  A field with a view is read on the zero-label mid, one
+    without on sid itself, with exponent 0, its max_mode as the cap,
+    sign 1 and no label bits (its images carry their labels)."""
+    view = field.view
+    if view is None:
+        return 0, field.max_mode(sid), 1, 0, sid
+    mid = sid & MODE_MASK
+    e, hi, sign = view(sid >> MODE_BITS)
+    return e, field.cap(mid), sign, hi, mid
+
+
+def _product(outer, inner, key, m_o, m_i, lift, mask):
+    """The nonzero (key, coefficient) pairs of outer(m_o) inner(m_i) on
+    key, outer and inner two fields' core(n, key): outer reads each key k
+    of inner's image as (k | lift) & mask."""
     acc = {}
-    for w, cw in mid.items():
-        hi, sign, res = outer(n_outer, w | hi_in)
-        if sign != sign_in:
-            cw = -cw
-        for k, v in res.items():
-            if hi:
-                k |= hi
+    for w, cw in inner(m_i, key).items():
+        for k, v in outer(m_o, (w | lift) & mask).items():
             prev = acc.get(k)
             vv = v * cw
             acc[k] = vv if prev is None else prev + vv
     return tuple([(k, v) for k, v in acc.items() if v])
 
 
-def _products(sid, outer, inner, modes):
-    """(p, _product) per (p, n_outer, n_inner) in modes where it is not
-    empty: the labelled product loop of check_window."""
+def _cells(outer, inner, key, modes, lift, mask, dressed):
+    """(p, _product) of outer(m_o) inner(m_i) on key per (p, m_o, m_i) in
+    modes where it is not empty: the product cells of check_window.  For
+    two E^- dressings (dressed; cap 0, so a positive m_o is skipped) each
+    is kept in outer's product memo under (inner's index, m_o, m_i, key),
+    and with the identity (no _dirs) on either side it is the other
+    dressing's image at mode 0, empty elsewhere, not stored."""
     cells = []
-    for p, n_outer, n_inner in modes:
-        items = _product(sid, outer, inner, n_outer, n_inner)
-        if items:
-            cells.append((p, items))
-    return cells
-
-
-def _view_cells(em_o, em_i, mid, modes):
-    """(p, _product) of em_o(m_o) em_i(m_i), two E^- dressings, on the
-    zero-label state mid, per (p, m_o, m_i) in modes (m_o, m_i <= 0) where
-    it is not empty, kept in em_o's product memo under (em_i's index,
-    m_o, m_i, mid).  With the identity (no _dirs) on either side it is
-    the other dressing's image at mode 0, empty elsewhere, not stored."""
-    cells = []
-    if not (em_o._dirs and em_i._dirs):
+    if dressed and not (outer._dirs and inner._dirs):
         for p, m_o, m_i in modes:
-            if not em_o._dirs:
-                image = None if m_o else em_i.core(m_i, mid)
+            if not outer._dirs:
+                image = None if m_o else inner.core(m_i, key)
             else:
-                image = None if m_i else em_o.core(m_o, mid)
+                image = None if m_i else outer.core(m_o, key)
             if image:
                 cells.append((p, image.items()))
         return cells
-    memo = em_o._products
-    did = em_i._did
+    if not dressed:
+        for p, m_o, m_i in modes:
+            items = _product(outer.core, inner.core, key, m_o, m_i, lift, mask)
+            if items:
+                cells.append((p, items))
+        return cells
+    memo, did = outer._products, inner._did
     for p, m_o, m_i in modes:
-        key = (did, m_o, m_i, mid)
-        items = memo.get(key)
-        if items is None:
-            items = memo[key] = _product(mid, em_o.mode_parts,
-                                         em_i.mode_parts, m_o, m_i)
-        if items:
-            cells.append((p, items))
+        if m_o <= 0:
+            mkey = (did, m_o, m_i, key)
+            items = memo.get(mkey)
+            if items is None:
+                items = memo[mkey] = _product(outer.core, inner.core, key,
+                                              m_o, m_i, 0, -1)
+            if items:
+                cells.append((p, items))
     return cells
-
-
-def _is_view(field):
-    """Whether field is a RelabelledView with FieldFamily's mode_parts."""
-    return (isinstance(field, RelabelledView)
-            and type(field).mode_parts is FieldFamily.mode_parts)
 
 
 # Binomial tables of the delta relations, keyed by their factors tuple:
@@ -930,33 +930,37 @@ class DeltaRelation:
         self._plan_of = self._plan = None
 
     def _sweep_plan(self):
-        """(f, g, s, terms, folds): the operands as swept, the factored
-        constant s (None when it is 1), the delta terms as swept with
-        their coefficients divided by s, and how check_window folds each
-        term: (view, None) for a view, (base view, vec) for a
-        ZeroModeTimesField over a view, None for a term read through its
-        mode_parts.  folds is None unless both operands are views."""
+        """(f, g, s, terms, reads, pairs): the operands as swept, the
+        factored constant s (None when it is 1), the delta terms as swept
+        with their coefficients divided by s, and per term the field
+        check_window reads and a vec: (base, vec) for a ZeroModeTimesField
+        over a field with a view, whose vec(0) is then <vec, label> on the
+        base's image, else (field, None).  pairs is ((outer, inner) of
+        f(g(v)), of g(f(v)), dressed): for two E^- dressings
+        (RelabelledView) their ExpFields and dressed True, whose products
+        _cells keeps in a memo, else (f, g), (g, f) and False."""
         key = (self.f, self.g, self.rhs_terms)
         if key != self._plan_of:
             f, cf = _unscaled(self.f)
             g, cg = _unscaled(self.g)
             s = _scalar(cf * cg)
             s = None if s == 1 else s
-            terms, folds = [], []
+            terms, reads = [], []
             for t in self.rhs_terms:
                 h, ch = _unscaled(t.field)
                 c = t.coeff * ch
                 terms.append(DeltaTerm(c if s is None else Cyc._coerce(c) / s,
                                        t.a, h, t.use_D))
-                if _is_view(h):
-                    folds.append((h, None))
-                elif type(h) is ZeroModeTimesField and _is_view(h.base):
-                    folds.append((h.base, h.vec))
+                if type(h) is ZeroModeTimesField and h.base.view is not None:
+                    reads.append((h.base, h.vec))
                 else:
-                    folds.append(None)
+                    reads.append((h, None))
+            if isinstance(f, RelabelledView) and isinstance(g, RelabelledView):
+                pairs = (f.em, g.em), (g.em, f.em), True
+            else:
+                pairs = (f, g), (g, f), False
             self._plan_of = key
-            self._plan = f, g, s, terms, (
-                folds if _is_view(f) and _is_view(g) else None)
+            self._plan = f, g, s, terms, reads, pairs
             self._apow = {}
         return self._plan
 
@@ -973,55 +977,57 @@ class DeltaRelation:
             self._ncoef = tuple([-c for c in table])
         return self._coef
 
-    def _delta_coeff(self, ti, term, a, mult):
-        """-mult times delta term ti's coefficient at z1^a, cached."""
-        hit = self._apow.get((ti, a, mult))
-        if hit is None:
-            base = self._apow.get((ti, a))
-            if base is None:
-                base = term.coeff * term.a ** a
-                base = self._apow[ti, a] = _scalar(base * a if term.use_D
-                                                   else base)
-            hit = self._apow[ti, a, mult] = base * -mult
-        return hit
+    def _delta_row(self, ti, term, mult, W):
+        """-mult times delta term ti's coefficient at z1^a, a = -W..W,
+        cached per (ti, mult, W) on a cache of the coefficients per
+        (ti, a)."""
+        row = self._apow.get((ti, mult, W))
+        if row is None:
+            row = self._apow[ti, mult, W] = []
+            for a in range(-W, W + 1):
+                base = self._apow.get((ti, a))
+                if base is None:
+                    base = term.coeff * term.a ** a
+                    base = self._apow[ti, a] = _scalar(base * a if term.use_D
+                                                       else base)
+                row.append(base * -mult)
+        return row
 
-    def _state(self, sid, fold):
-        """(label bits, e_1, gmax, s_1, e_2, fmax, s_2, reads) of sid:
-        gmax g's cap on sid, e_1 f's on the label g leaves, s_1 their
-        signs' product, and e_2, fmax, s_2 the same for g(f(v)); reads
-        (ti, term, em, cap, mult) per delta term, folded ones with their
-        view's dressing, exponent and sign (times <vec, label> for a
-        ZeroModeTimesField, left out at 0).  Folded, the output label's
-        bits (None if a view ends elsewhere); unfolded 0, signs 1."""
-        f, g, _s, terms, folds = self._sweep_plan()
-        if fold:
-            lid = sid >> MODE_BITS
-            gmax, hi_g, s_g = g.view(lid)
-            e1, hi, s1 = f.view(hi_g >> MODE_BITS)
-            fmax, hi_f, s_f = f.view(lid)
-            e2, hi2, s2 = g.view(hi_f >> MODE_BITS)
-            if hi2 != hi:
-                return None
-            s1, s2 = s1 * s_g, s2 * s_f
-        else:
-            hi, s1, s2 = 0, 1, 1
-            gmax, fmax = g.max_mode(sid), f.max_mode(sid)
-            e1 = f.max_mode(self.space.shifted(sid, g.shift))
-            e2 = g.max_mode(self.space.shifted(sid, f.shift))
+    def _state(self, sid, W):
+        """(orders, reads, top) of sid.  orders reads f(g(v)), then
+        g(f(v)): (e_o, e_i, top_i, sign, hi, key, lift, mask), the inner
+        operand read on sid (_read) with exponent e_i, top mode top_i and
+        key, the outer read on the state the inner leaves with exponent
+        e_o and label bits hi, sign the two signs' product, and
+        (k | lift) & mask the key the outer reads for a key k of the
+        inner's image.  reads is (row, core, e, top, key, hi) per delta
+        term, row its _delta_row for mult, its sign (times <vec, label>
+        for a ZeroModeTimesField, left out at 0).  top bounds the
+        anti-diagonals with a nonzero cell: the outer's top mode is read
+        on the label the inner leaves and the input modes (ProductField's
+        cap rule)."""
+        f, g, _s, terms, plan, _pairs = self._sweep_plan()
+        space = self.space
+        orders, tops = [], []
+        for outer, inner in ((f, g), (g, f)):
+            e_i, cap_i, s_i, hi_i, key = _read(inner, sid)
+            moved = (hi_i | key if inner.view is not None
+                     else space.shifted(sid, inner.shift))
+            e_o, cap_o, s_o, hi, _key = _read(outer, moved)
+            orders.append((e_o, e_i, e_i + cap_i, s_o * s_i, hi, key,
+                           moved & LABEL_BITS,
+                           MODE_MASK if outer.view is not None else -1))
+            tops.append(e_o + cap_o + e_i + cap_i)
         reads = []
-        for ti, term in enumerate(terms):
-            if not fold or folds[ti] is None:
-                reads.append((ti, term, None, term.field.max_mode(sid), 1))
-                continue
-            view, vec = folds[ti]
-            cap, hi_t, mult = view.view(lid)
-            if hi_t != hi:
-                return None
+        for ti, (term, (h, vec)) in enumerate(zip(terms, plan)):
+            e, cap, mult, hi, key = _read(h, sid)
             if vec is not None:
-                mult *= self.space.label_pair(vec, hi >> MODE_BITS)
+                mult *= space.label_pair(vec, hi >> MODE_BITS)
             if mult:
-                reads.append((ti, term, view.em, cap, mult))
-        return hi, e1, gmax, s1, e2, fmax, s2, reads
+                reads.append((self._delta_row(ti, term, mult, W), h.core, e,
+                              e + cap, key, hi))
+                tops.append(e + cap)
+        return orders, reads, max(tops)
 
     def check_window(self, W, state):
         """Check every coefficient cell |a|, |b| <= W on one (label, modes)
@@ -1032,96 +1038,80 @@ class DeltaRelation:
         anti-diagonal p + q = a + b are merged once and shared by its
         cells.  A witness names its state and output states as tuples.
 
-        With two view operands all cells of the state carry one output
-        label, and the sweep is folded: it reads the views once (_state)
-        and each product on zero-label keys (_view_cells), folds each
-        order's sign into the binomial coefficients and each term's mult
-        into its delta coefficient, and strips the label off a term read
-        through mode_parts.  A cell on another label (only a corrupted
-        relation makes one) sends the state back to its first
-        anti-diagonal through _products, with the same a-loop.  The label
-        goes on a failing witness only: k -> k | label is injective and
-        keeps key order, so witnesses keep their bytes.
+        One sweep reads every operand and delta term through _read, once
+        per state (_state): a field with a view on zero-label keys, one
+        without on the labelled state.  Each product cell comes from
+        _cells, the signs are folded into the binomial and delta
+        coefficients, and the outer mode of a product runs up to the
+        window's bound (an E^+ factor may absorb modes the inner operand
+        made).  The difference is keyed by each output state XOR the
+        label bits hi of f(g(v)): a usual cell of two view operands has
+        zero-label keys as read, a cell on another label (only a
+        corrupted relation makes one) keeps a key of its own, and a
+        failing witness gets its labels back by the same XOR, which is
+        injective, so witnesses keep their bytes.
         """
         sid = self.space.sid(state)
-        mid = sid & MODE_MASK
-        f, g, scale, _terms, folds = self._sweep_plan()
-        for fold in (True, False) if folds is not None else (False,):
-            st = self._state(sid, fold)
-            if st is None:
+        _f, _g, scale, _terms, _plan, pairs = self._sweep_plan()
+        (o1, i1), (o2, i2), dressed = pairs
+        orders, reads, top = self._state(sid, W)
+        e1, ei1, gmax, s1, hi, key1, lift1, mask1 = orders[0]
+        e2, ei2, fmax, s2, hi2, key2, lift2, mask2 = orders[1]
+        signed = {1: self._coefs(max(W + max(gmax, fmax), 0)),
+                  -1: self._ncoef}
+        coef1, coef2 = signed[s1], signed[-s2]
+        for S in range(-2 * W, min(2 * W, top) + 1):
+            amin = max(-W, S - W)
+            amax = min(W, S + W)
+            cells1 = _cells(o1, i1, key1, [
+                (p, p - e1, S - p - ei1) for p in range(S - gmax, amax + 1)],
+                lift1, mask1, dressed)
+            cells2 = _cells(o2, i2, key2, [
+                (p, S - p - e2, p - ei2) for p in range(amin, fmax + 1)],
+                lift2, mask2, dressed)
+            if hi2 != hi and cells2:
+                cells2 = [(p, [((k | hi2) ^ hi, v) for k, v in items])
+                          for p, items in cells2]
+            rhs = []
+            for row, core, e, cap, key, hi_t in reads:
+                cell = core(S - e, key) if S <= cap else None
+                if cell:
+                    rhs.append((row, cell.items() if hi_t == hi
+                                else [((k | hi_t) ^ hi, v)
+                                      for k, v in cell.items()]))
+            if not (cells1 or cells2 or rhs):
                 continue
-            hi, e1, gmax, s1, e2, fmax, s2, reads = st
-            cut = min(2 * W, max([e1 + gmax, e2 + fmax]
-                                 + [r[3] for r in reads]))
-            signed = {1: self._coefs(max(W + max(gmax, fmax), 0)),
-                      -1: self._ncoef}
-            coef1, coef2 = signed[s1], signed[-s2]
-            for S in range(-2 * W, cut + 1):
-                amin = max(-W, S - W)
-                amax = min(W, S + W)
-                if fold:
-                    cells1 = _view_cells(f.em, g.em, mid, [
-                        (p, p - e1, S - p - gmax)
-                        for p in range(S - gmax, min(amax, e1) + 1)])
-                    cells2 = _view_cells(g.em, f.em, mid, [
-                        (p, S - p - e2, p - fmax)
-                        for p in range(max(amin, S - e2), fmax + 1)])
-                else:
-                    cells1 = _products(sid, f.mode_parts, g.mode_parts, [
-                        (p, p, S - p) for p in range(S - gmax, amax + 1)])
-                    cells2 = _products(sid, g.mode_parts, f.mode_parts, [
-                        (p, S - p, p) for p in range(amin, fmax + 1)])
-                rhs = []
-                for ti, term, em, cap, mult in reads:
-                    if S > cap:
-                        continue
-                    if em is not None:
-                        cell = em.core(S - cap, mid)
-                    else:
-                        hi_t, mult, cell = term.field.mode_parts(S, sid)
-                        if hi_t != hi:
-                            cell = {(k | hi_t) ^ hi: v for k, v in cell.items()}
-                        if fold and any(k > MODE_MASK for k in cell):
-                            rhs = None  # another label: sweep unfolded
-                            break
-                    if cell:
-                        rhs.append((ti, term, mult, cell.items()))
-                if rhs is None:
-                    break
-                if not (cells1 or cells2 or rhs):
-                    continue
-                for a in range(amin, amax + 1):
-                    diff = {}
-                    dget = diff.get
-                    for p, items in cells1:
-                        if p > a:
-                            break
-                        cn = coef1[a - p]
+            for a in range(amin, amax + 1):
+                diff = {}
+                dget = diff.get
+                for p, items in cells1:
+                    if p > a:
+                        break
+                    cn = coef1[a - p]
+                    if cn:
+                        for k, v in items:
+                            prev = dget(k)
+                            vv = v * cn
+                            diff[k] = vv if prev is None else prev + vv
+                for p, items in cells2:
+                    if p >= a:
+                        cn = coef2[p - a]
                         if cn:
                             for k, v in items:
                                 prev = dget(k)
                                 vv = v * cn
                                 diff[k] = vv if prev is None else prev + vv
-                    for p, items in cells2:
-                        if p >= a:
-                            cn = coef2[p - a]
-                            if cn:
-                                for k, v in items:
-                                    prev = dget(k)
-                                    vv = v * cn
-                                    diff[k] = vv if prev is None else prev + vv
-                    for ti, term, mult, items in rhs:
-                        c = self._delta_coeff(ti, term, a, mult)
-                        if c:
-                            for k, v in items:
-                                prev = dget(k)
-                                vv = v * c
-                                diff[k] = vv if prev is None else prev + vv
-                    if any(diff.values()):
-                        bad = {k | hi: v if scale is None else v * scale
-                               for k, v in diff.items() if v}
-                        return False, {"state": state, "modes": (a, S - a),
-                                       "difference": witness_difference(
-                                           self.space, state, bad)}
-            else:
-                return True, None
+                for row, items in rhs:
+                    c = row[a + W]
+                    if c:
+                        for k, v in items:
+                            prev = dget(k)
+                            vv = v * c
+                            diff[k] = vv if prev is None else prev + vv
+                if any(diff.values()):
+                    bad = {k ^ hi: v if scale is None else v * scale
+                           for k, v in diff.items() if v}
+                    return False, {"state": state, "modes": (a, S - a),
+                                   "difference": witness_difference(
+                                       self.space, state, bad)}
+        return True, None

@@ -42,13 +42,13 @@ sign go on when a caller reads the image (distops.FieldFamily).  The
 k_i and beta(r) fields (HeisTimesXField) read the label through a mode
 0, so they have no view and keep their images per state.  The
 quadratic Z-relation of every root pair multiplies the same
-E^-(delta_r) E^-(delta_s) images on the modes of a state, and every
-cell of one state carries one output label, so its
-sweep is folded (distops.DeltaRelation.check_window): it reads each
-such product on zero-label keys from one memo of the outer dressing
-(distops._view_cells), folds the signs into the coefficients and puts
-the label on a failing witness only.  E^-(delta_0) is the identity, and
-its products are not stored.
+E^-(delta_r) E^-(delta_s) images on the modes of a state:
+distops.DeltaRelation.check_window reads each such product on
+zero-label keys from one memo of the outer dressing (distops._cells),
+folds the signs into the coefficients, reads the k_i terms on their
+labelled states in the same sweep and puts the label on a failing
+witness only.  E^-(delta_0) is the identity, and its products are not
+stored.
 
 The bracket of two root fields is written once, for every picture:
 root_pair_terms gives its binomial prefactors and its summands over

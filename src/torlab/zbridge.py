@@ -19,7 +19,9 @@ five deep in the rebuilt module), and each moves the label by a fixed
 vector, so each has a label view (distops.FieldFamily) and keeps one
 zero-label core image per mode multiset; a RestrictedField takes its
 base's view.  Only b' = h k_0 / k and products holding a k_i read the
-label otherwise and keep their images per state.
+label otherwise and keep their images per state.  A relation on two
+such composites (ck.rel1, zk.7) is swept on their zero-label cores,
+multiplied as they are read (distops.DeltaRelation.check_window).
 verify_Zk_relations writes relations (1)-(6), (9) and (10) of D_k
 through checks.dk_relations, the block of the principal suite too,
 with k_1 alone, and adds zk.omega_closed, zk.7 and zk.8.

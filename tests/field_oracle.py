@@ -3,10 +3,11 @@
 The delta-relation oracle works cell by cell: lhs_coeff and check_state
 compute the coefficient at z1^a z2^b of one relation on one state the
 slow way, against which DeltaRelation.check_window and its witnesses are
-compared.  The composite-field oracle, ref_max_mode and ref_mode,
-recomputes the caps and images of ProductField, ScaledField,
-RestrictedField and HeisTimesXField from their parts with no per-field
-cache and with comb_add sums.
+compared; a relation on Labelled operands is swept without their views
+(or the ScaledField a constant is factored out of).  The composite-field
+oracle, ref_max_mode and ref_mode, recomputes the caps and images of
+ProductField, ScaledField, RestrictedField and HeisTimesXField from their
+parts with no per-field cache and with comb_add sums.
 
 The Fock oracle is the Heisenberg action in the monomial basis p_lambda,
 monomial_act, and the exponential series by its recursion, exp_series;
@@ -25,8 +26,9 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from torlab.distops import (FockSpace, ProductField, ScaledField, comb_add,
-                            comb_scale, comb_sub, witness_difference)
+from torlab.distops import (FieldFamily, FockSpace, ProductField,
+                            ScaledField, comb_add, comb_scale, comb_sub,
+                            witness_difference)
 from torlab.fockhom import HeisTimesXField, ZField
 from torlab.zbridge import RestrictedField
 
@@ -211,6 +213,24 @@ def delta_cells(rel, a, s, state):
             if c:
                 out.append((c, field.mode_memo(s, state)))
     return out
+
+
+class Labelled(FieldFamily):
+    """A field read through its mode_memo, with no view and not a
+    ScaledField: a relation on it is swept on labelled states with no
+    constant factored out, the reference for the sweep of the field
+    itself."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+        self.shift, self.label, self.space = f.shift, f.label, f.space
+
+    def max_mode(self, sid):
+        return self.f.max_mode(sid)
+
+    def mode_state(self, n, sid):
+        return self.f.mode_memo(n, sid)
 
 
 def check_state(rel, a, b, state):

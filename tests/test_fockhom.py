@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from field_oracle import Tuples, check_state, comb_eq, ref_vertex
+from field_oracle import Labelled, Tuples, check_state, comb_eq, ref_vertex
 from torlab import distops
 from torlab.checks import default_rvecs, fields_equal, holds, nonzero
 from torlab.distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                             HeisenbergField, ProductField, TruncationWindow,
-                            ZeroModeTimesField, _products, _view_cells,
-                            comb_scale, comb_sub)
+                            ZeroModeTimesField, _cells, comb_scale, comb_sub)
 from torlab.fockhom import (HeisTimesXField, HomogeneousModule,
                             VertexXField, ZField, pair_relation, verify_33,
                             verify_center_hom, verify_products_hom,
@@ -261,9 +260,9 @@ def test_views_read_their_parts(name):
 class _Unsigned(ZField):
     """Z(alpha, r) with its cocycle sign dropped."""
 
-    def mode_parts(self, n, sid):
-        hi, _sign, image = super().mode_parts(n, sid)
-        return hi, 1, image
+    def view(self, lid):
+        e, hi, _sign = super().view(lid)
+        return e, hi, 1
 
 
 def test_a_negative_cocycle_sign_reaches_the_sweep():
@@ -306,14 +305,26 @@ def test_views_store_no_images():
     assert all(f.em._memo for f in views)
 
 
+def _memo_product(outer, inner, sid, n_o, n_i):
+    """The nonzero (key, coefficient) pairs of outer(n_o) inner(n_i) on
+    sid, each image read through mode_memo, keys in order of first
+    appearance."""
+    acc = {}
+    for w, cw in inner.mode_memo(n_i, sid).items():
+        for k, v in outer.mode_memo(n_o, w).items():
+            acc[k] = acc.get(k, 0) + v * cw
+    return tuple((k, v) for k, v in acc.items() if v)
+
+
 def test_view_products_are_the_general_products():
     """On A2 at (2, 2, 1), for every ordered pair of Z views with r and s
     in default_rvecs, every window state and every mode pair from -2W to
-    one above each view's cap, the zero-label cells _view_cells takes from
-    the product memo, with the outer view's label bits and the sign
-    s_o s_i put on, are those of the general loop _products: the same keys
-    in the same order with the same values, both when a call fills the
-    memo and when it only reads it.  Some nonempty cell has the sign -1."""
+    one above each view's top mode, the zero-label cells _cells takes
+    from the product memo of the two E^- dressings, with the outer view's
+    label bits and the sign s_o s_i put on, are the products of the two
+    mode_memo images: the same keys in the same order with the same
+    values, both when a call fills the memo and when it only reads it.
+    Some nonempty cell has the sign -1."""
     mod = _a2()
     win = TruncationWindow(2, 2, 1)
     W = win.modes
@@ -329,14 +340,14 @@ def test_view_products_are_the_general_products():
                 modes = [(p, n_o, n_i) for p, (n_o, n_i) in enumerate(
                     (a, b) for a in range(-2 * W, e_o + 2)
                     for b in range(-2 * W, e_i + 2))]
-                want = _products(sid, outer.mode_parts, inner.mode_parts,
-                                 modes)
+                want = [(p, cell) for p, n_o, n_i in modes
+                        for cell in [_memo_product(outer, inner, sid,
+                                                   n_o, n_i)] if cell]
                 dressing_modes = [(p, n_o - e_o, n_i - e_i)
-                                  for p, n_o, n_i in modes
-                                  if n_o <= e_o and n_i <= e_i]
+                                  for p, n_o, n_i in modes]
                 for _fill_then_read in range(2):
-                    got = _view_cells(outer.em, inner.em, sid & MODE_MASK,
-                                      dressing_modes)
+                    got = _cells(outer.em, inner.em, sid & MODE_MASK,
+                                 dressing_modes, 0, -1, True)
                     assert [(p, tuple((k | hi_o, s_o * s_i * c)
                                       for k, c in items))
                             for p, items in got] == want
@@ -347,20 +358,20 @@ def test_view_products_are_the_general_products():
 
 def test_a_sweep_stores_one_product_per_mode_triple(monkeypatch):
     """One verify_33 sweep of A2 at (2, 2, 1) reads 187,888 nonempty
-    product cells through _view_cells and stores 836 mode-level products
-    on its E^- dressings, one per (inner dressing, outer mode, inner
-    mode, input modes) it met where neither dressing is the identity
+    product cells through _cells and stores 836 mode-level products on
+    its E^- dressings, one per (inner dressing, outer mode, inner mode,
+    input modes) it met where neither dressing is the identity
     E^-(delta_0)."""
     mod = _a2()
     read = []
-    fill = distops._view_cells
+    fill = distops._cells
 
-    def counted(em_o, em_i, mid, modes):
-        cells = fill(em_o, em_i, mid, modes)
+    def counted(*args, **kwargs):
+        cells = fill(*args, **kwargs)
         read.append(len(cells))
         return cells
 
-    monkeypatch.setattr(distops, "_view_cells", counted)
+    monkeypatch.setattr(distops, "_cells", counted)
     entries = verify_33(mod, TruncationWindow(2, 2, 1))
     assert entries and all(e[2] == "pass" for e in entries)
     dressings = mod.space._dressings
@@ -375,31 +386,6 @@ def test_a_sweep_stores_one_product_per_mode_triple(monkeypatch):
         stored += len(products)
     assert sum(read) == 187888
     assert stored == 836
-
-
-def test_the_homogeneous_sweep_never_takes_the_labelled_loop(monkeypatch):
-    """verify_33 on A2 at (2, 2, 1) folds every state: no product cell is
-    read through the labelled loop _products."""
-    mod = _a2()
-    calls = []
-    labelled = distops._products
-
-    def counted(*args):
-        calls.append(args[0])
-        return labelled(*args)
-
-    monkeypatch.setattr(distops, "_products", counted)
-    entries = verify_33(mod, TruncationWindow(2, 2, 1))
-    assert entries and all(e[2] == "pass" for e in entries)
-    assert calls == []
-
-
-class _Labelled(ZField):
-    """Z(alpha, r) with a mode_parts of its own that only calls
-    RelabelledView's: a relation on it is swept through _products."""
-
-    def mode_parts(self, n, sid):
-        return super().mode_parts(n, sid)
 
 
 def _relabelled_field(mod, field, tot):
@@ -446,13 +432,13 @@ def _corruptions(mod, rel, tot):
     return out
 
 
-def test_the_folded_sweep_is_the_labelled_sweep(monkeypatch):
+def test_the_folded_sweep_is_the_labelled_sweep():
     """On A2 at (2, 2, 1), one root pair of each inner-product class with
     r and s in default_rvecs, and the corrupted copies of _corruptions:
-    on every window state the folded sweep gives the (ok, witness) of the
-    same relation on _Labelled operands, which no sweep folds.  Only a
-    delta term at another multidegree sends the folded sweep to
-    _products; every other corruption fails on the folded path."""
+    on every window state the sweep of the two Z views, read from the
+    dressings' product memo, gives the (ok, witness) of the same relation
+    on Labelled operands, which have no view.  Each kind of corruption
+    fails on some pair, a delta term at another multidegree too."""
     mod = _a2()
     win = TruncationWindow(2, 2, 1)
     states = window_states(mod.space, win)
@@ -462,14 +448,6 @@ def test_the_folded_sweep_is_the_labelled_sweep(monkeypatch):
         for b2 in roots:
             pairs.setdefault(mod.rs.form(b1, b2), (b1, b2))
     assert sorted(pairs) == [-2, -1, 1, 2]
-    calls = []
-    labelled = distops._products
-
-    def counted(*args):
-        calls.append(args[0])
-        return labelled(*args)
-
-    monkeypatch.setattr(distops, "_products", counted)
     seen = set()
     for b1, b2 in pairs.values():
         for r in default_rvecs(mod.N):
@@ -478,19 +456,16 @@ def test_the_folded_sweep_is_the_labelled_sweep(monkeypatch):
                 tot = tuple(x + y for x, y in zip(r, s))
                 for name, terms, factors in _corruptions(mod, rel, tot):
                     folded = DeltaRelation(rel.f, rel.g, factors, terms)
-                    ref = DeltaRelation(_Labelled(mod, b1, r),
-                                        _Labelled(mod, b2, s), factors, terms)
-                    assert ref._sweep_plan()[4] is None
-                    fails = labelled_states = 0
+                    ref = DeltaRelation(Labelled(rel.f), Labelled(rel.g),
+                                        factors, terms)
+                    assert folded._sweep_plan()[5][2]
+                    assert not ref._sweep_plan()[5][2]
+                    fails = 0
                     for v in states:
-                        del calls[:]
                         got = folded.check_window(win.modes, v)
-                        labelled_states += bool(calls)
                         assert got == ref.check_window(win.modes, v), \
                             (name, b1, b2, r, s, v)
                         fails += not got[0]
-                    assert name == "label" or not labelled_states
-                    seen.add((name, fails > 0, labelled_states > 0))
-    assert seen >= {("intact", False, False), ("flip", True, False),
-                    ("exp", True, False), ("vec", True, False),
-                    ("label", True, True)}
+                    seen.add((name, fails > 0))
+    assert seen >= {("intact", False), ("flip", True), ("exp", True),
+                    ("vec", True), ("label", True)}

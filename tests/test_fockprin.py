@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from field_oracle import Tuples
+from field_oracle import Labelled, Tuples
 from torlab.checks import default_rvecs, holds
-from torlab.distops import (DeltaRelation, DeltaTerm, FieldFamily,
-                            ScaledField, TruncationWindow)
+from torlab.distops import (DeltaRelation, DeltaTerm, ScaledField,
+                            TruncationWindow)
 from torlab.fockhom import pair_relation, window_states
 from torlab.fockprin import (PrincipalModule, _sqrt_in_cyc, negation_theta,
                              solve_prin_constants, verify_52,
@@ -184,30 +184,13 @@ def test_z_operator_is_scalar_times_k0():
 # ---------------------------------------------------------------------------
 
 
-class _Plain(FieldFamily):
-    """A field read through to another one, but not a ScaledField, so a
-    DeltaRelation sweeps it as it is: a scaled field's own images."""
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-        self.shift, self.label, self.space = f.shift, f.label, f.space
-
-    def max_mode(self, sid):
-        return self.f.max_mode(sid)
-
-    def mode_parts(self, n, sid):
-        return self.f.mode_parts(n, sid)
-
-    def mode_memo(self, n, sid):
-        return self.f.mode_memo(n, sid)
-
-
 def _plain(rel):
-    """rel with both operands and every delta-term field read through."""
+    """rel with both operands and every delta-term field read through
+    Labelled, which is not a ScaledField, so a DeltaRelation sweeps a
+    scaled field's own images."""
     return DeltaRelation(
-        _Plain(rel.f), _Plain(rel.g), rel.factors,
-        [DeltaTerm(t.coeff, t.a, _Plain(t.field), t.use_D)
+        Labelled(rel.f), Labelled(rel.g), rel.factors,
+        [DeltaTerm(t.coeff, t.a, Labelled(t.field), t.use_D)
          for t in rel.rhs_terms])
 
 

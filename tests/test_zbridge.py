@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from field_oracle import Tuples, lhs_coeff
-from torlab.distops import (MODE_MASK, DeltaRelation, ExpField,
+from field_oracle import Labelled, Tuples, check_state, lhs_coeff
+from torlab.distops import (MODE_MASK, DeltaRelation, DeltaTerm, ExpField,
                             IdentityField, ProductField, ScaledField,
                             TruncationWindow, comb_add, comb_scale, comb_sub,
                             dressing_operator)
@@ -232,6 +232,69 @@ def test_composites_with_a_view_keep_one_core_row_per_mode_multiset(
     for f in labelled:
         assert any(key > MODE_MASK for key in f._memo), f.label
     assert sum(len(f._memo) for f in viewed) == 1676
+
+
+def _moved(rel, i, other):
+    """rel's delta terms with term i's field taken from other, the same
+    relation at another multidegree."""
+    t = rel.rhs_terms[i]
+    moved = DeltaTerm(t.coeff, t.a, other.rhs_terms[i].field, t.use_D)
+    return rel.rhs_terms[:i] + [moved] + rel.rhs_terms[i + 1:]
+
+
+def test_composite_pairs_fold_as_the_labelled_sweep():
+    """On A1 at (2, 2, 1), every ck.rel1 relation of homogeneous_Ck and of
+    its from_Zmodule rebuild and every zk.7 relation of to_Zmodule sweeps
+    two composites with a view, none of them an E^- dressing.  Intact,
+    with the first delta term's sign flipped, and with the first or the
+    last delta term moved to another multidegree, each gives on every
+    state of its module the (ok, witness) of the same relation on
+    Labelled operands, which have no view.  Each witness is check_state's
+    at its cell, every intact relation holds and every corrupted one
+    fails."""
+    mod = HomogeneousModule(build_root_system("A", 1), 1)
+    ck = homogeneous_Ck(mod)
+    w = to_Zmodule(ck, WIN)
+    rebuilt = from_Zmodule(w)
+    zero, one = (0,), (1,)
+    suites = [(current_pair_relation, ck, window_states(ck.space, WIN)),
+              (current_pair_relation, rebuilt,
+               window_states(rebuilt.space, WIN)),
+              (pair_relation, w, w.omega_states)]
+    seen = set()
+    for build, m, states in suites:
+        for b1 in m.rs.roots:
+            for b2 in m.rs.roots:
+                rel = build(m, b1, b2, zero, zero)
+                other = build(m, b1, b2, zero, one)
+                assert isinstance(rel.f, ProductField) and rel.f.view
+                assert isinstance(rel.g, ProductField) and rel.g.view
+                terms = rel.rhs_terms
+                variants = [("intact", terms)]
+                if terms:
+                    t = terms[0]
+                    variants += [
+                        ("flip", [DeltaTerm(-t.coeff, t.a, t.field, t.use_D)]
+                         + terms[1:]),
+                        ("first", _moved(rel, 0, other)),
+                        ("last", _moved(rel, len(terms) - 1, other))]
+                for name, rhs in variants:
+                    folded = DeltaRelation(rel.f, rel.g, rel.factors, rhs)
+                    ref = DeltaRelation(Labelled(rel.f), Labelled(rel.g),
+                                        rel.factors, rhs)
+                    fails = 0
+                    for v in states:
+                        got = folded.check_window(WIN.modes, v)
+                        assert got == ref.check_window(WIN.modes, v), \
+                            (m.name, name, b1, b2, v)
+                        if not got[0]:
+                            fails += 1
+                            assert check_state(folded, *got[1]["modes"],
+                                               v) == got, (m.name, name, v)
+                    assert (fails > 0) == (name != "intact"), \
+                        (m.name, name, b1, b2)
+                    seen.add((m.name, name))
+    assert len(seen) == 12
 
 
 def test_factorization_counterexample():
