@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import partial
 
 from .distops import (DeltaRelation, FockSpace, ProductField, comb_add,
-                      comb_scale, comb_sub, field_space, witness_difference)
+                      comb_scale, field_space, witness_difference)
 
 
 def _space(*fields):
@@ -93,18 +93,34 @@ def holds(rel, states, W):
     return True, None
 
 
+def _combination(terms, n, sid):
+    """(label bits, sum_j c_j F_j(n) on sid) for terms (c_j, F_j), c_j a
+    scalar, read through mode_parts with each sign folded into c_j: on
+    the cores when every F_j gives the same label bits, else on images
+    with their label bits put on, and label bits 0."""
+    parts = [(hi, c if sign > 0 else -c, image) for c, f in terms
+             for hi, sign, image in [f.mode_parts(n, sid)]]
+    same = all(part[0] == parts[0][0] for part in parts)
+    acc = {}
+    for hi, c, image in parts:
+        if hi and not same:
+            image = {hi | k: v for k, v in image.items()}
+        acc = comb_add(acc, comb_scale(image, c))
+    return parts[0][0] if same else 0, acc
+
+
 def fields_equal(f, g, states, lo, scale=None):
-    """scale * f = g at every mode from lo up to the larger max_mode."""
+    """scale * f = g at every mode from lo up to the larger max_mode.  The
+    label bits go on the keys of a failing difference only."""
     space = _space(f, g)
     for v in states:
         sid = space.sid(v)
-        hi = max(f.max_mode(sid), g.max_mode(sid))
-        for n in range(lo, hi + 1):
-            a = f.mode_memo(n, sid)
-            if scale is not None:
-                a = comb_scale(a, scale)
-            diff = comb_sub(a, g.mode_memo(n, sid))
+        top = max(f.max_mode(sid), g.max_mode(sid))
+        for n in range(lo, top + 1):
+            hi, diff = _combination(
+                [(1 if scale is None else scale, f), (-1, g)], n, sid)
             if diff:
+                diff = {hi | k: c for k, c in diff.items()}
                 return False, {"state": v, "mode": n,
                                "difference": witness_difference(space, v, diff)}
     return True, None
@@ -117,13 +133,10 @@ def vanishes(terms, states, lo):
     space = _space(*(f for _c, f in terms))
     for v in states:
         sid = space.sid(v)
-        hi = max(f.max_mode(sid) for _c, f in terms)
-        for n in range(lo, hi + 1):
-            acc = {}
-            for c, f in terms:
-                acc = comb_add(acc, comb_scale(f.mode_memo(n, sid),
-                                               c(n) if callable(c) else c))
-            if acc:
+        top = max(f.max_mode(sid) for _c, f in terms)
+        for n in range(lo, top + 1):
+            if _combination([(c(n) if callable(c) else c, f)
+                             for c, f in terms], n, sid)[1]:
                 return False, {"state": v, "mode": n}
     return True, None
 

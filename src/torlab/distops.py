@@ -188,7 +188,8 @@ class FockSpace:
         self._shifted = {}    # vec -> {lid: lid'}
         self._label_pairs = {}  # vec -> {lid: (vec, label)}
         self._annihilatable = {}  # vec -> {mid: bound}
-        self._dressings = {}  # (sign, c, vec) -> (index, memo, terms, products)
+        self._dressings = {}  # (sign, c, vec) -> (index, memo, terms, rows)
+        self._degrees = {}    # (label, modes) -> degree
 
     # -- state ids ---------------------------------------------------------
 
@@ -296,9 +297,11 @@ class FockSpace:
         return hit
 
     def dressing(self, sign, c, vec):
-        """(index, memo, terms, products) of the dressing E^sign(c, vec),
-        shared by every ExpField built with equal data: the index numbers
-        the dressings of the space, the rest are plain dicts."""
+        """(index, memo, terms, rows) of the dressing E^sign(c, vec), shared
+        by every ExpField built with equal data: the index numbers the
+        dressings of the space, the rest are plain dicts.  rows holds the
+        product rows of check_window with this dressing outside another:
+        rows[inner dressing's index][mid][T] (_cell_row)."""
         key = (sign, c, vec)
         hit = self._dressings.get(key)
         if hit is None:
@@ -349,9 +352,13 @@ class FockSpace:
         return hit
 
     def degree(self, state) -> Fraction:
-        label, modes = state
-        tot = sum(n for _, n in modes)
-        return -self.weight * (Fraction(self.pair(label, label), 2) + tot)
+        """The d_0 degree of a (label, modes) tuple, kept per state."""
+        hit = self._degrees.get(state)
+        if hit is None:
+            label, modes = state
+            hit = self._degrees[state] = -self.weight * (
+                Fraction(self.pair(label, label), 2) + sum(n for _, n in modes))
+        return hit
 
     # -- Heisenberg action -------------------------------------------------
 
@@ -462,10 +469,8 @@ class FieldFamily:
     RestrictedField and ProductField take it from their parts.
     HeisenbergField, ZeroModeTimesField, fockhom.HeisTimesXField and any
     composite holding one read the label otherwise (mode 0 pairs with
-    it): their view is None and their core is keyed by sid.
-    DeltaRelation.check_window reads both kinds in one sweep (_read), a
-    field without a view as one with exponent 0, cap max_mode and sign 1
-    on its labelled state.
+    it): their view is None and their core is keyed by sid
+    (DeltaRelation._label reads both kinds).
 
     Subclasses give mode_state(n, key) and cap(key) (or max_mode) on the
     core's keys; modes above the cap annihilate.  core keeps one row per
@@ -540,8 +545,8 @@ class RelabelledView(FieldFamily):
     """An E^- dressing em (an ExpField of sign -1) with a label and a
     sign put on: a subclass passes em and gives view(lid), label_bits
     those of the label plus shift.  Its core is em's; it keeps no memo.
-    check_window reads the products of two views from the product memo
-    of their dressings (_cells)."""
+    check_window reads the products of two views from the rows that
+    their dressings keep (_cell_row)."""
 
     def __init__(self, em):
         super().__init__()
@@ -738,7 +743,7 @@ class ExpField(FieldFamily):
         self._factors = self.vec if self.sign < 0 else [
             space.mode_scale * p for p in space.dir_pairs(self.vec)]
         self._dirs = [d for d in space.heis_dirs if self._factors[d]]
-        self._did, self._memo, self._terms, self._products = space.dressing(
+        self._did, self._memo, self._terms, self._rows = space.dressing(
             self.sign, self.c, self.vec)
 
     def cap(self, mid):
@@ -807,20 +812,6 @@ def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
 # ---------------------------------------------------------------------------
 
 
-def _read(field, sid):
-    """(e, cap, sign, label bits, key) of field on sid: its mode n there is
-    core(n - e, key) with the label bits and the sign put on, empty past
-    e + cap.  A field with a view is read on the zero-label mid, one
-    without on sid itself, with exponent 0, its max_mode as the cap,
-    sign 1 and no label bits (its images carry their labels)."""
-    view = field.view
-    if view is None:
-        return 0, field.max_mode(sid), 1, 0, sid
-    mid = sid & MODE_MASK
-    e, hi, sign = view(sid >> MODE_BITS)
-    return e, field.cap(mid), sign, hi, mid
-
-
 def _product(outer, inner, key, m_o, m_i, lift, mask):
     """The nonzero (key, coefficient) pairs of outer(m_o) inner(m_i) on
     key, outer and inner two fields' core(n, key): outer reads each key k
@@ -835,39 +826,36 @@ def _product(outer, inner, key, m_o, m_i, lift, mask):
 
 
 def _cells(outer, inner, key, modes, lift, mask, dressed):
-    """(p, _product) of outer(m_o) inner(m_i) on key per (p, m_o, m_i) in
-    modes where it is not empty: the product cells of check_window.  For
-    two E^- dressings (dressed; cap 0, so a positive m_o is skipped) each
-    is kept in outer's product memo under (inner's index, m_o, m_i, key),
-    and with the identity (no _dirs) on either side it is the other
-    dressing's image at mode 0, empty elsewhere, not stored."""
+    """(p, items) of outer(m_o) inner(m_i) on key per (p, m_o, m_i) in
+    modes where it is not empty: _product, or for two E^- dressings
+    (dressed) with the identity (no _dirs) on one side the other's image
+    at mode 0, empty elsewhere.  It stores nothing (see _cell_row)."""
     cells = []
-    if dressed and not (outer._dirs and inner._dirs):
-        for p, m_o, m_i in modes:
-            if not outer._dirs:
-                image = None if m_o else inner.core(m_i, key)
-            else:
-                image = None if m_i else outer.core(m_o, key)
-            if image:
-                cells.append((p, image.items()))
-        return cells
-    if not dressed:
-        for p, m_o, m_i in modes:
-            items = _product(outer.core, inner.core, key, m_o, m_i, lift, mask)
-            if items:
-                cells.append((p, items))
-        return cells
-    memo, did = outer._products, inner._did
     for p, m_o, m_i in modes:
-        if m_o <= 0:
-            mkey = (did, m_o, m_i, key)
-            items = memo.get(mkey)
-            if items is None:
-                items = memo[mkey] = _product(outer.core, inner.core, key,
-                                              m_o, m_i, 0, -1)
-            if items:
-                cells.append((p, items))
+        if dressed and not outer._dirs:
+            items = () if m_o else inner.core(m_i, key).items()
+        elif dressed and not inner._dirs:
+            items = () if m_i else outer.core(m_o, key).items()
+        else:
+            items = _product(outer.core, inner.core, key, m_o, m_i, lift, mask)
+        if items:
+            cells.append((p, items))
     return cells
+
+
+def _cell_row(rows, T, lo, u, key, outer, inner, lift, mask, dressed):
+    """The row T of outer over inner on key: _cells of m_o + m_i = T, m_o
+    ascending from lo, made through at least u.  rows[T] is [top, cells],
+    extended upward only as far as some state reads it."""
+    row = rows.get(T)
+    if row is None:
+        row = rows[T] = [lo - 1, []]
+    if row[0] < u:
+        row[1] += _cells(outer, inner, key, [
+            (m, m, T - m) for m in range(max(lo, row[0] + 1), u + 1)],
+            lift, mask, dressed)
+        row[0] = u
+    return row[1]
 
 
 # Binomial tables of the delta relations, keyed by their factors tuple:
@@ -937,8 +925,8 @@ class DeltaRelation:
         over a field with a view, whose vec(0) is then <vec, label> on the
         base's image, else (field, None).  pairs is ((outer, inner) of
         f(g(v)), of g(f(v)), dressed): for two E^- dressings
-        (RelabelledView) their ExpFields and dressed True, whose products
-        _cells keeps in a memo, else (f, g), (g, f) and False."""
+        (RelabelledView) their ExpFields and True, else (f, g), (g, f) and
+        False.  A new plan drops the relation's rows and label reads."""
         key = (self.f, self.g, self.rhs_terms)
         if key != self._plan_of:
             f, cf = _unscaled(self.f)
@@ -961,7 +949,7 @@ class DeltaRelation:
                 pairs = (f, g), (g, f), False
             self._plan_of = key
             self._plan = f, g, s, terms, reads, pairs
-            self._apow = {}
+            self._apow, self._labels, self._rows = {}, {}, {}
         return self._plan
 
     def _coefs(self, nmax):
@@ -993,85 +981,117 @@ class DeltaRelation:
                 row.append(base * -mult)
         return row
 
-    def _state(self, sid, W):
-        """(orders, reads, top) of sid.  orders reads f(g(v)), then
-        g(f(v)): (e_o, e_i, top_i, sign, hi, key, lift, mask), the inner
-        operand read on sid (_read) with exponent e_i, top mode top_i and
-        key, the outer read on the state the inner leaves with exponent
-        e_o and label bits hi, sign the two signs' product, and
-        (k | lift) & mask the key the outer reads for a key k of the
-        inner's image.  reads is (row, core, e, top, key, hi) per delta
-        term, row its _delta_row for mult, its sign (times <vec, label>
-        for a ZeroModeTimesField, left out at 0).  top bounds the
-        anti-diagonals with a nonzero cell: the outer's top mode is read
-        on the label the inner leaves and the input modes (ProductField's
-        cap rule)."""
-        f, g, _s, terms, plan, _pairs = self._sweep_plan()
-        space = self.space
-        orders, tops = [], []
-        for outer, inner in ((f, g), (g, f)):
-            e_i, cap_i, s_i, hi_i, key = _read(inner, sid)
-            moved = (hi_i | key if inner.view is not None
-                     else space.shifted(sid, inner.shift))
-            e_o, cap_o, s_o, hi, _key = _read(outer, moved)
-            orders.append((e_o, e_i, e_i + cap_i, s_o * s_i, hi, key,
-                           moved & LABEL_BITS,
-                           MODE_MASK if outer.view is not None else -1))
-            tops.append(e_o + cap_o + e_i + cap_i)
+    def _label(self, lid, W):
+        """A state's reads that depend on its label lid only, kept per
+        (lid, W) until the plan is rebuilt: (orders, reads).  orders reads
+        f(g(v)), then g(f(v)), as (e_o, e_i, sign, hi, umax, icap, ocap,
+        olift, by_sid, rows, fill), a field without a view read on the
+        labelled state (by_sid) with exponent 0, sign 1, no label bits and
+        max_mode as cap.  ocap reads olift | mid; rows[key] is a state's
+        {T: row}, None where a row would be keyed by a labelled state,
+        which alone reads it; fill ends _cell_row's arguments; umax bounds
+        the outer mode (an E^- core has cap 0).  reads is (row, core, e,
+        hi, cap, by_sid) per delta term with a nonzero _delta_row."""
+        f, g, _s, terms, plan, pairs = self._sweep_plan()
+        space, dressed = self.space, pairs[2]
+        orders = []
+        for i, ((outer, inner), (o, n)) in enumerate(
+                zip(((f, g), (g, f)), pairs[:2])):
+            e_i, lift, s_i = inner.view(lid) if inner.view else (
+                0, space.shifted(lid << MODE_BITS, inner.shift), 1)
+            e_o, hi, s_o = outer.view(lift >> MODE_BITS) if outer.view \
+                else (0, 0, 1)
+            olift = 0 if outer.view else lift
+            if dressed and o._dirs and n._dirs:
+                rows = _row(o._rows, n._did)
+            else:
+                rows = _row(self._rows, i) if outer.view and inner.view \
+                    else None
+            orders.append((e_o, e_i, s_o * s_i, hi, 0 if dressed else W - e_o,
+                           inner.cap, outer.cap, olift, inner.view is None, rows,
+                           (o, n, lift, -1 if outer.view is None else MODE_MASK,
+                            dressed)))
         reads = []
         for ti, (term, (h, vec)) in enumerate(zip(terms, plan)):
-            e, cap, mult, hi, key = _read(h, sid)
+            e, hi, mult = (0, 0, 1) if h.view is None else h.view(lid)
             if vec is not None:
                 mult *= space.label_pair(vec, hi >> MODE_BITS)
             if mult:
-                reads.append((self._delta_row(ti, term, mult, W), h.core, e,
-                              e + cap, key, hi))
-                tops.append(e + cap)
+                reads.append((self._delta_row(ti, term, mult, W), h.core, e, hi,
+                              h.cap, h.view is None))
+        return orders, reads
+
+    def _state(self, sid, W):
+        """(orders, reads, top): the reads of sid's label (_label) with the
+        caps and keys of sid, (e_o, e_i, cap_i, sign, hi, umax, rows, key,
+        fill) per order and (row, core, e, top, key, hi) per delta term.
+        top bounds the anti-diagonals with a nonzero cell: the outer's cap
+        is read on the label the inner leaves (ProductField's cap rule)."""
+        lid, mid = sid >> MODE_BITS, sid & MODE_MASK
+        part = self._labels.get((lid, W))
+        if part is None:
+            part = self._labels[lid, W] = self._label(lid, W)
+        orders, reads, tops = [], [], []
+        for (e_o, e_i, sign, hi, umax, icap, ocap, olift, by_sid, rows,
+             fill) in part[0]:
+            key = sid if by_sid else mid
+            cap_i = icap(key)
+            orders.append((e_o, e_i, cap_i, sign, hi, umax,
+                           {} if rows is None else _row(rows, key),
+                           key, fill))
+            tops.append(e_o + ocap(olift | mid) + e_i + cap_i)
+        for row, core, e, hi, cap, by_sid in part[1]:
+            key = sid if by_sid else mid
+            top = e + cap(key)
+            reads.append((row, core, e, top, key, hi))
+            tops.append(top)
         return orders, reads, max(tops)
 
     def check_window(self, W, state):
         """Check every coefficient cell |a|, |b| <= W on one (label, modes)
-        state.
+        state: the coefficient at z1^a z2^b of the left-hand side minus the
+        delta terms.
 
-        Each cell is the coefficient at z1^a z2^b of the left-hand side
-        minus the delta terms; the products f_p(g_q(v)) of each
-        anti-diagonal p + q = a + b are merged once and shared by its
-        cells.  A witness names its state and output states as tuples.
-
-        One sweep reads every operand and delta term through _read, once
-        per state (_state): a field with a view on zero-label keys, one
-        without on the labelled state.  Each product cell comes from
-        _cells, the signs are folded into the binomial and delta
-        coefficients, and the outer mode of a product runs up to the
-        window's bound (an E^+ factor may absorb modes the inner operand
-        made).  The difference is keyed by each output state XOR the
-        label bits hi of f(g(v)): a usual cell of two view operands has
-        zero-label keys as read, a cell on another label (only a
-        corrupted relation makes one) keeps a key of its own, and a
-        failing witness gets its labels back by the same XOR, which is
-        injective, so witnesses keep their bytes.
+        Each order reads the products of an anti-diagonal S = a + b as one
+        row (_cell_row) of (m_o, items), m_o ascending, on T = m_o + m_i of
+        the outer and inner core modes.  A row does not depend on the
+        label: the rows of two non-identity E^- dressings live on the outer
+        one, shared by every relation, the rest on the relation.  The
+        a-loop reads coef[b - m_o] for m_o <= b: b = a - e1 for f(g(v)),
+        S - e2 - a for g(f(v)).  Every operand and delta term is read once
+        per state (_state), with the signs folded into the binomial and
+        delta coefficients.  The outer mode runs up to the window's bound
+        (an E^+ factor may absorb modes the inner operand made).  The
+        difference is keyed by each output state XOR the label bits hi of
+        f(g(v)): a cell on another label (only a corrupted relation makes
+        one) keeps a key of its own, and a failing witness gets its labels
+        back by the same XOR, which is injective, so witnesses keep their
+        bytes and name the state and output states as tuples.
         """
         sid = self.space.sid(state)
-        _f, _g, scale, _terms, _plan, pairs = self._sweep_plan()
-        (o1, i1), (o2, i2), dressed = pairs
-        orders, reads, top = self._state(sid, W)
-        e1, ei1, gmax, s1, hi, key1, lift1, mask1 = orders[0]
-        e2, ei2, fmax, s2, hi2, key2, lift2, mask2 = orders[1]
-        signed = {1: self._coefs(max(W + max(gmax, fmax), 0)),
+        scale = self._sweep_plan()[2]
+        (one, two), reads, top = self._state(sid, W)
+        e1, ei1, gcap, s1, hi, umax1, rows1, key1, fill1 = one
+        e2, ei2, fcap, s2, hi2, umax2, rows2, key2, fill2 = two
+        d1, d2 = e1 + ei1, e2 + ei2
+        signed = {1: self._coefs(max(W + max(gcap + ei1, fcap + ei2), 0)),
                   -1: self._ncoef}
         coef1, coef2 = signed[s1], signed[-s2]
         for S in range(-2 * W, min(2 * W, top) + 1):
-            amin = max(-W, S - W)
-            amax = min(W, S + W)
-            cells1 = _cells(o1, i1, key1, [
-                (p, p - e1, S - p - ei1) for p in range(S - gmax, amax + 1)],
-                lift1, mask1, dressed)
-            cells2 = _cells(o2, i2, key2, [
-                (p, S - p - e2, p - ei2) for p in range(amin, fmax + 1)],
-                lift2, mask2, dressed)
+            amin, amax = (S - W, W) if S > 0 else (-W, S + W)
+            T = S - d1
+            u = amax - e1 if amax - e1 < umax1 else umax1
+            row = rows1.get(T)
+            cells1 = row[1] if row is not None and row[0] >= u else \
+                _cell_row(rows1, T, T - gcap, u, key1, *fill1)
+            T = S - d2
+            u = amax - e2 if amax - e2 < umax2 else umax2
+            row = rows2.get(T)
+            cells2 = row[1] if row is not None and row[0] >= u else \
+                _cell_row(rows2, T, T - fcap, u, key2, *fill2)
             if hi2 != hi and cells2:
-                cells2 = [(p, [((k | hi2) ^ hi, v) for k, v in items])
-                          for p, items in cells2]
+                cells2 = [(m, [((k | hi2) ^ hi, v) for k, v in items])
+                          for m, items in cells2]
             rhs = []
             for row, core, e, cap, key, hi_t in reads:
                 cell = core(S - e, key) if S <= cap else None
@@ -1084,23 +1104,26 @@ class DeltaRelation:
             for a in range(amin, amax + 1):
                 diff = {}
                 dget = diff.get
-                for p, items in cells1:
-                    if p > a:
+                b = a - e1
+                for m, items in cells1:
+                    if m > b:
                         break
-                    cn = coef1[a - p]
+                    cn = coef1[b - m]
                     if cn:
                         for k, v in items:
                             prev = dget(k)
                             vv = v * cn
                             diff[k] = vv if prev is None else prev + vv
-                for p, items in cells2:
-                    if p >= a:
-                        cn = coef2[p - a]
-                        if cn:
-                            for k, v in items:
-                                prev = dget(k)
-                                vv = v * cn
-                                diff[k] = vv if prev is None else prev + vv
+                b = S - e2 - a
+                for m, items in cells2:
+                    if m > b:
+                        break
+                    cn = coef2[b - m]
+                    if cn:
+                        for k, v in items:
+                            prev = dget(k)
+                            vv = v * cn
+                            diff[k] = vv if prev is None else prev + vv
                 for row, items in rhs:
                     c = row[a + W]
                     if c:

@@ -43,12 +43,13 @@ k_i and beta(r) fields (HeisTimesXField) read the label through a mode
 0, so they have no view and keep their images per state.  The
 quadratic Z-relation of every root pair multiplies the same
 E^-(delta_r) E^-(delta_s) images on the modes of a state:
-distops.DeltaRelation.check_window reads each such product on
-zero-label keys from one memo of the outer dressing (distops._cells),
-folds the signs into the coefficients, reads the k_i terms on their
-labelled states in the same sweep and puts the label on a failing
-witness only.  E^-(delta_0) is the identity, and its products are not
-stored.
+distops.DeltaRelation.check_window reads the products of each
+anti-diagonal as one row on zero-label keys, kept by the outer
+dressing and shared by every root pair, multidegree and label
+(distops._cell_row).  It folds the signs into the coefficients, reads
+the k_i terms on their labelled states in the same sweep and puts the
+label on a failing witness only.  E^-(delta_0) is the identity: its
+rows are kept on the relation, not on a dressing.
 
 The bracket of two root fields is written once, for every picture:
 root_pair_terms gives its binomial prefactors and its summands over
@@ -218,10 +219,16 @@ class HeisTimesXField(FieldFamily):
         # vec(p) pairs with the X mode n - w p, which is at most x.max_mode
         pmin = -((self.x.max_mode(sid) - n) // w)
         for p in range(pmin, self._pmax(sid) + 1):
-            mid = self.x.mode_memo(n - w * p, sid)
-            if mid:
-                for k, v in space.heisenberg_act(self.vec, p, mid).items():
-                    _acc(out, k, v)
+            # vec(p) on X's zero-label core, X's label bits put on after:
+            # vec(0) reads the label as <vec, label>
+            hi, c, image = self.x.mode_parts(n - w * p, sid)
+            if p:
+                image = space.heisenberg_act(self.vec, p, image)
+            else:
+                c *= space.label_pair(self.vec, hi >> MODE_BITS)
+            if c:
+                for k, v in image.items():
+                    _acc(out, hi | k, v * c)
         return out
 
 

@@ -358,34 +358,109 @@ def test_view_products_are_the_general_products():
 
 def test_a_sweep_stores_one_product_per_mode_triple(monkeypatch):
     """One verify_33 sweep of A2 at (2, 2, 1) reads 187,888 nonempty
-    product cells through _cells and stores 836 mode-level products on
-    its E^- dressings, one per (inner dressing, outer mode, inner mode,
-    input modes) it met where neither dressing is the identity
-    E^-(delta_0)."""
+    product cells from its rows, counting in each row the cells through
+    the outer mode u its a-loops need, and stores 836 mode-level products
+    in 320 rows on its E^- dressings, one per (inner dressing, outer
+    mode, inner mode, input modes) it met where neither dressing is the
+    identity E^-(delta_0)."""
     mod = _a2()
-    read = []
-    fill = distops._cells
+    W = 2
+    reads = []
+    state = DeltaRelation._state
 
-    def counted(*args, **kwargs):
-        cells = fill(*args, **kwargs)
-        read.append(len(cells))
-        return cells
+    def recorded(self, sid, W):
+        got = state(self, sid, W)
+        reads.append(got)
+        return got
 
-    monkeypatch.setattr(distops, "_cells", counted)
-    entries = verify_33(mod, TruncationWindow(2, 2, 1))
+    monkeypatch.setattr(DeltaRelation, "_state", recorded)
+    entries = verify_33(mod, TruncationWindow(W, 2, 1))
     assert entries and all(e[2] == "pass" for e in entries)
+    read = 0
+    for orders, _terms, top in reads:
+        for e_o, e_i, _cap, _sign, _hi, umax, rows, _key, _fill in orders:
+            for S in range(-2 * W, min(2 * W, top) + 1):
+                u = min(min(W, S + W) - e_o, umax)
+                read += sum(m <= u for m, _items in rows[S - e_o - e_i][1])
     dressings = mod.space._dressings
     identity = {index for (_sign, _c, vec), (index, *_rest)
                 in dressings.items() if not any(vec)}
     assert identity
-    stored = 0
-    for (_sign, _c, vec), (_index, _memo, _terms, products) in \
+    stored = count = 0
+    for (_sign, _c, vec), (_index, _memo, _terms, rows) in \
             dressings.items():
-        assert any(vec) or not products
-        assert not {key[0] for key in products} & identity
-        stored += len(products)
-    assert sum(read) == 187888
+        assert any(vec) or not rows
+        assert not set(rows) & identity
+        for by_mid in rows.values():
+            for by_t in by_mid.values():
+                count += len(by_t)
+                stored += sum(len(cells) for _top, cells in by_t.values())
+    assert read == 187888
     assert stored == 836
+    assert count == 320
+
+
+def _flip_or_raise(rel):
+    """(name, factors, terms) for rel, its copy with the first delta
+    term's sign flipped and its copy with the binomial exponents raised
+    by 1."""
+    out = [("intact", rel.factors, rel.rhs_terms),
+           ("exp", [(c + 1, a) for c, a in rel.factors], rel.rhs_terms)]
+    if rel.rhs_terms:
+        t, *rest = rel.rhs_terms
+        out.append(("flip", rel.factors,
+                    [DeltaTerm(-t.coeff, t.a, t.field, t.use_D)] + rest))
+    return out
+
+
+def test_shared_rows_give_the_sweep_of_a_fresh_module():
+    """A2 at (2, 2, 1): every zhom.pair relation, intact, with its first
+    delta term's sign flipped and with its binomial exponents raised by 1,
+    gives the same (ok, witness) on a module whose rows every other pair
+    already filled (one full verify_33 first) as on a fresh module, and
+    each witness is check_state's at its cell.  Once rel.f is reassigned
+    to a Z field of another root and multidegree, the relation's sweep is
+    that of a relation built on the new field: the rows and per-label
+    reads of the old operands are dropped."""
+    win = TruncationWindow(2, 2, 1)
+    W = win.modes
+    shared = _a2()
+    states = window_states(shared.space, win)
+    assert all(e[2] == "pass" for e in verify_33(shared, win))
+    roots = [tuple(a) for a in shared.rs.roots]
+    rvecs = default_rvecs(shared.N)
+    seen = set()
+    moved = 0
+    for b1 in roots:
+        for b2 in roots:
+            for r in rvecs:
+                for s in rvecs:
+                    for name, factors, terms in _flip_or_raise(
+                            pair_relation(shared, b1, b2, r, s)):
+                        rel = DeltaRelation(shared.z(b1, r), shared.z(b2, s),
+                                            factors, terms)
+                        got = holds(rel, states, W)
+                        fresh = _a2()
+                        for fname, ffactors, fterms in _flip_or_raise(
+                                pair_relation(fresh, b1, b2, r, s)):
+                            if fname == name:
+                                ref = DeltaRelation(fresh.z(b1, r),
+                                                    fresh.z(b2, s),
+                                                    ffactors, fterms)
+                        assert got == holds(ref, states, W), (name, b1, b2, r, s)
+                        if not got[0]:
+                            w = got[1]
+                            assert check_state(rel, *w["modes"], w["state"]) \
+                                == (False, w)
+                        seen.add((name, got[0]))
+                        rel.f = shared.z(tuple(-c for c in b1), rvecs[
+                            (rvecs.index(r) + 1) % len(rvecs)])
+                        again = holds(rel, states, W)
+                        assert again == holds(DeltaRelation(
+                            rel.f, rel.g, factors, terms), states, W)
+                        moved += again != got
+    assert seen == {("intact", True), ("flip", False), ("exp", False)}
+    assert moved
 
 
 def _relabelled_field(mod, field, tot):
