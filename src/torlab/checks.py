@@ -109,20 +109,28 @@ def _combination(terms, n, sid):
     return parts[0][0] if same else 0, acc
 
 
+def _walk(fields, states, lo):
+    """(v, sid, n) for each state v, sid its id in the fields' space,
+    and each mode n from lo up to the largest max_mode of the fields on
+    v: the order fields_equal, vanishes and nonzero sweep."""
+    space = _space(*fields)
+    for v in states:
+        sid = space.sid(v)
+        for n in range(lo, max(f.max_mode(sid) for f in fields) + 1):
+            yield v, sid, n
+
+
 def fields_equal(f, g, states, lo, scale=None):
     """scale * f = g at every mode from lo up to the larger max_mode.  The
     label bits go on the keys of a failing difference only."""
-    space = _space(f, g)
-    for v in states:
-        sid = space.sid(v)
-        top = max(f.max_mode(sid), g.max_mode(sid))
-        for n in range(lo, top + 1):
-            hi, diff = _combination(
-                [(1 if scale is None else scale, f), (-1, g)], n, sid)
-            if diff:
-                diff = {hi | k: c for k, c in diff.items()}
-                return False, {"state": v, "mode": n,
-                               "difference": witness_difference(space, v, diff)}
+    for v, sid, n in _walk((f, g), states, lo):
+        hi, diff = _combination(
+            [(1 if scale is None else scale, f), (-1, g)], n, sid)
+        if diff:
+            diff = {hi | k: c for k, c in diff.items()}
+            return False, {"state": v, "mode": n,
+                           "difference": witness_difference(
+                               _space(f, g), v, diff)}
     return True, None
 
 
@@ -130,14 +138,10 @@ def vanishes(terms, states, lo):
     """sum_j c_j F_j = 0 at every mode from lo up to the largest
     max_mode; terms are pairs (c_j, F_j), c_j a scalar or a function of
     the mode n."""
-    space = _space(*(f for _c, f in terms))
-    for v in states:
-        sid = space.sid(v)
-        top = max(f.max_mode(sid) for _c, f in terms)
-        for n in range(lo, top + 1):
-            if _combination([(c(n) if callable(c) else c, f)
-                             for c, f in terms], n, sid)[1]:
-                return False, {"state": v, "mode": n}
+    for v, sid, n in _walk([f for _c, f in terms], states, lo):
+        if _combination([(c(n) if callable(c) else c, f)
+                         for c, f in terms], n, sid)[1]:
+            return False, {"state": v, "mode": n}
     return True, None
 
 
@@ -174,9 +178,8 @@ def coord_shift(f, states, lo, coord, expected):
 
 def nonzero(f, states, lo):
     """Some mode of f is nonzero on some state."""
-    sids = map(_space(f).sid, states)
     return any(f.mode_parts(n, sid)[2]
-               for sid in sids for n in range(lo, f.max_mode(sid) + 1))
+               for _v, sid, n in _walk((f,), states, lo))
 
 
 # ---------------------------------------------------------------------------

@@ -467,9 +467,9 @@ class FieldFamily:
     zero-label state mid, with label_bits and sign put on.  ExpField,
     IdentityField and RelabelledView have a view; ScaledField,
     RestrictedField and ProductField take it from their parts.
-    HeisenbergField, ZeroModeTimesField, fockhom.HeisTimesXField and any
-    composite holding one read the label otherwise (mode 0 pairs with
-    it): their view is None and their core is keyed by sid
+    HeisenbergField, ZeroModeTimesField and any composite holding one,
+    such as the k_i and beta(r) fields, read the label otherwise (mode 0
+    pairs with it): their view is None and their core is keyed by sid
     (DeltaRelation._label reads both kinds).
 
     Subclasses give mode_state(n, key) and cap(key) (or max_mode) on the
@@ -526,13 +526,16 @@ class FieldFamily:
             return {hi | k: -c for k, c in image.items()}
         return {hi | k: c for k, c in image.items()} if hi else image
 
-    def mode(self, n, comb, core=False):
-        """Mode n on comb, through the core on zero-label keys if core."""
-        out = {}
+    def mode(self, n, comb, lift=0, lsign=1, core=False, out=None):
+        """Mode n on comb, an image of mode_parts read with its label bits
+        lift and its sign lsign put on each key, through the core on
+        zero-label keys if core, summed into out (a new dict if None)."""
+        if out is None:
+            out = {}
         for sid, c in comb.items():
             hi, sign, image = (0, 1, self.core(n, sid)) if core else \
-                self.mode_parts(n, sid)
-            if sign < 0:
+                self.mode_parts(n, sid | lift)
+            if sign * lsign < 0:
                 c = -c
             for k, v in image.items():
                 # with no label bits the memo's own key object is kept, so
@@ -592,7 +595,7 @@ class ScaledField(FieldFamily):
 
 
 class ProductField(FieldFamily):
-    """Same-variable product f(z) g(z), optionally times a scalar.
+    """Same-variable product f(z) g(z).
 
     The mode sum is made finite with the cap rule: f's max_mode over any
     state g produces is bounded by f's max_mode on the label-shifted
@@ -601,17 +604,19 @@ class ProductField(FieldFamily):
     dressing/vertex field combined here.  With views on f and g its view
     is g's, then f's at the label g leaves (exponents add, signs
     multiply), and its core sums f's core over g's, capped by f.cap(mid)
-    and g.cap(mid): the rule in core terms.  Otherwise f.mode reads g's
-    labelled images.  The image f(n - q) of each q is merged into the
-    output in turn: fusing the sums would regroup them and could move a
-    witness's bytes.  A scale equal to 1 is stored as None.
+    and g.cap(mid): the rule in core terms.  Otherwise f reads g's core,
+    or its mode_parts where g has a view, with their label bits and sign
+    put on each key as f reads it (mode).  The image f(n - q) of each q
+    is merged into the output in turn: fusing the sums would regroup
+    them and could move a witness's bytes.  Where g's image has one key,
+    f sums straight into the output, which adds the same terms in the
+    same order.
     """
 
-    def __init__(self, f, g, scale=None, label=None):
+    def __init__(self, f, g, label=None):
         super().__init__()
         self.f = f
         self.g = g
-        self.scale = None if scale == 1 else scale
         self.space = field_space(f, g)
         self.shift = tuple(a + b for a, b in zip(f.shift, g.shift))
         self.label = label or (f.label + "*" + g.label)
@@ -644,21 +649,25 @@ class ProductField(FieldFamily):
 
     def mode_state(self, n, key):
         fcap, gcap = self._fg_caps(key)
+        f, g = self.f, self.g
         core = self.view is not None
-        gread = self.g.core if core else self.g.mode_memo
+        gcore = core or g.view is None
         out = {}
         for q in range(n - fcap, gcap + 1):
-            image = gread(q, key)
-            if image:
-                for k, v in self.f.mode(n - q, image, core).items():
+            hi, sign, image = (0, 1, g.core(q, key)) if gcore else \
+                g.mode_parts(q, key)
+            if len(image) == 1:
+                f.mode(n - q, image, hi, sign, core, out)
+            elif image:
+                for k, v in f.mode(n - q, image, hi, sign, core).items():
                     _acc(out, k, v)
-        if self.scale is not None:
-            out = comb_scale(out, self.scale)
         return out
 
 
 class HeisenbergField(FieldFamily):
-    """vec(z) = sum_n vec(n) z^(weight*n) on a FockSpace."""
+    """vec(z) = sum_n vec(n) z^(weight*n) on a FockSpace.  It stores no
+    image: core is one heisenberg_act on the transitions the space
+    keeps."""
 
     def __init__(self, space: FockSpace, vec, label="h"):
         super().__init__()
@@ -670,7 +679,7 @@ class HeisenbergField(FieldFamily):
     def max_mode(self, sid):
         return self.space.weight * self.space.annihilatable(sid, self.vec)
 
-    def mode_state(self, n, sid):
+    def core(self, n, sid):
         w = self.space.weight
         if n % w:
             return {}
@@ -903,18 +912,16 @@ class DeltaRelation:
     and keys of D, and a failing cell is multiplied back by s, so each
     witness keeps its bytes: the principal Z = C k_0 is swept as the
     integer k_0.  f, g, factors and rhs_terms stay the caller's objects;
-    the swept operands are rebuilt whenever one is reassigned.
-    Witnesses are read in the monomial basis of the fields' space.
+    the swept operands and the binomial table are rebuilt whenever one is
+    reassigned.  Witnesses are read in the monomial basis of the fields'
+    space.
     """
 
     def __init__(self, f, g, factors, rhs_terms):
         self.f, self.g = f, g
-        self.factors = [(Fraction(c), a if isinstance(a, Cyc) else Fraction(a))
-                        for c, a in factors]
+        self.factors = factors
         self.rhs_terms = rhs_terms
         self.space = field_space(f, g)
-        self._coef = self._ncoef = ()
-        self._apow = {}
         self._plan_of = self._plan = None
 
     def _sweep_plan(self):
@@ -926,8 +933,10 @@ class DeltaRelation:
         base's image, else (field, None).  pairs is ((outer, inner) of
         f(g(v)), of g(f(v)), dressed): for two E^- dressings
         (RelabelledView) their ExpFields and True, else (f, g), (g, f) and
-        False.  A new plan drops the relation's rows and label reads."""
-        key = (self.f, self.g, self.rhs_terms)
+        False.  A new plan drops the relation's rows, label reads and
+        binomial table, and normalizes the factors: c_p a Fraction, a_p a
+        Cyc or a Fraction."""
+        key = (self.f, self.g, self.factors, self.rhs_terms)
         if key != self._plan_of:
             f, cf = _unscaled(self.f)
             g, cg = _unscaled(self.g)
@@ -950,16 +959,22 @@ class DeltaRelation:
             self._plan_of = key
             self._plan = f, g, s, terms, reads, pairs
             self._apow, self._labels, self._rows = {}, {}, {}
+            self._factors = tuple(
+                (Fraction(c), a if isinstance(a, Cyc) else Fraction(a))
+                for c, a in self.factors)
+            self._coef = self._ncoef = ()
         return self._plan
 
     def _coefs(self, nmax):
-        """The factor product's coefficients to at least u^nmax, one table
-        per factors tuple; _ncoef is it negated."""
+        """The coefficients of the product of the plan's factors to at
+        least u^nmax, one table per normalized factors tuple; _ncoef is it
+        negated."""
+        self._sweep_plan()
         if nmax >= len(self._coef):
-            key = tuple(self.factors)
+            key = self._factors
             table = _BINOMIAL_TABLES.get(key, ())
             if nmax >= len(table):
-                table = tuple(product_of_binomials(self.factors, nmax + 8))
+                table = tuple(product_of_binomials(key, nmax + 8))
                 _BINOMIAL_TABLES[key] = table
             self._coef = table
             self._ncoef = tuple([-c for c in table])

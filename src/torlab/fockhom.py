@@ -39,10 +39,12 @@ from a per-label cache (view); a dressing's own labelled images are
 views the same way.  A ProductField of such fields has a view too, and
 keeps one zero-label core image per mode multiset: the label and the
 sign go on when a caller reads the image (distops.FieldFamily).  The
-k_i and beta(r) fields (HeisTimesXField) read the label through a mode
-0, so they have no view and keep their images per state.  The
-quadratic Z-relation of every root pair multiplies the same
-E^-(delta_r) E^-(delta_s) images on the modes of a state:
+k_i and beta(r) fields are ProductFields of k_0(r) over the Heisenberg
+field of delta_i or beta, which commute with it, as both pair to zero
+with delta_r.  They read the label through a mode 0, so they have no
+view and keep their images per state.  The quadratic Z-relation of
+every root pair multiplies the same E^-(delta_r) E^-(delta_s) images on
+the modes of a state:
 distops.DeltaRelation.check_window reads the products of each
 anti-diagonal as one row on zero-label keys, kept by the outer
 dressing and shared by every root pair, multidegree and label
@@ -72,8 +74,8 @@ from functools import partial
 from . import checks
 from .autom import TwistData
 from .distops import (MODE_BITS, DeltaRelation, DeltaTerm, ExpField,
-                      FieldFamily, FockSpace, RelabelledView,
-                      TruncationWindow, ZeroModeTimesField, _acc,
+                      FockSpace, HeisenbergField, ProductField,
+                      RelabelledView, TruncationWindow, ZeroModeTimesField,
                       partitions)
 from .rootsys import ChevalleyAlgebra, GElement, Lattice, RootSystem
 from .scalar import Cyc
@@ -127,14 +129,16 @@ class KFields:
             self.space, self.delta(rvec), "k0%r" % (rvec,)))
 
     def kf(self, i, rvec):
-        """k_i(r, z^w) = delta_i(z^w) X(delta_r, z^w), 1-based i, and
+        """k_i(r, z^w) = delta_i(z^w) X(delta_r, z^w), 1-based i, the
+        ProductField of k_0(r) over the Heisenberg field of delta_i, and
         k_0(r, z^w) at i = 0."""
         rvec = tuple(rvec)
         if i == 0:
             return self.k0(rvec)
         unit = tuple(1 if j == i else 0 for j in range(1, self.N + 1))
-        return self._cached(("k", i, rvec), lambda: HeisTimesXField(
-            self.space, self.delta(unit), self.k0(rvec), "k%d%r" % (i, rvec)))
+        return self._cached(("k", i, rvec), lambda: ProductField(
+            self.k0(rvec), HeisenbergField(self.space, self.delta(unit)),
+            "k%d%r" % (i, rvec)))
 
 
 class HomogeneousModule(KFields, LatticeRoots):
@@ -160,8 +164,9 @@ class HomogeneousModule(KFields, LatticeRoots):
     def heis(self, vec, rvec):
         """beta(r, z) = beta(z) k_0(r, z) for beta in the Cartan span."""
         rvec = tuple(rvec)
-        return self._cached(("b", tuple(vec), rvec), lambda: HeisTimesXField(
-            self.space, vec, self.k0(rvec), "beta%r" % (rvec,)))
+        return self._cached(("b", tuple(vec), rvec), lambda: ProductField(
+            self.k0(rvec), HeisenbergField(self.space, vec),
+            "beta%r" % (rvec,)))
 
 
 class VertexXField(RelabelledView):
@@ -190,46 +195,6 @@ class VertexXField(RelabelledView):
                 -space.weight * int(space.label_pair(self.vec, lid)),
                 space.shifted(lid << MODE_BITS, self.vec), 1)
         return hit
-
-
-class HeisTimesXField(FieldFamily):
-    """vec(z^w) x(z), x a VertexXField: the k_i fields (vec = delta_i)
-    and the dressed Cartan fields beta(r, z) (level 1)."""
-
-    def __init__(self, space: FockSpace, vec, x, label):
-        super().__init__()
-        self.space = space
-        self.vec = tuple(vec)
-        self.x = x
-        self.shift = x.shift
-        self.label = label
-
-    def _pmax(self, sid):
-        # X creates only delta-direction modes, which pair to zero with
-        # vec, so annihilation is bounded by the input state
-        return self.space.annihilatable(sid, self.vec)
-
-    def max_mode(self, sid):
-        return self.space.weight * self._pmax(sid) + self.x.max_mode(sid)
-
-    def mode_state(self, n, sid):
-        space = self.space
-        w = space.weight
-        out = {}
-        # vec(p) pairs with the X mode n - w p, which is at most x.max_mode
-        pmin = -((self.x.max_mode(sid) - n) // w)
-        for p in range(pmin, self._pmax(sid) + 1):
-            # vec(p) on X's zero-label core, X's label bits put on after:
-            # vec(0) reads the label as <vec, label>
-            hi, c, image = self.x.mode_parts(n - w * p, sid)
-            if p:
-                image = space.heisenberg_act(self.vec, p, image)
-            else:
-                c *= space.label_pair(self.vec, hi >> MODE_BITS)
-            if c:
-                for k, v in image.items():
-                    _acc(out, hi | k, v * c)
-        return out
 
 
 class ZField(RelabelledView):

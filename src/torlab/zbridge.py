@@ -18,10 +18,13 @@ Every dressed field is a ProductField of E^-, a view and E^+ (nested
 five deep in the rebuilt module), and each moves the label by a fixed
 vector, so each has a label view (distops.FieldFamily) and keeps one
 zero-label core image per mode multiset; a RestrictedField takes its
-base's view.  Only b' = h k_0 / k and products holding a k_i read the
-label otherwise and keep their images per state.  A relation on two
-such composites (ck.rel1, zk.7) is swept on their zero-label cores,
-multiplied as they are read (distops.DeltaRelation.check_window).
+base's view.  Only b' = h k_0 / k (a ScaledField of the ProductField
+h k_0) and products holding a k_i read the label otherwise and keep
+their images per state; each reads its right factor's image with no
+relabelled copy and puts the label bits on as its left factor reads
+each key (distops.ProductField).  A relation on two such composites
+(ck.rel1, zk.7) is swept on their zero-label cores, multiplied as they
+are read (distops.DeltaRelation.check_window).
 verify_Zk_relations writes relations (1)-(6), (9) and (10) of D_k
 through checks.dk_relations, the block of the principal suite too,
 with k_1 alone, and adds zk.omega_closed, zk.7 and zk.8.
@@ -35,7 +38,8 @@ from . import checks
 from .autom import TwistData
 from .distops import (LABEL_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                       FieldFamily, FockSpace, HeisenbergField, IdentityField,
-                      ProductField, TruncationWindow, _acc, dressing_operator)
+                      ProductField, ScaledField, TruncationWindow, _acc,
+                      dressing_operator)
 from .fockhom import (HomogeneousModule, LatticeRoots, _mode_multisets,
                       cartan_pair_terms, central_terms, pair_relation,
                       root_pair_terms, window_states)
@@ -286,8 +290,8 @@ def from_Zmodule(w: DkModule) -> CkModule:
 
     def beta_fn(vec, rvec):
         h = HeisenbergField(space, vec, label="h%r" % (vec,))
-        return ProductField(h, k_fn(0, rvec), scale=1 / kval,
-                            label="b'%r%r" % (vec, rvec))
+        return ScaledField(ProductField(h, k_fn(0, rvec),
+                                        label="b'%r%r" % (vec, rvec)), 1 / kval)
 
     return CkModule(space, w.k, w.twist, w.rs, w.lat, w.alg,
                     x_fn, beta_fn, k_fn, name="M(k)x%s" % w.name)

@@ -6,8 +6,9 @@ slow way, against which DeltaRelation.check_window and its witnesses are
 compared; a relation on Labelled operands is swept without their views
 (or the ScaledField a constant is factored out of).  The composite-field
 oracle, ref_max_mode and ref_mode, recomputes the caps and images of
-ProductField, ScaledField, RestrictedField and HeisTimesXField from their
-parts with no per-field cache and with comb_add sums.
+ProductField, ScaledField and RestrictedField from their parts with no
+per-field cache and with comb_add sums; the k_i and beta(r) fields are
+ProductFields of k_0 over a HeisenbergField.
 
 The Fock oracle is the Heisenberg action in the monomial basis p_lambda,
 monomial_act, and the exponential series by its recursion, exp_series;
@@ -29,7 +30,7 @@ from math import factorial
 from torlab.distops import (FieldFamily, FockSpace, ProductField,
                             ScaledField, comb_add, comb_scale, comb_sub,
                             witness_difference)
-from torlab.fockhom import HeisTimesXField, ZField
+from torlab.fockhom import ZField
 from torlab.zbridge import RestrictedField
 
 
@@ -270,10 +271,6 @@ def ref_max_mode(field, state):
         return ref_max_mode(field.base, state)
     if isinstance(field, RestrictedField):
         return ref_max_mode(field.base, _restricted(field, state)[1])
-    if isinstance(field, HeisTimesXField):
-        space = Tuples(field.space)
-        return (field.space.weight * space.annihilatable(state, field.vec)
-                + ref_max_mode(field.x, state))
     return Tuples(field).max_mode(state)
 
 
@@ -292,21 +289,12 @@ def ref_mode(field, n, state, seen):
             for mid, c in ref_mode(field.g, q, state, seen).items():
                 out = comb_add(out, comb_scale(
                     ref_mode(field.f, n - q, mid, seen), c))
-        if field.scale is not None:
-            out = comb_scale(out, field.scale)
     elif isinstance(field, ScaledField):
         out = comb_scale(ref_mode(field.base, n, state, seen), field.coeff)
     elif isinstance(field, RestrictedField):
         mk, wstate = _restricted(field, state)
         for (label, modes), c in ref_mode(field.base, n, wstate, seen).items():
             out = comb_add(out, {(label, tuple(sorted(modes + mk))): c})
-    elif isinstance(field, HeisTimesXField):
-        space = Tuples(field.space)
-        w = field.space.weight
-        xmax = ref_max_mode(field.x, state)
-        for p in range(-((xmax - n) // w), space.annihilatable(state, field.vec) + 1):
-            out = comb_add(out, space.heisenberg_act(
-                field.vec, p, ref_mode(field.x, n - w * p, state, seen)))
     else:
         out = Tuples(field).mode_memo(n, state)
     seen[key] = out

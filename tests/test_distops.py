@@ -15,11 +15,12 @@ from torlab.distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                             dressing_operator, partitions,
                             product_of_binomials, series_mul)
 from torlab.fockhom import HomogeneousModule, window_states
-from torlab.fockprin import PrincipalModule, negation_theta
+from torlab.fockprin import (PrincipalModule, negation_theta,
+                             solve_prin_constants, verify_principal_relations)
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc, cyc_root_of_unity
-from torlab.zbridge import (from_Zmodule, homogeneous_Ck, roundtrip_check,
-                            to_Zmodule)
+from torlab.zbridge import (check_Ck, from_Zmodule, homogeneous_Ck,
+                            roundtrip_check, to_Zmodule)
 
 
 def test_truncation_window():
@@ -200,8 +201,8 @@ def test_weighted_modes():
     space = _rank2_space(weight=3)
     h = Tuples(HeisenbergField(space, (1, 0)))
     vac = space.vacuum()
-    assert h.mode_state(-1, vac) == {}
-    got = h.mode_state(-3, vac)
+    assert h.mode_memo(-1, vac) == {}
+    got = h.mode_memo(-3, vac)
     assert comb_eq(got, {((0, 0), ((0, 1),)): Cyc.one()})
     em = Tuples(ExpField(space, (1, 0), Fraction(1), -1))
     assert em.mode_state(-2, vac) == {}
@@ -281,8 +282,6 @@ def _memo_product_image(field, n, sid):
         if mid:
             for k, v in field.f.mode(n - q, mid).items():
                 _acc(out, k, v)
-    if field.scale is not None:
-        out = comb_scale(out, field.scale)
     return out
 
 
@@ -334,6 +333,48 @@ def test_product_reads_its_right_factor_through_parts(rank):
                 cells += len(got)
     assert (True, 1) in seen and (True, -1) in seen
     assert cells > 1000
+
+
+def _roundtrip_sweeps():
+    V = homogeneous_Ck(HomogeneousModule(build_root_system("A", 1), 1))
+    win = TruncationWindow(2, 2, 1)
+    entries, _w, back = roundtrip_check(V, win)
+    return entries + check_Ck(V, win) + check_Ck(back, win)
+
+
+def _principal_sweeps():
+    mod = PrincipalModule(build_root_system("A", 1), 1, 2, negation_theta)
+    win = TruncationWindow(4, 3, 1)
+    mod.set_constants(solve_prin_constants(mod, win)[0])
+    return verify_principal_relations(mod, win)
+
+
+@pytest.mark.parametrize("sweeps", [_roundtrip_sweeps, _principal_sweeps])
+def test_no_sweep_builds_a_relabelled_image(monkeypatch, sweeps):
+    """roundtrip_check and check_Ck on both A1 modules at (2, 2, 1), and
+    the principal A1 relations at (4, 3, 1), all pass without one call of
+    FieldFamily.mode_memo: every composite, k_i and beta(r) included,
+    reads its parts through mode_parts.  No HeisenbergField keeps an
+    image afterwards, and some was built."""
+    calls = []
+    heis = []
+    memo = FieldFamily.mode_memo
+    init = HeisenbergField.__init__
+
+    def counted(self, n, sid):
+        calls.append(type(self).__name__)
+        return memo(self, n, sid)
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        heis.append(self)
+
+    monkeypatch.setattr(FieldFamily, "mode_memo", counted)
+    monkeypatch.setattr(HeisenbergField, "__init__", record)
+    entries = sweeps()
+    assert entries and all(e[2] == "pass" for e in entries)
+    assert calls == []
+    assert heis and all(h._memo == {} for h in heis)
 
 
 def _id_spaces():

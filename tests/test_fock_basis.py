@@ -15,6 +15,7 @@ import pytest
 
 from field_oracle import (Tuples, check_state, comb_eq, exp_series,
                           monomial_act, z_factor)
+from torlab.checks import holds
 from torlab.distops import (DeltaRelation, DeltaTerm, ExpField,
                             TruncationWindow, dressing_operator,
                             product_of_binomials)
@@ -185,6 +186,23 @@ def test_binomial_table_shared_by_equal_factors():
                                                len(longer) - 1)
     assert other.factors != rel1.factors
     assert other._coefs(5) is not table
+
+
+def test_reassigned_factors_rebuild_the_binomial_table():
+    """A swept relation whose factors are reassigned gives the (ok,
+    witness) of a fresh relation on the new factors: on A1 at (2, 2, 1),
+    the pair (alpha, alpha) holds, and with its exponents raised by 1 it
+    fails."""
+    mod = HomogeneousModule(build_root_system("A", 1), 1)
+    rel = pair_relation(mod, (1,), (1,), (0,), (0,))
+    states = window_states(mod.space, WIN)
+    assert holds(rel, states, WIN.modes) == (True, None)
+    raised = [(c + 1, a) for c, a in rel.factors]
+    fresh = holds(DeltaRelation(rel.f, rel.g, raised, rel.rhs_terms),
+                  states, WIN.modes)
+    assert not fresh[0]
+    rel.factors = raised
+    assert holds(rel, states, WIN.modes) == fresh
 
 
 # Witnesses that the monomial-basis implementation (the one before the

@@ -11,10 +11,9 @@ from torlab.checks import default_rvecs, fields_equal, holds, nonzero
 from torlab.distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
                             HeisenbergField, ProductField, TruncationWindow,
                             ZeroModeTimesField, _cells, comb_scale, comb_sub)
-from torlab.fockhom import (HeisTimesXField, HomogeneousModule,
-                            VertexXField, ZField, pair_relation, verify_33,
-                            verify_center_hom, verify_products_hom,
-                            window_states)
+from torlab.fockhom import (HomogeneousModule, VertexXField, ZField,
+                            pair_relation, verify_33, verify_center_hom,
+                            verify_products_hom, window_states)
 from torlab.fockprin import PrincipalModule, negation_theta
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
@@ -192,12 +191,13 @@ def test_vec_times_x_is_the_product_field(name):
 
 def test_vec_times_x_reads_the_weight():
     """On the principal A1 module (m = 2) the vector (0, 1) pairs with the
-    mode direction, and k_0(0) is the identity, so vec(z^m) k_0(0, z^m)
-    is the Heisenberg field itself: same max_mode on every window state
-    (which carries the weight m) and same modes."""
+    mode direction, and k_0(0) is the identity, so the ProductField
+    k_0(0, z^m) vec(z^m) is the Heisenberg field itself: same max_mode
+    on every window state (which carries the weight m) and same modes."""
     mod = PrincipalModule(build_root_system("A", 1), 1, 2, negation_theta)
     states = window_states(mod.space, TruncationWindow(4, 3, 1))
-    got = Tuples(HeisTimesXField(mod.space, (0, 1), mod.k0((0,)), "h*k0"))
+    got = Tuples(ProductField(mod.k0((0,)),
+                              HeisenbergField(mod.space, (0, 1))))
     want = Tuples(HeisenbergField(mod.space, (0, 1)))
     assert [got.max_mode(v) for v in states] == \
         [want.max_mode(v) for v in states]
@@ -470,7 +470,7 @@ def _relabelled_field(mod, field, tot):
                                   _relabelled_field(mod, field.base, tot))
     if isinstance(field, ZField):
         return mod.z(field.alpha, tot)
-    if isinstance(field, HeisTimesXField):
+    if isinstance(field, ProductField):
         return mod.kf(1, tot)
     return mod.k0(tot)
 
@@ -479,7 +479,7 @@ def _corruptions(mod, rel, tot):
     """(name, terms, factors) for rel and its corrupted copies: the first
     delta term's sign flipped, the binomial exponents raised by 1, the
     ZeroModeTimesField vec negated, and the first, the last and each k_i
-    (HeisTimesXField) delta term moved to another multidegree, so that
+    (a ProductField) delta term moved to another multidegree, so that
     its label differs from the products'."""
     terms = rel.rhs_terms
     out = [("intact", terms, rel.factors)]
@@ -498,7 +498,7 @@ def _corruptions(mod, rel, tot):
     other = tuple(c + 1 for c in tot)
     for i in sorted({i for i, t in enumerate(terms)
                      if i in (0, len(terms) - 1)
-                     or isinstance(t.field, HeisTimesXField)}):
+                     or isinstance(t.field, ProductField)}):
         t = terms[i]
         moved = DeltaTerm(t.coeff, t.a,
                           _relabelled_field(mod, t.field, other), t.use_D)

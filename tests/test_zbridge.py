@@ -205,8 +205,9 @@ def test_composites_with_a_view_keep_one_core_row_per_mode_multiset(
     A1 module at (2, 2, 1), every ProductField and RestrictedField with a
     label view keeps its images and caps on mids only, at most one row
     per mode multiset of the space, and 1,676 core rows in all; every
-    ProductField that reads the label (b' = h k_0 and the k_i k_0
-    products of the factorization checks) still fills labelled rows."""
+    ProductField that reads the label (b' = h k_0, beta(r) = k_0 h, k_i
+    and the k_i k_0 products of the factorization checks) still fills
+    labelled rows."""
     built = []
     for cls in (ProductField, RestrictedField):
         def record(self, *args, _init=cls.__init__, **kwargs):
@@ -228,7 +229,7 @@ def test_composites_with_a_view_keep_one_core_row_per_mode_multiset(
         assert len(f._memo) <= mids, f.label
         assert all(key <= MODE_MASK for key in getattr(f, "_caps", ())), \
             f.label
-    assert {f.label[:2] for f in labelled} == {"b'", "k1", "1x"}
+    assert {f.label[:2] for f in labelled} == {"b'", "k1", "1x", "be"}
     for f in labelled:
         assert any(key > MODE_MASK for key in f._memo), f.label
     assert sum(len(f._memo) for f in viewed) == 1676
