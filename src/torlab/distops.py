@@ -458,49 +458,63 @@ def field_space(*fields):
     return next((f.space for f in fields if f.space is not None), None)
 
 
+class _Classes(list):
+    """The label classes of one field, in the order met: the ckey of a
+    value is its index << MODE_BITS, where a label id sits in a state id,
+    and self[ckey >> MODE_BITS] the value.  The first value, the one read
+    on the zero label, has ckey 0."""
+
+    def ckey(self, value):
+        if value not in self:
+            self.append(value)
+        return self.index(value) << MODE_BITS
+
+
 class FieldFamily:
     """Mode family of a formal distribution, shifting labels by shift.
 
-    A label-homogeneous field reads the label only through a z-exponent
-    and a sign: view(lid) gives (e, label_bits, sign) per input label,
-    and mode n of a state (lid, mid) is the core image at n - e on the
-    zero-label state mid, with label_bits and sign put on.  ExpField,
-    IdentityField and RelabelledView have a view; ScaledField,
-    RestrictedField and ProductField take it from their parts.
-    HeisenbergField, ZeroModeTimesField and any composite holding one,
-    such as the k_i and beta(r) fields, read the label otherwise (mode 0
-    pairs with it): their view is None and their core is keyed by sid
-    (DeltaRelation._label reads both kinds).
+    Every field reads the label through its view: view(lid) gives (e,
+    label_bits, sign, ckey), cached per label (_view), and mode n of a
+    state (lid, mid) is the core image at n - e on the key ckey | mid,
+    keyed on the zero label, with label_bits and sign put on.  ckey is 0
+    for a field that reads nothing else of the label; HeisenbergField
+    (whose mode 0 pairs with it), ZeroModeTimesField and composites
+    holding one, such as the k_i and beta(r) fields, intern a class of
+    what they read (_Classes), so one core serves every label of a
+    class.  ScaledField, RestrictedField and ProductField take their
+    views from their parts.
 
-    Subclasses give mode_state(n, key) and cap(key) (or max_mode) on the
-    core's keys; modes above the cap annihilate.  core keeps one row per
-    key, the cap and the images by n.  Both caches are exact: a cap or
-    an image is a pure function of its key, as a field is not changed
-    once built, and a composite merges each finished image into its
-    output in turn, as comb_add groups it: where a sum cancels orders
-    its keys.  mode_parts(n, sid) gives the image as (label_bits, sign,
-    image), meaning {label_bits | k: sign * c for k, c in image} in the
-    order of image, and mode_memo(n, sid) builds that dict on demand.
+    Subclasses give the view, mode_state(n, key) and cap(key) on core
+    keys; modes above the cap annihilate.  core keeps one row per key,
+    the cap and the images by n.  Both caches are exact: a cap or an
+    image is a pure function of its key, as a field is not changed once
+    built, and a composite merges each finished image into its output in
+    turn, as comb_add groups it: where a sum cancels orders its keys.
+    mode_parts(n, sid) gives (label_bits, sign, image), meaning
+    {label_bits | k: sign * c for k, c in image} in the order of image,
+    and mode_memo(n, sid) builds that dict on demand.
     """
 
     label = "field"
     shift = None  # label shift per mode, when the field has one
     space = None  # the FockSpace it acts on, when it knows one
-    view = None
 
     def __init__(self):
         self._memo = {}
+        self._views = {}
+
+    def view(self, lid):
+        hit = self._views.get(lid)
+        if hit is None:
+            hit = self._views[lid] = self._view(lid)
+        return hit
 
     def mode_state(self, n, key):
         raise NotImplementedError
 
-    def cap(self, key):
-        return self.max_mode(key)
-
     def max_mode(self, sid):
-        if self.view is None:
-            return self.cap(sid)
-        return self.view(sid >> MODE_BITS)[0] + self.cap(sid & MODE_MASK)
+        e, _hi, _sign, ckey = self.view(sid >> MODE_BITS)
+        return e + self.cap(ckey | (sid & MODE_MASK))
 
     def core(self, n, key):
         row = self._memo.get(key)
@@ -515,10 +529,8 @@ class FieldFamily:
         return hit
 
     def mode_parts(self, n, sid):
-        if self.view is None:
-            return 0, 1, self.core(n, sid)
-        e, hi, sign = self.view(sid >> MODE_BITS)
-        return hi, sign, self.core(n - e, sid & MODE_MASK)
+        e, hi, sign, ckey = self.view(sid >> MODE_BITS)
+        return hi, sign, self.core(n - e, ckey | (sid & MODE_MASK))
 
     def mode_memo(self, n, sid):
         hi, sign, image = self.mode_parts(n, sid)
@@ -526,30 +538,21 @@ class FieldFamily:
             return {hi | k: -c for k, c in image.items()}
         return {hi | k: c for k, c in image.items()} if hi else image
 
-    def mode(self, n, comb, lift=0, lsign=1, core=False, out=None):
-        """Mode n on comb, an image of mode_parts read with its label bits
-        lift and its sign lsign put on each key, through the core on
-        zero-label keys if core, summed into out (a new dict if None)."""
-        if out is None:
-            out = {}
+    def mode(self, n, comb):
+        """Mode n on comb, summed into a new dict."""
+        out = {}
         for sid, c in comb.items():
-            hi, sign, image = (0, 1, self.core(n, sid)) if core else \
-                self.mode_parts(n, sid | lift)
-            if sign * lsign < 0:
-                c = -c
-            for k, v in image.items():
-                # with no label bits the memo's own key object is kept, so
-                # the images of composites share keys with their parts
-                _acc(out, k | hi if hi else k, v * c)
+            for k, v in self.mode_memo(n, sid).items():
+                _acc(out, k, v * c)
         return out
 
 
 class RelabelledView(FieldFamily):
     """An E^- dressing em (an ExpField of sign -1) with a label and a
     sign put on: a subclass passes em and gives view(lid), label_bits
-    those of the label plus shift.  Its core is em's; it keeps no memo.
-    check_window reads the products of two views from the rows that
-    their dressings keep (_cell_row)."""
+    those of the label plus shift and ckey 0.  Its core is em's; it keeps
+    no memo.  check_window reads the products of two views from the rows
+    that their dressings keep (_cell_row)."""
 
     def __init__(self, em):
         super().__init__()
@@ -568,7 +571,7 @@ class IdentityField(FieldFamily):
             self.shift = (0,) * dim
 
     def view(self, lid):
-        return 0, lid << MODE_BITS, 1
+        return 0, lid << MODE_BITS, 1, 0
 
     def cap(self, mid):
         return 0
@@ -594,114 +597,128 @@ class ScaledField(FieldFamily):
         return comb_scale(self.base.core(n, key), self.coeff)
 
 
+def _apply(core, n, image, ckey, out):
+    """Sum core(n, ckey | w) * c over the image {w: c} into out."""
+    for w, c in image.items():
+        for k, v in core(n, ckey | w).items():
+            _acc(out, k, v * c)
+    return out
+
+
 class ProductField(FieldFamily):
     """Same-variable product f(z) g(z).
 
-    The mode sum is made finite with the cap rule: f's max_mode over any
-    state g produces is bounded by f's max_mode on the label-shifted
-    input, which holds whenever g only removes modes or creates modes
-    pairing to zero with f's annihilation directions, as for every
-    dressing/vertex field combined here.  With views on f and g its view
-    is g's, then f's at the label g leaves (exponents add, signs
-    multiply), and its core sums f's core over g's, capped by f.cap(mid)
-    and g.cap(mid): the rule in core terms.  Otherwise f reads g's core,
-    or its mode_parts where g has a view, with their label bits and sign
-    put on each key as f reads it (mode).  The image f(n - q) of each q
+    Its view is g's, then f's at the label g leaves: exponents add,
+    signs multiply, and the ckey interns the pair of their ckeys.  Its
+    core sums f's core over g's, q (g's mode) ascending, with the cap
+    rule: f's cap on any mid g produces is bounded by f's cap on the
+    input mid, which holds whenever g only removes modes or creates
+    modes pairing to zero with f's annihilation directions, as for every
+    dressing/vertex field combined here.  The image f(n - q) of each q
     is merged into the output in turn: fusing the sums would regroup
-    them and could move a witness's bytes.  Where g's image has one key,
-    f sums straight into the output, which adds the same terms in the
-    same order.
+    them and could move a witness's bytes (where g's image has one key,
+    f sums straight into the output: the same terms in the same order).
     """
 
     def __init__(self, f, g, label=None):
         super().__init__()
-        self.f = f
-        self.g = g
+        self.f, self.g = f, g
         self.space = field_space(f, g)
         self.shift = tuple(a + b for a, b in zip(f.shift, g.shift))
         self.label = label or (f.label + "*" + g.label)
-        self._caps = {}
-        self._views = {}
-        if f.view is None or g.view is None:
-            self.view = None
+        self._parts = {}
+        self._classes = _Classes([(0, 0)])
 
-    def view(self, lid):
-        hit = self._views.get(lid)
-        if hit is None:
-            e_g, hi_g, s_g = self.g.view(lid)
-            e_f, hi, s_f = self.f.view(hi_g >> MODE_BITS)
-            hit = self._views[lid] = (e_g + e_f, hi, s_g * s_f)
-        return hit
+    def _view(self, lid):
+        e_g, hi_g, s_g, c_g = self.g.view(lid)
+        e_f, hi, s_f, c_f = self.f.view(hi_g >> MODE_BITS)
+        return e_g + e_f, hi, s_g * s_f, self._classes.ckey((c_f, c_g))
 
-    def _fg_caps(self, key):
-        """(f's cap, g's cap) per key: the cores' on a mid, else their
-        max_mode on the g-shifted state and on the state."""
-        hit = self._caps.get(key)
+    def _keys(self, key):
+        """(f's ckey, g's key, f's cap, g's cap) per core key."""
+        hit = self._parts.get(key)
         if hit is None:
-            f, g = self.f, self.g
-            hit = self._caps[key] = (f.cap(key), g.cap(key)) if self.view \
-                else (f.max_mode(self.space.shifted(key, g.shift)),
-                      g.max_mode(key))
+            c_f, c_g = self._classes[key >> MODE_BITS]
+            mid = key & MODE_MASK
+            hit = self._parts[key] = (c_f, c_g | mid, self.f.cap(c_f | mid),
+                                      self.g.cap(c_g | mid))
         return hit
 
     def cap(self, key):
-        return sum(self._fg_caps(key))
+        return sum(self._keys(key)[2:])
 
     def mode_state(self, n, key):
-        fcap, gcap = self._fg_caps(key)
-        f, g = self.f, self.g
-        core = self.view is not None
-        gcore = core or g.view is None
+        c_f, gkey, fcap, gcap = self._keys(key)
+        fcore, gcore = self.f.core, self.g.core
         out = {}
         for q in range(n - fcap, gcap + 1):
-            hi, sign, image = (0, 1, g.core(q, key)) if gcore else \
-                g.mode_parts(q, key)
+            image = gcore(q, gkey)
             if len(image) == 1:
-                f.mode(n - q, image, hi, sign, core, out)
+                _apply(fcore, n - q, image, c_f, out)
             elif image:
-                for k, v in f.mode(n - q, image, hi, sign, core).items():
+                for k, v in _apply(fcore, n - q, image, c_f, {}).items():
                     _acc(out, k, v)
         return out
 
 
 class HeisenbergField(FieldFamily):
-    """vec(z) = sum_n vec(n) z^(weight*n) on a FockSpace.  It stores no
-    image: core is one heisenberg_act on the transitions the space
-    keeps."""
+    """vec(z) = sum_n vec(n) z^(weight*n) on a FockSpace.  It reads the
+    label through vec(0) only: its ckey is the class of <vec, label>, and
+    its core is {mid: <vec, label>} at mode 0 (empty where the pairing
+    is 0) and one heisenberg_act on {mid: 1} at every other mode, on the
+    transitions the space keeps.  It stores no image."""
 
     def __init__(self, space: FockSpace, vec, label="h"):
         super().__init__()
-        self.space = space
-        self.vec = tuple(vec)
+        self.space, self.vec, self.label = space, tuple(vec), label
         self.shift = (0,) * space.dim
-        self.label = label
+        self._classes = _Classes([0])
 
-    def max_mode(self, sid):
-        return self.space.weight * self.space.annihilatable(sid, self.vec)
+    def _view(self, lid):
+        return 0, lid << MODE_BITS, 1, self._classes.ckey(
+            self.space.label_pair(self.vec, lid))
 
-    def core(self, n, sid):
+    def cap(self, key):
+        return self.space.weight * self.space.annihilatable(key, self.vec)
+
+    def core(self, n, key):
+        mid = key & MODE_MASK
+        if n == 0:
+            p = self._classes[key >> MODE_BITS]
+            return {mid: p} if p else {}
         w = self.space.weight
         if n % w:
             return {}
-        return self.space.heisenberg_act(self.vec, n // w, {sid: 1})
+        return self.space.heisenberg_act(self.vec, n // w, {mid: 1})
 
 
 class ZeroModeTimesField(FieldFamily):
-    """vec(0) applied after a base field (the Cartan delta term)."""
+    """vec(0) applied after a base field (the Cartan delta term): the
+    base's view, with a ckey that interns (<vec, the label the base
+    leaves>, the base's ckey).  Its core is that pairing times the base's
+    core, read without a memo, as ScaledField does."""
 
     def __init__(self, space, vec, base):
         super().__init__()
-        self.space = space
-        self.vec = tuple(vec)
-        self.base = base
-        self.shift = base.shift
-        self.label = "h0*" + base.label
+        self.space, self.vec, self.base = space, tuple(vec), base
+        self.shift, self.label = base.shift, "h0*" + base.label
+        self._classes = _Classes([(0, 0)])
 
-    def max_mode(self, sid):
-        return self.base.max_mode(sid)
+    def _view(self, lid):
+        e, hi, sign, ckey = self.base.view(lid)
+        return e, hi, sign, self._classes.ckey(
+            (self.space.label_pair(self.vec, hi >> MODE_BITS), ckey))
 
-    def mode_state(self, n, sid):
-        return self.space.heisenberg_act(self.vec, 0, self.base.mode_memo(n, sid))
+    def _base_key(self, key):
+        p, ckey = self._classes[key >> MODE_BITS]
+        return p, ckey | (key & MODE_MASK)
+
+    def cap(self, key):
+        return self.base.cap(self._base_key(key)[1])
+
+    def core(self, n, key):
+        p, bkey = self._base_key(key)
+        return comb_scale(self.base.core(n, bkey), p) if p else {}
 
 
 class ExpField(FieldFamily):
@@ -732,7 +749,7 @@ class ExpField(FieldFamily):
     input and E^+ takes out each one the input holds (first appearances
     restricted to a subset keep their order).  No sum cancels.
 
-    The series never reads the label: the view is (0, its bits, 1) and
+    The series never reads the label: the view is (0, its bits, 1, 0) and
     the core is expanded once per mode multiset.  The memos and term
     lists belong to the space (FockSpace.dressing), one set per (sign,
     c, vec), c an int where integral.  A dressing whose vec meets no
@@ -821,20 +838,20 @@ def dressing_operator(space: FockSpace, sign: int, vec, k, m=1, label=None):
 # ---------------------------------------------------------------------------
 
 
-def _product(outer, inner, key, m_o, m_i, lift, mask):
+def _product(outer, inner, key, m_o, m_i, ockey):
     """The nonzero (key, coefficient) pairs of outer(m_o) inner(m_i) on
-    key, outer and inner two fields' core(n, key): outer reads each key k
-    of inner's image as (k | lift) & mask."""
+    key, outer and inner two fields' core(n, key): outer reads each key w
+    of inner's image as ockey | w."""
     acc = {}
     for w, cw in inner(m_i, key).items():
-        for k, v in outer(m_o, (w | lift) & mask).items():
+        for k, v in outer(m_o, ockey | w).items():
             prev = acc.get(k)
             vv = v * cw
             acc[k] = vv if prev is None else prev + vv
     return tuple([(k, v) for k, v in acc.items() if v])
 
 
-def _cells(outer, inner, key, modes, lift, mask, dressed):
+def _cells(outer, inner, key, modes, ockey, dressed):
     """(p, items) of outer(m_o) inner(m_i) on key per (p, m_o, m_i) in
     modes where it is not empty: _product, or for two E^- dressings
     (dressed) with the identity (no _dirs) on one side the other's image
@@ -846,13 +863,13 @@ def _cells(outer, inner, key, modes, lift, mask, dressed):
         elif dressed and not inner._dirs:
             items = () if m_i else outer.core(m_o, key).items()
         else:
-            items = _product(outer.core, inner.core, key, m_o, m_i, lift, mask)
+            items = _product(outer.core, inner.core, key, m_o, m_i, ockey)
         if items:
             cells.append((p, items))
     return cells
 
 
-def _cell_row(rows, T, lo, u, key, outer, inner, lift, mask, dressed):
+def _cell_row(rows, T, lo, u, key, outer, inner, ockey, dressed):
     """The row T of outer over inner on key: _cells of m_o + m_i = T, m_o
     ascending from lo, made through at least u.  rows[T] is [top, cells],
     extended upward only as far as some state reads it."""
@@ -862,7 +879,7 @@ def _cell_row(rows, T, lo, u, key, outer, inner, lift, mask, dressed):
     if row[0] < u:
         row[1] += _cells(outer, inner, key, [
             (m, m, T - m) for m in range(max(lo, row[0] + 1), u + 1)],
-            lift, mask, dressed)
+            ockey, dressed)
         row[0] = u
     return row[1]
 
@@ -925,39 +942,32 @@ class DeltaRelation:
         self._plan_of = self._plan = None
 
     def _sweep_plan(self):
-        """(f, g, s, terms, reads, pairs): the operands as swept, the
-        factored constant s (None when it is 1), the delta terms as swept
-        with their coefficients divided by s, and per term the field
-        check_window reads and a vec: (base, vec) for a ZeroModeTimesField
-        over a field with a view, whose vec(0) is then <vec, label> on the
-        base's image, else (field, None).  pairs is ((outer, inner) of
-        f(g(v)), of g(f(v)), dressed): for two E^- dressings
-        (RelabelledView) their ExpFields and True, else (f, g), (g, f) and
-        False.  A new plan drops the relation's rows, label reads and
-        binomial table, and normalizes the factors: c_p a Fraction, a_p a
-        Cyc or a Fraction."""
+        """(f, g, s, terms, pairs): the operands as swept, the factored
+        constant s (None when it is 1), the delta terms as swept with
+        their coefficients divided by s, and ((outer, inner) of f(g(v)),
+        of g(f(v)), dressed): for two E^- dressings (RelabelledView) their
+        ExpFields and True, else (f, g), (g, f) and False.  A new plan
+        drops the relation's rows, label reads and binomial table, and
+        normalizes the factors: c_p a Fraction, a_p a Cyc or a
+        Fraction."""
         key = (self.f, self.g, self.factors, self.rhs_terms)
         if key != self._plan_of:
             f, cf = _unscaled(self.f)
             g, cg = _unscaled(self.g)
             s = _scalar(cf * cg)
             s = None if s == 1 else s
-            terms, reads = [], []
+            terms = []
             for t in self.rhs_terms:
                 h, ch = _unscaled(t.field)
                 c = t.coeff * ch
                 terms.append(DeltaTerm(c if s is None else Cyc._coerce(c) / s,
                                        t.a, h, t.use_D))
-                if type(h) is ZeroModeTimesField and h.base.view is not None:
-                    reads.append((h.base, h.vec))
-                else:
-                    reads.append((h, None))
             if isinstance(f, RelabelledView) and isinstance(g, RelabelledView):
                 pairs = (f.em, g.em), (g.em, f.em), True
             else:
                 pairs = (f, g), (g, f), False
             self._plan_of = key
-            self._plan = f, g, s, terms, reads, pairs
+            self._plan = f, g, s, terms, pairs
             self._apow, self._labels, self._rows = {}, {}, {}
             self._factors = tuple(
                 (Fraction(c), a if isinstance(a, Cyc) else Fraction(a))
@@ -1000,40 +1010,32 @@ class DeltaRelation:
         """A state's reads that depend on its label lid only, kept per
         (lid, W) until the plan is rebuilt: (orders, reads).  orders reads
         f(g(v)), then g(f(v)), as (e_o, e_i, sign, hi, umax, icap, ocap,
-        olift, by_sid, rows, fill), a field without a view read on the
-        labelled state (by_sid) with exponent 0, sign 1, no label bits and
-        max_mode as cap.  ocap reads olift | mid; rows[key] is a state's
-        {T: row}, None where a row would be keyed by a labelled state,
-        which alone reads it; fill ends _cell_row's arguments; umax bounds
-        the outer mode (an E^- core has cap 0).  reads is (row, core, e,
-        hi, cap, by_sid) per delta term with a nonzero _delta_row."""
-        f, g, _s, terms, plan, pairs = self._sweep_plan()
-        space, dressed = self.space, pairs[2]
+        ockey, ickey, rows, fill), the outer's view read at the label the
+        inner leaves; rows[ickey | mid] is a state's {T: row}, kept on the
+        outer E^- dressing for two of them, else on the relation per
+        (order, ockey); fill ends _cell_row's arguments; umax bounds the
+        outer mode (an E^- core has cap 0).  reads is (row, core, e, hi,
+        cap, ckey) per delta term, its sign in its _delta_row."""
+        f, g, _s, terms, pairs = self._sweep_plan()
+        dressed = pairs[2]
         orders = []
         for i, ((outer, inner), (o, n)) in enumerate(
                 zip(((f, g), (g, f)), pairs[:2])):
-            e_i, lift, s_i = inner.view(lid) if inner.view else (
-                0, space.shifted(lid << MODE_BITS, inner.shift), 1)
-            e_o, hi, s_o = outer.view(lift >> MODE_BITS) if outer.view \
-                else (0, 0, 1)
-            olift = 0 if outer.view else lift
+            e_i, hi_i, s_i, ickey = inner.view(lid)
+            e_o, hi, s_o, ockey = outer.view(hi_i >> MODE_BITS)
             if dressed and o._dirs and n._dirs:
                 rows = _row(o._rows, n._did)
             else:
-                rows = _row(self._rows, i) if outer.view and inner.view \
-                    else None
+                rows = _row(self._rows, (i, ockey))
             orders.append((e_o, e_i, s_o * s_i, hi, 0 if dressed else W - e_o,
-                           inner.cap, outer.cap, olift, inner.view is None, rows,
-                           (o, n, lift, -1 if outer.view is None else MODE_MASK,
-                            dressed)))
+                           inner.cap, outer.cap, ockey, ickey, rows,
+                           (o, n, ockey, dressed)))
         reads = []
-        for ti, (term, (h, vec)) in enumerate(zip(terms, plan)):
-            e, hi, mult = (0, 0, 1) if h.view is None else h.view(lid)
-            if vec is not None:
-                mult *= space.label_pair(vec, hi >> MODE_BITS)
-            if mult:
-                reads.append((self._delta_row(ti, term, mult, W), h.core, e, hi,
-                              h.cap, h.view is None))
+        for ti, term in enumerate(terms):
+            h = term.field
+            e, hi, sign, ckey = h.view(lid)
+            reads.append((self._delta_row(ti, term, sign, W), h.core, e, hi,
+                          h.cap, ckey))
         return orders, reads
 
     def _state(self, sid, W):
@@ -1047,16 +1049,15 @@ class DeltaRelation:
         if part is None:
             part = self._labels[lid, W] = self._label(lid, W)
         orders, reads, tops = [], [], []
-        for (e_o, e_i, sign, hi, umax, icap, ocap, olift, by_sid, rows,
+        for (e_o, e_i, sign, hi, umax, icap, ocap, ockey, ickey, rows,
              fill) in part[0]:
-            key = sid if by_sid else mid
+            key = ickey | mid
             cap_i = icap(key)
-            orders.append((e_o, e_i, cap_i, sign, hi, umax,
-                           {} if rows is None else _row(rows, key),
+            orders.append((e_o, e_i, cap_i, sign, hi, umax, _row(rows, key),
                            key, fill))
-            tops.append(e_o + ocap(olift | mid) + e_i + cap_i)
-        for row, core, e, hi, cap, by_sid in part[1]:
-            key = sid if by_sid else mid
+            tops.append(e_o + ocap(ockey | mid) + e_i + cap_i)
+        for row, core, e, hi, cap, ckey in part[1]:
+            key = ckey | mid
             top = e + cap(key)
             reads.append((row, core, e, top, key, hi))
             tops.append(top)
@@ -1069,14 +1070,12 @@ class DeltaRelation:
 
         Each order reads the products of an anti-diagonal S = a + b as one
         row (_cell_row) of (m_o, items), m_o ascending, on T = m_o + m_i of
-        the outer and inner core modes.  A row does not depend on the
-        label: the rows of two non-identity E^- dressings live on the outer
-        one, shared by every relation, the rest on the relation.  The
-        a-loop reads coef[b - m_o] for m_o <= b: b = a - e1 for f(g(v)),
-        S - e2 - a for g(f(v)).  Every operand and delta term is read once
-        per state (_state), with the signs folded into the binomial and
-        delta coefficients.  The outer mode runs up to the window's bound
-        (an E^+ factor may absorb modes the inner operand made).  The
+        the outer and inner core modes; a row reads the label through the
+        ckeys only.  The a-loop reads coef[b - m_o] for m_o <= b: b = a - e1
+        for f(g(v)), S - e2 - a for g(f(v)).  Every operand and delta term
+        is read once per state (_state), the signs folded into the binomial
+        and delta coefficients.  The outer mode runs up to the window's
+        bound (an E^+ factor may absorb modes the inner operand made).  The
         difference is keyed by each output state XOR the label bits hi of
         f(g(v)): a cell on another label (only a corrupted relation makes
         one) keeps a key of its own, and a failing witness gets its labels

@@ -41,17 +41,18 @@ keeps one zero-label core image per mode multiset: the label and the
 sign go on when a caller reads the image (distops.FieldFamily).  The
 k_i and beta(r) fields are ProductFields of k_0(r) over the Heisenberg
 field of delta_i or beta, which commute with it, as both pair to zero
-with delta_r.  They read the label through a mode 0, so they have no
-view and keep their images per state.  The quadratic Z-relation of
+with delta_r.  They read the label through a mode 0 as well, so their
+views carry the class of that pairing (the ckey), and they keep one
+core image per (class, mode multiset).  The quadratic Z-relation of
 every root pair multiplies the same E^-(delta_r) E^-(delta_s) images on
 the modes of a state:
 distops.DeltaRelation.check_window reads the products of each
 anti-diagonal as one row on zero-label keys, kept by the outer
 dressing and shared by every root pair, multidegree and label
 (distops._cell_row).  It folds the signs into the coefficients, reads
-the k_i terms on their labelled states in the same sweep and puts the
-label on a failing witness only.  E^-(delta_0) is the identity: its
-rows are kept on the relation, not on a dressing.
+the k_i and h(0) k_0 terms on their class cores in the same sweep and
+puts the label on a failing witness only.  E^-(delta_0) is the
+identity: its rows are kept on the relation, not on a dressing.
 
 The bracket of two root fields is written once, for every picture:
 root_pair_terms gives its binomial prefactors and its summands over
@@ -176,7 +177,7 @@ class VertexXField(RelabelledView):
     with every mode the space carries.
 
     A view: view(lid) is (-w(delta, label), label bits of
-    label + delta, 1), and mode n of a state is the zero-label E^- image
+    label + delta, 1, 0), and mode n of a state is the zero-label E^- image
     at n minus that exponent, with those label bits put on."""
 
     def __init__(self, space: FockSpace, vec, label):
@@ -185,16 +186,11 @@ class VertexXField(RelabelledView):
         self.shift = self.vec
         self.label = label
         super().__init__(ExpField(space, self.vec, 1, -1))
-        self._views = {}
 
-    def view(self, lid):
-        hit = self._views.get(lid)
-        if hit is None:
-            space = self.space
-            hit = self._views[lid] = (
-                -space.weight * int(space.label_pair(self.vec, lid)),
-                space.shifted(lid << MODE_BITS, self.vec), 1)
-        return hit
+    def _view(self, lid):
+        space = self.space
+        return (-space.weight * int(space.label_pair(self.vec, lid)),
+                space.shifted(lid << MODE_BITS, self.vec), 1, 0)
 
 
 class ZField(RelabelledView):
@@ -202,7 +198,7 @@ class ZField(RelabelledView):
     lattice operator, so each input state meets exactly one split.
 
     A view: view(lid) is (the z-exponent of both parts, label bits of
-    lambda + delta_r + alpha, cocycle sign), and mode n of a state is the
+    lambda + delta_r + alpha, cocycle sign, 0), and mode n of a state is the
     zero-label E^-(delta_r) image of k_0 = X(delta_r) at n minus that
     exponent, with the label bits and the sign put on."""
 
@@ -216,20 +212,15 @@ class ZField(RelabelledView):
         self.shift = tuple(a + b for a, b in zip(self.avec, self.x.shift))
         self.label = "Z" + repr(self.alpha) + repr(tuple(rvec))
         self._half = int(mod.space.pair(self.avec, self.avec)) // 2
-        self._views = {}
 
-    def view(self, lid):
-        hit = self._views.get(lid)
-        if hit is None:
-            space = self.space
-            # the lattice part reads the post-shift label, and
-            # (alpha, delta_r) = 0 makes that shift invisible
-            zexp = -int(space.label_pair(self.avec, lid)) - self._half
-            hit = self._views[lid] = (
-                zexp + self.x.view(lid)[0],
+    def _view(self, lid):
+        space = self.space
+        # the lattice part reads the post-shift label, and
+        # (alpha, delta_r) = 0 makes that shift invisible
+        zexp = -int(space.label_pair(self.avec, lid)) - self._half
+        return (zexp + self.x.view(lid)[0],
                 space.shifted(lid << MODE_BITS, self.shift),
-                self.lat.eps(self.avec, space.label_of(lid)))
-        return hit
+                self.lat.eps(self.avec, space.label_of(lid)), 0)
 
 
 # ---------------------------------------------------------------------------

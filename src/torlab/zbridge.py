@@ -16,15 +16,14 @@ cartan_pair_terms, central_terms).  Both modules carry their theta as an
 autom.TwistData, the identity one for the homogeneous module.
 Every dressed field is a ProductField of E^-, a view and E^+ (nested
 five deep in the rebuilt module), and each moves the label by a fixed
-vector, so each has a label view (distops.FieldFamily) and keeps one
-zero-label core image per mode multiset; a RestrictedField takes its
-base's view.  Only b' = h k_0 / k (a ScaledField of the ProductField
-h k_0) and products holding a k_i read the label otherwise and keep
-their images per state; each reads its right factor's image with no
-relabelled copy and puts the label bits on as its left factor reads
-each key (distops.ProductField).  A relation on two such composites
-(ck.rel1, zk.7) is swept on their zero-label cores, multiplied as they
-are read (distops.DeltaRelation.check_window).
+vector, so it keeps one zero-label core image per mode multiset
+(distops.FieldFamily); a RestrictedField takes its base's view.
+b' = h k_0 / k (a ScaledField of the ProductField h k_0) and products
+holding a k_i also read the label through a Heisenberg mode 0: their
+views add the class of that pairing, and they keep one core image per
+(class, mode multiset) (distops.ProductField).  A relation on two
+composites (ck.rel1, ck.rel2, ck.rel3, zk.7) is swept on their cores,
+multiplied as they are read (distops.DeltaRelation.check_window).
 verify_Zk_relations writes relations (1)-(6), (9) and (10) of D_k
 through checks.dk_relations, the block of the principal suite too,
 with k_1 alone, and adds zk.omega_closed, zk.7 and zk.8.
@@ -206,10 +205,10 @@ def omega_basis(mod: CkModule, window: TruncationWindow):
 class RestrictedField(FieldFamily):
     """1 (x) F on M(k) (x) W realized inside the same Fock space: F acts
     on the label and the non-Cartan modes, the Cartan modes ride along.
-    It has F's view when F has one, and then one core row per mid.  The
-    split of a mode multiset is kept per mid: F reads its core key with
-    the Cartan modes taken off, and they go back on each output through
-    the space's join transition."""
+    It has F's view, and one core row per key ckey | mid.  The split of a
+    mode multiset is kept per mid: F reads its core key with the Cartan
+    modes taken off (the ckey bits kept), and they go back on each
+    output through the space's join transition."""
 
     def __init__(self, base, cartan_dirs, label=None):
         super().__init__()

@@ -3,8 +3,9 @@
 The delta-relation oracle works cell by cell: lhs_coeff and check_state
 compute the coefficient at z1^a z2^b of one relation on one state the
 slow way, against which DeltaRelation.check_window and its witnesses are
-compared; a relation on Labelled operands is swept without their views
-(or the ScaledField a constant is factored out of).  The composite-field
+compared; a relation on Labelled operands is swept one labelled state
+at a time, without the exponents and signs of their views (or the
+ScaledField a constant is factored out of).  The composite-field
 oracle, ref_max_mode and ref_mode, recomputes the caps and images of
 ProductField, ScaledField and RestrictedField from their parts with no
 per-field cache and with comb_add sums; the k_i and beta(r) fields are
@@ -27,9 +28,9 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from torlab.distops import (FieldFamily, FockSpace, ProductField,
-                            ScaledField, comb_add, comb_scale, comb_sub,
-                            witness_difference)
+from torlab.distops import (MODE_BITS, MODE_MASK, FieldFamily, FockSpace,
+                            ProductField, ScaledField, comb_add, comb_scale,
+                            comb_sub, witness_difference)
 from torlab.fockhom import ZField
 from torlab.zbridge import RestrictedField
 
@@ -217,21 +218,27 @@ def delta_cells(rel, a, s, state):
 
 
 class Labelled(FieldFamily):
-    """A field read through its mode_memo, with no view and not a
-    ScaledField: a relation on it is swept on labelled states with no
-    constant factored out, the reference for the sweep of the field
-    itself."""
+    """A field read through its mode_memo, not a ScaledField, with one
+    label class per input label (ckey the label's id), exponent 0 and
+    sign 1: its core on ckey | mid is the image of the labelled state,
+    its label bits taken off (they are the field's view's), so a
+    relation on it is swept on one row per labelled state with no
+    exponent, sign or constant factored out, the reference for the sweep
+    of the field itself."""
 
     def __init__(self, f):
         super().__init__()
         self.f = f
         self.shift, self.label, self.space = f.shift, f.label, f.space
 
-    def max_mode(self, sid):
+    def view(self, lid):
+        return 0, self.f.view(lid)[1], 1, lid << MODE_BITS
+
+    def cap(self, sid):
         return self.f.max_mode(sid)
 
     def mode_state(self, n, sid):
-        return self.f.mode_memo(n, sid)
+        return {k & MODE_MASK: c for k, c in self.f.mode_memo(n, sid).items()}
 
 
 def check_state(rel, a, b, state):

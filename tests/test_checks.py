@@ -23,9 +23,9 @@ import pytest
 from field_oracle import Tuples
 from torlab import zbridge
 from torlab.autom import diagram_automorphism, identity_automorphism
-from torlab.distops import (FieldFamily, HeisenbergField, ProductField,
-                            ScaledField, TruncationWindow, comb_scale,
-                            dressing_operator)
+from torlab.distops import (MODE_BITS, MODE_MASK, FieldFamily,
+                            HeisenbergField, ProductField, ScaledField,
+                            TruncationWindow, comb_scale, dressing_operator)
 from torlab.fockhom import (HomogeneousModule, verify_33, verify_center_hom,
                             verify_products_hom, window_states)
 from torlab.fockprin import (PrincipalModule, negation_theta,
@@ -78,19 +78,31 @@ class _EtaTwist(TwistData):
 
 class _FaultOn(FieldFamily):
     """base, negated on one input state only: a fault that a sweep
-    stopping early over the states would miss."""
+    stopping early over the states would miss.  Its ckey is base's
+    shifted up one bit, with a flag in the lowest class bit for the label
+    of that state, and its core negates base's on that state's mid where
+    the flag is set."""
 
     def __init__(self, base, state):
         super().__init__()
-        self.base, self.state = base, state
+        self.base = base
         self.space, self.shift, self.label = base.space, base.shift, base.label
+        sid = self.space.sid(state)
+        self.lid, self.mid = sid >> MODE_BITS, sid & MODE_MASK
 
-    def max_mode(self, v):
-        return self.base.max_mode(v)
+    def view(self, lid):
+        e, hi, sign, ckey = self.base.view(lid)
+        return e, hi, sign, (ckey << 1) | ((lid == self.lid) << MODE_BITS)
 
-    def mode_state(self, n, v):
-        out = self.base.mode_memo(n, v)
-        if Tuples(self).state(v) == self.state:
+    def _base_key(self, key):
+        return ((key >> (MODE_BITS + 1)) << MODE_BITS) | (key & MODE_MASK)
+
+    def cap(self, key):
+        return self.base.cap(self._base_key(key))
+
+    def mode_state(self, n, key):
+        out = self.base.core(n, self._base_key(key))
+        if key >> MODE_BITS & 1 and key & MODE_MASK == self.mid:
             return comb_scale(out, -1)
         return out
 
@@ -104,18 +116,18 @@ def _last_hit(f, states):
 
 
 class _ModeOffByOne(FieldFamily):
-    """base with its mode index off by one: mode n acts as mode n - 1."""
+    """base with its mode index off by one: mode n acts as mode n - 1,
+    base's view with the exponent raised by 1."""
 
     def __init__(self, base):
         super().__init__()
         self.base = base
         self.space, self.shift, self.label = base.space, base.shift, base.label
+        self.core, self.cap = base.core, base.cap
 
-    def max_mode(self, v):
-        return self.base.max_mode(v) + 1
-
-    def mode_state(self, n, v):
-        return self.base.mode_memo(n - 1, v)
+    def view(self, lid):
+        e, hi, sign, ckey = self.base.view(lid)
+        return e + 1, hi, sign, ckey
 
 
 def _k1_doubled(base):
@@ -1132,18 +1144,22 @@ def test_fault_fails_with_recorded_witness(name):
 
 
 class _ExtraTopMode(FieldFamily):
-    """base plus the identity one mode above base's max_mode."""
+    """base plus, one mode above base's max_mode, the input's modes with
+    base's label bits and sign: base's view, with the cap raised by 1."""
 
     def __init__(self, base):
         super().__init__()
         self.base = base
         self.space, self.shift, self.label = base.space, base.shift, base.label
+        self.view = base.view
 
-    def max_mode(self, v):
-        return self.base.max_mode(v) + 1
+    def cap(self, key):
+        return self.base.cap(key) + 1
 
-    def mode_state(self, n, v):
-        return {v: 1} if n == self.max_mode(v) else self.base.mode_memo(n, v)
+    def mode_state(self, n, key):
+        if n == self.cap(key):
+            return {key & MODE_MASK: 1}
+        return self.base.core(n, key)
 
 
 def test_vanishes_reaches_every_term_top_mode():

@@ -3,17 +3,19 @@ from fractions import Fraction
 import pytest
 
 from field_oracle import Labelled, Tuples, check_state, lhs_coeff
-from torlab.distops import (MODE_MASK, DeltaRelation, DeltaTerm, ExpField,
-                            IdentityField, ProductField, ScaledField,
-                            TruncationWindow, comb_add, comb_scale, comb_sub,
-                            dressing_operator)
-from torlab.fockhom import HomogeneousModule, pair_relation, window_states
+from torlab.distops import (MODE_BITS, MODE_MASK, DeltaRelation, DeltaTerm,
+                            ExpField, IdentityField, ProductField,
+                            ScaledField, TruncationWindow, comb_add,
+                            comb_scale, comb_sub, dressing_operator)
+from torlab.fockhom import (HomogeneousModule, pair_relation, verify_33,
+                            verify_center_hom, window_states)
 from torlab.rootsys import build_root_system
 from torlab.scalar import Cyc
 from torlab.zbridge import (CkModule, RestrictedField, TwistData, check_Ck,
-                            current_pair_relation, from_Zmodule,
-                            homogeneous_Ck, omega_basis, roundtrip_check,
-                            to_Zmodule, verify_Zk_relations)
+                            cartan_pair_relation, current_pair_relation,
+                            from_Zmodule, homogeneous_Ck, mixed_pair_relation,
+                            omega_basis, roundtrip_check, to_Zmodule,
+                            verify_Zk_relations)
 
 
 def _v(rs_type="A", rank=1):
@@ -199,15 +201,44 @@ def test_dressings_store_one_zero_label_expansion(monkeypatch):
         assert all(em._memo is same[0]._memo for em in same)
 
 
-def test_composites_with_a_view_keep_one_core_row_per_mode_multiset(
-        monkeypatch):
-    """After roundtrip_check and check_Ck on the original and the rebuilt
-    A1 module at (2, 2, 1), every ProductField and RestrictedField with a
-    label view keeps its images and caps on mids only, at most one row
-    per mode multiset of the space, and 1,676 core rows in all; every
-    ProductField that reads the label (b' = h k_0, beta(r) = k_0 h, k_i
-    and the k_i k_0 products of the factorization checks) still fills
-    labelled rows."""
+def _roundtrip_a1():
+    """roundtrip_check and check_Ck on the original and the rebuilt A1
+    module at (2, 2, 1)."""
+    V = _v()
+    entries, _w, back = roundtrip_check(V, WIN)
+    return V.space, entries + check_Ck(V, WIN) + check_Ck(back, WIN)
+
+
+def _hom_a2():
+    """verify_33 and verify_center_hom on A2 at (2, 2, 1)."""
+    mod = HomogeneousModule(build_root_system("A", 2), 1)
+    return mod.space, (verify_33(mod, WIN)
+                       + verify_center_hom(mod, WIN))
+
+
+def _label_classes(f):
+    """The number of label classes a composite has interned: its own, or
+    for a RestrictedField its base's, 1 where the base reads no label."""
+    while not hasattr(f, "_classes"):
+        f = getattr(f, "base", None)
+        if f is None:
+            return 1
+    return len(f._classes)
+
+
+@pytest.mark.parametrize("sweeps, label_free, label_reading, readers", [
+    (_roundtrip_a1, 1676, 1450, {"b'", "k1", "1x", "be"}),
+    (_hom_a2, 0, 195, {"k1"})], ids=["roundtrip-A1", "hom-A2"])
+def test_composites_keep_one_core_row_per_class_and_mode_multiset(
+        monkeypatch, sweeps, label_free, label_reading, readers):
+    """After the sweeps, every ProductField and RestrictedField keeps its
+    images and caps on keys ckey | mid, ckey one of the label classes it
+    interned, and at most one row per (class, mode multiset of the
+    space).  The composites that read no label keep label_free rows in
+    all; those that read one through a Heisenberg mode 0 (b' = h k_0,
+    beta(r) = k_0 h, k_i, and 1 x k_i and the k_i k_0 products of the
+    factorization checks) keep label_reading rows, shared by the labels
+    of one class; readers are their label prefixes."""
     built = []
     for cls in (ProductField, RestrictedField):
         def record(self, *args, _init=cls.__init__, **kwargs):
@@ -215,24 +246,22 @@ def test_composites_with_a_view_keep_one_core_row_per_mode_multiset(
             built.append(self)
 
         monkeypatch.setattr(cls, "__init__", record)
-    V = _v()
-    entries, _w, back = roundtrip_check(V, WIN)
-    entries = entries + check_Ck(V, WIN) + check_Ck(back, WIN)
-    assert all(e[2] == "pass" for e in entries)
-    viewed = [f for f in built if f.view is not None]
-    labelled = [f for f in built
-                if f.view is None and isinstance(f, ProductField)]
-    assert viewed and labelled
-    mids = len(V.space._modes)
-    for f in viewed:
-        assert all(key <= MODE_MASK for key in f._memo), f.label
-        assert len(f._memo) <= mids, f.label
-        assert all(key <= MODE_MASK for key in getattr(f, "_caps", ())), \
-            f.label
-    assert {f.label[:2] for f in labelled} == {"b'", "k1", "1x", "be"}
-    for f in labelled:
-        assert any(key > MODE_MASK for key in f._memo), f.label
-    assert sum(len(f._memo) for f in viewed) == 1676
+    space, entries = sweeps()
+    assert entries and all(e[2] == "pass" for e in entries)
+    mids = len(space._modes)
+    rows = {False: 0, True: 0}
+    prefixes = set()
+    for f in built:
+        classes = _label_classes(f)
+        for key in list(f._memo) + list(getattr(f, "_parts", ())):
+            assert key >> MODE_BITS < classes, f.label
+            assert key & MODE_MASK < mids, f.label
+        assert len(f._memo) <= classes * mids, f.label
+        rows[classes > 1] += len(f._memo)
+        if classes > 1:
+            prefixes.add(f.label[:2])
+    assert prefixes == readers
+    assert rows == {False: label_free, True: label_reading}
 
 
 def _moved(rel, i, other):
@@ -244,32 +273,41 @@ def _moved(rel, i, other):
 
 
 def test_composite_pairs_fold_as_the_labelled_sweep():
-    """On A1 at (2, 2, 1), every ck.rel1 relation of homogeneous_Ck and of
-    its from_Zmodule rebuild and every zk.7 relation of to_Zmodule sweeps
-    two composites with a view, none of them an E^- dressing.  Intact,
+    """On A1 at (2, 2, 1), every ck.rel1, ck.rel2 and ck.rel3 relation of
+    homogeneous_Ck and of its from_Zmodule rebuild (ck.rel3 with every
+    root) and every zk.7 relation of to_Zmodule sweeps two composites,
+    none of them an E^- dressing; both operands of ck.rel2 and the left
+    one of ck.rel3 read the label through a Heisenberg mode 0.  Intact,
     with the first delta term's sign flipped, and with the first or the
     last delta term moved to another multidegree, each gives on every
     state of its module the (ok, witness) of the same relation on
-    Labelled operands, which have no view.  Each witness is check_state's
-    at its cell, every intact relation holds and every corrupted one
-    fails."""
+    Labelled operands, swept one labelled state at a time.  Each witness
+    is check_state's at its cell, every intact relation holds and every
+    corrupted one fails."""
     mod = HomogeneousModule(build_root_system("A", 1), 1)
     ck = homogeneous_Ck(mod)
     w = to_Zmodule(ck, WIN)
     rebuilt = from_Zmodule(w)
     zero, one = (0,), (1,)
-    suites = [(current_pair_relation, ck, window_states(ck.space, WIN)),
-              (current_pair_relation, rebuilt,
-               window_states(rebuilt.space, WIN)),
-              (pair_relation, w, w.omega_states)]
+    suites = [(pair_relation, w, w.omega_states)]
+    for m in (ck, rebuilt):
+        states = window_states(m.space, WIN)
+        suites += [(current_pair_relation, m, states),
+                   (cartan_pair_relation, m, states),
+                   (mixed_pair_relation, m, states)]
     seen = set()
     for build, m, states in suites:
-        for b1 in m.rs.roots:
-            for b2 in m.rs.roots:
+        simple = build in (cartan_pair_relation, mixed_pair_relation)
+        for b1 in m.rs.simple_roots if simple else m.rs.roots:
+            for b2 in m.rs.simple_roots if build is cartan_pair_relation \
+                    else m.rs.roots:
                 rel = build(m, b1, b2, zero, zero)
                 other = build(m, b1, b2, zero, one)
-                assert isinstance(rel.f, ProductField) and rel.f.view
-                assert isinstance(rel.g, ProductField) and rel.g.view
+                assert not rel._sweep_plan()[-1][2]
+                readers = [f for f in (rel.f, rel.g) if any(
+                    f.view(m.space.sid(v) >> MODE_BITS)[3] for v in states)]
+                assert len(readers) == {cartan_pair_relation: 2,
+                                        mixed_pair_relation: 1}.get(build, 0)
                 terms = rel.rhs_terms
                 variants = [("intact", terms)]
                 if terms:
@@ -293,9 +331,9 @@ def test_composite_pairs_fold_as_the_labelled_sweep():
                             assert check_state(folded, *got[1]["modes"],
                                                v) == got, (m.name, name, v)
                     assert (fails > 0) == (name != "intact"), \
-                        (m.name, name, b1, b2)
-                    seen.add((m.name, name))
-    assert len(seen) == 12
+                        (m.name, build.__name__, name, b1, b2)
+                    seen.add((m.name, build.__name__, name))
+    assert len(seen) == 28
 
 
 def test_factorization_counterexample():
